@@ -3,6 +3,7 @@ module Engine = Mobile_server.Engine
 module Instance = Mobile_server.Instance
 module Mtc = Mobile_server.Mtc
 module Serialize = Mobile_server.Serialize
+module Variant = Mobile_server.Variant
 
 let instance () =
   Workloads.Clusters.generate ~dim:2 ~t:120
@@ -22,3 +23,91 @@ let trajectory_string_with config =
 let trajectory_string () = trajectory_string_with (config ())
 
 let golden_path = "test/golden/t1_default.trajectory"
+
+(* --- Line_dp capture ------------------------------------------------- *)
+
+(* Round [t] emptied when [t mod 3 = 1], plus the first two rounds, so
+   the DP runs r = 0 rounds at the start and between served ones. *)
+let with_empty_rounds inst =
+  Instance.make ~start:inst.Instance.start
+    (Array.mapi
+       (fun t round -> if t < 2 || t mod 3 = 1 then [||] else round)
+       inst.Instance.steps)
+
+let line_dp_cases () =
+  let clusters ?(r_min = 1) ?(r_max = 4) ?(arena = 10.0) ?(drift = 0.3) ~t
+      seed =
+    Workloads.Clusters.generate ~r_min ~r_max ~sigma:1.0 ~drift ~arena
+      ~dim:1 ~t
+      (Prng.Stream.named ~name:"golden-line-dp" ~seed)
+  in
+  let variants = [ ("mf", Variant.Move_first); ("sf", Variant.Serve_first) ] in
+  let case name ~d ?(m = 1.0) ~grid_per_m (vname, variant) inst =
+    ( Printf.sprintf "%s-%s-d%g-m%g-g%d" name vname d m grid_per_m,
+      Config.make ~d_factor:d ~move_limit:m ~variant (),
+      grid_per_m,
+      inst )
+  in
+  (* perfbench's ratio-line instances: T = 400, two requests a round. *)
+  let ratio_line seed =
+    clusters ~r_min:2 ~r_max:2 ~arena:20.0 ~t:400 seed
+  in
+  let grids = [ 1; 5; 64; 126 ] and ds = [| 1.0; 2.0; 4.0; 7.5; 9.0 |] in
+  let sweep name inst =
+    List.concat
+      (List.mapi
+         (fun i grid_per_m ->
+           List.mapi
+             (fun j v ->
+               case name ~d:ds.(((2 * i) + j) mod Array.length ds)
+                 ~m:(if j = 0 then 1.0 else 1.3)
+                 ~grid_per_m v inst)
+             variants)
+         grids)
+  in
+  let empty_all = Instance.make ~start:[| 0.5 |] (Array.make 5 [||]) in
+  List.concat
+    [
+      [
+        case "ratio-line-s1" ~d:4.0 ~grid_per_m:64 (List.hd variants)
+          (ratio_line 1);
+        case "ratio-line-s2" ~d:4.0 ~grid_per_m:64 (List.hd variants)
+          (ratio_line 2);
+        case "ratio-line-s1" ~d:4.0 ~grid_per_m:64 (List.nth variants 1)
+          (ratio_line 1);
+      ];
+      sweep "clusters" (clusters ~t:120 3);
+      sweep "holes" (with_empty_rounds (clusters ~t:150 4));
+      List.map
+        (fun v -> case "all-empty" ~d:2.0 ~grid_per_m:64 v empty_all)
+        variants;
+      (* A wide hull at tiny m: the grid budget, not m, sets the pitch. *)
+      List.map
+        (fun v ->
+          case "by-width" ~d:4.0 ~m:0.02 ~grid_per_m:64 v
+            (clusters ~arena:50.0 ~drift:2.0 ~t:20 5))
+        variants;
+    ]
+
+let trajectory_md5 positions =
+  let buf = Buffer.create (8 * Array.length positions) in
+  Array.iter
+    (fun (p : Geometry.Vec.t) ->
+      Buffer.add_int64_le buf (Int64.bits_of_float p.(0)))
+    positions;
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let line_dp_string () =
+  let buf = Buffer.create 4096 in
+  Buffer.add_string buf
+    "# Line_dp golden v1: <case> cost=<%h> pitch=<%h> traj=<md5 of IEEE bits>\n";
+  List.iter
+    (fun (name, config, grid_per_m, inst) ->
+      let sol = Offline.Line_dp.solve ~grid_per_m config inst in
+      Printf.bprintf buf "%s cost=%h pitch=%h traj=%s\n" name
+        sol.Offline.Line_dp.cost sol.Offline.Line_dp.grid_pitch
+        (trajectory_md5 sol.Offline.Line_dp.positions))
+    (line_dp_cases ());
+  Buffer.contents buf
+
+let line_dp_path = "test/golden/line_dp_v1.txt"

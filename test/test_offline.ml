@@ -150,6 +150,159 @@ let line_dp_matches_brute () =
         case dp brute (Variant.to_string variant) d
   done
 
+(* --- Line DP: golden capture and naive window-scan oracle ----------- *)
+
+(* test/golden/line_dp_v1.txt was captured from the three-pass kernel
+   before the two-pass rewrite; lib/experiments/golden.mli has the
+   rules.  Never regenerate it to silence this test. *)
+let line_dp_golden_capture () =
+  let path =
+    if Sys.file_exists "golden/line_dp_v1.txt" then "golden/line_dp_v1.txt"
+    else Experiments.Golden.line_dp_path
+  in
+  let expected = In_channel.with_open_bin path In_channel.input_all in
+  let actual = Experiments.Golden.line_dp_string () in
+  if not (String.equal expected actual) then begin
+    let e = String.split_on_char '\n' expected
+    and a = String.split_on_char '\n' actual in
+    let rec first_diff i = function
+      | x :: xs, y :: ys -> if String.equal x y then first_diff (i + 1) (xs, ys)
+                            else Alcotest.failf "line %d:\n  golden %s\n  now    %s" i x y
+      | _ -> Alcotest.failf "line counts differ: golden %d, now %d"
+               (List.length e) (List.length a)
+    in
+    first_diff 1 (e, a)
+  end
+
+(* Service Σ_i |x − v_i| by the solver's prefix-sum formula over the
+   ascending round, with [j] the count of requests <= x. *)
+let naive_service sorted prefix x =
+  let r = Array.length sorted in
+  let j = ref 0 in
+  while !j < r && sorted.(!j) <= x do incr j done;
+  let below = float_of_int !j and above = float_of_int (r - !j) in
+  (below *. x) -. prefix.(!j) +. (prefix.(r) -. prefix.(!j) -. (above *. x))
+
+(* The line DP by direct O(T·G·w) window scans, on the solver's grid
+   and with its key arithmetic: the left window minimizes
+   base(j) − D·x_j over [k−w, k] and the right one base(j) + D·x_j over
+   [k, k+w]; a tie goes to the index scanned last (the largest j on the
+   left, the smallest on the right), and a tie between the windows to
+   the left one.  The terminal state is the first minimum. *)
+let naive_line_dp ~grid_per_m config inst =
+  let steps = inst.Instance.steps in
+  let t_len = Array.length steps in
+  let m = Config.offline_limit config and d = config.Config.d_factor in
+  let serve_first = Variant.equal config.Config.variant Variant.Serve_first in
+  let start = inst.Instance.start.(0) in
+  let lo = ref start and hi = ref start in
+  Array.iter
+    (Array.iter (fun (v : Vec.t) ->
+         if v.(0) < !lo then lo := v.(0);
+         if v.(0) > !hi then hi := v.(0)))
+    steps;
+  let max_grid = max 64 (min 60_000 (40_000_000 / t_len)) in
+  let by_m = m /. float_of_int (min grid_per_m 126) in
+  let width = !hi -. !lo in
+  let pitch =
+    Float.max by_m (if width > 0.0 then width /. float_of_int max_grid else by_m)
+  in
+  let k_lo = -int_of_float (Float.ceil ((start -. !lo) /. pitch)) in
+  let g = int_of_float (Float.ceil ((!hi -. start) /. pitch)) - k_lo + 1 in
+  let x = Array.init g (fun i -> start +. (float_of_int (k_lo + i) *. pitch)) in
+  let w = int_of_float (Float.floor ((m /. pitch) +. 1e-9)) in
+  let value = Array.make g infinity in
+  value.(-k_lo) <- 0.0;
+  let parent = Array.make_matrix t_len g 0 in
+  Array.iteri
+    (fun t round ->
+      let sorted = Array.map (fun (v : Vec.t) -> v.(0)) round in
+      Array.sort Float.compare sorted;
+      let r = Array.length sorted in
+      let prefix = Array.make (r + 1) 0.0 in
+      for i = 0 to r - 1 do prefix.(i + 1) <- prefix.(i) +. sorted.(i) done;
+      let service k = if r = 0 then 0.0 else naive_service sorted prefix x.(k) in
+      let base =
+        Array.init g (fun k ->
+            if serve_first then value.(k) +. service k else value.(k))
+      in
+      let key_l j = base.(j) -. (d *. x.(j))
+      and key_r j = base.(j) +. (d *. x.(j)) in
+      let next =
+        Array.init g (fun k ->
+            let lj = ref (max 0 (k - w)) in
+            for j = !lj + 1 to k do
+              if key_l j <= key_l !lj then lj := j
+            done;
+            let rj = ref (min (g - 1) (k + w)) in
+            for j = !rj - 1 downto k do
+              if key_r j <= key_r !rj then rj := j
+            done;
+            let from_left = key_l !lj +. (d *. x.(k))
+            and from_right = key_r !rj -. (d *. x.(k)) in
+            let best, j =
+              if from_left <= from_right then (from_left, !lj)
+              else (from_right, !rj)
+            in
+            parent.(t).(k) <- j;
+            if not (Float.is_finite best) then infinity
+            else if serve_first then best
+            else best +. service k)
+      in
+      Array.blit next 0 value 0 g)
+    steps;
+  let best_k = ref 0 in
+  Array.iteri (fun k v -> if v < value.(!best_k) then best_k := k) value;
+  let positions = Array.make t_len [||] in
+  let k = ref !best_k in
+  for t = t_len - 1 downto 0 do
+    positions.(t) <- [| x.(!k) |];
+    k := parent.(t).(!k)
+  done;
+  (value.(!best_k), pitch, positions)
+
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let qcheck_dp_matches_naive_scan =
+  QCheck.Test.make ~count:150
+    ~name:"line DP = naive window scan, bit for bit"
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let rng = Prng.Xoshiro.create (Int64.of_int (seed + 3000)) in
+      let below n = Prng.Xoshiro.next_below rng n in
+      (* Half the coordinates sit on a 1/8 lattice so equal keys, and
+         with them the tie-breaks, are common. *)
+      let coord lo hi =
+        let v = Prng.Dist.uniform rng ~lo ~hi in
+        if Prng.Dist.fair_coin rng then Float.round (v *. 8.0) /. 8.0 else v
+      in
+      let t = 1 + below 20 in
+      let rows =
+        Array.init t (fun _ ->
+            Array.init (below 4) (fun _ -> Vec.make1 (coord (-3.0) 3.0)))
+      in
+      let inst = Instance.make ~start:(Vec.make1 (coord (-1.0) 1.0)) rows in
+      let d =
+        if Prng.Dist.fair_coin rng then [| 1.0; 2.0; 4.0; 7.5; 9.0 |].(below 5)
+        else Prng.Dist.uniform rng ~lo:1.0 ~hi:10.0
+      in
+      let m = [| 0.5; 1.0; 1.3; 2.0 |].(below 4) in
+      let variant =
+        if Prng.Dist.fair_coin rng then Variant.Move_first
+        else Variant.Serve_first
+      in
+      let grid_per_m = 1 + below 140 in
+      let config = Config.make ~d_factor:d ~move_limit:m ~variant () in
+      let sol =
+        Offline.Line_dp.solve_packed ~grid_per_m config (Instance.pack inst)
+      in
+      let cost, pitch, positions = naive_line_dp ~grid_per_m config inst in
+      same_bits sol.Offline.Line_dp.cost cost
+      && same_bits sol.Offline.Line_dp.grid_pitch pitch
+      && Array.for_all2
+           (fun (a : Vec.t) (b : Vec.t) -> same_bits a.(0) b.(0))
+           sol.Offline.Line_dp.positions positions)
+
 (* --- Convex optimizer ---------------------------------------------- *)
 
 let convex_matches_line_dp () =
@@ -357,6 +510,7 @@ let () =
           Alcotest.test_case "non-finite hull rejected" `Quick
             line_dp_non_finite_hull_rejected;
           Alcotest.test_case "matches brute" `Slow line_dp_matches_brute;
+          Alcotest.test_case "golden capture" `Quick line_dp_golden_capture;
         ] );
       ( "convex",
         [
@@ -386,5 +540,6 @@ let () =
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
           [ qcheck_dp_beats_any_feasible_plan;
-            qcheck_dp_output_always_feasible ] );
+            qcheck_dp_output_always_feasible;
+            qcheck_dp_matches_naive_scan ] );
     ]
