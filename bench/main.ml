@@ -260,6 +260,13 @@ let time_per ~repeat f =
   done;
   (Unix.gettimeofday () -. t0) /. float_of_int repeat
 
+(* The machine a bench record was measured on, as one JSON field. *)
+let machine_json () =
+  Printf.sprintf
+    "\"machine\": {\"recommended_domain_count\": %d, \"ocaml_version\": \"%s\", \
+     \"flambda\": %b}"
+    (Domain.recommended_domain_count ()) Sys.ocaml_version Build_info.flambda
+
 let run_hotpath ~quick ~out ~golden () =
   print_endline "\n=== HOTPATH: kernels, warm-started median, identity ===\n";
   let rng = Prng.Stream.named ~name:"bench-hotpath" ~seed:1 in
@@ -775,6 +782,7 @@ let run_solver ~quick ~out () =
   Buffer.add_string buf "{\n";
   Buffer.add_string buf "  \"schema\": \"msp-bench-solver-v1\",\n";
   Buffer.add_string buf (Printf.sprintf "  \"quick\": %b,\n" quick);
+  Buffer.add_string buf (Printf.sprintf "  %s,\n" (machine_json ()));
   Buffer.add_string buf
     (Printf.sprintf "  \"line_dp_rounds\": %d,\n" solve_t);
   Buffer.add_string buf

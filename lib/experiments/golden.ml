@@ -41,52 +41,36 @@ let line_dp_cases () =
       ~dim:1 ~t
       (Prng.Stream.named ~name:"golden-line-dp" ~seed)
   in
-  let variants = [ ("mf", Variant.Move_first); ("sf", Variant.Serve_first) ] in
-  let case name ~d ?(m = 1.0) ~grid_per_m (vname, variant) inst =
+  let mf = ("mf", Variant.Move_first) and sf = ("sf", Variant.Serve_first) in
+  let case name ~d ?(m = 1.0) ?(grid_per_m = 64) (vname, variant) inst =
     ( Printf.sprintf "%s-%s-d%g-m%g-g%d" name vname d m grid_per_m,
       Config.make ~d_factor:d ~move_limit:m ~variant (),
       grid_per_m,
       inst )
   in
-  (* perfbench's ratio-line instances: T = 400, two requests a round. *)
-  let ratio_line seed =
-    clusters ~r_min:2 ~r_max:2 ~arena:20.0 ~t:400 seed
-  in
-  let grids = [ 1; 5; 64; 126 ] and ds = [| 1.0; 2.0; 4.0; 7.5; 9.0 |] in
+  let both name ~d ?m inst = [ case name ~d ?m mf inst; case name ~d ?m sf inst ] in
+  (* Every grid_per_m under both variants, D cycling through [ds]. *)
+  let ds = [| 1.0; 2.0; 4.0; 7.5; 9.0 |] in
   let sweep name inst =
     List.concat
       (List.mapi
          (fun i grid_per_m ->
-           List.mapi
-             (fun j v ->
-               case name ~d:ds.(((2 * i) + j) mod Array.length ds)
-                 ~m:(if j = 0 then 1.0 else 1.3)
-                 ~grid_per_m v inst)
-             variants)
-         grids)
+           [ case name ~d:ds.(2 * i mod 5) ~grid_per_m mf inst;
+             case name ~d:ds.(((2 * i) + 1) mod 5) ~m:1.3 ~grid_per_m sf inst ])
+         [ 1; 5; 64; 126 ])
   in
-  let empty_all = Instance.make ~start:[| 0.5 |] (Array.make 5 [||]) in
+  (* perfbench's ratio-line instances: T = 400, two requests a round. *)
+  let ratio_line seed = clusters ~r_min:2 ~r_max:2 ~arena:20.0 ~t:400 seed in
   List.concat
     [
-      [
-        case "ratio-line-s1" ~d:4.0 ~grid_per_m:64 (List.hd variants)
-          (ratio_line 1);
-        case "ratio-line-s2" ~d:4.0 ~grid_per_m:64 (List.hd variants)
-          (ratio_line 2);
-        case "ratio-line-s1" ~d:4.0 ~grid_per_m:64 (List.nth variants 1)
-          (ratio_line 1);
-      ];
+      [ case "ratio-line-s1" ~d:4.0 mf (ratio_line 1);
+        case "ratio-line-s2" ~d:4.0 mf (ratio_line 2);
+        case "ratio-line-s1" ~d:4.0 sf (ratio_line 1) ];
       sweep "clusters" (clusters ~t:120 3);
       sweep "holes" (with_empty_rounds (clusters ~t:150 4));
-      List.map
-        (fun v -> case "all-empty" ~d:2.0 ~grid_per_m:64 v empty_all)
-        variants;
+      both "all-empty" ~d:2.0 (Instance.make ~start:[| 0.5 |] (Array.make 5 [||]));
       (* A wide hull at tiny m: the grid budget, not m, sets the pitch. *)
-      List.map
-        (fun v ->
-          case "by-width" ~d:4.0 ~m:0.02 ~grid_per_m:64 v
-            (clusters ~arena:50.0 ~drift:2.0 ~t:20 5))
-        variants;
+      both "by-width" ~d:4.0 ~m:0.02 (clusters ~arena:50.0 ~drift:2.0 ~t:20 5);
     ]
 
 let trajectory_md5 positions =

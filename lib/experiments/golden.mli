@@ -44,17 +44,13 @@ val golden_path : string
     Regenerate (only when the case list changes, never to paper over a
     mismatch) with [dune exec tools/gen_golden/gen_line_dp_golden.exe]. *)
 
-val line_dp_cases :
-  unit -> (string * Mobile_server.Config.t * int * Mobile_server.Instance.t) list
-(** The fixed cases as [(name, config, grid_per_m, instance)]: seeded
-    1-D clusters (perfbench's [ratio-line] shape among them), the same
-    with empty rounds, an all-empty instance and a hull wide enough
-    that the grid budget sets the pitch; both variants, [D] in
-    [{1, 2, 4, 7.5, 9}] and [grid_per_m] in [{1, 5, 64, 126}]. *)
-
 val line_dp_string : unit -> string
-(** One line per case: its name, then [cost] and [grid_pitch] as [%h]
-    and the MD5 of the trajectory's little-endian IEEE bits. *)
+(** One line per fixed case: its name, then [cost] and [grid_pitch] as
+    [%h] and the MD5 of the trajectory's little-endian IEEE bits.  The
+    cases are seeded 1-D clusters (perfbench's [ratio-line] shape among
+    them), the same with empty rounds, an all-empty instance and a hull
+    wide enough that the grid budget sets the pitch; both variants, [D]
+    in [{1, 2, 4, 7.5, 9}] and [grid_per_m] in [{1, 5, 64, 126}]. *)
 
 val line_dp_path : string
 (** Repo-root-relative path of the committed line DP capture. *)

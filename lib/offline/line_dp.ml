@@ -50,7 +50,7 @@ let sort_prefix (a : Fbuf.t) n =
     sift 0 last
   done
 
-(* Service cost Σ_i |x − v_i| at ascending query points, in
+(* Service cost Σ_i |x − v_i| at monotone query points, in
    O(r log r) preparation plus O(1) amortized per query, using sorted
    requests and prefix sums.  The request coordinates are
    [data.(lo .. hi-1)] of the flat packed buffer; [sorted] (>= r
@@ -69,41 +69,41 @@ let prepare_requests (data : Fbuf.t) ~lo ~hi ~sorted ~prefix =
   end;
   r
 
-(* Service at query [x]; [j] is the persistent two-pointer of an
-   ascending query sweep (it only ever advances, and re-synchronizes if
-   a query was skipped).  Exactly the per-point arithmetic of the
-   former service-table fill. *)
-let service_at ~r ~(sorted : Fbuf.t) ~(prefix : Fbuf.t) j x =
-  while !j < r && Fbuf.get sorted !j <= x do incr j done;
-  (* !j requests are <= x. *)
-  let below = float_of_int !j and sum_below = Fbuf.get prefix !j in
-  let above = float_of_int (r - !j)
-  and sum_above = Fbuf.get prefix r -. Fbuf.get prefix !j in
+(* Service Σ_i |x − v_i| when [j] of the [r] requests are <= x — the
+   per-point arithmetic of both the serve-first table and the
+   move-first combine step of {!solve_packed}. *)
+let service_formula (prefix : Fbuf.t) ~r j x =
+  let below = float_of_int j and sum_below = Fbuf.unsafe_get prefix j in
+  let above = float_of_int (r - j)
+  and sum_above = Fbuf.unsafe_get prefix r -. sum_below in
   (below *. x) -. sum_below +. (sum_above -. (above *. x))
+[@@inline]
 
-(* Full service table over the grid — only the serve-first variant
-   needs it materialized (its transition keys read service at the
-   pre-move position); move-first streams {!service_at} directly in the
-   combine pass. *)
-let service_into ~r ~sorted ~prefix (grid : Fbuf.t) (out : Fbuf.t) =
-  let g = Fbuf.length grid in
-  Fbuf.fill out 0.0;
+(* Full service table over the grid, by an ascending two-pointer — only
+   the serve-first variant needs it materialized (its transition keys
+   read service at the pre-move position). *)
+let service_into ~r ~(sorted : Fbuf.t) ~prefix (grid : float array) out =
+  Array.fill out 0 (Array.length out) 0.0;
   if r > 0 then begin
     let j = ref 0 in
-    for k = 0 to g - 1 do
-      Fbuf.set out k (service_at ~r ~sorted ~prefix j (Fbuf.get grid k))
+    for k = 0 to Array.length grid - 1 do
+      let x = grid.(k) in
+      while !j < r && Fbuf.get sorted !j <= x do incr j done;
+      out.(k) <- service_formula prefix ~r !j x
     done
   end
 
-(* The sliding-window minima in {!solve_packed} use a monotone deque
-   fused with the key computation: each transition key is computed
-   once, when its index enters the deque, and cached in [deque_key]
-   next to its slot — no materialized key array, no separate fill pass,
-   and (the scans being specialized inline) no indirect call per grid
-   point.  The key values, comparisons and tie-breaks (an equal key
-   evicts the older index) are exactly those of the textbook
-   fill-then-scan formulation, so the minima and minimizers — and with
-   them the whole DP table — are bit-identical to it. *)
+(* Each round of {!solve_packed} is two scans of a monotone deque.  A
+   transition key is computed once, when its index enters the deque, and
+   cached in [deque_key] next to its slot; an equal key evicts the older
+   index.  Pass 1 (left to right) stores the left-window minima and
+   minimizers; pass 2 (right to left) runs the right window and combines
+   each state as soon as its right minimum is the deque head.  Keys,
+   comparisons and tie-breaks are exactly those of the textbook
+   fill-then-scan formulation, so the whole DP table is bit-identical to
+   it.  The grid-sized rows are [float array]s read without bounds
+   checks: the GC never scans a float array, and unlike a Bigarray read
+   an array read does not reload a data pointer on every access. *)
 
 let solve_packed ?(grid_per_m = 64) (config : Config.t)
     (p : Instance.Packed.t) =
@@ -167,9 +167,9 @@ let solve_packed ?(grid_per_m = 64) (config : Config.t)
   let k_lo = -(int_of_float cells_lo) in
   let k_hi = int_of_float cells_hi in
   let g = k_hi - k_lo + 1 in
-  let grid = Fbuf.create g in
+  let grid = Array.make g 0.0 in
   for i = 0 to g - 1 do
-    Fbuf.set grid i (start +. (float_of_int (k_lo + i) *. pitch))
+    grid.(i) <- start +. (float_of_int (k_lo + i) *. pitch)
   done;
   let start_idx = -k_lo in
   let w = int_of_float (Float.floor ((m /. pitch) +. 1e-9)) in
@@ -189,17 +189,15 @@ let solve_packed ?(grid_per_m = 64) (config : Config.t)
   let inf = infinity in
   (* Parent offsets, one byte per state per round: offset + 128. *)
   let parents = Bytes.make (t_len * g) '\000' in
-  (* Value + float scratch live in {!Fbuf.t} buffers (outside the OCaml
-     heap); the index scratch stays in int arrays.  Reused across all T
-     rounds — the DP loop proper allocates nothing. *)
-  let value = Fbuf.create g in
-  Fbuf.fill value inf;
-  Fbuf.set value start_idx 0.0;
-  let left_val = Fbuf.create g and left_idx = Array.make g 0 in
-  let rev_val = Fbuf.create g and rev_idx = Array.make g 0 in
-  let deque = Array.make g 0 in
-  let deque_key = Fbuf.create g in
-  let service = Fbuf.create g in
+  (* Rows reused across all T rounds — the DP loop allocates nothing. *)
+  let value = Array.make g inf in
+  value.(start_idx) <- 0.0;
+  let d_grid = Array.make g 0.0 in
+  for i = 0 to g - 1 do
+    d_grid.(i) <- d_factor *. grid.(i)
+  done;
+  let left_val = Array.make g 0.0 and left_idx = Array.make g 0 in
+  let deque = Array.make g 0 and deque_key = Array.make g 0.0 in
   let max_r = ref 0 in
   for t = 0 to t_len - 1 do
     max_r := Stdlib.max !max_r (Instance.Packed.round_length p t)
@@ -210,9 +208,9 @@ let solve_packed ?(grid_per_m = 64) (config : Config.t)
   (* Base value of staying at y before moving: V(y) (+ service(y) when
      the variant charges requests at the pre-move position).  Move-first
      reads [value] directly; serve-first materializes V + service into
-     its own scratch row once per round — the sums are the same ones the
-     key computation used to perform, in the same order. *)
-  let base_arr = if serve_first then Fbuf.create g else value in
+     its own row once per round. *)
+  let service = if serve_first then Array.make g 0.0 else [||] in
+  let base = if serve_first then Array.make g 0.0 else value in
   for t = 0 to t_len - 1 do
     let r =
       prepare_requests data ~lo:(Instance.Packed.round_start p t)
@@ -222,81 +220,80 @@ let solve_packed ?(grid_per_m = 64) (config : Config.t)
     if serve_first then begin
       service_into ~r ~sorted ~prefix grid service;
       for j = 0 to g - 1 do
-        Fbuf.set base_arr j (Fbuf.get value j +. Fbuf.get service j)
+        base.(j) <- value.(j) +. service.(j)
       done
     end;
-    (* Left window: j in [k-w, k]; minimize base(j) − D·x_j (the D·x_k
-       term is added in the combine pass). *)
+    (* Pass 1, left window j in [k-w, k]: minimize base(j) − D·x_j (the
+       D·x_k term is added in pass 2). *)
     let head = ref 0 and tail = ref 0 in
     for k = 0 to g - 1 do
-      let key_k = Fbuf.get base_arr k -. (d_factor *. Fbuf.get grid k) in
-      (* Drop indices that left the window. *)
-      while !head < !tail && deque.(!head) < k - w do incr head done;
-      (* Maintain increasing key values in the deque. *)
-      while !head < !tail && Fbuf.get deque_key (!tail - 1) >= key_k do
+      let key = Array.unsafe_get base k -. Array.unsafe_get d_grid k in
+      while !head < !tail && Array.unsafe_get deque !head < k - w do
+        incr head
+      done;
+      while !head < !tail && Array.unsafe_get deque_key (!tail - 1) >= key do
         decr tail
       done;
-      deque.(!tail) <- k;
-      Fbuf.set deque_key !tail key_k;
+      Array.unsafe_set deque !tail k;
+      Array.unsafe_set deque_key !tail key;
       incr tail;
-      Fbuf.set left_val k (Fbuf.get deque_key !head);
-      left_idx.(k) <- deque.(!head)
+      Array.unsafe_set left_val k (Array.unsafe_get deque_key !head);
+      Array.unsafe_set left_idx k (Array.unsafe_get deque !head)
     done;
-    (* Right window: j in [k, k+w]; the same scan over the reversed
-       index space, exactly as the fill-then-scan version scanned a
-       reversed key array. *)
-    let head = ref 0 and tail = ref 0 in
-    for j = 0 to g - 1 do
-      let i = g - 1 - j in
-      let key_j = Fbuf.get base_arr i +. (d_factor *. Fbuf.get grid i) in
-      while !head < !tail && deque.(!head) < j - w do incr head done;
-      while !head < !tail && Fbuf.get deque_key (!tail - 1) >= key_j do
+    (* Pass 2, right window j in [k, k+w]: minimize base(j) + D·x_j, then
+       combine.  State k's key is in the deque before [value.(k)] is
+       overwritten, so the new value goes in place even when [base] is
+       [value].  [js] counts the requests <= x_k, descending with k. *)
+    let head = ref 0 and tail = ref 0 and js = ref r in
+    for k = g - 1 downto 0 do
+      let dx = Array.unsafe_get d_grid k in
+      let key = Array.unsafe_get base k +. dx in
+      while !head < !tail && Array.unsafe_get deque !head > k + w do
+        incr head
+      done;
+      while !head < !tail && Array.unsafe_get deque_key (!tail - 1) >= key do
         decr tail
       done;
-      deque.(!tail) <- j;
-      Fbuf.set deque_key !tail key_j;
+      Array.unsafe_set deque !tail k;
+      Array.unsafe_set deque_key !tail key;
       incr tail;
-      Fbuf.set rev_val j (Fbuf.get deque_key !head);
-      rev_idx.(j) <- deque.(!head)
-    done;
-    (* Both scans have consumed [value], so the combine pass writes the
-       round's new table straight back into it — no [next] buffer, no
-       copy-back pass. *)
-    let js = ref 0 in
-    for k = 0 to g - 1 do
-      let x = Fbuf.get grid k in
-      let dx = d_factor *. x in
-      let from_left = Fbuf.get left_val k +. dx in
-      (* The right-scan results are read back mirrored — the dedicated
-         un-reversal pass of the textbook formulation is folded away. *)
-      let from_right = Fbuf.get rev_val (g - 1 - k) -. dx in
+      let from_left = Array.unsafe_get left_val k +. dx in
+      let from_right = Array.unsafe_get deque_key !head -. dx in
       let take_left = from_left <= from_right in
       let best_val = if take_left then from_left else from_right in
       let best_j =
-        if take_left then left_idx.(k) else g - 1 - rev_idx.(g - 1 - k)
+        if take_left then Array.unsafe_get left_idx k
+        else Array.unsafe_get deque !head
       in
-      Fbuf.set value k
-        (if Float.is_finite best_val then
-           if serve_first then best_val
-           else if r = 0 then best_val +. 0.0
-           else best_val +. service_at ~r ~sorted ~prefix js x
-         else inf);
-      Bytes.set parents ((t * g) + k) (Char.chr (best_j - k + 128))
+      Array.unsafe_set value k
+        (if not (Float.is_finite best_val) then inf
+         else if serve_first then best_val
+         else if r = 0 then best_val +. 0.0
+         else begin
+           let x = Array.unsafe_get grid k in
+           while !js > 0 && Fbuf.unsafe_get sorted (!js - 1) > x do
+             decr js
+           done;
+           best_val +. service_formula prefix ~r !js x
+         end);
+      (* |best_j − k| <= w <= 126, so the offset fits one byte. *)
+      Bytes.unsafe_set parents ((t * g) + k)
+        (Char.unsafe_chr (best_j - k + 128))
     done
   done;
   (* Best terminal state, then walk parents back. *)
   let best_k = ref 0 in
   for k = 1 to g - 1 do
-    if Fbuf.get value k < Fbuf.get value !best_k then best_k := k
+    if value.(k) < value.(!best_k) then best_k := k
   done;
   let positions = Array.make t_len [| 0.0 |] in
   let k = ref !best_k in
   for t = t_len - 1 downto 0 do
-    positions.(t) <- [| Fbuf.get grid !k |];
+    positions.(t) <- [| grid.(!k) |];
     let offset = Char.code (Bytes.get parents ((t * g) + !k)) - 128 in
     k := !k + offset
   done;
-  { cost = Fbuf.get value !best_k; positions; grid_pitch = pitch }
+  { cost = value.(!best_k); positions; grid_pitch = pitch }
 
 let solve ?grid_per_m config inst =
   solve_packed ?grid_per_m config (Instance.pack inst)

@@ -5,24 +5,32 @@
     [min Σ_t ( D·|P_t − P_{t−1}| + Σ_i |P_t − v_{t,i}| )
      s.t. |P_t − P_{t−1}| <= m]
 
-    is solved over a discretized position grid.  The grid contains every
-    request coordinate and the start plus a uniform refinement, and the
-    value iteration uses a monotone-deque sliding-window minimum so each
-    round costs [O(G)] instead of [O(G²)]:
+    is solved over a uniform position grid anchored at the start: the
+    start is a grid point, request coordinates in general are not.  The
+    pitch is [m / min grid_per_m 126], widened when needed to keep the
+    grid within a fixed memory budget.  The value iteration
 
     [V_t(x) = service_t(x) + min over y with |y−x| <= m of
       ( D·|x−y| + V_(t−1)(y) )]
 
-    splits into a left-to-right and a right-to-left window minimum over
-    [V_{t−1}(y) ∓ D·y].  Both cost variants are supported (Serve-first
-    charges [service_t] at [y] instead of [x], which just moves the term
-    inside the window).
+    splits into a left window minimum of [V_{t−1}(y) − D·y] over
+    [y in [x − m, x]] and a right one of [V_{t−1}(y) + D·y] over
+    [y in [x, x + m]], each a monotone-deque scan, so a round costs
+    [O(G)] instead of [O(G²)].  A round is two passes: left to right
+    for the left minima, then right to left for the right minima, which
+    combines each grid point as soon as its right minimum is known and
+    writes [V_t] in place.  A tie within a window goes to the [y]
+    nearest [x], a tie between the windows to the left one, and the
+    terminal state is the leftmost minimum.  Both cost variants are
+    supported (Serve-first charges [service_t] at [y] instead of [x],
+    which just moves the term inside the window).
 
     Optimal server positions never leave the convex hull of the request
     coordinates and the start (moving outside only adds cost), so the
-    grid covers exactly that interval and the result is exact up to the
-    grid resolution: the returned cost overestimates the continuous
-    optimum by at most [T·(D + R)·h] where [h] is the grid pitch. *)
+    grid covers that interval, rounded out to whole pitches, and the
+    result is exact up to the grid resolution: the returned cost
+    overestimates the continuous optimum by at most [T·(D + R)·h] where
+    [h] is the grid pitch. *)
 
 type solution = {
   cost : float;  (** Total optimal cost on the grid. *)

@@ -18,14 +18,26 @@ let bernoulli g ~p = Xoshiro.next_float g < p
 
 let fair_coin g = Int64.logand (Xoshiro.next g) 1L = 1L
 
-let poisson g ~lambda =
-  if lambda < 0. then invalid_arg "Dist.poisson: lambda < 0";
-  let limit = exp (-.lambda) in
-  let rec loop k prod =
-    let prod = prod *. Xoshiro.next_float g in
-    if prod <= limit then k else loop (k + 1) prod
-  in
-  loop 0 1.0
+(* Knuth's loop needs exp (-lambda) to be a normal float; past
+   lambda ≈ 708 it underflows and the draws saturate near 745.  A sum
+   of independent Poisson counts is Poisson with the summed mean, so a
+   larger mean is drawn as two halves. *)
+let rec poisson g ~lambda =
+  if not (Float.is_finite lambda) || lambda < 0. then
+    invalid_arg "Dist.poisson: lambda is negative or not finite";
+  if lambda > 700. then begin
+    let half = lambda /. 2. in
+    let first = poisson g ~lambda:half in
+    first + poisson g ~lambda:(lambda -. half)
+  end
+  else begin
+    let limit = exp (-.lambda) in
+    let rec loop k prod =
+      let prod = prod *. Xoshiro.next_float g in
+      if prod <= limit then k else loop (k + 1) prod
+    in
+    loop 0 1.0
+  end
 
 let zipf g ~n ~s =
   if n <= 0 then invalid_arg "Dist.zipf: n <= 0";

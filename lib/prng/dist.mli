@@ -20,8 +20,13 @@ val fair_coin : Xoshiro.t -> bool
     paper's Yao-principle lower bounds. *)
 
 val poisson : Xoshiro.t -> lambda:float -> int
-(** [poisson g ~lambda] samples a Poisson count (Knuth's method; intended
-    for small [lambda], as used by the bursty workload). *)
+(** [poisson g ~lambda] samples a Poisson count by Knuth's method, which
+    draws about [lambda] uniforms.  Knuth's bound [exp (-lambda)]
+    underflows past [lambda ≈ 708], so for [lambda > 700] the count is
+    the sum of two independent draws at [lambda / 2] and
+    [lambda - lambda / 2] (exact in distribution); draws with
+    [lambda <= 700] are Knuth's loop alone.  Raises [Invalid_argument]
+    if [lambda] is negative or not finite. *)
 
 val zipf : Xoshiro.t -> n:int -> s:float -> int
 (** [zipf g ~n ~s] samples a rank in [[1, n]] with probability

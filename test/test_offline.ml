@@ -160,19 +160,9 @@ let line_dp_golden_capture () =
     if Sys.file_exists "golden/line_dp_v1.txt" then "golden/line_dp_v1.txt"
     else Experiments.Golden.line_dp_path
   in
-  let expected = In_channel.with_open_bin path In_channel.input_all in
-  let actual = Experiments.Golden.line_dp_string () in
-  if not (String.equal expected actual) then begin
-    let e = String.split_on_char '\n' expected
-    and a = String.split_on_char '\n' actual in
-    let rec first_diff i = function
-      | x :: xs, y :: ys -> if String.equal x y then first_diff (i + 1) (xs, ys)
-                            else Alcotest.failf "line %d:\n  golden %s\n  now    %s" i x y
-      | _ -> Alcotest.failf "line counts differ: golden %d, now %d"
-               (List.length e) (List.length a)
-    in
-    first_diff 1 (e, a)
-  end
+  Alcotest.(check string) "byte identical"
+    (In_channel.with_open_bin path In_channel.input_all)
+    (Experiments.Golden.line_dp_string ())
 
 (* Service Σ_i |x − v_i| by the solver's prefix-sum formula over the
    ascending round, with [j] the count of requests <= x. *)

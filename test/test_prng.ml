@@ -166,6 +166,53 @@ let dist_poisson_mean () =
   if Float.abs (mean -. 2.5) > 0.05 then
     Alcotest.failf "poisson mean off: %g" mean
 
+(* Knuth's method as Dist.poisson ran it for every lambda before large
+   means were split. *)
+let knuth_poisson g ~lambda =
+  let limit = exp (-.lambda) in
+  let rec loop k prod =
+    let prod = prod *. Prng.Xoshiro.next_float g in
+    if prod <= limit then k else loop (k + 1) prod
+  in
+  loop 0 1.0
+
+let dist_poisson_small_lambda_unchanged () =
+  List.iter
+    (fun lambda ->
+      let g = rng () and reference = rng () in
+      for i = 1 to 500 do
+        let a = Prng.Dist.poisson g ~lambda
+        and b = knuth_poisson reference ~lambda in
+        if a <> b then
+          Alcotest.failf "lambda %g, draw %d: %d, Knuth's loop %d" lambda i a b
+      done)
+    [ 2.5; 625.0 ]
+
+let dist_poisson_large_mean () =
+  (* Knuth's loop alone saturates near 745 at these means. *)
+  List.iter
+    (fun lambda ->
+      let g = rng () in
+      let n = 2000 in
+      let sum = ref 0 in
+      for _ = 1 to n do
+        sum := !sum + Prng.Dist.poisson g ~lambda
+      done;
+      let mean = float_of_int !sum /. float_of_int n in
+      let std_err = sqrt (lambda /. float_of_int n) in
+      if Float.abs (mean -. lambda) > 4.0 *. std_err then
+        Alcotest.failf "lambda %g: mean %g is more than 4 standard errors \
+                        (%g) off" lambda mean std_err)
+    [ 1250.0; 6250.0 ]
+
+let dist_poisson_invalid () =
+  List.iter
+    (fun lambda ->
+      match Prng.Dist.poisson (rng ()) ~lambda with
+      | _ -> Alcotest.failf "lambda %g accepted" lambda
+      | exception Invalid_argument _ -> ())
+    [ -1.0; Float.infinity; Float.nan ]
+
 let dist_zipf_support () =
   let g = rng () in
   for _ = 1 to 10_000 do
@@ -294,6 +341,10 @@ let () =
           Alcotest.test_case "bernoulli frequency" `Slow dist_bernoulli_frequency;
           Alcotest.test_case "fair coin" `Slow dist_fair_coin;
           Alcotest.test_case "poisson mean" `Slow dist_poisson_mean;
+          Alcotest.test_case "poisson small lambda unchanged" `Quick
+            dist_poisson_small_lambda_unchanged;
+          Alcotest.test_case "poisson large mean" `Quick dist_poisson_large_mean;
+          Alcotest.test_case "poisson invalid" `Quick dist_poisson_invalid;
           Alcotest.test_case "zipf support" `Quick dist_zipf_support;
           Alcotest.test_case "zipf rank order" `Slow dist_zipf_rank1_most_frequent;
           Alcotest.test_case "direction unit" `Quick dist_direction_unit;
