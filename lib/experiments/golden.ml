@@ -95,3 +95,79 @@ let line_dp_string () =
   Buffer.contents buf
 
 let line_dp_path = "test/golden/line_dp_v1.txt"
+
+(* --- fleet capture --------------------------------------------------- *)
+
+let fleet_instances () =
+  List.map
+    (fun (dim, seed) ->
+      ( Printf.sprintf "d%d-s%d" dim seed,
+        Workloads.Hotspots.generate ~hotspots:3 ~dim ~t:40
+          (Prng.Stream.named ~name:"golden-fleet" ~seed) ))
+    [ (1, 1); (2, 2); (2, 3); (3, 4) ]
+
+let fleet_algorithms ~k inst =
+  let ftp () = Multi.Fleet_prediction.algorithm ~k ~sigma:0.5 ~seed:7 inst in
+  let candidates () =
+    [ Multi.Fleet_wfa.algorithm (); ftp (); Multi.Fleet_mtc.independent ]
+  in
+  [
+    Multi.Fleet_wfa.algorithm ();
+    ftp ();
+    Multi.Fleet_mtc.independent;
+    Multi.Fleet_mtc.greedy_partition;
+    Multi.Fleet_mtc.kmeans_tracker;
+    Multi.Fleet_algorithm.stay_put;
+    Multi.Fleet_combine.deterministic (candidates ());
+    Multi.Fleet_combine.randomized (candidates ());
+  ]
+
+let fleets_md5 fleets =
+  let buf = Buffer.create 4096 in
+  Array.iter
+    (Array.iter
+       (Array.iter (fun x -> Buffer.add_int64_le buf (Int64.bits_of_float x))))
+    fleets;
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let fleet_string () =
+  let buf = Buffer.create 16384 in
+  Buffer.add_string buf
+    "# Fleet golden v1: <instance> k=<k> <variant> <algorithm> \
+     move=<%h> service=<%h> fleets=<md5 of IEEE bits>\n\
+     # and <instance> k=<k> <variant> optimum=<%h> <label>\n";
+  List.iter
+    (fun (iname, inst) ->
+      List.iter
+        (fun k ->
+          List.iter
+            (fun (vname, variant) ->
+              let config =
+                Config.make ~d_factor:2.0 ~move_limit:1.0 ~delta:0.5 ~variant ()
+              in
+              List.iter
+                (fun (alg : Multi.Fleet_algorithm.t) ->
+                  let run =
+                    Multi.Fleet_engine.run
+                      ~rng:(Prng.Stream.named ~name:"golden-fleet-run" ~seed:k)
+                      ~k config alg inst
+                  in
+                  let cost = run.Multi.Fleet_engine.cost in
+                  Printf.bprintf buf "%s k=%d %s %s move=%h service=%h fleets=%s\n"
+                    iname k vname alg.Multi.Fleet_algorithm.name
+                    cost.Mobile_server.Cost.move
+                    cost.Mobile_server.Cost.service
+                    (fleets_md5 run.Multi.Fleet_engine.fleets))
+                (fleet_algorithms ~k inst);
+              let opt, label =
+                Multi.Fleet_offline.best_upper ~k config inst
+                  (Prng.Stream.named ~name:"golden-fleet-opt" ~seed:k)
+              in
+              Printf.bprintf buf "%s k=%d %s optimum=%h %s\n" iname k vname opt
+                label)
+            [ ("mf", Variant.Move_first); ("sf", Variant.Serve_first) ])
+        [ 1; 2; 3; 4 ])
+    (fleet_instances ());
+  Buffer.contents buf
+
+let fleet_path = "test/golden/fleet_v1.txt"

@@ -54,3 +54,26 @@ val line_dp_string : unit -> string
 
 val line_dp_path : string
 (** Repo-root-relative path of the committed line DP capture. *)
+
+(** {1 Fleet capture}
+
+    [test/golden/fleet_v1.txt] pins the fleet round pricing
+    ({!Multi.Fleet.step}) and every in-tree fleet algorithm bit for
+    bit.  It was captured before the packed fleet kernels were deleted
+    and [test_fleet] compares {!fleet_string} with it byte for byte.
+    Regenerate (only when the case list changes, never to paper over a
+    mismatch) with [dune exec tools/gen_golden/gen_fleet_golden.exe]. *)
+
+val fleet_string : unit -> string
+(** One line per (instance, k, variant, algorithm): [move] and
+    [service] as [%h] and the MD5 of the run's fleets' little-endian
+    IEEE bits.  The instances are seeded 3-hotspot ones, [T = 40], in
+    [d = 1, 2, 2, 3]; [k] ranges over [{1..4}] under [D = 2], [m = 1],
+    [δ = 0.5] and both variants.  The algorithms are WFA, FtP
+    ([σ = 0.5]), [independent], [greedy_partition], [kmeans_tracker]
+    (seeded), [stay_put] and both combiners over [[WFA; FtP; MtC]].
+    One more line per (instance, k, variant) holds
+    {!Multi.Fleet_offline.best_upper}'s cost as [%h] and its label. *)
+
+val fleet_path : string
+(** Repo-root-relative path of the committed fleet capture. *)

@@ -168,6 +168,20 @@ let packed_engine_equals_boxed () =
         last)
     [ 1; 2; 3; 4 ]
 
+(* --- golden capture --------------------------------------------------- *)
+
+(* test/golden/fleet_v1.txt was captured while Fleet.step still priced
+   rounds on packed kernels; lib/experiments/golden.mli has the rules.
+   Never regenerate it to silence this test. *)
+let fleet_golden_capture () =
+  let path =
+    if Sys.file_exists "golden/fleet_v1.txt" then "golden/fleet_v1.txt"
+    else Experiments.Golden.fleet_path
+  in
+  Alcotest.(check string) "byte identical"
+    (In_channel.with_open_bin path In_channel.input_all)
+    (Experiments.Golden.fleet_string ())
+
 (* --- flow vs brute --------------------------------------------------- *)
 
 let tiny_instance seed ~rounds ~per_round =
@@ -404,6 +418,8 @@ let () =
           Alcotest.test_case "engine packed ≡ boxed" `Quick
             packed_engine_equals_boxed;
         ] );
+      ( "golden",
+        [ Alcotest.test_case "fleet capture" `Quick fleet_golden_capture ] );
       ( "flow",
         [
           Alcotest.test_case "flow ≡ brute (bitwise)" `Quick flow_equals_brute;
