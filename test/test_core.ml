@@ -510,6 +510,104 @@ let qcheck_variant_same_movement =
       in
       Float.abs (a -. b) <= 1e-9 *. Float.max 1.0 a)
 
+(* Every engine entry point plays the same rounds: records from [iter],
+   [run_stream ~trace] and [Session.step] agree field for field, and
+   the totals of [run], [run_packed], [total_cost], [total_cost_packed]
+   and [run_stream] agree with them — all bitwise, on random instances
+   with empty rounds, under both variants, for an honest and a clamped
+   algorithm. *)
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let same_vec a b =
+  Array.length a = Array.length b && Array.for_all2 same_bits a b
+
+let same_record (a : Engine.step_record) (b : Engine.step_record) =
+  a.Engine.round = b.Engine.round
+  && same_vec a.Engine.position b.Engine.position
+  && same_vec a.Engine.proposed b.Engine.proposed
+  && Bool.equal a.Engine.clamped b.Engine.clamped
+  && same_bits a.Engine.cost.Cost.move b.Engine.cost.Cost.move
+  && same_bits a.Engine.cost.Cost.service b.Engine.cost.Cost.service
+
+let same_cost (a : Cost.breakdown) (b : Cost.breakdown) =
+  same_bits a.Cost.move b.Cost.move && same_bits a.Cost.service b.Cost.service
+
+let entry_point_instance ~seed ~dim ~t =
+  let rng = Prng.Stream.named ~name:"engine-entry-points" ~seed in
+  let point () =
+    Array.init dim (fun _ -> Prng.Dist.uniform rng ~lo:(-4.0) ~hi:4.0)
+  in
+  let start = point () in
+  Instance.make ~start
+    (Array.init t (fun _ ->
+         Array.init (Prng.Xoshiro.next_below rng 4) (fun _ -> point ())))
+
+let qcheck_engine_entry_points_agree =
+  QCheck.Test.make ~count:200 ~name:"engine entry points agree bitwise"
+    QCheck.(
+      quad (int_range 0 100_000) (int_range 1 3) (int_range 0 14)
+        (pair bool bool))
+    (fun (seed, dim, t, (serve_first, clamping)) ->
+      let inst = entry_point_instance ~seed ~dim ~t in
+      let variant =
+        if serve_first then Variant.Serve_first else Variant.Move_first
+      in
+      let config =
+        Config.make ~d_factor:1.5 ~move_limit:0.6 ~delta:0.5 ~variant ()
+      in
+      let alg = if clamping then overstepper else Mobile_server.Mtc.algorithm in
+      let iter_records =
+        let acc = ref [] in
+        Engine.iter config alg inst (fun r -> acc := r :: !acc);
+        List.rev !acc
+      in
+      let stream_records = ref [] in
+      let summary =
+        Engine.run_stream config alg ~start:inst.Instance.start ~rounds:t
+          ~trace:(fun r -> stream_records := r :: !stream_records)
+          (fun r -> inst.Instance.steps.(r))
+      in
+      let stream_records = List.rev !stream_records in
+      let session = Engine.Session.create config alg ~start:inst.Instance.start in
+      let session_records =
+        Array.to_list (Array.map (Engine.Session.step session) inst.Instance.steps)
+      in
+      let run = Engine.run config alg inst in
+      let packed = Instance.pack inst in
+      let run_packed = Engine.run_packed config alg packed in
+      let total = Engine.total_cost config alg inst in
+      let total_packed = Engine.total_cost_packed config alg packed in
+      let record_cost, record_clamped =
+        List.fold_left
+          (fun (c, n) (r : Engine.step_record) ->
+            (Cost.add c r.Engine.cost, if r.Engine.clamped then n + 1 else n))
+          (Cost.zero, 0) iter_records
+      in
+      let final =
+        if t = 0 then inst.Instance.start else run.Engine.positions.(t - 1)
+      in
+      List.length iter_records = t
+      && List.for_all2 same_record iter_records stream_records
+      && List.for_all2 same_record iter_records session_records
+      && List.for_all2
+           (fun (r : Engine.step_record) p -> same_vec r.Engine.position p)
+           iter_records (Array.to_list run.Engine.positions)
+      && Array.for_all2 same_vec run.Engine.positions run_packed.Engine.positions
+      && same_cost record_cost run.Engine.cost
+      && same_cost run.Engine.cost run_packed.Engine.cost
+      && same_cost run.Engine.cost summary.Engine.s_cost
+      && same_cost run.Engine.cost (Engine.Session.cost session)
+      && same_bits total (Cost.total run.Engine.cost)
+      && same_bits total_packed total
+      && record_clamped = run.Engine.clamped
+      && run.Engine.clamped = run_packed.Engine.clamped
+      && run.Engine.clamped = summary.Engine.s_clamped
+      && run.Engine.clamped = Engine.Session.clamped_count session
+      && summary.Engine.s_rounds = t
+      && Engine.Session.rounds session = t
+      && same_vec final summary.Engine.s_final
+      && same_vec final (Engine.Session.position session))
+
 let () =
   Alcotest.run "core"
     [
@@ -585,5 +683,6 @@ let () =
             qcheck_engine_feasibility;
             qcheck_cost_nonnegative;
             qcheck_variant_same_movement;
+            qcheck_engine_entry_points_agree;
           ] );
     ]
