@@ -508,15 +508,18 @@ let serve_cmd =
                    clean.")
   in
   let action () () config sessions ticks lifetime shards dim seed audit =
-    let schedule =
+    let spec =
       try
         Ok
-          (Workloads.Open_world.generate
+          (Workloads.Open_world.spec
              ~arrival_rate:(float_of_int sessions /. lifetime)
              ~mean_lifetime:lifetime ~initial:sessions ~dim ~seed ~ticks ())
       with Invalid_argument msg -> Error (`Msg msg)
     in
-    Result.bind schedule (fun schedule ->
+    Result.bind spec (fun spec ->
+        (* Materialized only for the fingerprint, peak-live and audit
+           lines; the driver streams the schedule from [spec]. *)
+        let schedule = Workloads.Open_world.of_spec spec in
         let daemon =
           try Ok (Serve.Daemon.create ~shards ~config ())
           with Invalid_argument msg -> Error (`Msg msg)
@@ -527,7 +530,7 @@ let serve_cmd =
               Fun.protect
                 ~finally:(fun () -> Serve.Daemon.shutdown daemon)
                 (fun () ->
-                  Serve.Driver.run ~now:Unix.gettimeofday daemon schedule)
+                  Serve.Driver.run ~now:Unix.gettimeofday daemon spec)
             in
             let elapsed = Unix.gettimeofday () -. t0 in
             Printf.printf

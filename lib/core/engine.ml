@@ -43,142 +43,6 @@ let next_position ~from ~limit proposed =
     Vec.clamp_step ~from limit proposed
   else Array.make (Vec.dim from) Float.nan
 
-let iter ?rng config (alg : Algorithm.t) (inst : Instance.t) f =
-  let stepper = alg.make ?rng config ~start:inst.start in
-  let limit = Config.online_limit config in
-  let pos = ref inst.start in
-  Array.iteri
-    (fun round requests ->
-      let proposed = stepper requests in
-      let clamped = exceeds_limit ~from:!pos ~limit proposed in
-      let next = next_position ~from:!pos ~limit proposed in
-      let cost = Cost.step config ~from:!pos ~to_:next requests in
-      pos := next;
-      f { round; position = next; proposed; clamped; cost })
-    inst.steps
-
-let run ?rng config alg inst =
-  let t_len = Instance.length inst in
-  let positions = Array.make t_len inst.start in
-  let total = ref Cost.zero in
-  let clamped = ref 0 in
-  iter ?rng config alg inst (fun { round; position; clamped = c; cost; _ } ->
-      positions.(round) <- position;
-      if c then incr clamped;
-      total := Cost.add !total cost);
-  { algorithm = alg.name; config; positions; cost = !total; clamped = !clamped }
-
-let total_cost ?rng config alg inst =
-  let total = ref Cost.zero in
-  iter ?rng config alg inst (fun { cost; _ } -> total := Cost.add !total cost);
-  Cost.total !total
-
-type stream_summary = {
-  s_algorithm : string;
-  s_rounds : int;
-  s_clamped : int;
-  s_cost : Cost.breakdown;
-  s_final : Vec.t;
-}
-
-(* Streaming run: rounds come from a generator instead of an instance
-   array, and no trajectory is retained — live state is the stepper,
-   the current position and the running totals, independent of
-   [rounds].  The per-round sequence (stepper, clamp test, clamp, cost,
-   position update, totals) is exactly [iter]'s followed by [run]'s
-   fold, so on [fun r -> inst.steps.(r)] the summary is bit-identical
-   to [run]'s — the stream≡materialized identity test pins this. *)
-let run_stream ?rng ?trace config (alg : Algorithm.t) ~start ~rounds next =
-  if rounds < 0 then invalid_arg "Engine.run_stream: rounds < 0";
-  let stepper = alg.make ?rng config ~start in
-  let limit = Config.online_limit config in
-  let pos = ref start in
-  let total = ref Cost.zero in
-  let clamped = ref 0 in
-  for round = 0 to rounds - 1 do
-    let requests = next round in
-    let proposed = stepper requests in
-    let c = exceeds_limit ~from:!pos ~limit proposed in
-    let next_pos = next_position ~from:!pos ~limit proposed in
-    let cost = Cost.step config ~from:!pos ~to_:next_pos requests in
-    pos := next_pos;
-    if c then incr clamped;
-    total := Cost.add !total cost;
-    match trace with
-    | None -> ()
-    | Some f -> f { round; position = next_pos; proposed; clamped = c; cost }
-  done;
-  {
-    s_algorithm = alg.name;
-    s_rounds = rounds;
-    s_clamped = !clamped;
-    s_cost = !total;
-    s_final = Vec.copy !pos;
-  }
-
-(* Packed replay: per-round request views are materialized into a
-   fixed set of scratch vectors, so no request is boxed per round and
-   no per-round array is allocated.  [views.(r)] shares the first [r]
-   scratch vectors; both the algorithm stepper and the cost accounting
-   see ordinary [Vec.t array] values with exactly the boxed
-   coordinates, so the round arithmetic (and hence the run) is
-   bit-identical to [iter] on the unpacked instance.  Contract: the
-   algorithm must not retain the request array or its vectors across
-   rounds — they are overwritten by the next round (every in-tree
-   algorithm copies what it keeps). *)
-let iter_packed ?rng config (alg : Algorithm.t) (p : Instance.Packed.t) f =
-  let start = Instance.Packed.start p in
-  let stepper = alg.Algorithm.make ?rng config ~start in
-  let limit = Config.online_limit config in
-  let t_len = Instance.Packed.length p in
-  let d = Instance.Packed.dim p in
-  let points = Instance.Packed.points p in
-  let max_r = ref 0 in
-  for t = 0 to t_len - 1 do
-    max_r := Stdlib.max !max_r (Instance.Packed.round_length p t)
-  done;
-  let scratch = Array.init !max_r (fun _ -> Array.make d 0.0) in
-  let views = Array.init (!max_r + 1) (fun r -> Array.sub scratch 0 r) in
-  let pos = ref start in
-  for round = 0 to t_len - 1 do
-    let lo = Instance.Packed.round_start p round in
-    let r = Instance.Packed.round_length p round in
-    for i = 0 to r - 1 do
-      Geometry.Points.get_into points (lo + i) scratch.(i)
-    done;
-    let requests = views.(r) in
-    let proposed = stepper requests in
-    let clamped = exceeds_limit ~from:!pos ~limit proposed in
-    let next = next_position ~from:!pos ~limit proposed in
-    let cost = Cost.step config ~from:!pos ~to_:next requests in
-    pos := next;
-    f { round; position = next; proposed; clamped; cost }
-  done
-
-let run_packed ?rng config alg (p : Instance.Packed.t) =
-  let t_len = Instance.Packed.length p in
-  let positions = Array.make t_len (Instance.Packed.start p) in
-  let total = ref Cost.zero in
-  let clamped = ref 0 in
-  iter_packed ?rng config alg p
-    (fun { round; position; clamped = c; cost; _ } ->
-      positions.(round) <- position;
-      if c then incr clamped;
-      total := Cost.add !total cost);
-  {
-    algorithm = alg.Algorithm.name;
-    config;
-    positions;
-    cost = !total;
-    clamped = !clamped;
-  }
-
-let total_cost_packed ?rng config alg p =
-  let total = ref Cost.zero in
-  iter_packed ?rng config alg p (fun { cost; _ } ->
-      total := Cost.add !total cost);
-  Cost.total !total
-
 module Session = struct
   type t = {
     stepper : Algorithm.stepper;
@@ -203,21 +67,14 @@ module Session = struct
       cost = Cost.zero;
     }
 
-  (* All request validation happens before the stepper is invoked: the
-     stepper is a stateful closure, so calling it and then raising
-     would leave a half-applied step (advanced algorithm state, stale
-     session counters).  After an [Invalid_argument] from here the
-     session is exactly as it was — the caller may drop the bad round
-     and keep stepping, which the simtest harness's Reset-after-failure
-     op relies on. *)
-  let step session requests =
-    Array.iter
-      (fun v ->
-        if Vec.dim v <> session.dim then
-          invalid_arg "Engine.Session.step: request dimension mismatch";
-        if not (is_finite_vec v) then
-          invalid_arg "Engine.Session.step: non-finite request coordinate")
-      requests;
+  (* The round — the only place it is spelled out: the stepper
+     proposes, the proposal is tested against and clamped to the online
+     budget, the move is priced, and the session's position, running
+     cost (a [Cost.add] fold from [Cost.zero] in round order), clamp
+     count and round index advance.  Every entry point of this module
+     feeds its rounds through here, so their records and totals agree
+     bit for bit by construction. *)
+  let advance session requests =
     let proposed = session.stepper requests in
     let clamped =
       exceeds_limit ~from:session.position ~limit:session.limit proposed
@@ -233,6 +90,23 @@ module Session = struct
     session.rounds <- session.rounds + 1;
     record
 
+  (* All request validation happens before the stepper is invoked: the
+     stepper is a stateful closure, so calling it and then raising
+     would leave a half-applied step (advanced algorithm state, stale
+     session counters).  After an [Invalid_argument] from here the
+     session is exactly as it was — the caller may drop the bad round
+     and keep stepping, which the simtest harness's Reset-after-failure
+     op relies on. *)
+  let step session requests =
+    Array.iter
+      (fun v ->
+        if Vec.dim v <> session.dim then
+          invalid_arg "Engine.Session.step: request dimension mismatch";
+        if not (is_finite_vec v) then
+          invalid_arg "Engine.Session.step: non-finite request coordinate")
+      requests;
+    advance session requests
+
   let position session = Vec.copy session.position
 
   let rounds session = session.rounds
@@ -241,6 +115,103 @@ module Session = struct
 
   let cost session = session.cost
 end
+
+type stream_summary = {
+  s_algorithm : string;
+  s_rounds : int;
+  s_clamped : int;
+  s_cost : Cost.breakdown;
+  s_final : Vec.t;
+}
+
+(* Every batch entry point below is this loop over some round source:
+   one session, fed [next round] for each round in order, its totals
+   read back at the end.  Instance rounds are trusted, so they go
+   straight to [Session.advance]; only [Session.step] validates.  Live
+   state is the session alone, independent of [rounds]. *)
+let run_stream ?rng ?trace config (alg : Algorithm.t) ~start ~rounds next =
+  if rounds < 0 then invalid_arg "Engine.run_stream: rounds < 0";
+  let session = Session.create ?rng config alg ~start in
+  for round = 0 to rounds - 1 do
+    let record = Session.advance session (next round) in
+    match trace with None -> () | Some f -> f record
+  done;
+  {
+    s_algorithm = alg.name;
+    s_rounds = rounds;
+    s_clamped = Session.clamped_count session;
+    s_cost = Session.cost session;
+    s_final = Session.position session;
+  }
+
+let iter ?rng config alg (inst : Instance.t) f =
+  ignore
+    (run_stream ?rng ~trace:f config alg ~start:inst.start
+       ~rounds:(Instance.length inst)
+       (fun round -> inst.steps.(round)))
+
+(* A run with its trajectory: the positions are collected off the
+   records, the totals come from the session. *)
+let play ?rng config alg ~start ~rounds next =
+  let positions = Array.make rounds start in
+  let summary =
+    run_stream ?rng
+      ~trace:(fun r -> positions.(r.round) <- r.position)
+      config alg ~start ~rounds next
+  in
+  {
+    algorithm = summary.s_algorithm;
+    config;
+    positions;
+    cost = summary.s_cost;
+    clamped = summary.s_clamped;
+  }
+
+let run ?rng config alg (inst : Instance.t) =
+  play ?rng config alg ~start:inst.start ~rounds:(Instance.length inst)
+    (fun round -> inst.steps.(round))
+
+let total_cost ?rng config alg (inst : Instance.t) =
+  Cost.total
+    (run_stream ?rng config alg ~start:inst.start
+       ~rounds:(Instance.length inst)
+       (fun round -> inst.steps.(round)))
+      .s_cost
+
+(* Packed round source: per-round request views are materialized into a
+   fixed set of scratch vectors, so no request is boxed per round and
+   no per-round array is allocated.  [views.(r)] shares the first [r]
+   scratch vectors; the session sees ordinary [Vec.t array] values with
+   exactly the boxed coordinates, so the run is bit-identical to one on
+   the unpacked instance.  Contract: the algorithm must not retain the
+   request array or its vectors across rounds — they are overwritten by
+   the next round (every in-tree algorithm copies what it keeps). *)
+let packed_rounds (p : Instance.Packed.t) =
+  let max_r = ref 0 in
+  for t = 0 to Instance.Packed.length p - 1 do
+    max_r := Stdlib.max !max_r (Instance.Packed.round_length p t)
+  done;
+  let d = Instance.Packed.dim p in
+  let points = Instance.Packed.points p in
+  let scratch = Array.init !max_r (fun _ -> Array.make d 0.0) in
+  let views = Array.init (!max_r + 1) (fun r -> Array.sub scratch 0 r) in
+  fun round ->
+    let lo = Instance.Packed.round_start p round in
+    let r = Instance.Packed.round_length p round in
+    for i = 0 to r - 1 do
+      Geometry.Points.get_into points (lo + i) scratch.(i)
+    done;
+    views.(r)
+
+let run_packed ?rng config alg p =
+  play ?rng config alg ~start:(Instance.Packed.start p)
+    ~rounds:(Instance.Packed.length p) (packed_rounds p)
+
+let total_cost_packed ?rng config alg p =
+  Cost.total
+    (run_stream ?rng config alg ~start:(Instance.Packed.start p)
+       ~rounds:(Instance.Packed.length p) (packed_rounds p))
+      .s_cost
 
 let replay config ~start positions inst =
   if not (Cost.feasible ~limit:(Config.offline_limit config) ~start positions)

@@ -57,37 +57,32 @@ val run_stream :
 (** [run_stream config alg ~start ~rounds next] plays [rounds] rounds
     whose requests come from [next] (called once per round, in round
     order) without materializing an instance or a trajectory: live
-    state is O(1) in [rounds] — the algorithm's stepper, the current
+    state is one {!Session} — the algorithm's stepper, the current
     position and the running totals — so a single session can stream
     [T = 10^7] rounds in constant memory.  [next round] is consumed
-    within the round; the engine does not retain it.  The per-round
-    arithmetic and its order are exactly {!iter}'s, so on
-    [fun r -> inst.steps.(r)] the summary fields are bit-identical to
-    {!run}'s totals on [inst] (pinned by the stream≡materialized
-    test).  [trace], when given, receives each round's {!step_record}
-    — sampling hooks for long horizons; the record's vectors are fresh
-    per round.  Raises [Invalid_argument] if [rounds < 0]. *)
-
-val iter_packed :
-  ?rng:Prng.Xoshiro.t -> Config.t -> Algorithm.t -> Instance.Packed.t ->
-  (step_record -> unit) -> unit
-(** {!iter} on the struct-of-arrays view.  Per-round requests are
-    exposed to the algorithm through a fixed set of reused scratch
-    vectors (no per-round boxing), so the records — and the whole run —
-    are bit-identical to [iter config alg (Instance.unpack p)].
-    Contract: the algorithm must not retain the request array or its
-    vectors past the round; [proposed] in the record is likewise only
-    valid during the callback if it aliases a request. *)
+    within the round; the engine does not retain it.  Every entry point
+    in this module plays its rounds through the same session round, so
+    on [fun r -> inst.steps.(r)] the summary fields are bit-identical
+    to {!run}'s totals on [inst] by construction (and still tested).
+    [trace], when given, receives each round's {!step_record} —
+    sampling hooks for long horizons; the record's vectors are fresh
+    per round.  Rounds from [next] are not validated (see
+    {!Session.step} for the validating entry).  Raises
+    [Invalid_argument] if [rounds < 0]. *)
 
 val run_packed :
   ?rng:Prng.Xoshiro.t -> Config.t -> Algorithm.t -> Instance.Packed.t -> run
 (** {!run} on the packed view; bit-identical to running the unpacked
-    instance. *)
+    instance.  Per-round requests reach the algorithm through a fixed
+    set of reused scratch vectors (no per-round boxing).  Contract: the
+    algorithm must not retain the request array or its vectors past the
+    round. *)
 
 val total_cost_packed :
   ?rng:Prng.Xoshiro.t -> Config.t -> Algorithm.t -> Instance.Packed.t ->
   float
-(** {!total_cost} on the packed view. *)
+(** {!total_cost} on the packed view, under {!run_packed}'s
+    contract. *)
 
 val replay :
   Config.t -> start:Geometry.Vec.t -> Geometry.Vec.t array -> Instance.t ->
@@ -102,15 +97,22 @@ val iter :
   (step_record -> unit) -> unit
 (** [iter config alg inst f] streams per-round records to [f] without
     building the trajectory array — used by the potential-function
-    checker and by long-horizon experiments. *)
+    checker and by long-horizon experiments.  The records are the ones
+    {!Session.step} returns on the same rounds, bit for bit: both come
+    from the one session round, so this holds by construction, and
+    test_core's entry-point property still checks it. *)
 
 (** Incremental sessions — for embedding the library in a live system
     where rounds arrive one at a time and no {!Instance} exists up
     front.  A session owns the server position and the running cost;
     each {!Session.step} consumes one round of requests, moves the
     server (clamped to the online budget) and returns the round's
-    record.  [Engine.run] is equivalent to replaying an instance through
-    a session, which the test suite checks. *)
+    record.  The session round is the engine's only round: {!run},
+    {!iter}, {!run_stream}, {!run_packed} and the [total_cost]s feed
+    their rounds through it and read their totals off it, so
+    [Engine.run] equals replaying the instance through a session by
+    construction — and test_core's entry-point property still checks
+    it, record for record and bit for bit. *)
 module Session : sig
   type t
 

@@ -1,247 +1,25 @@
 module Vec = Geometry.Vec
-module Fbuf = Geometry.Fbuf
-module Points = Geometry.Points
 module Config = Mobile_server.Config
 module Cost = Mobile_server.Cost
 module Variant = Mobile_server.Variant
 
-(* Packed struct-of-arrays fleet state: one flat float64 buffer of
-   [k * dim] coordinates on the Bigarray substrate, mirroring
-   [Instance.Packed].  Every kernel below reproduces the arithmetic of
-   its boxed [Vec] counterpart operation for operation, so the boxed
-   entry points (redefined at the bottom of this file as packed ∘ pack)
-   cannot perturb a single rounding step. *)
-module Packed = struct
-  type t = { dim : int; k : int; data : Fbuf.t }
-
-  let create ~dim ~k =
-    if dim <= 0 then invalid_arg "Fleet.Packed.create: dimension must be positive";
-    if k < 1 then invalid_arg "Fleet.Packed.create: k < 1";
-    { dim; k; data = Fbuf.create (k * dim) }
-
-  let k t = t.k
-
-  let dim t = t.dim
-
-  let positions t = t.data [@@borrow]
-
-  let check_index name t i =
-    if i < 0 || i >= t.k then
-      invalid_arg (Printf.sprintf "Fleet.Packed.%s: server %d out of bounds" name i)
-
-  let get t i =
-    check_index "get" t i;
-    let base = i * t.dim in
-    Array.init t.dim (fun c -> Fbuf.get t.data (base + c))
-
-  let get_into t i (dst : Vec.t) =
-    check_index "get_into" t i;
-    if Array.length dst <> t.dim then
-      invalid_arg "Fleet.Packed.get_into: dimension mismatch";
-    Fbuf.blit_to_array t.data (i * t.dim) dst 0 t.dim
-
-  let set t i (v : Vec.t) =
-    check_index "set" t i;
-    if Array.length v <> t.dim then
-      invalid_arg "Fleet.Packed.set: dimension mismatch";
-    Fbuf.blit_from_array v 0 t.data (i * t.dim) t.dim
-
-  let copy t =
-    let fresh = create ~dim:t.dim ~k:t.k in
-    Fbuf.blit t.data 0 fresh.data 0 (t.k * t.dim);
-    fresh
-
-  let blit src dst =
-    if src.k <> dst.k || src.dim <> dst.dim then
-      invalid_arg "Fleet.Packed.blit: shape mismatch";
-    Fbuf.blit src.data 0 dst.data 0 (src.k * src.dim)
-
-  (* Distance from server [i] to a boxed point, with exactly the
-     arithmetic of [Vec.dist]: a max-|·| scaling pass, then a scaled
-     sum-of-squares pass. *)
-  let dist_to t i (v : Vec.t) =
-    let d = t.dim in
-    if Array.length v <> d then
-      invalid_arg "Fleet.Packed.dist_to: dimension mismatch";
-    let base = i * d in
-    let data = t.data in
-    let m = ref 0.0 in
-    for c = 0 to d - 1 do
-      m := Float.max !m (Float.abs (Fbuf.get data (base + c) -. v.(c)))
-    done;
-    let m = !m in
-    if Float.equal m 0.0 then 0.0
-    else if Float.equal m infinity then infinity
-    else begin
-      let acc = ref 0.0 in
-      for c = 0 to d - 1 do
-        let x = (Fbuf.get data (base + c) -. v.(c)) /. m in
-        acc := !acc +. (x *. x)
-      done;
-      m *. sqrt !acc
-    end
-
-  (* Distance between server [i] of [a] and server [j] of [b], same
-     arithmetic again (only |d| and d² enter, so the subtraction
-     direction is immaterial). *)
-  let dist_between a i b j =
-    if a.dim <> b.dim then
-      invalid_arg "Fleet.Packed.dist_between: dimension mismatch";
-    let d = a.dim in
-    let ba = i * d and bb = j * d in
-    let m = ref 0.0 in
-    for c = 0 to d - 1 do
-      m :=
-        Float.max !m
-          (Float.abs (Fbuf.get a.data (ba + c) -. Fbuf.get b.data (bb + c)))
-    done;
-    let m = !m in
-    if Float.equal m 0.0 then 0.0
-    else if Float.equal m infinity then infinity
-    else begin
-      let acc = ref 0.0 in
-      for c = 0 to d - 1 do
-        let x = (Fbuf.get a.data (ba + c) -. Fbuf.get b.data (bb + c)) /. m in
-        acc := !acc +. (x *. x)
-      done;
-      m *. sqrt !acc
-    end
-
-  (* Distance from server [i] to point [p] of a packed request store. *)
-  let dist_to_point t i (pts : Points.t) p =
-    let d = t.dim in
-    if Points.dim pts <> d then
-      invalid_arg "Fleet.Packed.dist_to_point: dimension mismatch";
-    let base = i * d and pbase = p * d in
-    let raw = Points.raw pts in
-    let m = ref 0.0 in
-    for c = 0 to d - 1 do
-      m :=
-        Float.max !m
-          (Float.abs (Fbuf.get t.data (base + c) -. Fbuf.get raw (pbase + c)))
-    done;
-    let m = !m in
-    if Float.equal m 0.0 then 0.0
-    else if Float.equal m infinity then infinity
-    else begin
-      let acc = ref 0.0 in
-      for c = 0 to d - 1 do
-        let x =
-          (Fbuf.get t.data (base + c) -. Fbuf.get raw (pbase + c)) /. m
-        in
-        acc := !acc +. (x *. x)
-      done;
-      m *. sqrt !acc
-    end
-
-  (* Nearest server to a boxed request: strict [<], lowest index on
-     ties — the same rule as [Fleet_algorithm.partition_requests]. *)
-  let nearest t (v : Vec.t) =
-    let best = ref 0 and best_d = ref (dist_to t 0 v) in
-    for i = 1 to t.k - 1 do
-      let d = dist_to t i v in
-      if d < !best_d then begin
-        best := i;
-        best_d := d
-      end
-    done;
-    !best
-
-  let nearest_point t pts p =
-    let best = ref 0 and best_d = ref (dist_to_point t 0 pts p) in
-    for i = 1 to t.k - 1 do
-      let d = dist_to_point t i pts p in
-      if d < !best_d then begin
-        best := i;
-        best_d := d
-      end
-    done;
-    !best
-
-  (* [Σ_req min_i d(fleet_i, req)] over boxed requests, identical loop
-     structure (requests outer left fold, servers inner) to the boxed
-     service cost. *)
-  let service_cost t (requests : Vec.t array) =
-    let acc = ref 0.0 in
-    for r = 0 to Array.length requests - 1 do
-      let req = requests.(r) in
-      let best = ref (dist_to t 0 req) in
-      for i = 1 to t.k - 1 do
-        let d = dist_to t i req in
-        if d < !best then best := d
-      done;
-      acc := !acc +. !best
-    done;
-    !acc
-
-  (* The same reduction over a packed request range [lo, hi). *)
-  let service_cost_range t (pts : Points.t) ~lo ~hi =
-    let acc = ref 0.0 in
-    for p = lo to hi - 1 do
-      let best = ref (dist_to_point t 0 pts p) in
-      for i = 1 to t.k - 1 do
-        let d = dist_to_point t i pts p in
-        if d < !best then best := d
-      done;
-      acc := !acc +. !best
-    done;
-    !acc
-
-  (* [Σ_i d(from_i, to_i)], servers in index order like the boxed
-     movement fold. *)
-  let move_cost ~from ~to_ =
-    if from.k <> to_.k || from.dim <> to_.dim then
-      invalid_arg "Fleet.Packed.move_cost: shape mismatch";
-    let acc = ref 0.0 in
-    for i = 0 to from.k - 1 do
-      acc := !acc +. dist_between from i to_ i
-    done;
-    !acc
-
-  (* Per-server [Vec.clamp_step] in place on [target]: the same gap
-     decision and the same lerp arithmetic [a + s·(b − a)].  A target
-     within the budget is left untouched (bit for bit). *)
-  let clamp_into ~from ~limit target =
-    if limit < 0.0 then invalid_arg "Fleet.Packed.clamp_into: negative limit";
-    if from.k <> target.k || from.dim <> target.dim then
-      invalid_arg "Fleet.Packed.clamp_into: shape mismatch";
-    let d = from.dim in
-    for i = 0 to from.k - 1 do
-      let gap = dist_between from i target i in
-      if not (Float.is_finite gap) then
-        invalid_arg "Fleet.Packed.clamp_into: non-finite gap";
-      if gap <= limit || Float.equal gap 0.0 then ()
-      else begin
-        let s = limit /. gap in
-        let base = i * d in
-        for c = 0 to d - 1 do
-          let a = Fbuf.get from.data (base + c) in
-          let b = Fbuf.get target.data (base + c) in
-          Fbuf.set target.data (base + c) (a +. (s *. (b -. a)))
-        done
-      end
-    done
-end
-
-let pack (fleet : Vec.t array) =
-  let k = Array.length fleet in
-  if k = 0 then invalid_arg "Fleet.pack: empty fleet";
-  let dim = Vec.dim fleet.(0) in
-  let p = Packed.create ~dim ~k in
-  Array.iteri
-    (fun i v ->
-      if Vec.dim v <> dim then invalid_arg "Fleet.pack: dimension mismatch";
-      Packed.set p i v)
-    fleet;
-  p
-
-let unpack (p : Packed.t) = Array.init (Packed.k p) (fun i -> Packed.get p i)
-
-(* --- boxed entry points: packed ∘ pack ------------------------------- *)
-
+(* Requests outer, servers inner, nearest by strict [<] (lowest index
+   on ties — the rule of [Fleet_algorithm.partition_requests]), summed
+   in request order: test/golden/fleet_v1.txt pins this order. *)
 let service_cost fleet requests =
-  if Array.length fleet = 0 then invalid_arg "Fleet.service_cost: empty fleet";
-  Packed.service_cost (pack fleet) requests
+  let k = Array.length fleet in
+  if k = 0 then invalid_arg "Fleet.service_cost: empty fleet";
+  let acc = ref 0.0 in
+  for r = 0 to Array.length requests - 1 do
+    let req = requests.(r) in
+    let best = ref (Vec.dist fleet.(0) req) in
+    for i = 1 to k - 1 do
+      let d = Vec.dist fleet.(i) req in
+      if d < !best then best := d
+    done;
+    acc := !acc +. !best
+  done;
+  !acc
 
 let check_fleets from to_ =
   let k = Array.length from in
@@ -253,40 +31,43 @@ let check_fleets from to_ =
       then invalid_arg "Fleet.step: dimension mismatch")
     from
 
-let step_packed (config : Config.t) ~from ~to_ requests =
-  let move = config.Config.d_factor *. Packed.move_cost ~from ~to_ in
-  let service =
-    match config.Config.variant with
-    | Variant.Move_first -> Packed.service_cost to_ requests
-    | Variant.Serve_first -> Packed.service_cost from requests
-  in
-  { Cost.move; service }
-
-let step_packed_range (config : Config.t) ~from ~to_ pts ~lo ~hi =
-  let move = config.Config.d_factor *. Packed.move_cost ~from ~to_ in
-  let service =
-    match config.Config.variant with
-    | Variant.Move_first -> Packed.service_cost_range to_ pts ~lo ~hi
-    | Variant.Serve_first -> Packed.service_cost_range from pts ~lo ~hi
-  in
-  { Cost.move; service }
-
 let step (config : Config.t) ~from ~to_ requests =
   check_fleets from to_;
-  step_packed config ~from:(pack from) ~to_:(pack to_) requests
+  (* Movement is summed in server order. *)
+  let moved = ref 0.0 in
+  for i = 0 to Array.length from - 1 do
+    moved := !moved +. Vec.dist from.(i) to_.(i)
+  done;
+  let move = config.Config.d_factor *. !moved in
+  let service =
+    match config.Config.variant with
+    | Variant.Move_first -> service_cost to_ requests
+    | Variant.Serve_first -> service_cost from requests
+  in
+  { Cost.move; service }
 
 let feasible ?(tol = 1e-9) ~limit ~start fleets =
-  let slack = limit +. (tol *. Float.max 1.0 limit) in
-  let ok = ref true in
-  let prev = ref start in
+  let k = Array.length start in
   Array.iter
     (fun fleet ->
-      Array.iteri
-        (fun i p -> if Vec.dist (!prev).(i) p > slack then ok := false)
-        fleet;
-      prev := fleet)
+      if Array.length fleet <> k then
+        invalid_arg "Fleet.feasible: fleet size mismatch")
     fleets;
-  !ok
+  let slack = limit +. (tol *. Float.max 1.0 limit) in
+  (* A NaN distance compares false against any slack, so an explicit
+     finiteness test is required to reject garbage trajectories, as in
+     [Cost.feasible]. *)
+  let within prev p =
+    let d = Vec.dist prev p in
+    Float.is_finite d && d <= slack
+  in
+  let prev = ref start in
+  Array.for_all
+    (fun fleet ->
+      let ok = Array.for_all2 within !prev fleet in
+      prev := fleet;
+      ok)
+    fleets
 
 let spread_start ~k p =
   if k < 1 then invalid_arg "Fleet.spread_start: k < 1";

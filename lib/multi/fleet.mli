@@ -14,91 +14,14 @@
     - Serve-first: [Σ_req min_i d(ps_i, req) + D·Σ_i d(ps_i, ps'_i)]
 
     With [k = 1] this coincides exactly with the single-server model,
-    which the test suite checks against {!Mobile_server.Cost}.
-
-    {b Packed substrate.}  Hot fleet state lives in {!Packed}: one flat
-    [Geometry.Fbuf] of [k·dim] doubles, mirroring
-    [Mobile_server.Instance.Packed].  The boxed entry points below are
-    defined as packed ∘ {!pack}, and every packed kernel reproduces its
-    boxed [Vec] counterpart's arithmetic operation for operation, so
-    the two layouts are bit-identical by construction (and by the
-    differential suite in test_fleet). *)
-
-(** Struct-of-arrays fleet state on the Bigarray substrate. *)
-module Packed : sig
-  type t
-  (** [k·dim] doubles in server-major order: server [i]'s coordinate
-      [c] lives at index [i·dim + c]. *)
-
-  val create : dim:int -> k:int -> t
-  (** Zero-filled fleet of [k] servers in dimension [dim].  Raises
-      [Invalid_argument] unless [dim >= 1] and [k >= 1]. *)
-
-  val k : t -> int
-  val dim : t -> int
-
-  val positions : t -> Geometry.Fbuf.t [@@borrow]
-  (** The underlying buffer — borrowed, never write through it. *)
-
-  val get : t -> int -> Geometry.Vec.t
-  (** Fresh boxed copy of server [i]'s position. *)
-
-  val get_into : t -> int -> Geometry.Vec.t -> unit
-  (** Copy server [i]'s position into a caller-owned vector. *)
-
-  val set : t -> int -> Geometry.Vec.t -> unit
-  (** Overwrite server [i]'s position. *)
-
-  val copy : t -> t
-
-  val blit : t -> t -> unit
-  (** [blit src dst] copies all positions; shapes must match. *)
-
-  val dist_to : t -> int -> Geometry.Vec.t -> float
-  (** [dist_to t i v] = [Vec.dist] of server [i] and [v], bit for
-      bit. *)
-
-  val dist_between : t -> int -> t -> int -> float
-  (** [dist_between a i b j] = distance between server [i] of [a] and
-      server [j] of [b]. *)
-
-  val dist_to_point : t -> int -> Geometry.Points.t -> int -> float
-  (** [dist_to_point t i pts p] = distance from server [i] to packed
-      point [p]. *)
-
-  val nearest : t -> Geometry.Vec.t -> int
-  (** Index of the nearest server (strict [<], lowest index on ties —
-      the same rule as {!Fleet_algorithm.partition_requests}). *)
-
-  val nearest_point : t -> Geometry.Points.t -> int -> int
-
-  val service_cost : t -> Geometry.Vec.t array -> float
-  (** [Σ_req min_i d(fleet_i, req)] over boxed requests. *)
-
-  val service_cost_range : t -> Geometry.Points.t -> lo:int -> hi:int -> float
-  (** The same reduction over packed requests [lo, hi). *)
-
-  val move_cost : from:t -> to_:t -> float
-  (** [Σ_i d(from_i, to_i)]. *)
-
-  val clamp_into : from:t -> limit:float -> t -> unit
-  (** [clamp_into ~from ~limit target] applies [Vec.clamp_step] per
-      server, in place on [target]: a server's target within [limit] of
-      its current position is left untouched bit for bit, a farther one
-      is pulled onto the budget sphere with the same lerp arithmetic.
-      Raises [Invalid_argument] on a negative limit, a shape mismatch,
-      or a non-finite gap. *)
-end
-
-val pack : Geometry.Vec.t array -> Packed.t
-(** Pack a non-empty boxed fleet of uniform dimension.  Lossless:
-    [unpack (pack fleet)] is bit-identical to [fleet]. *)
-
-val unpack : Packed.t -> Geometry.Vec.t array
+    which the test suite checks against {!Mobile_server.Cost}.  Every
+    distance is a {!Geometry.Vec.dist} on the boxed fleets;
+    [test/golden/fleet_v1.txt] pins the resulting bits. *)
 
 val service_cost : Geometry.Vec.t array -> Geometry.Vec.t array -> float
-(** [service_cost fleet requests] is [Σ_req min_i d(fleet_i, req)].
-    The fleet must be non-empty. *)
+(** [service_cost fleet requests] is [Σ_req min_i d(fleet_i, req)]:
+    requests in order, each served by its nearest server (strict [<],
+    lowest index on ties).  The fleet must be non-empty. *)
 
 val step :
   Mobile_server.Config.t -> from:Geometry.Vec.t array ->
@@ -107,23 +30,14 @@ val step :
 (** One round's cost under the config's variant.  Fleets must have equal
     positive length and uniform dimension. *)
 
-val step_packed :
-  Mobile_server.Config.t -> from:Packed.t -> to_:Packed.t ->
-  Geometry.Vec.t array -> Mobile_server.Cost.breakdown
-(** {!step} on packed fleets (boxed requests); {!step} itself is this
-    after {!pack}. *)
-
-val step_packed_range :
-  Mobile_server.Config.t -> from:Packed.t -> to_:Packed.t ->
-  Geometry.Points.t -> lo:int -> hi:int -> Mobile_server.Cost.breakdown
-(** Fully packed round cost: requests are the packed points [lo, hi)
-    (a round slice of [Instance.Packed.points]). *)
-
 val feasible :
   ?tol:float -> limit:float -> start:Geometry.Vec.t array ->
   Geometry.Vec.t array array -> bool
 (** [feasible ~limit ~start fleets] checks every server's per-round move
-    against [limit]; [fleets.(t)] is the fleet after round [t]. *)
+    against [limit]; [fleets.(t)] is the fleet after round [t].  A move
+    whose length is not finite (a NaN or infinite coordinate) is
+    infeasible.  Raises [Invalid_argument] if some round's fleet has a
+    different number of servers than [start]. *)
 
 val spread_start : k:int -> Geometry.Vec.t -> Geometry.Vec.t array
 (** [spread_start ~k p] is the canonical initial fleet: all [k] servers

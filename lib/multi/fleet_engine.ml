@@ -43,73 +43,6 @@ let total_cost ?rng ~k config alg inst =
   iter ?rng ~k config alg inst (fun _ _ cost -> total := Cost.add !total cost);
   Cost.total !total
 
-(* --- the packed engine ------------------------------------------------ *)
-
-type packed_stepper = Fleet.Packed.t -> round:int -> Fleet.Packed.t -> unit
-
-type packed_alg = {
-  p_name : string;
-  p_make :
-    ?rng:Prng.Xoshiro.t -> Config.t -> Instance.Packed.t ->
-    start:Fleet.Packed.t -> packed_stepper;
-}
-
-type packed_run = {
-  p_algorithm : string;
-  p_config : Config.t;
-  final : Fleet.Packed.t;
-  p_cost : Cost.breakdown;
-}
-
-(* Mirrors [iter] exactly — the boxed engine clamps whatever the
-   algorithm proposes (algorithms built on [Fleet_algorithm.of_policy]
-   clamp internally too, so the engine's clamp is a second application
-   against the engine's own fleet), prices the round under the
-   config's variant, then commits.  Every kernel here is the packed
-   twin of the boxed one, so a packed algorithm that reproduces its
-   boxed policy's arithmetic yields bit-identical runs (the `bench
-   fleet` gate). *)
-let iter_packed ?rng ~k config (alg : packed_alg) pinst f =
-  if k < 1 then invalid_arg "Fleet_engine: k < 1";
-  let dim = Instance.Packed.dim pinst in
-  let start = Fleet.pack (Fleet.spread_start ~k (Instance.Packed.start pinst)) in
-  let stepper = alg.p_make ?rng config pinst ~start in
-  let limit = Config.online_limit config in
-  let fleet = Fleet.Packed.copy start in
-  let target = Fleet.Packed.create ~dim ~k in
-  let pts = Instance.Packed.points pinst in
-  for t = 0 to Instance.Packed.length pinst - 1 do
-    Fleet.Packed.blit fleet target;
-    stepper fleet ~round:t target;
-    Fleet.Packed.clamp_into ~from:fleet ~limit target;
-    let lo = Instance.Packed.round_start pinst t in
-    let hi = lo + Instance.Packed.round_length pinst t in
-    let cost = Fleet.step_packed_range config ~from:fleet ~to_:target pts ~lo ~hi in
-    Fleet.Packed.blit target fleet;
-    f t fleet cost
-  done
-
-let run_packed ?rng ~k config alg pinst =
-  let total = ref Cost.zero in
-  let dim = Instance.Packed.dim pinst in
-  let final = Fleet.Packed.create ~dim ~k in
-  iter_packed ?rng ~k config alg pinst (fun _ fleet cost ->
-      Fleet.Packed.blit fleet final;
-      total := Cost.add !total cost);
-  (* A request-free instance leaves [final] at the (zero-filled)
-     creation state; normalize to the start fleet. *)
-  if Instance.Packed.length pinst = 0 then
-    Fleet.Packed.blit
-      (Fleet.pack (Fleet.spread_start ~k (Instance.Packed.start pinst)))
-      final;
-  { p_algorithm = alg.p_name; p_config = config; final; p_cost = !total }
-
-let total_cost_packed ?rng ~k config alg pinst =
-  let total = ref Cost.zero in
-  iter_packed ?rng ~k config alg pinst (fun _ _ cost ->
-      total := Cost.add !total cost);
-  Cost.total !total
-
 let replay config ~start fleets (inst : Instance.t) =
   if Array.length fleets <> Instance.length inst then
     invalid_arg "Fleet_engine.replay: trajectory length mismatch";

@@ -20,49 +20,12 @@ val total_cost :
   Fleet_algorithm.t -> Mobile_server.Instance.t -> float
 (** Total cost without retaining the trajectory. *)
 
-(** {2 The packed engine}
-
-    The allocation-light twin of {!run} over
-    [Mobile_server.Instance.Packed]: fleet state and round targets stay
-    in {!Fleet.Packed} buffers, requests are priced straight from the
-    instance's packed points.  A packed algorithm whose policy
-    reproduces its boxed counterpart's arithmetic produces runs that
-    are bit-identical to the boxed engine's — `bench fleet` gates on
-    exactly that for {!Fleet_mtc.independent_packed}. *)
-
-type packed_stepper = Fleet.Packed.t -> round:int -> Fleet.Packed.t -> unit
-(** [stepper fleet ~round target] writes the proposed next positions
-    into [target] (pre-filled with the current fleet, so a policy may
-    move only some servers).  [fleet] is the engine's fleet — borrowed,
-    read-only.  The engine clamps [target] onto the online budget
-    afterwards, exactly like the boxed engine clamps proposals. *)
-
-type packed_alg = {
-  p_name : string;
-  p_make :
-    ?rng:Prng.Xoshiro.t -> Mobile_server.Config.t ->
-    Mobile_server.Instance.Packed.t -> start:Fleet.Packed.t ->
-    packed_stepper;
-}
-
-type packed_run = {
-  p_algorithm : string;
-  p_config : Mobile_server.Config.t;
-  final : Fleet.Packed.t;  (** The fleet after the last round. *)
-  p_cost : Mobile_server.Cost.breakdown;
-}
-
-val run_packed :
-  ?rng:Prng.Xoshiro.t -> k:int -> Mobile_server.Config.t -> packed_alg ->
-  Mobile_server.Instance.Packed.t -> packed_run
-
-val total_cost_packed :
-  ?rng:Prng.Xoshiro.t -> k:int -> Mobile_server.Config.t -> packed_alg ->
-  Mobile_server.Instance.Packed.t -> float
-
 val replay :
   Mobile_server.Config.t -> start:Geometry.Vec.t array ->
   Geometry.Vec.t array array -> Mobile_server.Instance.t ->
   Mobile_server.Cost.breakdown
 (** Price a precomputed fleet trajectory, enforcing the offline budget
-    [m] per server per round. *)
+    [m] per server per round.  Raises [Invalid_argument] if the
+    trajectory's length differs from the instance's, if some move
+    exceeds the budget or is not finite (see {!Fleet.feasible}), or if
+    some round changes the number of servers. *)

@@ -25,49 +25,6 @@ let greedy_partition =
           | bucket -> Median.center ~server (Array.of_list bucket))
         fleet)
 
-(* The packed twin of [independent], for [Fleet_engine.run_packed].
-   It replicates the boxed pipeline stage for stage — including the
-   [of_policy] wrapper's own clamp against the {e policy's} fleet,
-   which the engine then re-clamps against {e its} fleet — so runs are
-   bit-identical to the boxed engine playing [independent].  Buckets
-   are tiny, so the per-bucket requests are boxed (bit for bit, via
-   [Points.get]) and fed to the very same [Mtc.target]. *)
-let independent_packed =
-  {
-    Fleet_engine.p_name = "fleet-mtc";
-    p_make =
-      (fun ?rng:_ (config : Config.t) pinst ~start ->
-        let module Packed = Fleet.Packed in
-        let module Pinst = Mobile_server.Instance.Packed in
-        let k = Packed.k start in
-        let policy_fleet = Packed.copy start in
-        let limit = Config.online_limit config in
-        let pts = Pinst.points pinst in
-        let buckets = Array.make k [] in
-        fun _fleet ~round target ->
-          let lo = Pinst.round_start pinst round in
-          let hi = lo + Pinst.round_length pinst round in
-          Array.fill buckets 0 k [];
-          for p = hi - 1 downto lo do
-            let i = Packed.nearest_point policy_fleet pts p in
-            buckets.(i) <- p :: buckets.(i)
-          done;
-          Packed.blit policy_fleet target;
-          for i = 0 to k - 1 do
-            match buckets.(i) with
-            | [] -> ()
-            | bucket ->
-              let requests =
-                Array.of_list (List.map (fun p -> Geometry.Points.get pts p) bucket)
-              in
-              let server = Packed.get policy_fleet i in
-              Packed.set target i
-                (Mobile_server.Mtc.target config ~server requests)
-          done;
-          Packed.clamp_into ~from:policy_fleet ~limit target;
-          Packed.blit target policy_fleet);
-  }
-
 (* Greedy matching of cluster centers to servers: repeatedly take the
    globally closest (server, center) pair.  k is small, O(k^3) is
    fine. *)

@@ -22,12 +22,6 @@
 val independent : Fleet_algorithm.t
 (** "fleet-mtc" — nearest-server buckets + MtC rule per server. *)
 
-val independent_packed : Fleet_engine.packed_alg
-(** {!independent} for {!Fleet_engine.run_packed}: same partition rule
-    ([Fleet.Packed.nearest_point]), same per-bucket [Mtc.target], same
-    double clamp — bit-identical to the boxed engine playing
-    {!independent} on the same (packed) instance. *)
-
 val greedy_partition : Fleet_algorithm.t
 (** "fleet-greedy" — nearest-server buckets + full-speed jumps. *)
 

@@ -1,5 +1,4 @@
 module Engine = Mobile_server.Engine
-module Instance = Mobile_server.Instance
 module Cost = Mobile_server.Cost
 module Open_world = Workloads.Open_world
 
@@ -47,9 +46,9 @@ type pending = {
   t_submit : float;
 }
 
-(* The bookkeeping shared by both driver modes: counters, the two
-   latency series (per-step sojourn, per-tick service), the capped
-   mismatch log and the chained reply digest. *)
+(* The driver's bookkeeping: counters, the two latency series (per-step
+   sojourn, per-tick service), the capped mismatch log and the chained
+   reply digest. *)
 type acc = {
   mutable a_sessions : int;
   mutable a_steps : int;
@@ -113,139 +112,24 @@ let tick_flush daemon acc ~timing ~clock ~tick_steps =
     acc.a_service_rev <- (dt /. float_of_int tick_steps) :: acc.a_service_rev
   end
 
+(* Per-session state: the plan, the served round count and a chained
+   digest of the served positions — O(1) per session.  At close the
+   session is replayed through {!Engine.run_stream} on a fresh
+   {!Open_world.plan_cursor}, chaining the replay positions into the
+   same digest construction; equal digests mean every per-round
+   position matched bitwise. *)
 type session_state = {
-  plan : Open_world.plan;
-  inst : Instance.t;
-  mutable traj_rev : Geometry.Vec.t list;
-}
-
-let run ?now daemon schedule =
-  let states : (int64, session_state) Hashtbl.t = Hashtbl.create 1024 in
-  let acc = acc_create () in
-  let clock = match now with Some f -> f | None -> fun () -> 0. in
-  let timing = now <> None in
-  let verify st ~rounds ~clamped_rounds ~position ~move ~service =
-    let id = st.plan.Open_world.id in
-    let replay =
-      Engine.run
-        ~rng:(Daemon.session_rng ~seed:st.plan.Open_world.seed)
-        (Daemon.config daemon) Mobile_server.Mtc.algorithm st.inst
-    in
-    let served = Array.of_list (List.rev st.traj_rev) in
-    if Array.length served <> Array.length replay.Engine.positions then
-      flag acc "session %Ld: served %d rounds, engine replay has %d" id
-        (Array.length served)
-        (Array.length replay.Engine.positions)
-    else
-      Array.iteri
-        (fun i p ->
-          if not (same_vec p replay.Engine.positions.(i)) then
-            flag acc "session %Ld: round %d position diverges from engine" id
-              i)
-        served;
-    if rounds <> Array.length replay.Engine.positions then
-      flag acc "session %Ld: daemon says %d rounds, engine %d" id rounds
-        (Array.length replay.Engine.positions);
-    if clamped_rounds <> replay.Engine.clamped then
-      flag acc "session %Ld: daemon clamped %d rounds, engine %d" id
-        clamped_rounds replay.Engine.clamped;
-    if rounds >= 1
-       && rounds <= Array.length replay.Engine.positions
-       && not (same_vec position replay.Engine.positions.(rounds - 1))
-    then flag acc "session %Ld: final position diverges from engine" id;
-    if not (same_bits move replay.Engine.cost.Cost.move) then
-      flag acc "session %Ld: move cost %h diverges from engine %h" id move
-        replay.Engine.cost.Cost.move;
-    if not (same_bits service replay.Engine.cost.Cost.service) then
-      flag acc "session %Ld: service cost %h diverges from engine %h" id
-        service replay.Engine.cost.Cost.service
-  in
-  let handle (p : pending) =
-    let reply_bytes = Daemon.await daemon p.ticket in
-    acc.a_digest <- Digest.string (acc.a_digest ^ reply_bytes);
-    if timing && p.kind = K_step then
-      acc.a_sojourn_rev <- (clock () -. p.t_submit) :: acc.a_sojourn_rev;
-    match Frame.decode_reply reply_bytes with
-    | Error msg -> flag acc "undecodable reply for session %Ld: %s" p.p_id msg
-    | Ok (Frame.Error { session; code; message }) ->
-      acc.a_errors <- acc.a_errors + 1;
-      flag acc "error reply for session %Ld: %s: %s" session
-        (Frame.error_code_to_string code)
-        message
-    | Ok (Frame.Opened _) -> ()
-    | Ok (Frame.Stepped { session; position; _ }) -> begin
-        acc.a_steps <- acc.a_steps + 1;
-        match Hashtbl.find_opt states session with
-        | None -> flag acc "step reply for unknown session %Ld" session
-        | Some st -> st.traj_rev <- position :: st.traj_rev
-      end
-    | Ok (Frame.Snapshot _) -> ()
-    | Ok (Frame.Closed { session; rounds; clamped_rounds; position; move;
-                         service }) -> begin
-        match Hashtbl.find_opt states session with
-        | None -> flag acc "close reply for unknown session %Ld" session
-        | Some st ->
-          verify st ~rounds ~clamped_rounds ~position ~move ~service;
-          Hashtbl.remove states session
-      end
-  in
-  let tick_pending = ref [] in
-  let tick_steps = ref 0 in
-  let submit kind id frame =
-    let ticket = Daemon.submit daemon frame in
-    if kind = K_step then incr tick_steps;
-    tick_pending :=
-      { ticket; kind; p_id = id; t_submit = clock () } :: !tick_pending
-  in
-  Open_world.iter schedule
-    ~open_:(fun p inst ->
-      acc.a_sessions <- acc.a_sessions + 1;
-      Hashtbl.replace states p.Open_world.id
-        { plan = p; inst; traj_rev = [] };
-      submit K_open p.Open_world.id
-        (Frame.encode_request
-           (Frame.Open
-              {
-                session = p.Open_world.id;
-                seed = p.Open_world.seed;
-                start = inst.Instance.start;
-              })))
-    ~step:(fun p ~round:_ requests ->
-      submit K_step p.Open_world.id
-        (Frame.encode_request
-           (Frame.Step { session = p.Open_world.id; requests })))
-    ~close:(fun p ->
-      submit K_close p.Open_world.id
-        (Frame.encode_request (Frame.Close { session = p.Open_world.id })))
-    ~tick_end:(fun ~tick:_ ->
-      tick_flush daemon acc ~timing ~clock ~tick_steps:!tick_steps;
-      List.iter handle (List.rev !tick_pending);
-      tick_pending := [];
-      tick_steps := 0);
-  if Hashtbl.length states <> 0 then
-    flag acc "%d session(s) never closed" (Hashtbl.length states);
-  acc_report acc
-
-(* --- streaming mode --------------------------------------------------- *)
-
-(* Per-session state in streaming mode: the plan plus a chained digest
-   of the served positions — O(1) per session where [run] keeps the
-   whole trajectory.  At close the session is replayed through
-   {!Engine.run_stream} on a fresh {!Open_world.plan_cursor}, chaining
-   the replay positions into the same digest construction; equal
-   digests mean every per-round position matched bitwise. *)
-type stream_state = {
   ss_plan : Open_world.plan;
   mutable ss_rounds : int;
   mutable ss_digest : string;
 }
 
-let run_stream ?now daemon (spec : Open_world.spec) =
-  let states : (int64, stream_state) Hashtbl.t = Hashtbl.create 1024 in
+let run ?now daemon (spec : Open_world.spec) =
+  let states : (int64, session_state) Hashtbl.t = Hashtbl.create 1024 in
   let acc = acc_create () in
   let clock = match now with Some f -> f | None -> fun () -> 0. in
   let timing = now <> None in
-  let verify (st : stream_state) ~rounds ~clamped_rounds ~position ~move
+  let verify (st : session_state) ~rounds ~clamped_rounds ~position ~move
       ~service =
     let p = st.ss_plan in
     let id = p.Open_world.id in

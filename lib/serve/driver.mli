@@ -4,21 +4,24 @@
     The driver is the single coordinating thread the daemon's API
     expects: per tick it submits the tick's open/step/close frames (all
     through the {!Frame} codec — the driver talks to the daemon only in
-    bytes), flushes, then decodes every reply.  For each session it
-    accumulates the served trajectory, and when the session closes it
-    replays the session's full instance through an in-process
-    {!Mobile_server.Engine.run} with the same PRNG
-    ({!Daemon.session_rng}) and compares {e bitwise}: every per-round
-    position, the cumulative move/service costs, the round and clamp
-    counts.  Any divergence is reported; [bench serve] turns it into a
-    non-zero exit.
+    bytes), flushes, then decodes every reply.  The schedule streams
+    from a {!Workloads.Open_world.spec} (no plan array), and each
+    session keeps only a served-round count and a chained digest of its
+    served positions.  When the session closes the driver replays it
+    through an in-process {!Mobile_server.Engine.run_stream} over the
+    session's workload cursor, with the same PRNG
+    ({!Daemon.session_rng}), and compares {e bitwise}: the position
+    digests, the cumulative move/service costs, the round and clamp
+    counts and the final position.  Any divergence is reported;
+    [bench serve] and [msp serve] turn it into a non-zero exit.
+    Driver-side memory is O(live sessions), which is what serves the
+    million-live-session bench point.
 
-    {!run_stream} is the same wall in O(live sessions) memory: the
-    schedule streams from a {!Workloads.Open_world.spec} (no plan
-    array), each session keeps only a chained digest of its served
-    positions instead of the trajectory, and the close-time replica is
-    {!Mobile_server.Engine.run_stream} over the session's workload
-    cursor.  This is what serves the million-live-session bench point.
+    Replies depend only on the frames, and the frames only on the spec:
+    {!Workloads.Open_world.iter_stream} yields the same callbacks as
+    [Open_world.iter (of_spec spec)] (test_stream pins this), so a
+    journaled and an unjournaled daemon, or a daemon at any [jobs],
+    answer with byte-identical reply streams.
 
     Clocks are injected ([?now]) because this library must stay
     wall-clock-free (the determinism-clock lint): the bench passes
@@ -49,7 +52,7 @@ type report = {
   reply_digest : string;
       (** Hex digest chained over every reply frame in submission
           order.  Equal digests across daemons ⇒ byte-identical reply
-          streams; the jobs=1 ≡ jobs=N and stream ≡ materialized gates
+          streams; the jobs=1 ≡ jobs=N and journal on ≡ off gates
           compare exactly this. *)
 }
 
@@ -59,21 +62,12 @@ val max_reported : int
 val ok : report -> bool
 (** No mismatches, no error replies, every session closed. *)
 
-val run : ?now:(unit -> float) -> Daemon.t -> Workloads.Open_world.t -> report
-(** [run daemon schedule] serves the whole schedule and verifies every
-    session against [Engine.run] under {!Daemon.config} with the
-    daemon's session PRNG.  The daemon is left running (not shut
-    down), so a caller can serve several schedules back to back. *)
-
-val run_stream :
+val run :
   ?now:(unit -> float) -> Daemon.t -> Workloads.Open_world.spec -> report
-(** [run_stream daemon spec] serves the schedule [spec] describes via
+(** [run daemon spec] serves the schedule [spec] describes via
     {!Workloads.Open_world.iter_stream} — never materializing plans,
     instances or trajectories — and verifies every session at close
-    against {!Mobile_server.Engine.run_stream} by comparing chained
-    position digests plus the cumulative counters and costs, all
-    bitwise.  Submits byte-identical frames in the same order as
-    [run (of_spec spec)] on an equal daemon, so the two reports'
-    [reply_digest]s are equal — the stream ≡ materialized gate.
-    Driver-side memory is O(peak live sessions): a plan, a round
-    counter and one digest per live session. *)
+    against {!Mobile_server.Engine.run_stream} under {!Daemon.config}
+    with the daemon's session PRNG.  The daemon is left running (not
+    shut down), so a caller can serve several schedules back to
+    back. *)

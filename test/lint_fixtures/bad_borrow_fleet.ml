@@ -1,5 +1,5 @@
 (* Seeded-bad fixture for the borrow-escape pass, packed-fleet buffers:
-   writes through [Fleet.Packed.positions]-style borrowed views.  Five
+   writes through a [positions] borrow of a flat fleet buffer.  Five
    findings (Fbuf.set, Fbuf.fill, Fbuf.blit into a borrow,
    Fbuf.blit_from_array into a borrow, Bigarray.Array1.set). *)
 

@@ -1,13 +1,12 @@
-(* Tests for the packed fleet substrate, the flow/brute offline optima,
-   the Work-Function Algorithm, predictions and combiners. *)
+(* Tests for the fleet round pricing and its golden capture, the
+   flow/brute offline optima, the Work-Function Algorithm, predictions
+   and combiners. *)
 
 module Vec = Geometry.Vec
-module Fbuf = Geometry.Fbuf
 module Config = Mobile_server.Config
 module Instance = Mobile_server.Instance
 module Cost = Mobile_server.Cost
 module Fleet = Multi.Fleet
-module Packed = Multi.Fleet.Packed
 
 let check_float = Alcotest.(check (float 1e-9))
 
@@ -30,10 +29,11 @@ let random_requests rng ~n ~dim =
   Array.init n (fun _ ->
       Array.init dim (fun _ -> Prng.Dist.uniform rng ~lo:(-10.0) ~hi:10.0))
 
-(* --- packed <-> boxed kernel equivalence ----------------------------- *)
+(* --- round pricing against a longhand reference ---------------------- *)
 
-(* Boxed replicas written out longhand, so the packed kernels are
-   checked against [Vec], not against themselves. *)
+(* The service reduction written out longhand with [Float.min], so
+   [Fleet.service_cost] and [Fleet.step] are checked against [Vec.dist]
+   directly rather than against themselves. *)
 let boxed_service fleet requests =
   Array.fold_left
     (fun acc req ->
@@ -41,132 +41,27 @@ let boxed_service fleet requests =
       +. Array.fold_left (fun m s -> Float.min m (Vec.dist s req)) infinity fleet)
     0.0 requests
 
-let pack_unpack_roundtrip () =
-  let rng = rng_of 1 in
-  let fleet = random_fleet rng ~k:7 ~dim:3 in
-  let back = Fleet.unpack (Fleet.pack fleet) in
-  Array.iteri
-    (fun i v ->
-      Array.iteri (fun c x -> check_bits "roundtrip coord" fleet.(i).(c) x) v)
-    back
-
-let packed_dist_matches_vec () =
-  let rng = rng_of 2 in
-  for _ = 1 to 50 do
-    let fleet = random_fleet rng ~k:5 ~dim:2 in
-    let p = Fleet.pack fleet in
-    let v = Array.init 2 (fun _ -> Prng.Dist.uniform rng ~lo:(-10.0) ~hi:10.0) in
-    for i = 0 to 4 do
-      check_bits "dist_to" (Vec.dist fleet.(i) v) (Packed.dist_to p i v)
-    done;
-    let q = Fleet.pack (random_fleet rng ~k:5 ~dim:2) in
-    for i = 0 to 4 do
-      check_bits "dist_between"
-        (Vec.dist fleet.(i) (Packed.get q i))
-        (Packed.dist_between p i q i)
-    done
-  done
-
-let packed_nearest_matches_boxed () =
-  let rng = rng_of 3 in
-  for _ = 1 to 50 do
-    let fleet = random_fleet rng ~k:6 ~dim:2 in
-    let p = Fleet.pack fleet in
-    let v = Array.init 2 (fun _ -> Prng.Dist.uniform rng ~lo:(-10.0) ~hi:10.0) in
-    let best = ref 0 and best_d = ref (Vec.dist fleet.(0) v) in
-    for i = 1 to 5 do
-      let d = Vec.dist fleet.(i) v in
-      if d < !best_d then begin
-        best := i;
-        best_d := d
-      end
-    done;
-    Alcotest.(check int) "nearest" !best (Packed.nearest p v)
-  done
-
-let qcheck_packed_service_and_move =
-  QCheck.Test.make ~count:100 ~name:"packed service/move ≡ boxed"
-    QCheck.(pair (int_range 1 6) (int_range 0 8))
-    (fun (k, n) ->
+let qcheck_service_and_step =
+  QCheck.Test.make ~count:100 ~name:"service/step ≡ boxed reference"
+    QCheck.(triple (int_range 1 6) (int_range 0 8) bool)
+    (fun (k, n, serve_first) ->
       let rng = rng_of (1000 + k + (17 * n)) in
       let fleet = random_fleet rng ~k ~dim:2 in
       let fleet' = random_fleet rng ~k ~dim:2 in
       let requests = random_requests rng ~n ~dim:2 in
-      let p = Fleet.pack fleet and p' = Fleet.pack fleet' in
-      bit_eq (boxed_service fleet requests) (Packed.service_cost p requests)
-      && bit_eq
-           (Array.fold_left ( +. ) 0.0
-              (Array.mapi (fun i s -> Vec.dist s fleet'.(i)) fleet))
-           (Packed.move_cost ~from:p ~to_:p')
-      |> fun ok ->
-      (* service over a packed range must match the boxed reduction
-         too. *)
-      let pts = Geometry.Points.of_vecs ~dim:2 requests in
-      ok
-      && bit_eq (boxed_service fleet requests)
-           (Packed.service_cost_range p pts ~lo:0 ~hi:n))
-
-let qcheck_packed_clamp =
-  QCheck.Test.make ~count:100 ~name:"packed clamp ≡ Vec.clamp_step"
-    QCheck.(pair (int_range 1 6) (float_range 0.0 5.0))
-    (fun (k, limit) ->
-      let rng = rng_of (2000 + k) in
-      let from = random_fleet rng ~k ~dim:3 in
-      let target = random_fleet rng ~k ~dim:3 in
-      let pfrom = Fleet.pack from in
-      let ptarget = Fleet.pack target in
-      Packed.clamp_into ~from:pfrom ~limit ptarget;
-      let boxed =
-        Array.mapi (fun i p -> Vec.clamp_step ~from:from.(i) limit p) target
+      let variant =
+        if serve_first then Mobile_server.Variant.Serve_first
+        else Mobile_server.Variant.Move_first
       in
-      Array.for_all2
-        (fun b row ->
-          Array.for_all Fun.id
-            (Array.mapi (fun c x -> bit_eq x row.(c)) b))
-        boxed
-        (Array.init k (fun i -> Packed.get ptarget i)))
-
-let packed_validates () =
-  Alcotest.check_raises "empty pack" (Invalid_argument "Fleet.pack: empty fleet")
-    (fun () -> ignore (Fleet.pack [||]));
-  Alcotest.check_raises "k < 1" (Invalid_argument "Fleet.Packed.create: k < 1")
-    (fun () -> ignore (Packed.create ~dim:2 ~k:0));
-  let p = Packed.create ~dim:2 ~k:2 in
-  Alcotest.check_raises "oob"
-    (Invalid_argument "Fleet.Packed.get: server 5 out of bounds") (fun () ->
-      ignore (Packed.get p 5));
-  Alcotest.check_raises "dim mismatch"
-    (Invalid_argument "Fleet.Packed.set: dimension mismatch") (fun () ->
-      Packed.set p 0 [| 1.0 |])
-
-(* --- packed engine ≡ boxed engine ------------------------------------ *)
-
-let packed_engine_equals_boxed () =
-  let cfg = config () in
-  List.iter
-    (fun k ->
-      let inst = Workloads.Hotspots.generate ~dim:2 ~t:40 (rng_of (30 + k)) in
-      let boxed = Multi.Fleet_engine.run ~k cfg Multi.Fleet_mtc.independent inst in
-      let packed =
-        Multi.Fleet_engine.run_packed ~k cfg Multi.Fleet_mtc.independent_packed
-          (Instance.pack inst)
+      let cfg = Config.make ~d_factor:2.0 ~variant () in
+      let step = Fleet.step cfg ~from:fleet ~to_:fleet' requests in
+      let moved =
+        Array.fold_left ( +. ) 0.0 (Array.mapi (fun i s -> Vec.dist s fleet'.(i)) fleet)
       in
-      check_bits "move" boxed.Multi.Fleet_engine.cost.Cost.move
-        packed.Multi.Fleet_engine.p_cost.Cost.move;
-      check_bits "service" boxed.Multi.Fleet_engine.cost.Cost.service
-        packed.Multi.Fleet_engine.p_cost.Cost.service;
-      let last =
-        boxed.Multi.Fleet_engine.fleets.(Array.length boxed.Multi.Fleet_engine.fleets - 1)
-      in
-      Array.iteri
-        (fun i v ->
-          Array.iteri
-            (fun c x ->
-              check_bits "final fleet" x
-                (Packed.get packed.Multi.Fleet_engine.final i).(c))
-            v)
-        last)
-    [ 1; 2; 3; 4 ]
+      bit_eq (boxed_service fleet requests) (Fleet.service_cost fleet requests)
+      && bit_eq step.Cost.move (2.0 *. moved)
+      && bit_eq step.Cost.service
+           (boxed_service (if serve_first then fleet else fleet') requests))
 
 (* --- golden capture --------------------------------------------------- *)
 
@@ -409,15 +304,6 @@ let single_server_matches_line_dp () =
 let () =
   Alcotest.run "fleet"
     [
-      ( "packed",
-        [
-          Alcotest.test_case "pack/unpack roundtrip" `Quick pack_unpack_roundtrip;
-          Alcotest.test_case "dist ≡ Vec.dist" `Quick packed_dist_matches_vec;
-          Alcotest.test_case "nearest ≡ boxed" `Quick packed_nearest_matches_boxed;
-          Alcotest.test_case "validates" `Quick packed_validates;
-          Alcotest.test_case "engine packed ≡ boxed" `Quick
-            packed_engine_equals_boxed;
-        ] );
       ( "golden",
         [ Alcotest.test_case "fleet capture" `Quick fleet_golden_capture ] );
       ( "flow",
@@ -458,5 +344,5 @@ let () =
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [ qcheck_packed_service_and_move; qcheck_packed_clamp ] );
+          [ qcheck_service_and_step ] );
     ]

@@ -117,6 +117,45 @@ let fleet_feasible () =
   Alcotest.(check bool) "bad" false
     (Multi.Fleet.feasible ~limit:1.0 ~start bad)
 
+(* A NaN distance compares false against the slack, so a NaN trajectory
+   used to pass; a short round used to pass and a long one raised a bare
+   index error. *)
+let fleet_feasible_rejects_non_finite () =
+  let start = [| Vec.make1 0.0; Vec.make1 5.0 |] in
+  Alcotest.(check bool) "NaN coordinate" false
+    (Multi.Fleet.feasible ~limit:1.0 ~start
+       [| [| Vec.make1 Float.nan; Vec.make1 5.0 |] |]);
+  Alcotest.(check bool) "NaN start" false
+    (Multi.Fleet.feasible ~limit:1.0
+       ~start:[| Vec.make1 0.0; Vec.make1 Float.nan |]
+       [| [| Vec.make1 0.0; Vec.make1 5.0 |] |]);
+  Alcotest.(check bool) "infinite coordinate" false
+    (Multi.Fleet.feasible ~limit:1.0 ~start
+       [| [| Vec.make1 0.5; Vec.make1 5.0 |];
+          [| Vec.make1 infinity; Vec.make1 5.0 |] |])
+
+let fleet_feasible_rejects_size_change () =
+  let start = [| Vec.make1 0.0; Vec.make1 5.0 |] in
+  let mismatch = Invalid_argument "Fleet.feasible: fleet size mismatch" in
+  Alcotest.check_raises "fewer servers" mismatch (fun () ->
+      ignore (Multi.Fleet.feasible ~limit:1.0 ~start [| [| Vec.make1 0.5 |] |]));
+  Alcotest.check_raises "more servers" mismatch (fun () ->
+      ignore
+        (Multi.Fleet.feasible ~limit:1.0 ~start
+           [| [| Vec.make1 0.5; Vec.make1 5.0; Vec.make1 9.0 |] |]))
+
+let fleet_replay_rejects_nan () =
+  let config = Config.make () in
+  let inst = Instance.make ~start:(Vec.zero 1) [| [| Vec.make1 1.0 |] |] in
+  let start = Multi.Fleet.spread_start ~k:2 inst.Instance.start in
+  Alcotest.check_raises "NaN trajectory"
+    (Invalid_argument "Fleet_engine.replay: trajectory exceeds the offline budget")
+    (fun () ->
+      ignore
+        (Multi.Fleet_engine.replay config ~start
+           [| [| Vec.make1 0.5; Vec.make1 Float.nan |] |]
+           inst))
+
 (* --- Fleet algorithms ----------------------------------------------- *)
 
 let partition_nearest () =
@@ -295,6 +334,11 @@ let () =
           Alcotest.test_case "serve-first" `Quick fleet_step_serve_first;
           Alcotest.test_case "validates" `Quick fleet_step_validates;
           Alcotest.test_case "feasible" `Quick fleet_feasible;
+          Alcotest.test_case "feasible rejects non-finite" `Quick
+            fleet_feasible_rejects_non_finite;
+          Alcotest.test_case "feasible rejects size change" `Quick
+            fleet_feasible_rejects_size_change;
+          Alcotest.test_case "replay rejects NaN" `Quick fleet_replay_rejects_nan;
         ] );
       ( "fleet-algorithms",
         [

@@ -732,8 +732,9 @@ let qcheck_schedule_jobs_invariant =
 
 let driver_identity () =
   let sched = schedule () in
+  let spec = Open_world.spec_of sched in
   let run jobs =
-    with_daemon ~shards:4 ~jobs @@ fun d -> Driver.run d sched
+    with_daemon ~shards:4 ~jobs @@ fun d -> Driver.run d spec
   in
   let r1 = run 1 in
   let r3 = run 3 in

@@ -1,7 +1,8 @@
 (* Tests for the streaming substrate: Fbuf basics, Engine.run_stream,
-   workload cursors, Open_world.iter_stream and Driver.run_stream must
-   all be bit-identical to their materialized counterparts, and the
-   streaming paths must run in memory independent of the horizon. *)
+   workload cursors and Open_world.iter_stream must all be
+   bit-identical to their materialized counterparts, Driver.run must
+   answer identically with journaling on and off, and the streaming
+   paths must run in memory independent of the horizon. *)
 
 module Vec = Geometry.Vec
 module Fbuf = Geometry.Fbuf
@@ -213,32 +214,32 @@ let stream_memory_bounded () =
     Alcotest.failf "heap grew with the horizon: %d words @10^4, %d @10^6"
       small large
 
-(* --- Driver.run_stream ≡ Driver.run -------------------------------- *)
+(* --- Driver.run: journal on ≡ journal off ---------------------------- *)
 
-let driver_stream_matches_run () =
+(* Replies depend only on the frames, so one driver on a journaled and
+   on an unjournaled daemon must produce byte-identical reply streams,
+   both passing the serve ≡ engine wall. *)
+let driver_journal_on_matches_off () =
   let config = Config.make ~d_factor:1.5 ~delta:0.1 () in
   let spec =
     Workloads.Open_world.spec ~arrival_rate:3.0 ~mean_lifetime:4.0 ~initial:8
       ~dim:2 ~seed:91 ~ticks:10 ()
   in
-  let mat_daemon = Serve.Daemon.create ~shards:4 ~jobs:1 ~config () in
-  let mat =
-    Serve.Driver.run mat_daemon (Workloads.Open_world.of_spec spec)
+  let serve ~journal =
+    let daemon = Serve.Daemon.create ~shards:4 ~jobs:1 ~journal ~config () in
+    Fun.protect
+      ~finally:(fun () -> Serve.Daemon.shutdown daemon)
+      (fun () -> Serve.Driver.run daemon spec)
   in
-  Serve.Daemon.shutdown mat_daemon;
-  let stream_daemon =
-    Serve.Daemon.create ~shards:4 ~jobs:1 ~journal:false ~config ()
-  in
-  let stream = Serve.Driver.run_stream stream_daemon spec in
-  Serve.Daemon.shutdown stream_daemon;
-  Alcotest.(check bool) "materialized ok" true (Serve.Driver.ok mat);
-  Alcotest.(check bool) "stream ok" true (Serve.Driver.ok stream);
-  Alcotest.(check int) "sessions" mat.Serve.Driver.sessions
-    stream.Serve.Driver.sessions;
-  Alcotest.(check int) "steps" mat.Serve.Driver.steps
-    stream.Serve.Driver.steps;
-  Alcotest.(check string) "reply digest (stream = materialized)"
-    mat.Serve.Driver.reply_digest stream.Serve.Driver.reply_digest
+  let on = serve ~journal:true in
+  let off = serve ~journal:false in
+  Alcotest.(check bool) "journaled ok" true (Serve.Driver.ok on);
+  Alcotest.(check bool) "unjournaled ok" true (Serve.Driver.ok off);
+  Alcotest.(check int) "sessions" on.Serve.Driver.sessions
+    off.Serve.Driver.sessions;
+  Alcotest.(check int) "steps" on.Serve.Driver.steps off.Serve.Driver.steps;
+  Alcotest.(check string) "reply digest (journal on = off)"
+    on.Serve.Driver.reply_digest off.Serve.Driver.reply_digest
 
 let () =
   let qc = QCheck_alcotest.to_alcotest in
@@ -262,7 +263,7 @@ let () =
       );
       ( "driver",
         [
-          Alcotest.test_case "run_stream = run" `Quick
-            driver_stream_matches_run;
+          Alcotest.test_case "journal on = off" `Quick
+            driver_journal_on_matches_off;
         ] );
     ]
