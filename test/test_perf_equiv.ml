@@ -107,6 +107,355 @@ let into_dim_mismatch () =
     (Invalid_argument "Vec.add_into: destination dimension mismatch (1 vs 2)")
     (fun () -> Vec.add_into (Vec.make1 0.0) (Vec.make2 1.0 2.0) (Vec.make2 3.0 4.0))
 
+(* --- the Weiszfeld loop vs a verbatim copy of the closure form ------ *)
+
+(* [Median.weiszfeld] and the [Vec] kernels it calls as they stood
+   before the allocation-free rewrite: closure iteration, a captured
+   float accumulator, [Float.max] in the scaling passes.  Kept verbatim
+   (only [Vec.] prefixes resolved to the local copies) so the rewrite is
+   checked against the arithmetic it replaced, not against itself. *)
+module Closure_ref = struct
+  let check_dim u v =
+    if Array.length u <> Array.length v then invalid_arg "ref: dimension"
+
+  let sub u v = check_dim u v; Array.init (Array.length u) (fun i -> u.(i) -. v.(i))
+  let add u v = check_dim u v; Array.init (Array.length u) (fun i -> u.(i) +. v.(i))
+  let scale k v = Array.map (fun c -> k *. c) v
+
+  let sub_into dst u v =
+    for i = 0 to Array.length u - 1 do
+      dst.(i) <- u.(i) -. v.(i)
+    done
+
+  let dot u v =
+    let acc = ref 0.0 in
+    for i = 0 to Array.length u - 1 do
+      acc := !acc +. (u.(i) *. v.(i))
+    done;
+    !acc
+
+  let norm v =
+    let m = Array.fold_left (fun acc c -> Float.max acc (Float.abs c)) 0.0 v in
+    if Float.equal m 0.0 then 0.0
+    else if Float.equal m infinity then infinity
+    else begin
+      let acc = ref 0.0 in
+      for i = 0 to Array.length v - 1 do
+        let c = v.(i) /. m in
+        acc := !acc +. (c *. c)
+      done;
+      m *. sqrt !acc
+    end
+
+  let dist u v =
+    check_dim u v;
+    let n = Array.length u in
+    let m = ref 0.0 in
+    for i = 0 to n - 1 do
+      m := Float.max !m (Float.abs (u.(i) -. v.(i)))
+    done;
+    let m = !m in
+    if Float.equal m 0.0 then 0.0
+    else if Float.equal m infinity then infinity
+    else begin
+      let acc = ref 0.0 in
+      for i = 0 to n - 1 do
+        let c = (u.(i) -. v.(i)) /. m in
+        acc := !acc +. (c *. c)
+      done;
+      m *. sqrt !acc
+    end
+
+  let dist2 u v =
+    let acc = ref 0.0 in
+    for i = 0 to Array.length u - 1 do
+      let c = u.(i) -. v.(i) in
+      acc := !acc +. (c *. c)
+    done;
+    !acc
+
+  let normalize v =
+    let n = norm v in
+    if n < 1e-300 then None else Some (scale (1.0 /. n) v)
+
+  let lerp a b s =
+    Array.init (Array.length a) (fun i -> a.(i) +. (s *. (b.(i) -. a.(i))))
+
+  let centroid ps =
+    let n = Array.length ps in
+    let acc = Array.copy ps.(0) in
+    for k = 1 to n - 1 do
+      for i = 0 to Array.length acc - 1 do
+        acc.(i) <- acc.(i) +. ps.(k).(i)
+      done
+    done;
+    let s = 1.0 /. float_of_int n in
+    for i = 0 to Array.length acc - 1 do
+      acc.(i) <- s *. acc.(i)
+    done;
+    acc
+
+  let clamp lo hi v = Float.max lo (Float.min hi v)
+
+  let median_1d ?(tie_break = 0.0) xs =
+    let n = Array.length xs in
+    let sorted = Array.copy xs in
+    Array.sort Float.compare sorted;
+    if n mod 2 = 1 then sorted.(n / 2)
+    else
+      let lower = sorted.((n / 2) - 1) and upper = sorted.(n / 2) in
+      clamp lower upper tie_break
+
+  let collinear_along ~origin ~dir ~eps points =
+    let d = Array.length origin in
+    let diff = Array.make d 0.0 in
+    let off = Array.make d 0.0 in
+    Array.for_all
+      (fun p ->
+        sub_into diff p origin;
+        let along = dot diff dir in
+        for i = 0 to d - 1 do
+          off.(i) <- diff.(i) -. (along *. dir.(i))
+        done;
+        norm off <= eps)
+      points
+
+  let project_segment a b p =
+    let len2 = dist2 b a in
+    if len2 < 1e-300 then Array.copy a
+    else begin
+      let dot_pa_ba = ref 0.0 in
+      for i = 0 to Array.length a - 1 do
+        dot_pa_ba := !dot_pa_ba +. ((p.(i) -. a.(i)) *. (b.(i) -. a.(i)))
+      done;
+      let s = clamp 0.0 1.0 (!dot_pa_ba /. len2) in
+      lerp a b s
+    end
+
+  let along_line ~origin ~dir p =
+    let acc = ref 0.0 in
+    for i = 0 to Array.length origin - 1 do
+      acc := !acc +. ((p.(i) -. origin.(i)) *. dir.(i))
+    done;
+    !acc
+
+  let collinear_median ~origin ~dir ~tie_break points =
+    let coords = Array.map (along_line ~origin ~dir) points in
+    let tb = along_line ~origin ~dir tie_break in
+    let c = median_1d ~tie_break:tb coords in
+    add origin (scale c dir)
+
+  let weiszfeld ?(eps = 1e-10) ?(max_iter = 200) ?tie_break ?init points =
+    let n = Array.length points in
+    let d = Array.length points.(0) in
+    let tie_break =
+      match tie_break with Some t -> t | None -> Array.make d 0.0
+    in
+    if n = 1 then Array.copy points.(0)
+    else if d = 1 then
+      [| median_1d ~tie_break:tie_break.(0) (Array.map (fun p -> p.(0)) points) |]
+    else begin
+      let origin = points.(0) in
+      let spread =
+        Array.fold_left (fun acc p -> Float.max acc (dist origin p)) 0.0 points
+      in
+      if spread < 1e-300 then Array.copy origin
+      else begin
+        let far =
+          let best = ref points.(0) and best_d = ref 0.0 in
+          Array.iter
+            (fun p ->
+              let dd = dist origin p in
+              if dd > !best_d then begin best := p; best_d := dd end)
+            points;
+          !best
+        in
+        match normalize (sub far origin) with
+        | None -> Array.copy origin
+        | Some dir ->
+          if collinear_along ~origin ~dir ~eps:(1e-12 *. spread) points then
+            (if n = 2 then project_segment points.(0) points.(1) tie_break
+             else collinear_median ~origin ~dir ~tie_break points)
+          else begin
+            let y = match init with
+              | Some v -> Array.copy v
+              | None -> centroid points
+            in
+            let next = Array.make d 0.0 in
+            let weighted = Array.make d 0.0 in
+            let resultant = Array.make d 0.0 in
+            let tol = Float.max eps (eps *. spread) in
+            let anchor_eps = 1e-13 *. spread in
+            let iter = ref 0 in
+            let continue = ref true in
+            while !continue && !iter < max_iter do
+              incr iter;
+              let multiplicity = ref 0 in
+              let inv_sum = ref 0.0 in
+              Array.fill weighted 0 d 0.0;
+              Array.fill resultant 0 d 0.0;
+              Array.iter
+                (fun p ->
+                  let dist = dist y p in
+                  if dist <= anchor_eps then incr multiplicity
+                  else begin
+                    let w = 1.0 /. dist in
+                    inv_sum := !inv_sum +. w;
+                    for i = 0 to d - 1 do
+                      weighted.(i) <- weighted.(i) +. (w *. p.(i));
+                      resultant.(i) <- resultant.(i) +. (w *. (p.(i) -. y.(i)))
+                    done
+                  end)
+                points;
+              if Float.equal !inv_sum 0.0 then continue := false
+              else begin
+                for i = 0 to d - 1 do
+                  next.(i) <- weighted.(i) /. !inv_sum
+                done;
+                if !multiplicity > 0 then begin
+                  let r = norm resultant in
+                  let k = float_of_int !multiplicity in
+                  if r <= k then begin
+                    continue := false;
+                    Array.blit y 0 next 0 d
+                  end
+                  else begin
+                    let beta = k /. r in
+                    for i = 0 to d - 1 do
+                      next.(i) <- ((1.0 -. beta) *. next.(i)) +. (beta *. y.(i))
+                    done
+                  end
+                end;
+                if dist next y <= tol then continue := false;
+                Array.blit next 0 y 0 d
+              end
+            done;
+            y
+          end
+      end
+    end
+end
+
+(* Coordinates over many magnitudes: a per-set scale 10^e, e in
+   [-12, 12], times per-point mantissas in [-10, 10]. *)
+type wz_case = {
+  dim : int;
+  points : Vec.t array;
+  init : Vec.t option;
+  tie_break : Vec.t option;
+  max_iter : int option;
+}
+
+let wz_case_gen =
+  let open QCheck.Gen in
+  let* dim = oneofl [ 2; 3 ] in
+  let* n = int_range 3 20 in
+  let* expo = int_range (-12) 12 in
+  let scale = 10.0 ** float_of_int expo in
+  let coord = map (fun x -> x *. scale) (float_range (-10.0) 10.0) in
+  let point = map Array.of_list (list_repeat dim coord) in
+  let* shape = int_range 0 4 in
+  let* points =
+    match shape with
+    | 0 -> array_repeat n point
+    | 1 ->
+      (* Duplicates: a few distinct points, each repeated, so iterates
+         can land on an input point (the Vardi–Zhang anchor branch). *)
+      let* k = int_range 1 3 in
+      let* base = array_repeat k point in
+      array_repeat n (map (fun i -> Array.copy base.(i)) (int_range 0 (k - 1)))
+    | 2 ->
+      (* Vertex-optimal triangle (angle > 120 degrees at the first
+         vertex): the median is that vertex and the iteration from the
+         centroid creeps towards it until max_iter. *)
+      let* a = float_range 0.1 0.3 in
+      let* len = float_range 1.0 5.0 in
+      let vtx x y =
+        Array.init dim (fun i ->
+            scale *. (if i = 0 then x else if i = 1 then y else 0.5))
+      in
+      let tri =
+        [| vtx 0.0 0.0; vtx len (a *. len); vtx (-.len) (a *. len) |]
+      in
+      return (Array.init n (fun i -> Array.copy tri.(i mod 3)))
+    | 3 ->
+      (* Near-collinear: points on a line, off it by ~1e-9 relative (or
+         exactly on it), crossing the collinearity threshold both ways. *)
+      let* dir = point in
+      let* jitter = oneofl [ 0.0; 1e-14; 1e-11; 1e-9 ] in
+      array_repeat n
+        (let* t = float_range (-5.0) 5.0 in
+         let* noise = list_repeat dim (float_range (-1.0) 1.0) in
+         return
+           (Array.mapi
+              (fun i nz -> (t *. dir.(i)) +. (jitter *. scale *. nz))
+              (Array.of_list noise)))
+    | _ ->
+      (* Mixed magnitudes inside one set. *)
+      array_repeat n
+        (let* e = int_range (-6) 6 in
+         map (Array.map (fun x -> x *. (10.0 ** float_of_int e))) point)
+  in
+  let* init =
+    frequency
+      [ (3, return None);
+        (1, map Option.some point);
+        (1, map (fun i -> Some (Array.copy points.(i))) (int_range 0 (n - 1))) ]
+  in
+  let* tie_break = opt point in
+  let* max_iter = frequency [ (3, return None); (1, map Option.some (int_range 1 8)) ] in
+  return { dim; points; init; tie_break; max_iter }
+
+let print_wz_case c =
+  let vecs vs = String.concat "; " (Array.to_list (Array.map (Printf.sprintf "%h") vs)) in
+  Printf.sprintf "dim=%d max_iter=%s init=%s tie=%s points=[%s]" c.dim
+    (match c.max_iter with None -> "-" | Some k -> string_of_int k)
+    (match c.init with None -> "-" | Some v -> vecs v)
+    (match c.tie_break with None -> "-" | Some v -> vecs v)
+    (String.concat " | " (Array.to_list (Array.map vecs c.points)))
+
+let qcheck_weiszfeld_matches_closure_ref =
+  QCheck.Test.make ~count:2000
+    ~name:"weiszfeld = closure-form reference (bitwise)"
+    (QCheck.make ~print:print_wz_case wz_case_gen)
+    (fun c ->
+      let got =
+        Median.weiszfeld ?init:c.init ?tie_break:c.tie_break
+          ?max_iter:c.max_iter c.points
+      in
+      let want =
+        Closure_ref.weiszfeld ?init:c.init ?tie_break:c.tie_break
+          ?max_iter:c.max_iter c.points
+      in
+      bit_equal got want)
+
+(* Scaling-pass maxima without [Float.max]: the same bits on every
+   coordinate class, NaN and the infinities included. *)
+let special_coord =
+  QCheck.Gen.(
+    frequency
+      [ (4, float_range (-1e3) 1e3);
+        (1, oneofl [ 0.0; -0.0; infinity; neg_infinity; nan; max_float;
+                     -.max_float; min_float; 5e-324 ]) ])
+
+let qcheck_dist_matches_float_max =
+  QCheck.Test.make ~count:2000 ~name:"Vec/Points.dist = Float.max form (bitwise)"
+    (QCheck.make
+       ~print:(fun (u, v) ->
+         let s a = String.concat "," (List.map (Printf.sprintf "%h") a) in
+         s u ^ " / " ^ s v)
+       QCheck.Gen.(
+         let* d = int_range 1 4 in
+         pair (list_repeat d special_coord) (list_repeat d special_coord)))
+    (fun (u, v) ->
+      let u = Array.of_list u and v = Array.of_list v in
+      let bits = Int64.bits_of_float in
+      let want = bits (Closure_ref.dist u v) in
+      let packed = Geometry.Points.of_vecs ~dim:(Array.length v) [| v |] in
+      Int64.equal want (bits (Vec.dist u v))
+      && Int64.equal want (bits (Geometry.Points.dist packed 0 u))
+      && Int64.equal (bits (Closure_ref.norm u)) (bits (Vec.norm u)))
+
 (* --- warm-started Weiszfeld ----------------------------------------- *)
 
 let qcheck_weiszfeld_centroid_init_identical =
@@ -349,7 +698,11 @@ let () =
                qcheck_dist2_bit_identical;
                qcheck_into_kernels;
                qcheck_into_aliasing;
+               qcheck_dist_matches_float_max;
              ] );
+      ( "weiszfeld-loop",
+        List.map QCheck_alcotest.to_alcotest
+          [ qcheck_weiszfeld_matches_closure_ref ] );
       ( "weiszfeld-warm",
         [
           Alcotest.test_case "init dim mismatch" `Quick
