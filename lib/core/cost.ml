@@ -8,8 +8,9 @@ let zero = { move = 0.0; service = 0.0 }
 
 let add a b = { move = a.move +. b.move; service = a.service +. b.service }
 
-let service_cost p vs =
-  Array.fold_left (fun acc v -> acc +. Vec.dist p v) 0.0 vs
+(* [Vec.sum_dist] is this fold — [0.] plus each distance, left to
+   right — run inside [Vec], where the distance inlines unboxed. *)
+let service_cost p vs = Vec.sum_dist p vs
 
 let step (config : Config.t) ~from ~to_ vs =
   let move = config.d_factor *. Vec.dist from to_ in

@@ -25,22 +25,25 @@ type run = {
    separately. *)
 let clamp_tol = 1e-9
 
-let exceeds_limit ~from ~limit proposed =
-  Vec.dist from proposed > limit +. (clamp_tol *. Float.max 1.0 limit)
+(* A loop, not [Array.for_all Float.is_finite]: that boxes every
+   coordinate it passes to the predicate. *)
+let is_finite_vec v =
+  let ok = ref true in
+  for i = 0 to Array.length v - 1 do
+    if not (Float.is_finite v.(i)) then ok := false
+  done;
+  !ok
 
 (* [Vec.move_towards] rejects a non-finite gap, so the engine decides
    explicitly what a non-finite proposal does: it poisons the position
    with NaNs (the pre-fix observable behavior), letting the {!Analysis}
    auditor report Non_finite_position / Non_finite_cost instead of the
    run dying mid-trajectory.  A finite proposal from a finite position
-   goes through the ordinary clamp. *)
-let is_finite_vec v = Array.for_all Float.is_finite v
-
-let next_position ~from ~limit proposed =
-  if Vec.dim proposed <> Vec.dim from then
-    invalid_arg "Engine: proposal dimension mismatch";
+   goes through the ordinary clamp, [Vec.clamp_step]'s move with the
+   gap the caller measured. *)
+let next_position ~from ~limit ~gap proposed =
   if is_finite_vec proposed && is_finite_vec from then
-    Vec.clamp_step ~from limit proposed
+    Vec.move_towards_gap from proposed ~gap limit
   else Array.make (Vec.dim from) Float.nan
 
 module Session = struct
@@ -75,14 +78,14 @@ module Session = struct
      feeds its rounds through here, so their records and totals agree
      bit for bit by construction. *)
   let advance session requests =
+    let from = session.position and limit = session.limit in
     let proposed = session.stepper requests in
-    let clamped =
-      exceeds_limit ~from:session.position ~limit:session.limit proposed
-    in
-    let next =
-      next_position ~from:session.position ~limit:session.limit proposed
-    in
-    let cost = Cost.step session.config ~from:session.position ~to_:next requests in
+    (* One distance decides both whether the proposal counts as
+       clamped and where the clamp puts it. *)
+    let gap = Vec.dist from proposed in
+    let clamped = gap > limit +. (clamp_tol *. Float.max 1.0 limit) in
+    let next = next_position ~from ~limit ~gap proposed in
+    let cost = Cost.step session.config ~from ~to_:next requests in
     session.position <- next;
     session.cost <- Cost.add session.cost cost;
     if clamped then session.clamped <- session.clamped + 1;
@@ -98,13 +101,13 @@ module Session = struct
      and keep stepping, which the simtest harness's Reset-after-failure
      op relies on. *)
   let step session requests =
-    Array.iter
-      (fun v ->
-        if Vec.dim v <> session.dim then
-          invalid_arg "Engine.Session.step: request dimension mismatch";
-        if not (is_finite_vec v) then
-          invalid_arg "Engine.Session.step: non-finite request coordinate")
-      requests;
+    for j = 0 to Array.length requests - 1 do
+      let v = requests.(j) in
+      if Vec.dim v <> session.dim then
+        invalid_arg "Engine.Session.step: request dimension mismatch";
+      if not (is_finite_vec v) then
+        invalid_arg "Engine.Session.step: non-finite request coordinate"
+    done;
     advance session requests
 
   let position session = Vec.copy session.position

@@ -5,15 +5,17 @@ let center ~server requests =
   if Array.length requests = 0 then Vec.copy server
   else Median.center ~server requests
 
-let target_with ~center_fn (config : Config.t) ~server requests =
+(* The rule's move for a round of [r] requests: [min {1, r/D}] of the
+   way from [server] to the center [c], the gap measured once. *)
+let towards_center (config : Config.t) ~server ~r c =
+  let pull = Float.min 1.0 (float_of_int r /. config.d_factor) in
+  let gap = Vec.dist server c in
+  Vec.move_towards_gap server c ~gap (pull *. gap)
+
+let target_with ~center_fn config ~server requests =
   let r = Array.length requests in
   if r = 0 then Vec.copy server
-  else begin
-    let c = center_fn ~server requests in
-    let pull = Float.min 1.0 (float_of_int r /. config.d_factor) in
-    let gap = Vec.dist server c in
-    Vec.move_towards server c (pull *. gap)
-  end
+  else towards_center config ~server ~r (center_fn ~server requests)
 
 let target config ~server requests =
   target_with ~center_fn:center config ~server requests
@@ -40,9 +42,7 @@ let warm_make (config : Config.t) ~start =
            across rounds is safe. *)
         let c = Median.center ?init:!prev_center ~server:!pos requests in
         prev_center := Some c;
-        let pull = Float.min 1.0 (float_of_int r /. config.d_factor) in
-        let gap = Vec.dist !pos c in
-        Vec.move_towards !pos c (pull *. gap)
+        towards_center config ~server:!pos ~r c
       end
     in
     let next = Vec.clamp_step ~from:!pos limit target in

@@ -49,15 +49,18 @@ let of_vecs ~dim:d vs =
 (* Distance from point [i] to [v], with exactly the arithmetic of
    [Vec.dist v (get t i)]: a max-|·| scaling pass then a scaled
    sum-of-squares pass.  The subtraction direction is immaterial —
-   IEEE negation is exact, and only |d| and d² enter the result. *)
-let dist t i (v : Vec.t) =
+   IEEE negation is exact, and only |d| and d² enter the result.  The
+   max is [Vec.norm]'s [Float.max]-free form; inlined, so [sum_dist]
+   boxes nothing per point. *)
+let[@inline] dist t i (v : Vec.t) =
   let d = t.dim in
   if Array.length v <> d then invalid_arg "Points.dist: dimension mismatch";
   let base = i * d in
   let data = t.data in
   let m = ref 0.0 in
   for c = 0 to d - 1 do
-    m := Float.max !m (Float.abs (v.(c) -. Fbuf.get data (base + c)))
+    let a = Float.abs (v.(c) -. Fbuf.get data (base + c)) in
+    if a > !m || Float.is_nan a then m := a
   done;
   let m = !m in
   if Float.equal m 0.0 then 0.0

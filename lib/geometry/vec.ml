@@ -37,15 +37,31 @@ let equal ?(eps = 1e-9) u v =
       done;
       !ok)
 
+(* The allocating constructors fill a fresh float array in a loop: an
+   [Array.init]/[Array.map] closure returns each coordinate boxed. *)
+
 let add u v =
   check_dim "add" u v;
-  Array.init (Array.length u) (fun i -> u.(i) +. v.(i))
+  let r = Array.make (Array.length u) 0.0 in
+  for i = 0 to Array.length u - 1 do
+    r.(i) <- u.(i) +. v.(i)
+  done;
+  r
 
 let sub u v =
   check_dim "sub" u v;
-  Array.init (Array.length u) (fun i -> u.(i) -. v.(i))
+  let r = Array.make (Array.length u) 0.0 in
+  for i = 0 to Array.length u - 1 do
+    r.(i) <- u.(i) -. v.(i)
+  done;
+  r
 
-let scale k v = Array.map (fun c -> k *. c) v
+let scale k v =
+  let r = Array.make (Array.length v) 0.0 in
+  for i = 0 to Array.length v - 1 do
+    r.(i) <- k *. v.(i)
+  done;
+  r
 
 let neg v = scale (-1.0) v
 
@@ -95,9 +111,21 @@ let dot u v =
 
 let norm2 v = dot v v
 
-let norm v =
+(* The scaling passes below take the max of absolute values with
+   [if a > !m || Float.is_nan a then m := a] rather than [Float.max]:
+   [a] has a clear sign bit and [m] starts at +0.0 and only ever takes
+   values of [a], so [Float.max]'s sign-bit branch cannot fire and the
+   two agree bit for bit, NaN and infinities included — without its
+   [caml_signbit] calls.  docs/perf.md has the argument. *)
+
+let[@inline] norm v =
   (* Scale by the max coordinate so that squaring cannot overflow. *)
-  let m = Array.fold_left (fun acc c -> Float.max acc (Float.abs c)) 0.0 v in
+  let m = ref 0.0 in
+  for i = 0 to Array.length v - 1 do
+    let a = Float.abs v.(i) in
+    if a > !m || Float.is_nan a then m := a
+  done;
+  let m = !m in
   if Float.equal m 0.0 then 0.0
   else if Float.equal m infinity then infinity
   else begin
@@ -113,14 +141,18 @@ let norm v =
    difference coordinates are recomputed on the fly instead of being
    materialized, with exactly the arithmetic (and rounding) of
    [norm (sub u v)] / [norm2 (sub u v)] — the differential suite
-   (test_perf_equiv) checks bit-equality against those references. *)
+   (test_perf_equiv) checks bit-equality against those references.
+   Inlined into this module's loops, [dist] boxes nothing; a call from
+   another module boxes its result (dune's dev profile builds with
+   -opaque, so nothing inlines across modules). *)
 
-let dist u v =
+let[@inline] dist u v =
   check_dim "dist" u v;
   let n = Array.length u in
   let m = ref 0.0 in
   for i = 0 to n - 1 do
-    m := Float.max !m (Float.abs (u.(i) -. v.(i)))
+    let a = Float.abs (u.(i) -. v.(i)) in
+    if a > !m || Float.is_nan a then m := a
   done;
   let m = !m in
   if Float.equal m 0.0 then 0.0
@@ -143,23 +175,38 @@ let dist2 u v =
   done;
   !acc
 
+let sum_dist p vs =
+  let acc = ref 0.0 in
+  for i = 0 to Array.length vs - 1 do
+    acc := !acc +. dist p vs.(i)
+  done;
+  !acc
+
 let normalize v =
   let n = norm v in
   if n < 1e-300 then None else Some (scale (1.0 /. n) v)
 
 let lerp a b s =
   check_dim "lerp" a b;
-  Array.init (Array.length a) (fun i -> a.(i) +. (s *. (b.(i) -. a.(i))))
+  let r = Array.make (Array.length a) 0.0 in
+  for i = 0 to Array.length a - 1 do
+    r.(i) <- a.(i) +. (s *. (b.(i) -. a.(i)))
+  done;
+  r
 
-let move_towards p target d =
+let move_towards_gap p target ~gap d =
   if d < 0.0 then invalid_arg "Vec.move_towards: negative distance";
-  let gap = dist p target in
+  check_dim "move_towards_gap" p target;
   (* A NaN (or overflowed) gap used to fall through to [lerp] with
      [d /. gap = NaN] and silently return a NaN vector. *)
   if not (Float.is_finite gap) then
     invalid_arg "Vec.move_towards: non-finite gap";
   if gap <= d || Float.equal gap 0.0 then copy target
   else lerp p target (d /. gap)
+
+let move_towards p target d =
+  if d < 0.0 then invalid_arg "Vec.move_towards: negative distance";
+  move_towards_gap p target ~gap:(dist p target) d
 
 let clamp_step ~from limit target =
   if limit < 0.0 then invalid_arg "Vec.clamp_step: negative limit";

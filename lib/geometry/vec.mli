@@ -92,6 +92,11 @@ val dist2 : t -> t -> float
 (** Squared Euclidean distance, allocation-free; bit-identical to
     [norm2 (sub u v)]. *)
 
+val sum_dist : t -> t array -> float
+(** [sum_dist p vs] is [Σ_i dist p vs.(i)], summed left to right from
+    [0.] — bit-identical to that [Array.fold_left], with no per-point
+    boxing.  Raises [Invalid_argument] on dimension mismatch. *)
+
 val normalize : t -> t option
 (** [normalize v] is the unit vector in [v]'s direction, or [None] if
     [v] is (numerically) zero. *)
@@ -107,6 +112,13 @@ val move_towards : t -> t -> float -> t
     Raises [Invalid_argument] when [dist p target] is not finite (NaN
     coordinates in [p] or [target]); it used to return a NaN vector
     silently. *)
+
+val move_towards_gap : t -> t -> gap:float -> float -> t
+(** [move_towards_gap p target ~gap d] is [move_towards p target d] for a
+    caller that has already measured [gap = dist p target] — the same
+    decision and lerp arithmetic, without measuring the distance twice.
+    Raises [Invalid_argument] as {!move_towards} does (negative [d],
+    non-finite [gap]) and on dimension mismatch. *)
 
 val clamp_step : from:t -> float -> t -> t
 (** [clamp_step ~from limit target] is [target] if

@@ -456,6 +456,83 @@ let qcheck_dist_matches_float_max =
       && Int64.equal want (bits (Geometry.Points.dist packed 0 u))
       && Int64.equal (bits (Closure_ref.norm u)) (bits (Vec.norm u)))
 
+(* --- allocation: independent of iterations and of request count ----- *)
+
+(* Minor words one call allocates, after a warm-up call.  The two
+   [Gc.minor_words] reads box their results; that cost is the same on
+   both sides of every comparison below. *)
+let words_of f =
+  ignore (Sys.opaque_identity (f ()));
+  let before = Gc.minor_words () in
+  ignore (Sys.opaque_identity (f ()));
+  let after = Gc.minor_words () in
+  after -. before
+
+(* Three points each: an equilateral triangle, whose centroid is its
+   median (one iteration), and a triangle whose first vertex sits just
+   past the 120-degree vertex-optimality threshold — the iteration
+   creeps towards that vertex until max_iter.  In 3-D both lie in the
+   plane z = 0.25. *)
+let tri_set ~dim (x1, y1) (x2, y2) (x3, y3) =
+  let pt x y =
+    Array.init dim (fun i -> if i = 0 then x else if i = 1 then y else 0.25)
+  in
+  [| pt x1 y1; pt x2 y2; pt x3 y3 |]
+
+let fast_set ~dim =
+  let h = sqrt 3.0 /. 2.0 in
+  tri_set ~dim (1.0, 0.0) (-0.5, h) (-0.5, -.h)
+
+let slow_set ~dim =
+  let x = 1.01 *. sqrt 3.0 in
+  tri_set ~dim (0.0, 0.0) (x, 1.0) (-.x, 1.0)
+
+let weiszfeld_allocation_flat () =
+  List.iter
+    (fun dim ->
+      let fast = fast_set ~dim and slow = slow_set ~dim in
+      (* The premise: [fast] stops after one iteration, [slow] runs all
+         200 (its 200th iterate differs from its 199th). *)
+      Alcotest.(check bool)
+        (Printf.sprintf "%d-D fast set converges at once" dim)
+        true
+        (bit_equal (Median.weiszfeld fast) (Median.weiszfeld ~max_iter:1 fast));
+      Alcotest.(check bool)
+        (Printf.sprintf "%d-D slow set runs to max_iter" dim)
+        false
+        (bit_equal (Median.weiszfeld slow) (Median.weiszfeld ~max_iter:199 slow));
+      Alcotest.(check (float 0.0))
+        (Printf.sprintf "%d-D words: 200 iterations = 1 iteration" dim)
+        (words_of (fun () -> Median.weiszfeld fast))
+        (words_of (fun () -> Median.weiszfeld slow)))
+    [ 2; 3 ]
+
+let session_step_allocation_flat () =
+  (* D = 50 keeps the pull r/D below 1 at both request counts and the
+     budget is never reached, so both rounds take the same branches
+     (lerp towards the center, no clamp); only r differs. *)
+  let config = MS.Config.make ~d_factor:50.0 ~move_limit:1000.0 () in
+  let rng = Prng.Xoshiro.create 5L in
+  let round r =
+    Array.init r (fun _ ->
+        Vec.make2
+          (Prng.Dist.uniform rng ~lo:(-10.0) ~hi:10.0)
+          (Prng.Dist.uniform rng ~lo:(-10.0) ~hi:10.0))
+  in
+  let words r =
+    let session =
+      MS.Engine.Session.create config MS.Mtc.algorithm ~start:(Vec.zero 2)
+    in
+    let a = round r and b = round r in
+    ignore (MS.Engine.Session.step session a);
+    let before = Gc.minor_words () in
+    ignore (Sys.opaque_identity (MS.Engine.Session.step session b));
+    let after = Gc.minor_words () in
+    after -. before
+  in
+  Alcotest.(check (float 0.0)) "Session.step words: r = 20 = r = 3" (words 3)
+    (words 20)
+
 (* --- warm-started Weiszfeld ----------------------------------------- *)
 
 let qcheck_weiszfeld_centroid_init_identical =
@@ -703,6 +780,13 @@ let () =
       ( "weiszfeld-loop",
         List.map QCheck_alcotest.to_alcotest
           [ qcheck_weiszfeld_matches_closure_ref ] );
+      ( "allocation",
+        [
+          Alcotest.test_case "weiszfeld words flat in iterations" `Quick
+            weiszfeld_allocation_flat;
+          Alcotest.test_case "session step words flat in r" `Quick
+            session_step_allocation_flat;
+        ] );
       ( "weiszfeld-warm",
         [
           Alcotest.test_case "init dim mismatch" `Quick
