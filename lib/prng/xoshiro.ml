@@ -1,14 +1,34 @@
-type t = {
-  mutable s0 : int64;
-  mutable s1 : int64;
-  mutable s2 : int64;
-  mutable s3 : int64;
-}
+(* The state is four 64-bit words in a 32-byte buffer, read and written
+   with the unboxed 64-bit byte primitives.  A record of four mutable
+   [int64] fields stores a freshly boxed int64 on every update — four
+   boxes per draw.  The state is never serialized, so native byte order
+   is fine. *)
+type t = Bytes.t
+
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+
+let[@inline] s0 g = get64 g 0
+let[@inline] s1 g = get64 g 8
+let[@inline] s2 g = get64 g 16
+let[@inline] s3 g = get64 g 24
+let[@inline] set_s0 g v = set64 g 0 v
+let[@inline] set_s1 g v = set64 g 8 v
+let[@inline] set_s2 g v = set64 g 16 v
+let[@inline] set_s3 g v = set64 g 24 v
+
+let make s0 s1 s2 s3 =
+  let g = Bytes.create 32 in
+  set_s0 g s0;
+  set_s1 g s1;
+  set_s2 g s2;
+  set_s3 g s3;
+  g
 
 let of_state s0 s1 s2 s3 =
   if s0 = 0L && s1 = 0L && s2 = 0L && s3 = 0L then
     invalid_arg "Xoshiro.of_state: all-zero state";
-  { s0; s1; s2; s3 }
+  make s0 s1 s2 s3
 
 let create seed =
   let sm = Splitmix.create seed in
@@ -19,22 +39,24 @@ let create seed =
   (* SplitMix64 output is never all-zero across four draws in practice,
      but guard anyway. *)
   if s0 = 0L && s1 = 0L && s2 = 0L && s3 = 0L then of_state 1L 0L 0L 0L
-  else { s0; s1; s2; s3 }
+  else make s0 s1 s2 s3
 
-let copy g = { s0 = g.s0; s1 = g.s1; s2 = g.s2; s3 = g.s3 }
+let copy = Bytes.copy
 
-let rotl x k =
+let[@inline] rotl x k =
   Int64.(logor (shift_left x k) (shift_right_logical x (64 - k)))
 
-let next g =
-  let result = Int64.mul (rotl (Int64.mul g.s1 5L) 7) 9L in
-  let t = Int64.shift_left g.s1 17 in
-  g.s2 <- Int64.logxor g.s2 g.s0;
-  g.s3 <- Int64.logxor g.s3 g.s1;
-  g.s1 <- Int64.logxor g.s1 g.s2;
-  g.s0 <- Int64.logxor g.s0 g.s3;
-  g.s2 <- Int64.logxor g.s2 t;
-  g.s3 <- rotl g.s3 45;
+(* Inlined into [next_float] and [next_below], so their draws box no
+   int64. *)
+let[@inline] next g =
+  let result = Int64.mul (rotl (Int64.mul (s1 g) 5L) 7) 9L in
+  let t = Int64.shift_left (s1 g) 17 in
+  set_s2 g (Int64.logxor (s2 g) (s0 g));
+  set_s3 g (Int64.logxor (s3 g) (s1 g));
+  set_s1 g (Int64.logxor (s1 g) (s2 g));
+  set_s0 g (Int64.logxor (s0 g) (s3 g));
+  set_s2 g (Int64.logxor (s2 g) t);
+  set_s3 g (rotl (s3 g) 45);
   result
 
 let two_pow_minus_53 = 1.110223024625156540e-16
@@ -65,15 +87,15 @@ let jump g =
     (fun word ->
       for b = 0 to 63 do
         if Int64.(logand word (shift_left 1L b)) <> 0L then begin
-          s0 := Int64.logxor !s0 g.s0;
-          s1 := Int64.logxor !s1 g.s1;
-          s2 := Int64.logxor !s2 g.s2;
-          s3 := Int64.logxor !s3 g.s3
+          s0 := Int64.logxor !s0 (get64 g 0);
+          s1 := Int64.logxor !s1 (get64 g 8);
+          s2 := Int64.logxor !s2 (get64 g 16);
+          s3 := Int64.logxor !s3 (get64 g 24)
         end;
         ignore (next g)
       done)
     jump_table;
-  g.s0 <- !s0;
-  g.s1 <- !s1;
-  g.s2 <- !s2;
-  g.s3 <- !s3
+  set_s0 g !s0;
+  set_s1 g !s1;
+  set_s2 g !s2;
+  set_s3 g !s3
