@@ -1,3 +1,5 @@
+[@@@no_boxed_floats]
+
 module Vec = Geometry.Vec
 
 type stepper = Vec.t array -> Vec.t

@@ -1,3 +1,5 @@
+[@@@no_boxed_floats]
+
 let cost c points = Vec.sum_dist c points
 
 let clamp lo hi v = Float.max lo (Float.min hi v)

@@ -5,6 +5,8 @@
    counterparts bit for bit (see the notes on each), so callers can
    switch representations without perturbing a single rounding step. *)
 
+[@@@no_boxed_floats]
+
 type t = { dim : int; data : Fbuf.t }
 
 let create ~dim count =

@@ -1,3 +1,5 @@
+[@@@no_boxed_floats]
+
 type t = float array
 
 let dim = Array.length

@@ -3,6 +3,8 @@
    [int64] fields stores a freshly boxed int64 on every update — four
    boxes per draw.  The state is never serialized, so native byte order
    is fine. *)
+[@@@no_boxed_floats]
+
 type t = Bytes.t
 
 external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"

@@ -60,6 +60,13 @@ let rule_determinism_env () = check_only_rule "bad_env.ml" "determinism-env" 2
 let rule_hashtbl_order () =
   check_only_rule "bad_hashtbl_order.ml" "determinism-hashtbl-order" 2
 
+let rule_boxed_float_closure () =
+  check_only_rule "bad_boxed_float.ml" "boxed-float-closure" 2;
+  Alcotest.(check (list string)) "loop forms and owned refs are clean" []
+    (rules_fired (lint "good_boxed_float.ml"));
+  Alcotest.(check (list string)) "silent without the opt-in" []
+    (rules_fired (lint "boxed_float_no_optin.ml"))
+
 let rule_missing_mli () =
   let files = Driver.walk [ fixture "tree" ] in
   let findings = Driver.missing_mli files in
@@ -165,7 +172,8 @@ let every_rule_documented () =
     (List.concat_map
        (fun fx -> rules_fired (lint fx))
        [ "bad_random.ml"; "bad_float_eq.ml"; "bad_obj_magic.ml";
-         "bad_exit.ml"; "bad_printf.ml"; "bad_nan_source.ml" ])
+         "bad_exit.ml"; "bad_printf.ml"; "bad_nan_source.ml";
+         "bad_boxed_float.ml" ])
 
 let lint_tree_aggregates () =
   let findings, errors = Driver.lint_tree [ "lint_fixtures" ] in
@@ -181,7 +189,8 @@ let lint_tree_aggregates () =
       Alcotest.(check bool) (r ^ " expected") true
         (List.mem r
            [ "determinism-random"; "float-poly-eq"; "obj-magic";
-             "nan-source"; "missing-mli"; "guarded-by"; "borrow-escape" ]))
+             "nan-source"; "missing-mli"; "guarded-by"; "borrow-escape";
+             "boxed-float-closure" ]))
     rules;
   Alcotest.(check bool) "missing-mli present" true
     (List.mem "missing-mli" rules)
@@ -267,6 +276,8 @@ let () =
           Alcotest.test_case "determinism-clock" `Quick
             rule_determinism_clock;
           Alcotest.test_case "determinism-env" `Quick rule_determinism_env;
+          Alcotest.test_case "boxed-float-closure" `Quick
+            rule_boxed_float_closure;
           Alcotest.test_case "determinism-hashtbl-order" `Quick
             rule_hashtbl_order;
         ] );

@@ -18,7 +18,11 @@
                            and its call sites as callers.
      [@@borrow]            on a [val] (or local [let]) returning an
                            internal array/value that callers may read
-                           but never mutate, store or re-export. *)
+                           but never mutate, store or re-export.
+     [@@@no_boxed_floats]  floating, at the top of an implementation:
+                           the module opts into the boxed-float-closure
+                           check (hot-path modules whose loops must not
+                           allocate). *)
 
 let name (attr : Parsetree.attribute) = attr.attr_name.txt
 
@@ -63,3 +67,11 @@ let requires_lock attrs =
    attribute directly after the type) on the core type — accept both. *)
 let field_attrs (ld : Parsetree.label_declaration) =
   ld.pld_attributes @ ld.pld_type.ptyp_attributes
+
+let no_boxed_floats (str : Parsetree.structure) =
+  List.exists
+    (fun (item : Parsetree.structure_item) ->
+      match item.pstr_desc with
+      | Pstr_attribute a -> name a = "no_boxed_floats"
+      | _ -> false)
+    str

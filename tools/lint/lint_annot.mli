@@ -1,6 +1,6 @@
 (** Extraction of the lint annotation language's custom attributes
     ([@@guarded_by], [@@unguarded], [@lock_wrapper], [@requires_lock],
-    [@@borrow]) from parsetree attribute lists.  See docs/analysis.md
+    [@@borrow], [@@@no_boxed_floats]) from parsetree attribute lists.  See docs/analysis.md
     for the annotation language itself. *)
 
 val guarded_by : Parsetree.attributes -> string option
@@ -22,3 +22,8 @@ val requires_lock : Parsetree.attributes -> string option
 val field_attrs : Parsetree.label_declaration -> Parsetree.attributes
 (** A record field's attributes, whether written on the label
     declaration or on its core type. *)
+
+val no_boxed_floats : Parsetree.structure -> bool
+(** Whether the implementation carries a top-level floating
+    [[@@@no_boxed_floats]], opting it into the boxed-float-closure
+    check. *)

@@ -1,12 +1,14 @@
-(* The two annotation-driven whole-tree passes: guarded-by lock
-   discipline and borrow/escape.  Both are syntactic (parsetree, not
-   typedtree): they trade soundness-in-the-limit for zero build-time
-   cost and no dependency on a type environment, and make up for it by
-   keying on self-contained triggers — a module that creates a
-   top-level Mutex.t (or a record type with a Mutex.t field) opts into
-   the lock discipline; a [val] annotated [@@borrow] in an .mli opts
-   its call sites into the alias rules.  Known approximations are
-   documented on each rule's --explain entry. *)
+(* The annotation-driven passes: guarded-by lock discipline,
+   borrow/escape, and boxed-float-closure.  All are syntactic
+   (parsetree, not typedtree): they trade soundness-in-the-limit for
+   zero build-time cost and no dependency on a type environment, and
+   make up for it by keying on self-contained triggers — a module that
+   creates a top-level Mutex.t (or a record type with a Mutex.t field)
+   opts into the lock discipline; a [val] annotated [@@borrow] in an
+   .mli opts its call sites into the alias rules; a top-level
+   [@@@no_boxed_floats] opts a module into the boxed-float check.
+   Known approximations are documented on each rule's --explain
+   entry. *)
 
 module StringSet = Set.Make (String)
 module StringMap = Map.Make (String)
@@ -695,7 +697,96 @@ let borrow_pass ~file ~(registry : registry) ~(exports : exports option)
       str);
   List.rev !acc
 
+(* ===================================================================== *)
+(* Boxed-float-closure: float refs updated by a function that does not   *)
+(* own them, in modules that opt in with [@@@no_boxed_floats].           *)
+(* ===================================================================== *)
+
+let float_valued_float_fn = function
+  | "abs" | "max" | "min" | "neg" | "add" | "sub" | "mul" | "div" | "rem"
+  | "pow" | "sqrt" | "exp" | "log" | "fma" | "of_int" | "hypot" ->
+    true
+  | _ -> false
+
+(* Float arithmetic on the right of [:=]: the shared float evidence, or
+   a float-valued [Float.*] / [float_of_int] call. *)
+let float_rhs (e : Parsetree.expression) =
+  Lint_rules.is_float_evidence e
+  ||
+  match apply_head_segs e with
+  | Some ([ "Float"; fn ], _) -> float_valued_float_fn fn
+  | Some ([ ("float_of_int" | "float") ], _) -> true
+  | _ -> false
+
+let is_ref_creation (e : Parsetree.expression) =
+  match apply_head_segs e with Some ([ "ref" ], _) -> true | _ -> false
+
+let boxed_float_pass ~file (str : Parsetree.structure) =
+  let acc = ref [] in
+  let flag (loc : Location.t) name =
+    acc :=
+      finding ~file loc "boxed-float-closure"
+        (Printf.sprintf
+           "float ref '%s' is updated inside a function that does not \
+            bind it: the captured ref boxes every update; use a for/while \
+            loop or bind the ref in this function"
+           name)
+      :: !acc
+  in
+  (* [owned] holds the refs bound by [let x = ref ...] in the innermost
+     enclosing function; [None] is module initialisation code. *)
+  let rec walk owned (e : Parsetree.expression) =
+    match e.pexp_desc with
+    | Pexp_fun _ | Pexp_function _ -> walk_function e
+    | Pexp_let (_, vbs, body) ->
+      List.iter
+        (fun (vb : Parsetree.value_binding) ->
+          walk owned vb.pvb_expr;
+          match (owned, pat_name vb.pvb_pat) with
+          | Some set, Some name when is_ref_creation vb.pvb_expr ->
+            set := StringSet.add name !set
+          | _ -> ())
+        vbs;
+      walk owned body
+    | Pexp_apply (head, [ (_, lhs); (_, rhs) ])
+      when ident_segs head = Some [ ":=" ] ->
+      (match (owned, ident_segs lhs) with
+      | Some set, Some [ name ]
+        when float_rhs rhs && not (StringSet.mem name !set) ->
+        flag e.pexp_loc name
+      | _ -> ());
+      iter_children (walk owned) e
+    | _ -> iter_children (walk owned) e
+  (* A curried chain [fun a -> fun b -> function ...] is one function:
+     one owned set for the whole chain. *)
+  and walk_function e =
+    let owned = Some (ref StringSet.empty) in
+    let rec chain (e : Parsetree.expression) =
+      match e.pexp_desc with
+      | Pexp_fun (_, default, _, body) ->
+        Option.iter (walk owned) default;
+        chain body
+      | Pexp_function cases ->
+        List.iter
+          (fun (c : Parsetree.case) ->
+            Option.iter (walk owned) c.pc_guard;
+            walk owned c.pc_rhs)
+          cases
+      | _ -> walk owned e
+    in
+    chain e
+  in
+  if Lint_annot.no_boxed_floats str then begin
+    let it =
+      { Ast_iterator.default_iterator with expr = (fun _ e -> walk None e) }
+    in
+    it.structure it str
+  end;
+  List.rev !acc
+
 (* --- Combined entry point -------------------------------------------- *)
 
 let check_structure ~file ~registry ~exports str =
-  guarded_by_pass ~file str @ borrow_pass ~file ~registry ~exports str
+  guarded_by_pass ~file str
+  @ borrow_pass ~file ~registry ~exports str
+  @ boxed_float_pass ~file str

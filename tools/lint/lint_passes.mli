@@ -1,5 +1,5 @@
-(** The annotation-driven whole-tree passes: guarded-by lock
-    discipline and borrow/escape.  Both consume the attributes
+(** The annotation-driven passes: guarded-by lock discipline,
+    borrow/escape, and boxed-float-closure (opted into per module).  Both consume the attributes
     extracted by {!Lint_annot}; the annotation language and the known
     syntactic approximations are documented in docs/analysis.md. *)
 
@@ -30,6 +30,6 @@ val check_structure :
   exports:exports option ->
   Parsetree.structure ->
   Lint_rules.finding list
-(** Run both passes over one implementation.  [exports] is the parsed
+(** Run the three passes over one implementation.  [exports] is the parsed
     sibling [.mli] when one exists; without it the return-escape check
     is skipped (nothing is public).  Findings are in source order. *)

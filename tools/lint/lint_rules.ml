@@ -171,6 +171,29 @@ let rules =
          an explicit argument from the driver.";
     };
     {
+      id = "boxed-float-closure";
+      summary = "in [@@@no_boxed_floats] modules, no float ref updated \
+                 from a function that does not bind it";
+      severity = Error;
+      explain =
+        "A float ref captured by a closure is a heap cell holding a boxed \
+         float, so every [x := <float arithmetic>] inside the closure \
+         allocates a fresh box: Median.weiszfeld's [inv_sum] did this \
+         once per point per iteration.  A ref bound by [let x = ref ...] \
+         in the same function as its updates, and not captured, compiles \
+         to an unboxed local.  The rule fires on [x := e] inside a [fun] \
+         or [function] when [e] is float arithmetic (a float literal or \
+         constant, a float operator, or a float-valued Float.* call) and \
+         [x] is not bound by a [let ... = ref] in that same function \
+         (a curried [fun a b ->] chain counts as one function; module \
+         initialisation code is never flagged).  Rewrite the closure as \
+         a [for]/[while] loop, or bind the ref inside the closure.  It \
+         runs only in modules that opt in with a top-level \
+         [@@@no_boxed_floats] (the hot-path modules).  The check is \
+         syntactic: a float returned across a module boundary, which \
+         boxes without flambda, needs typed trees and is not caught.";
+    };
+    {
       id = "determinism-hashtbl-order";
       summary = "Hashtbl.iter/fold order is unspecified; library code \
                  must not depend on it";

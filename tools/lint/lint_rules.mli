@@ -52,6 +52,11 @@ val strip_stdlib : string list -> string list
 (** Drop a leading ["Stdlib"] segment so [Stdlib.Random.int] and
     [Random.int] compare equal. *)
 
+val is_float_evidence : Parsetree.expression -> bool
+(** Syntactic float evidence: a float literal, a float constant
+    ([nan], [Float.pi], ...), or an application of a float operator
+    ([+.], [sqrt], ...). *)
+
 val check_structure :
   kind:file_kind -> file:string -> Parsetree.structure -> finding list
 (** Findings for one [.ml] AST, in source order. *)
