@@ -453,6 +453,7 @@ let run_hotpath ~quick ~out ~golden () =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf "{\n";
   Buffer.add_string buf "  \"schema\": \"msp-bench-hotpath-v1\",\n";
+  Buffer.add_string buf (Printf.sprintf "  %s,\n" (machine_json ()));
   Buffer.add_string buf (Printf.sprintf "  \"quick\": %b,\n" quick);
   Buffer.add_string buf
     (Printf.sprintf "  \"kernel_dist_alloc_ns\": %.6g,\n" dist_alloc_ns);
@@ -1441,6 +1442,26 @@ let run_serve ~quick ~out () =
 
 let multicore_jobs = [ 1; 2; 4; 8 ]
 
+(* GC work done by [f]: minor words, minor and major collections, as
+   [Gc.quick_stat] deltas.  With several domains these are program
+   totals as of each domain's last minor collection (gc.mli). *)
+type gc_delta = { minor_words : float; minor_gcs : int; major_gcs : int }
+
+let with_gc_delta f =
+  let s0 = Gc.quick_stat () in
+  let r = f () in
+  let s1 = Gc.quick_stat () in
+  ( r,
+    { minor_words = s1.Gc.minor_words -. s0.Gc.minor_words;
+      minor_gcs = s1.Gc.minor_collections - s0.Gc.minor_collections;
+      major_gcs = s1.Gc.major_collections - s0.Gc.major_collections } )
+
+let gc_delta_json prefix g =
+  Printf.sprintf
+    "\"%s_minor_words\": %.6g, \"%s_minor_collections\": %d, \
+     \"%s_major_collections\": %d"
+    prefix g.minor_words prefix g.minor_gcs prefix g.major_gcs
+
 let run_multicore ~quick ~out () =
   Printf.printf "\n=== MULTICORE: jobs=1/2/4/8 matrix ===\n\n";
   let config = MS.Config.make ~d_factor:2.0 ~move_limit:1.0 ~delta:0.5 () in
@@ -1455,33 +1476,40 @@ let run_multicore ~quick ~out () =
     List.map
       (fun jobs ->
         let daemon = Serve.Daemon.create ~shards:8 ~jobs ~config () in
-        let serve_s, digest =
-          Fun.protect
-            ~finally:(fun () -> Serve.Daemon.shutdown daemon)
-            (fun () ->
-              let t0 = Unix.gettimeofday () in
-              let report = Serve.Driver.run daemon spec in
-              (Unix.gettimeofday () -. t0, report.Serve.Driver.reply_digest))
+        let (serve_s, digest), serve_gc =
+          with_gc_delta (fun () ->
+              Fun.protect
+                ~finally:(fun () -> Serve.Daemon.shutdown daemon)
+                (fun () ->
+                  let t0 = Unix.gettimeofday () in
+                  let report = Serve.Driver.run daemon spec in
+                  ( Unix.gettimeofday () -. t0,
+                    report.Serve.Driver.reply_digest )))
         in
         Exec.set_jobs jobs;
         (* Every cell pays cold solves — otherwise the first cell warms
            the OPT cache and later cells report a phantom speedup. *)
         Offline.Opt_cache.clear ();
-        let t0 = Unix.gettimeofday () in
-        let result = Experiments.Catalog.run ~quick experiment in
-        let exp_s = Unix.gettimeofday () -. t0 in
+        let (exp_s, result), exp_gc =
+          with_gc_delta (fun () ->
+              let t0 = Unix.gettimeofday () in
+              let result = Experiments.Catalog.run ~quick experiment in
+              (Unix.gettimeofday () -. t0, result))
+        in
         let exp_report = Experiments.Catalog.result_to_markdown result in
         Printf.printf
-          "jobs=%d   serve %6.2fs   %s %6.2fs\n%!" jobs serve_s experiment
-          exp_s;
-        (jobs, serve_s, digest, exp_s, exp_report))
+          "jobs=%d   serve %6.2fs (%d minor GCs)   %s %6.2fs (%d minor GCs)\n%!"
+          jobs serve_s serve_gc.minor_gcs experiment exp_s exp_gc.minor_gcs;
+        (jobs, serve_s, digest, exp_s, exp_report, serve_gc, exp_gc))
       multicore_jobs
   in
   Exec.set_jobs (Exec.default_jobs ());
-  let _, base_serve, base_digest, base_exp, base_report = List.hd cells in
+  let _, base_serve, base_digest, base_exp, base_report, _, _ =
+    List.hd cells
+  in
   let identical =
     List.for_all
-      (fun (_, _, digest, _, report) ->
+      (fun (_, _, digest, _, report, _, _) ->
         String.equal digest base_digest && String.equal report base_report)
       cells
   in
@@ -1492,7 +1520,7 @@ let run_multicore ~quick ~out () =
        ~header:[ "jobs"; "serve (s)"; "speedup"; experiment ^ " (s)";
                  "speedup" ]
        (List.map
-          (fun (jobs, serve_s, _, exp_s, _) ->
+          (fun (jobs, serve_s, _, exp_s, _, _, _) ->
             [ Printf.sprintf "%d" jobs;
               Tables.cell serve_s;
               Tables.cell (if serve_s > 0.0 then base_serve /. serve_s else 1.0);
@@ -1502,6 +1530,7 @@ let run_multicore ~quick ~out () =
   let buf = Buffer.create 512 in
   Buffer.add_string buf "{\n";
   Buffer.add_string buf "  \"schema\": \"msp-bench-multicore-v1\",\n";
+  Buffer.add_string buf (Printf.sprintf "  %s,\n" (machine_json ()));
   Buffer.add_string buf (Printf.sprintf "  \"quick\": %b,\n" quick);
   Buffer.add_string buf
     (Printf.sprintf "  \"serve_live_target\": %d,\n" scale);
@@ -1510,16 +1539,18 @@ let run_multicore ~quick ~out () =
     (Printf.sprintf "  \"identical_output\": %b,\n" identical);
   Buffer.add_string buf "  \"cells\": [\n";
   List.iteri
-    (fun i (jobs, serve_s, digest, exp_s, _) ->
+    (fun i (jobs, serve_s, digest, exp_s, _, serve_gc, exp_gc) ->
       Buffer.add_string buf
         (Printf.sprintf
            "    {\"jobs\": %d, \"serve_seconds\": %.6g, \"serve_speedup\": \
             %.6g, \"experiment_seconds\": %.6g, \"experiment_speedup\": \
-            %.6g, \"serve_reply_digest\": %S}%s\n"
+            %.6g, %s, %s, \"serve_reply_digest\": %S}%s\n"
            jobs serve_s
            (if serve_s > 0.0 then base_serve /. serve_s else 1.0)
            exp_s
            (if exp_s > 0.0 then base_exp /. exp_s else 1.0)
+           (gc_delta_json "serve" serve_gc)
+           (gc_delta_json "experiment" exp_gc)
            digest
            (if i < List.length cells - 1 then "," else "")))
     cells;
