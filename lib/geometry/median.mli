@@ -49,7 +49,19 @@ val weiszfeld :
     [tie_break] only matters for 1-D inputs and for exactly collinear
     inputs with an even count, where the minimizer set can be a segment;
     the returned point is then the segment point closest to
-    [tie_break]. *)
+    [tie_break].
+
+    {b Kernels and the bitwise contract.}  The iteration is chosen by
+    the points' dimension: for [d = 2] a two-coordinate kernel keeps
+    the iterate, the weighted sum and the resultant in unboxed locals;
+    for [d >= 3] a generic loop runs over scratch buffers.  Both
+    perform, per coordinate, the operations of the original
+    closure-form loop in its order, with [Vec.dist]'s arithmetic for
+    every distance, so the result is bit-identical to it for every
+    input, start and option (test_perf_equiv checks this against a
+    verbatim copy).  Neither allocates per iteration or per point: a
+    call allocates a constant number of words, apart from one boxed
+    float per Vardi–Zhang anchor step (see docs/perf.md). *)
 
 val center : ?init:Vec.t -> server:Vec.t -> Vec.t array -> Vec.t
 (** [center ~server requests] is the paper's center point [c]: the

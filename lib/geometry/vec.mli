@@ -86,7 +86,9 @@ val dist : t -> t -> float
 (** [dist u v] is the Euclidean distance — bit-identical to
     [norm (sub u v)] (same overflow-safe scaling, same summation
     order), but computed without materialising the difference
-    vector. *)
+    vector.  A call from another module still returns its result
+    boxed (nothing inlines across modules in dune's dev profile);
+    per-point loops use {!sum_dist} or a local copy. *)
 
 val dist2 : t -> t -> float
 (** Squared Euclidean distance, allocation-free; bit-identical to
