@@ -1,7 +1,7 @@
 (* The state is four 64-bit words in a 32-byte buffer, read and written
-   with the unboxed 64-bit byte primitives.  A record of four mutable
-   [int64] fields stores a freshly boxed int64 on every update — four
-   boxes per draw.  The state is never serialized, so native byte order
+   with the unboxed 64-bit byte primitives, so a draw stores no boxed
+   int64 (a mutable [int64] record field would store a fresh box on
+   every update).  The state is never serialized, so native byte order
    is fine. *)
 [@@@no_boxed_floats]
 
