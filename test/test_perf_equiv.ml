@@ -365,10 +365,11 @@ let wz_case_gen =
       let* base = array_repeat k point in
       array_repeat n (map (fun i -> Array.copy base.(i)) (int_range 0 (k - 1)))
     | 2 ->
-      (* Vertex-optimal triangle (angle > 120 degrees at the first
-         vertex): the median is that vertex and the iteration from the
-         centroid creeps towards it until max_iter. *)
-      let* a = float_range 0.1 0.3 in
+      (* Vertex-optimal triangle, its vertices equally weighted, with
+         the angle at the first vertex in (120, 127) degrees: the
+         median is that vertex, and the iteration from the centroid
+         creeps towards it — 160 iterations to max_iter. *)
+      let* a = float_range 0.5 0.577 in
       let* len = float_range 1.0 5.0 in
       let vtx x y =
         Array.init dim (fun i ->
@@ -377,7 +378,7 @@ let wz_case_gen =
       let tri =
         [| vtx 0.0 0.0; vtx len (a *. len); vtx (-.len) (a *. len) |]
       in
-      return (Array.init n (fun i -> Array.copy tri.(i mod 3)))
+      return (Array.init (3 * (n / 3)) (fun i -> Array.copy tri.(i mod 3)))
     | 3 ->
       (* Near-collinear: points on a line, off it by ~1e-9 relative (or
          exactly on it), crossing the collinearity threshold both ways. *)
@@ -400,7 +401,10 @@ let wz_case_gen =
     frequency
       [ (3, return None);
         (1, map Option.some point);
-        (1, map (fun i -> Some (Array.copy points.(i))) (int_range 0 (n - 1))) ]
+        (1,
+         map
+           (fun i -> Some (Array.copy points.(i)))
+           (int_range 0 (Array.length points - 1))) ]
   in
   let* tie_break = opt point in
   let* max_iter = frequency [ (3, return None); (1, map Option.some (int_range 1 8)) ] in
