@@ -368,7 +368,8 @@ let wz_case_gen =
       (* Vertex-optimal triangle, its vertices equally weighted, with
          the angle at the first vertex in (120, 127) degrees: the
          median is that vertex, and the iteration from the centroid
-         creeps towards it — 160 iterations to max_iter. *)
+         creeps towards it for 160 iterations or more, often up to
+         max_iter. *)
       let* a = float_range 0.5 0.577 in
       let* len = float_range 1.0 5.0 in
       let vtx x y =
