@@ -61,7 +61,8 @@ val weiszfeld :
     input, start and option (test_perf_equiv checks this against a
     verbatim copy).  Neither allocates per iteration or per point: a
     call allocates a constant number of words, apart from one boxed
-    float per Vardi–Zhang anchor step (see docs/perf.md). *)
+    float per Vardi–Zhang anchor step when [d >= 3] (see
+    docs/perf.md). *)
 
 val center : ?init:Vec.t -> server:Vec.t -> Vec.t array -> Vec.t
 (** [center ~server requests] is the paper's center point [c]: the
