@@ -405,6 +405,455 @@ let malformed_rejection () =
      Alcotest.(check string) "split names the defect"
        "truncated length prefix: 2 byte(s), need 4" msg)
 
+(* --- Frame vs a verbatim copy of the Buffer-based codec ---------------- *)
+
+(* [Frame]'s encoder and decoder as they stood before the in-place
+   rewrite: three [Buffer]s per encode, a [String.sub] of the payload
+   per decode, byte-at-a-time integer reads, eagerly built field labels.
+   Kept verbatim (the types are [Frame]'s own) so the rewrite is checked
+   against the bytes and messages it replaced, not against itself. *)
+module Buffer_ref = struct
+  open Frame
+
+  let protocol_version = 1
+  let max_payload = 16 * 1024 * 1024
+
+  (* --- opcodes ---------------------------------------------------------- *)
+
+  let op_open = 0x01
+  let op_step = 0x02
+  let op_checkpoint = 0x03
+  let op_close = 0x04
+  let op_opened = 0x81
+  let op_stepped = 0x82
+  let op_snapshot = 0x83
+  let op_closed = 0x84
+  let op_error = 0xFF
+
+  let error_code_byte = function
+    | Bad_frame -> 0x01
+    | Unknown_session -> 0x02
+    | Duplicate_session -> 0x03
+    | Bad_request -> 0x04
+
+  let error_code_of_byte = function
+    | 0x01 -> Some Bad_frame
+    | 0x02 -> Some Unknown_session
+    | 0x03 -> Some Duplicate_session
+    | 0x04 -> Some Bad_request
+    | _ -> None
+
+  (* --- encoding --------------------------------------------------------- *)
+
+  let add_u8 buf v = Buffer.add_char buf (Char.chr (v land 0xFF))
+
+  let add_u16 buf v =
+    add_u8 buf (v lsr 8);
+    add_u8 buf v
+
+  let add_u32 buf v =
+    add_u8 buf (v lsr 24);
+    add_u8 buf (v lsr 16);
+    add_u8 buf (v lsr 8);
+    add_u8 buf v
+
+  let add_i64 buf v =
+    for shift = 7 downto 0 do
+      add_u8 buf (Int64.to_int (Int64.shift_right_logical v (shift * 8)))
+    done
+
+  let add_f64 buf x = add_i64 buf (Int64.bits_of_float x)
+
+  let add_vec buf v =
+    add_u16 buf (Array.length v);
+    Array.iter (add_f64 buf) v
+
+  let frame payload =
+    let n = String.length payload in
+    let buf = Buffer.create (n + 4) in
+    add_u32 buf n;
+    Buffer.add_string buf payload;
+    Buffer.contents buf
+
+  let payload ~opcode body =
+    let buf = Buffer.create (String.length body + 2) in
+    add_u8 buf protocol_version;
+    add_u8 buf opcode;
+    Buffer.add_string buf body;
+    Buffer.contents buf
+
+  let body_of f =
+    let buf = Buffer.create 64 in
+    f buf;
+    Buffer.contents buf
+
+  let encode_request req =
+    let opcode, body =
+      match req with
+      | Open { session; seed; start } ->
+        ( op_open,
+          body_of (fun b ->
+              add_i64 b session;
+              add_i64 b (Int64.of_int seed);
+              add_vec b start) )
+      | Step { session; requests } ->
+        ( op_step,
+          body_of (fun b ->
+              add_i64 b session;
+              add_u16 b (Array.length requests);
+              Array.iter (add_vec b) requests) )
+      | Checkpoint { session } ->
+        (op_checkpoint, body_of (fun b -> add_i64 b session))
+      | Close { session } -> (op_close, body_of (fun b -> add_i64 b session))
+    in
+    frame (payload ~opcode body)
+
+  let encode_snapshotish b ~session ~rounds ~clamped_rounds ~position ~move
+      ~service =
+    add_i64 b session;
+    add_u32 b rounds;
+    add_u32 b clamped_rounds;
+    add_vec b position;
+    add_f64 b move;
+    add_f64 b service
+
+  let encode_reply reply =
+    let opcode, body =
+      match reply with
+      | Opened { session } -> (op_opened, body_of (fun b -> add_i64 b session))
+      | Stepped { session; position; move; service; clamped } ->
+        ( op_stepped,
+          body_of (fun b ->
+              add_i64 b session;
+              add_u8 b (if clamped then 1 else 0);
+              add_vec b position;
+              add_f64 b move;
+              add_f64 b service) )
+      | Snapshot { session; rounds; clamped_rounds; position; move; service } ->
+        ( op_snapshot,
+          body_of
+            (encode_snapshotish ~session ~rounds ~clamped_rounds ~position
+               ~move ~service) )
+      | Closed { session; rounds; clamped_rounds; position; move; service } ->
+        ( op_closed,
+          body_of
+            (encode_snapshotish ~session ~rounds ~clamped_rounds ~position
+               ~move ~service) )
+      | Error { session; code; message } ->
+        ( op_error,
+          body_of (fun b ->
+              add_i64 b session;
+              add_u8 b (error_code_byte code);
+              add_u16 b (String.length message);
+              Buffer.add_string b message) )
+    in
+    frame (payload ~opcode body)
+
+  (* --- decoding --------------------------------------------------------- *)
+
+  (* A tiny cursor over the payload bytes; every read is bounds-checked
+     and failures carry the exact defect. *)
+  type cursor = { data : string; mutable pos : int }
+
+  exception Malformed of string
+
+  let malformed fmt = Printf.ksprintf (fun s -> raise (Malformed s)) fmt
+
+  let need c n what =
+    if c.pos + n > String.length c.data then
+      malformed "truncated body: %s needs %d byte(s), %d left" what n
+        (String.length c.data - c.pos)
+
+  let u8 c what =
+    need c 1 what;
+    let v = Char.code c.data.[c.pos] in
+    c.pos <- c.pos + 1;
+    v
+
+  let u16 c what =
+    let hi = u8 c what in
+    let lo = u8 c what in
+    (hi lsl 8) lor lo
+
+  let u32 c what =
+    let hi = u16 c what in
+    let lo = u16 c what in
+    (hi lsl 16) lor lo
+
+  let i64 c what =
+    need c 8 what;
+    let v = ref 0L in
+    for _ = 1 to 8 do
+      v := Int64.logor (Int64.shift_left !v 8) (Int64.of_int (u8 c what))
+    done;
+    !v
+
+  let f64 c what = Int64.float_of_bits (i64 c what)
+
+  let vec ?(reject_non_finite = false) c what =
+    let dim = u16 c (what ^ " dimension") in
+    if dim = 0 then malformed "%s has dimension 0" what;
+    Array.init dim (fun i ->
+        let x = f64 c what in
+        if reject_non_finite && not (Float.is_finite x) then
+          malformed "non-finite coordinate %d in %s" i what;
+        x)
+
+  let done_ c =
+    if c.pos <> String.length c.data then
+      malformed "trailing %d byte(s) after frame body"
+        (String.length c.data - c.pos)
+
+  (* Strip the length prefix of exactly one frame and return its payload. *)
+  let unframe s =
+    let len = String.length s in
+    if len < 4 then
+      malformed "truncated length prefix: %d byte(s), need 4" len;
+    let n =
+      (Char.code s.[0] lsl 24)
+      lor (Char.code s.[1] lsl 16)
+      lor (Char.code s.[2] lsl 8)
+      lor Char.code s.[3]
+    in
+    if n > max_payload then
+      malformed "length prefix %d exceeds max payload %d" n max_payload;
+    if len < 4 + n then
+      malformed "truncated frame: length prefix says %d, %d byte(s) follow" n
+        (len - 4);
+    if len > 4 + n then
+      malformed "trailing %d byte(s) after frame" (len - 4 - n);
+    String.sub s 4 n
+
+  let header c =
+    let version = u8 c "version tag" in
+    if version <> protocol_version then
+      malformed "bad version tag 0x%02x (expected 0x%02x)" version
+        protocol_version;
+    u8 c "opcode"
+
+  let decode_request s =
+    match
+      let c = { data = unframe s; pos = 0 } in
+      let opcode = header c in
+      let req =
+        if opcode = op_open then begin
+          let session = i64 c "session id" in
+          let seed = Int64.to_int (i64 c "seed") in
+          let start = vec ~reject_non_finite:true c "start position" in
+          Open { session; seed; start }
+        end
+        else if opcode = op_step then begin
+          let session = i64 c "session id" in
+          let count = u16 c "request count" in
+          let requests =
+            Array.init count (fun i ->
+                vec ~reject_non_finite:true c
+                  (Printf.sprintf "request %d" i))
+          in
+          Step { session; requests }
+        end
+        else if opcode = op_checkpoint then
+          Checkpoint { session = i64 c "session id" }
+        else if opcode = op_close then Close { session = i64 c "session id" }
+        else malformed "unknown request opcode 0x%02x" opcode
+      in
+      done_ c;
+      req
+    with
+    | req -> Ok req
+    | exception Malformed msg -> Error msg
+
+  let decode_reply s =
+    match
+      let c = { data = unframe s; pos = 0 } in
+      let opcode = header c in
+      let snapshotish mk =
+        let session = i64 c "session id" in
+        let rounds = u32 c "round count" in
+        let clamped_rounds = u32 c "clamp count" in
+        let position = vec c "position" in
+        let move = f64 c "movement cost" in
+        let service = f64 c "service cost" in
+        mk ~session ~rounds ~clamped_rounds ~position ~move ~service
+      in
+      let reply =
+        if opcode = op_opened then Opened { session = i64 c "session id" }
+        else if opcode = op_stepped then begin
+          let session = i64 c "session id" in
+          let flags = u8 c "flags" in
+          if flags land lnot 1 <> 0 then
+            malformed "unknown flag bits 0x%02x" flags;
+          let position = vec c "position" in
+          let move = f64 c "movement cost" in
+          let service = f64 c "service cost" in
+          Stepped { session; position; move; service; clamped = flags land 1 = 1 }
+        end
+        else if opcode = op_snapshot then
+          snapshotish (fun ~session ~rounds ~clamped_rounds ~position ~move
+                           ~service ->
+              Snapshot { session; rounds; clamped_rounds; position; move; service })
+        else if opcode = op_closed then
+          snapshotish (fun ~session ~rounds ~clamped_rounds ~position ~move
+                           ~service ->
+              Closed { session; rounds; clamped_rounds; position; move; service })
+        else if opcode = op_error then begin
+          let session = i64 c "session id" in
+          let code_byte = u8 c "error code" in
+          let code =
+            match error_code_of_byte code_byte with
+            | Some code -> code
+            | None -> malformed "unknown error code 0x%02x" code_byte
+          in
+          let len = u16 c "message length" in
+          need c len "message";
+          let message = String.sub c.data c.pos len in
+          c.pos <- c.pos + len;
+          Error { session; code; message }
+        end
+        else malformed "unknown reply opcode 0x%02x" opcode
+      in
+      done_ c;
+      reply
+    with
+    | reply -> Ok reply
+    | exception Malformed msg -> Error msg
+end
+
+(* Every coordinate class the codec must carry bit for bit: ordinary
+   values, signed zeros, infinities, NaN (quiet and with a payload),
+   subnormals, the extremes, and arbitrary bit patterns. *)
+let wire_coord_gen =
+  let open QCheck.Gen in
+  frequency
+    [
+      (4, float_range (-1e3) 1e3);
+      ( 2,
+        oneofl
+          [ 0.0; -0.0; infinity; neg_infinity; nan; -.nan;
+            Int64.float_of_bits 0x7FF0_0000_0000_0001L; 5e-324; -5e-324;
+            2.2250738585072009e-308; min_float; max_float; -.max_float ] );
+      (2, map Int64.float_of_bits ui64);
+    ]
+
+let wire_vec_gen =
+  QCheck.Gen.(map Array.of_list (list_size (int_range 1 4) wire_coord_gen))
+
+let wire_session_gen =
+  QCheck.Gen.(oneof [ map Int64.of_int small_signed_int; ui64 ])
+
+let u32_gen =
+  QCheck.Gen.(oneof [ small_nat; int_range 0 0xFFFF_FFFF; return 0xFFFF_FFFF ])
+
+let wire_request_gen =
+  let open QCheck.Gen in
+  oneof
+    [
+      map3
+        (fun session seed start -> Frame.Open { session; seed; start })
+        wire_session_gen int wire_vec_gen;
+      map2
+        (fun session requests -> Frame.Step { session; requests })
+        wire_session_gen
+        (map Array.of_list (list_size (int_range 0 6) wire_vec_gen));
+      map (fun session -> Frame.Checkpoint { session }) wire_session_gen;
+      map (fun session -> Frame.Close { session }) wire_session_gen;
+    ]
+
+let wire_reply_gen =
+  let open QCheck.Gen in
+  let code_gen =
+    oneofl
+      [ Frame.Bad_frame; Frame.Unknown_session; Frame.Duplicate_session;
+        Frame.Bad_request ]
+  in
+  let snapshotish mk =
+    map3
+      (fun session (rounds, clamped_rounds) (position, (move, service)) ->
+        mk ~session ~rounds ~clamped_rounds ~position ~move ~service)
+      wire_session_gen (pair u32_gen u32_gen)
+      (pair wire_vec_gen (pair wire_coord_gen wire_coord_gen))
+  in
+  oneof
+    [
+      map (fun session -> Frame.Opened { session }) wire_session_gen;
+      map3
+        (fun session (position, clamped) (move, service) ->
+          Frame.Stepped { session; position; move; service; clamped })
+        wire_session_gen (pair wire_vec_gen bool)
+        (pair wire_coord_gen wire_coord_gen);
+      snapshotish (fun ~session ~rounds ~clamped_rounds ~position ~move
+                       ~service ->
+          Frame.Snapshot
+            { session; rounds; clamped_rounds; position; move; service });
+      snapshotish (fun ~session ~rounds ~clamped_rounds ~position ~move
+                       ~service ->
+          Frame.Closed
+            { session; rounds; clamped_rounds; position; move; service });
+      map3
+        (fun session code message -> Frame.Error { session; code; message })
+        wire_session_gen code_gen
+        (string_size ~gen:char (int_range 0 40));
+    ]
+
+(* A valid frame of either direction plus the damage to do to it:
+   byte mutations (position, value) and a tail of extra bytes. *)
+let codec_case_gen =
+  let open QCheck.Gen in
+  let* value =
+    oneof
+      [ map (fun r -> `Req r) wire_request_gen;
+        map (fun r -> `Rep r) wire_reply_gen ]
+  in
+  let* mutations = list_size (int_range 1 3) (pair nat (int_bound 255)) in
+  let* tail = string_size ~gen:char (int_range 1 3) in
+  return (value, mutations, tail)
+
+let print_codec_case (value, mutations, tail) =
+  Printf.sprintf "%s mutations=[%s] tail=%s"
+    (match value with
+     | `Req r -> "req " ^ hex_of (Buffer_ref.encode_request r)
+     | `Rep r -> "rep " ^ hex_of (Buffer_ref.encode_reply r))
+    (String.concat "; "
+       (List.map (fun (i, v) -> Printf.sprintf "%d:%02x" i v) mutations))
+    (hex_of tail)
+
+(* Same outcome: both decoded, to values the reference encoder writes
+   as the same bytes, or both rejected with the same message. *)
+let same_outcome encode a b =
+  match (a, b) with
+  | Ok x, Ok y -> String.equal (encode x) (encode y)
+  | Error m1, Error m2 -> String.equal m1 m2
+  | _ -> false
+
+let qcheck_codec_matches_reference =
+  QCheck.Test.make ~count:400
+    ~name:"Frame = Buffer-based reference codec (bytes and messages)"
+    (QCheck.make ~print:print_codec_case codec_case_gen)
+    (fun (value, mutations, tail) ->
+      let frame, ref_frame =
+        match value with
+        | `Req r -> (Frame.encode_request r, Buffer_ref.encode_request r)
+        | `Rep r -> (Frame.encode_reply r, Buffer_ref.encode_reply r)
+      in
+      let len = String.length frame in
+      let payload = String.sub ref_frame 4 (len - 4) in
+      let inputs =
+        (frame :: (frame ^ tail) :: mk_frame (payload ^ tail)
+         :: List.init len (fun k -> String.sub frame 0 k))
+        @ List.init (len - 4) (fun m -> mk_frame (String.sub payload 0 m))
+        @ [ List.fold_left
+              (fun s (i, v) -> patch s (i mod len) (Char.chr v))
+              frame mutations ]
+      in
+      String.equal frame ref_frame
+      && List.for_all
+           (fun s ->
+             same_outcome Buffer_ref.encode_request (Frame.decode_request s)
+               (Buffer_ref.decode_request s)
+             && same_outcome Buffer_ref.encode_reply (Frame.decode_reply s)
+                  (Buffer_ref.decode_reply s))
+           inputs)
+
 (* --- daemon ----------------------------------------------------------- *)
 
 let config = Config.make ~d_factor:2.0 ~move_limit:1.0 ~delta:0.5 ()
@@ -767,7 +1216,7 @@ let () =
         @ List.map QCheck_alcotest.to_alcotest
             [
               qcheck_request_roundtrip; qcheck_reply_roundtrip;
-              qcheck_split_rejoins;
+              qcheck_split_rejoins; qcheck_codec_matches_reference;
             ] );
       ( "daemon",
         [
