@@ -390,6 +390,38 @@ let run_hotpath ~quick ~out ~golden () =
   let rel a b = Float.abs (a -. b) /. Float.max 1.0 (Float.abs b) in
   let engine_cost_rel = rel cost_seed cost_opt in
   let warm_cost_rel = rel cost_warm cost_opt in
+  (* --- frame codec: one 2-D step frame with r = 3, both ways --------- *)
+  let module Frame = Serve.Frame in
+  let step_request =
+    Frame.Step { session = 7L; requests = Array.init 3 (fun _ -> point ()) }
+  in
+  let stepped_reply =
+    Frame.Stepped
+      { session = 7L; position = point (); move = 0.5; service = 2.25;
+        clamped = false }
+  in
+  let request_frame = Frame.encode_request step_request in
+  let reply_frame = Frame.encode_reply stepped_reply in
+  let codec_reps = if quick then 20_000 else 200_000 in
+  (* ns and minor words per call, over [codec_reps] calls. *)
+  let per_frame f =
+    let ns = time_per ~repeat:codec_reps f *. 1e9 in
+    let w0 = Gc.minor_words () in
+    for _ = 1 to codec_reps do
+      ignore (Sys.opaque_identity (f ()))
+    done;
+    (ns, (Gc.minor_words () -. w0) /. float_of_int codec_reps)
+  in
+  let codec_rows =
+    [
+      ( "encode_request",
+        per_frame (fun () -> Frame.encode_request step_request) );
+      ( "decode_request",
+        per_frame (fun () -> Frame.decode_request request_frame) );
+      ("encode_reply", per_frame (fun () -> Frame.encode_reply stepped_reply));
+      ("decode_reply", per_frame (fun () -> Frame.decode_reply reply_frame));
+    ]
+  in
   (* --- byte-identity: the science did not move --------------------- *)
   let golden_expected =
     match open_in golden with
@@ -442,6 +474,15 @@ let run_hotpath ~quick ~out ~golden () =
            Tables.cell engine_warm_us;
            Tables.cell (engine_seed_us /. engine_warm_us) ];
        ]);
+  Tables.print
+    ~title:"frame codec, 2-D step frame, r = 3 (lower is better)"
+    (Tables.create
+       ~aligns:[ Tables.Left; Tables.Right; Tables.Right ]
+       ~header:[ "call"; "ns/frame"; "minor words/frame" ]
+       (List.map
+          (fun (name, (ns, words)) ->
+            [ "Frame." ^ name; Tables.cell ns; Tables.cell words ])
+          codec_rows));
   Printf.printf "warm-vs-cold median deviation : %.3g (tolerance-level)\n"
     warm_max_dev;
   Printf.printf "engine cost drift seed->opt   : %.3g (must be 0)\n"
@@ -488,6 +529,13 @@ let run_hotpath ~quick ~out ~golden () =
     (Printf.sprintf "  \"engine_cost_rel_drift\": %.6g,\n" engine_cost_rel);
   Buffer.add_string buf
     (Printf.sprintf "  \"engine_warm_cost_rel_drift\": %.6g,\n" warm_cost_rel);
+  List.iter
+    (fun (name, (ns, words)) ->
+      Buffer.add_string buf
+        (Printf.sprintf "  \"codec_%s_ns\": %.6g,\n" name ns);
+      Buffer.add_string buf
+        (Printf.sprintf "  \"codec_%s_minor_words\": %.6g,\n" name words))
+    codec_rows;
   Buffer.add_string buf
     (Printf.sprintf "  \"identity_golden_trajectory\": %b,\n" identity_golden);
   Buffer.add_string buf

@@ -1,3 +1,5 @@
+[@@@no_boxed_floats]
+
 module Engine = Mobile_server.Engine
 module Config = Mobile_server.Config
 module Vec = Geometry.Vec
@@ -108,10 +110,13 @@ let snapshot_of session ~session_id mk =
   mk ~session:session_id
     ~rounds:(Engine.Session.rounds session)
     ~clamped_rounds:(Engine.Session.clamped_count session)
-    ~position:(Vec.copy (Engine.Session.position session))
+    ~position:(Engine.Session.position session)
     ~move:cost.Mobile_server.Cost.move
     ~service:cost.Mobile_server.Cost.service
 
+(* [drain] encodes each reply as soon as it is built, so a reply may
+   share the session's position vector: nothing steps the session in
+   between. *)
 let process t shard (req : (Frame.request, string) result) : Frame.reply =
   match req with
   | Error msg ->
@@ -153,7 +158,7 @@ let process t shard (req : (Frame.request, string) result) : Frame.reply =
           Frame.Stepped
             {
               session;
-              position = Vec.copy record.Engine.position;
+              position = record.Engine.position;
               move = record.Engine.cost.Mobile_server.Cost.move;
               service = record.Engine.cost.Mobile_server.Cost.service;
               clamped = record.Engine.clamped;

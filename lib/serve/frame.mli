@@ -81,12 +81,24 @@ val error_code_to_string : error_code -> string
 
 val encode_request : request -> string
 (** One full frame, length prefix included.  Requests with non-finite
-    coordinates encode faithfully (the bits travel) but will be rejected
-    by {!decode_request} — that is how the malformed-frame tests build
-    their fixtures. *)
+    coordinates or a zero-dimensional vector encode faithfully (the bits
+    travel) but will be rejected by {!decode_request} — that is how the
+    malformed-frame tests build their fixtures.
+
+    Raises [Invalid_argument], naming the field, for what a v1 frame
+    cannot carry: a request count or vector dimension above 0xFFFF (the
+    width of their u16 fields), or a payload above {!max_payload}.  So
+    an encoded frame never reads back as a different request. *)
 
 val encode_reply : reply -> string
-(** One full frame, length prefix included. *)
+(** One full frame, length prefix included.
+
+    Raises [Invalid_argument], naming the field, for a position
+    dimension above 0xFFFF, a [rounds] or [clamped_rounds] outside
+    [\[0, 0xFFFF_FFFF\]] (their u32 fields), or a payload above
+    {!max_payload}.  An [Error] message longer than 65,535 bytes (its
+    u16 length field) is cut to its first 65,535 bytes instead, so every
+    error reply encodes and decodes. *)
 
 val decode_request : string -> (request, string) result
 (** Decode exactly one framed request.  [Error] pinpoints the defect;

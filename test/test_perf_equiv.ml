@@ -538,6 +538,51 @@ let session_step_allocation_flat () =
   Alcotest.(check (float 0.0)) "Session.step words: r = 20 = r = 3" (words 3)
     (words 20)
 
+(* The frame codec: a decode allocates one vector and one array slot
+   per request on top of a fixed result, and an encode allocates the
+   frame string and nothing else. *)
+let codec_rng = Prng.Xoshiro.create 9L
+
+let step_request r =
+  let coord () = Prng.Dist.uniform codec_rng ~lo:(-10.0) ~hi:10.0 in
+  let requests = Array.init r (fun _ -> Vec.make2 (coord ()) (coord ())) in
+  Serve.Frame.Step { session = 3L; requests }
+
+(* Words of a string of [n] bytes: a header and n / 8 + 1 data words. *)
+let string_words s = float_of_int (2 + (String.length s / 8))
+
+let frame_decode_allocation () =
+  let words r =
+    let frame = Serve.Frame.encode_request (step_request r) in
+    words_of (fun () -> Serve.Frame.decode_request frame)
+  in
+  Alcotest.(check (float 0.0))
+    "decode_request words: r = 20 is r = 3 plus 4 per request"
+    (words 3 +. (4.0 *. 17.0))
+    (words 20)
+
+let frame_encode_allocation () =
+  let nothing = words_of (fun () -> ()) in
+  let check what encode =
+    Alcotest.(check (float 0.0)) what
+      (nothing +. string_words (encode ()))
+      (words_of encode)
+  in
+  List.iter
+    (fun r ->
+      let req = step_request r in
+      check
+        (Printf.sprintf "encode_request words, r = %d: the frame only" r)
+        (fun () -> Serve.Frame.encode_request req))
+    [ 3; 20 ];
+  let reply =
+    Serve.Frame.Stepped
+      { session = 3L; position = Vec.make2 0.25 (-1.5); move = 0.5;
+        service = 2.0; clamped = false }
+  in
+  check "encode_reply words, 2-D Stepped: the frame only" (fun () ->
+      Serve.Frame.encode_reply reply)
+
 (* --- warm-started Weiszfeld ----------------------------------------- *)
 
 let qcheck_weiszfeld_centroid_init_identical =
@@ -791,6 +836,10 @@ let () =
             weiszfeld_allocation_flat;
           Alcotest.test_case "session step words flat in r" `Quick
             session_step_allocation_flat;
+          Alcotest.test_case "frame decode words: 4 per request" `Quick
+            frame_decode_allocation;
+          Alcotest.test_case "frame encode words: the frame only" `Quick
+            frame_encode_allocation;
         ] );
       ( "weiszfeld-warm",
         [

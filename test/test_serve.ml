@@ -854,6 +854,129 @@ let qcheck_codec_matches_reference =
                   (Buffer_ref.decode_reply s))
            inputs)
 
+(* --- encoder range rules ------------------------------------------------ *)
+
+(* An encoder refuses what its frame could not carry, so it never
+   writes a frame the decoder refuses or reads back differently. *)
+let expect_invalid what expected f =
+  Alcotest.check_raises what (Invalid_argument expected) (fun () ->
+      ignore (f ()))
+
+let decode_step what frame =
+  match Frame.decode_request frame with
+  | Ok (Frame.Step { requests; _ }) -> requests
+  | Ok _ -> Alcotest.failf "%s: decoded to another request" what
+  | Error e -> Alcotest.failf "%s: rejected: %s" what e
+
+(* A u16 count would wrap: 65,536 requests encoded as 0. *)
+let encode_step_count_range () =
+  expect_invalid "65,536 requests"
+    "Serve.Frame.encode_request: request count 65536 exceeds 65535"
+    (fun () ->
+      Frame.encode_request
+        (Frame.Step { session = 1L; requests = Array.make 65_536 [| 0.0 |] }));
+  let requests = Array.make 65_535 [| 0.5 |] in
+  Alcotest.(check int) "65,535 requests round-trip" 65_535
+    (Array.length
+       (decode_step "65,535 requests"
+          (Frame.encode_request (Frame.Step { session = 1L; requests }))))
+
+(* A u16 dimension would wrap: 65,537 coordinates encoded as 1. *)
+let encode_dimension_range () =
+  expect_invalid "start of dimension 65,537"
+    "Serve.Frame.encode_request: start position dimension 65537 exceeds 65535"
+    (fun () ->
+      Frame.encode_request
+        (Frame.Open
+           { session = 1L; seed = 0; start = Array.make 65_537 0.0 }));
+  expect_invalid "second request of dimension 65,536"
+    "Serve.Frame.encode_request: request 1 dimension 65536 exceeds 65535"
+    (fun () ->
+      Frame.encode_request
+        (Frame.Step
+           { session = 1L;
+             requests = [| [| 0.0 |]; Array.make 65_536 0.0 |] }));
+  expect_invalid "position of dimension 65,536"
+    "Serve.Frame.encode_reply: position dimension 65536 exceeds 65535"
+    (fun () ->
+      Frame.encode_reply
+        (Frame.Stepped
+           { session = 1L; position = Array.make 65_536 0.0; move = 0.0;
+             service = 0.0; clamped = false }));
+  match
+    Frame.decode_request
+      (Frame.encode_request
+         (Frame.Open { session = 1L; seed = 0; start = Array.make 65_535 0.25 }))
+  with
+  | Ok (Frame.Open { start; _ }) ->
+    Alcotest.(check int) "dimension 65,535 round-trips" 65_535
+      (Array.length start)
+  | _ -> Alcotest.fail "dimension 65,535 did not round-trip"
+
+(* 65,535 requests of dimension 32 would make a 16.9 MB payload that
+   [decode_request] refuses.  A payload of exactly [max_payload] bytes
+   (12 header and count bytes, then 65,030 vectors: 64,963 of dimension
+   32 and 67 of dimension 31) is the largest one either side takes. *)
+let encode_payload_range () =
+  expect_invalid "65,535 requests of dimension 32"
+    "Serve.Frame.encode_request: payload of 16908042 byte(s) exceeds max \
+     payload 16777216"
+    (fun () ->
+      Frame.encode_request
+        (Frame.Step
+           { session = 1L; requests = Array.make 65_535 (Array.make 32 1.0) }));
+  let v31 = Array.make 31 1.0 and v32 = Array.make 32 1.0 in
+  let requests = Array.init 65_030 (fun i -> if i < 67 then v31 else v32) in
+  let frame = Frame.encode_request (Frame.Step { session = 1L; requests }) in
+  Alcotest.(check int) "payload at the cap" Frame.max_payload
+    (String.length frame - 4);
+  Alcotest.(check int) "the capped frame decodes" 65_030
+    (Array.length (decode_step "payload at the cap" frame));
+  requests.(0) <- v32;
+  expect_invalid "one coordinate over the cap"
+    "Serve.Frame.encode_request: payload of 16777224 byte(s) exceeds max \
+     payload 16777216"
+    (fun () -> Frame.encode_request (Frame.Step { session = 1L; requests }))
+
+(* A u16 message length would wrap; the message is cut instead, so a
+   daemon's error reply always encodes and decodes. *)
+let encode_error_message_cut () =
+  let message = String.init 70_000 (fun i -> Char.chr (32 + (i mod 95))) in
+  match
+    Frame.decode_reply
+      (Frame.encode_reply
+         (Frame.Error { session = 4L; code = Frame.Bad_request; message }))
+  with
+  | Ok (Frame.Error { session = 4L; code = Frame.Bad_request; message = cut })
+    ->
+    Alcotest.(check string) "the first 65,535 bytes travel"
+      (String.sub message 0 65_535) cut
+  | Ok _ -> Alcotest.fail "decoded to another reply"
+  | Error e -> Alcotest.failf "70,000-byte message: reply rejected: %s" e
+
+(* A u32 count would wrap: 2^32 + 5 rounds encoded as 5. *)
+let encode_u32_range () =
+  let snapshot rounds clamped_rounds =
+    Frame.Snapshot
+      { session = 1L; rounds; clamped_rounds; position = [| 0.0 |];
+        move = 0.0; service = 0.0 }
+  in
+  expect_invalid "2^32 + 5 rounds"
+    "Serve.Frame.encode_reply: round count 4294967301 outside [0, 4294967295]"
+    (fun () -> Frame.encode_reply (snapshot ((1 lsl 32) + 5) 0));
+  expect_invalid "negative clamp count"
+    "Serve.Frame.encode_reply: clamp count -1 outside [0, 4294967295]"
+    (fun () ->
+      Frame.encode_reply
+        (Frame.Closed
+           { session = 1L; rounds = 0; clamped_rounds = -1;
+             position = [| 0.0 |]; move = 0.0; service = 0.0 }));
+  match Frame.decode_reply (Frame.encode_reply (snapshot 0xFFFF_FFFF 7)) with
+  | Ok (Frame.Snapshot { rounds; clamped_rounds; _ }) ->
+    Alcotest.(check (pair int int)) "u32 extremes round-trip"
+      (0xFFFF_FFFF, 7) (rounds, clamped_rounds)
+  | _ -> Alcotest.fail "u32 extremes did not round-trip"
+
 (* --- daemon ----------------------------------------------------------- *)
 
 let config = Config.make ~d_factor:2.0 ~move_limit:1.0 ~delta:0.5 ()
@@ -1218,6 +1341,19 @@ let () =
               qcheck_request_roundtrip; qcheck_reply_roundtrip;
               qcheck_split_rejoins; qcheck_codec_matches_reference;
             ] );
+      ( "frame-range",
+        [
+          Alcotest.test_case "request count above 0xFFFF raises" `Quick
+            encode_step_count_range;
+          Alcotest.test_case "dimension above 0xFFFF raises" `Quick
+            encode_dimension_range;
+          Alcotest.test_case "payload above max_payload raises" `Quick
+            encode_payload_range;
+          Alcotest.test_case "error message cut to 65,535 bytes" `Quick
+            encode_error_message_cut;
+          Alcotest.test_case "u32 field outside its range raises" `Quick
+            encode_u32_range;
+        ] );
       ( "daemon",
         [
           Alcotest.test_case "serves, rejects, survives hostility" `Quick
