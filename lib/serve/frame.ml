@@ -114,24 +114,6 @@ let vec_size fn what index v =
   if dim > max_u16 then check_u16 fn (label what index ^ " dimension") dim;
   2 + (8 * dim)
 
-(* A frame whose payload is the version tag, [opcode] and [body] bytes,
-   with the first 6 bytes written. *)
-let create_frame fn ~opcode body =
-  let n = 2 + body in
-  if n > max_payload then
-    invalid_arg
-      (Printf.sprintf "Serve.Frame.%s: payload of %d byte(s) exceeds max \
-                       payload %d"
-         fn n max_payload);
-  let b = Bytes.create (4 + n) in
-  Bytes.unsafe_set b 0 (Char.unsafe_chr (n lsr 24));
-  Bytes.unsafe_set b 1 (Char.unsafe_chr ((n lsr 16) land 0xFF));
-  Bytes.unsafe_set b 2 (Char.unsafe_chr ((n lsr 8) land 0xFF));
-  Bytes.unsafe_set b 3 (Char.unsafe_chr (n land 0xFF));
-  Bytes.unsafe_set b 4 (Char.unsafe_chr protocol_version);
-  Bytes.unsafe_set b 5 (Char.unsafe_chr opcode);
-  b
-
 let[@inline] put_u8 b pos v =
   Bytes.unsafe_set b pos (Char.unsafe_chr (v land 0xFF));
   pos + 1
@@ -159,6 +141,19 @@ let put_vec b pos v =
     set_i64 b (pos + (8 * i)) (Int64.bits_of_float (Array.unsafe_get v i))
   done;
   pos + (8 * dim)
+
+(* A frame whose payload is the version tag, [opcode] and [body] bytes,
+   with its first 6 bytes written. *)
+let create_frame fn ~opcode body =
+  let n = 2 + body in
+  if n > max_payload then
+    invalid_arg
+      (Printf.sprintf "Serve.Frame.%s: payload of %d byte(s) exceeds max \
+                       payload %d"
+         fn n max_payload);
+  let b = Bytes.create (4 + n) in
+  ignore (put_u8 b (put_u8 b (put_u32 b 0 n) protocol_version) opcode : int);
+  b
 
 let finish b pos =
   assert (pos = Bytes.length b);
@@ -264,22 +259,18 @@ let[@inline] u16_at s p =
   (Char.code (String.unsafe_get s p) lsl 8)
   lor Char.code (String.unsafe_get s (p + 1))
 
-let u8 c what =
+(* Step over an [n]-byte field, n <= 4, and return where it starts. *)
+let[@inline] field c n what =
   let p = c.pos in
-  if p >= String.length c.data then short_byte what;
-  c.pos <- p + 1;
-  Char.code (String.unsafe_get c.data p)
+  if p + n > String.length c.data then short_byte what;
+  c.pos <- p + n;
+  p
 
-let u16 c what =
-  let p = c.pos in
-  if p + 2 > String.length c.data then short_byte what;
-  c.pos <- p + 2;
-  u16_at c.data p
+let u8 c what = Char.code (String.unsafe_get c.data (field c 1 what))
+let u16 c what = u16_at c.data (field c 2 what)
 
 let u32 c what =
-  let p = c.pos in
-  if p + 4 > String.length c.data then short_byte what;
-  c.pos <- p + 4;
+  let p = field c 4 what in
   (u16_at c.data p lsl 16) lor u16_at c.data (p + 2)
 
 (* [i64] and [f64] are inlined, so their results are never boxed on
@@ -294,11 +285,10 @@ let[@inline] i64 c what index =
 let[@inline] f64 c what = Int64.float_of_bits (i64 c what (-1))
 
 let vec ~reject_non_finite c what index =
-  let p = c.pos in
-  if p + 2 > String.length c.data then
+  if c.pos + 2 > String.length c.data then
     short_byte (label what index ^ " dimension");
-  c.pos <- p + 2;
-  let dim = u16_at c.data p in
+  let dim = u16_at c.data c.pos in
+  c.pos <- c.pos + 2;
   if dim = 0 then malformed "%s has dimension 0" (label what index);
   let v = Array.create_float dim in
   for i = 0 to dim - 1 do
