@@ -190,19 +190,6 @@ let encode_request req =
     let b = create_frame fn ~opcode:op_close 8 in
     finish b (put_i64 b 6 session)
 
-let encode_snapshotish ~opcode ~session ~rounds ~clamped_rounds ~position
-    ~move ~service =
-  let fn = "encode_reply" in
-  check_u32 fn "round count" rounds;
-  check_u32 fn "clamp count" clamped_rounds;
-  let b =
-    create_frame fn ~opcode (32 + vec_size fn "position" (-1) position)
-  in
-  let pos = put_i64 b 6 session in
-  let pos = put_u32 b (put_u32 b pos rounds) clamped_rounds in
-  let pos = put_vec b pos position in
-  finish b (put_f64 b (put_f64 b pos move) service)
-
 let encode_reply reply =
   let fn = "encode_reply" in
   match reply with
@@ -218,12 +205,20 @@ let encode_reply reply =
     let pos = put_u8 b pos (if clamped then 1 else 0) in
     let pos = put_vec b pos position in
     finish b (put_f64 b (put_f64 b pos move) service)
-  | Snapshot { session; rounds; clamped_rounds; position; move; service } ->
-    encode_snapshotish ~opcode:op_snapshot ~session ~rounds ~clamped_rounds
-      ~position ~move ~service
+  | Snapshot { session; rounds; clamped_rounds; position; move; service }
   | Closed { session; rounds; clamped_rounds; position; move; service } ->
-    encode_snapshotish ~opcode:op_closed ~session ~rounds ~clamped_rounds
-      ~position ~move ~service
+    check_u32 fn "round count" rounds;
+    check_u32 fn "clamp count" clamped_rounds;
+    let opcode =
+      match reply with Snapshot _ -> op_snapshot | _ -> op_closed
+    in
+    let b =
+      create_frame fn ~opcode (32 + vec_size fn "position" (-1) position)
+    in
+    let pos = put_i64 b 6 session in
+    let pos = put_u32 b (put_u32 b pos rounds) clamped_rounds in
+    let pos = put_vec b pos position in
+    finish b (put_f64 b (put_f64 b pos move) service)
   | Error { session; code; message } ->
     (* Cut rather than refused, so that every error reply encodes. *)
     let len = Stdlib.min (String.length message) max_u16 in
