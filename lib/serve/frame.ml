@@ -244,9 +244,9 @@ let truncated c what n =
   malformed "truncated body: %s needs %d byte(s), %d left" what n
     (String.length c.data - c.pos)
 
-(* 1-, 2- and 4-byte fields were once read a byte at a time, so a short
-   read of one always stopped at a byte with none left; the message
-   still says so. *)
+(* A short 1-, 2- or 4-byte field is reported as a byte-at-a-time
+   reader reports it, at its first missing byte with none left; the
+   error messages are pinned by the tests like the bytes. *)
 let short_byte what =
   malformed "truncated body: %s needs 1 byte(s), 0 left" what
 
