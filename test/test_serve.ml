@@ -827,7 +827,7 @@ let same_outcome encode a b =
 
 let qcheck_codec_matches_reference =
   QCheck.Test.make ~count:400
-    ~name:"Frame = Buffer-based reference codec (bytes and messages)"
+    ~name:"Frame = Buffer-based reference codec"
     (QCheck.make ~print:print_codec_case codec_case_gen)
     (fun (value, mutations, tail) ->
       let frame, ref_frame =
@@ -1340,20 +1340,19 @@ let () =
             [
               qcheck_request_roundtrip; qcheck_reply_roundtrip;
               qcheck_split_rejoins; qcheck_codec_matches_reference;
-            ] );
-      ( "frame-range",
-        [
-          Alcotest.test_case "request count above 0xFFFF raises" `Quick
-            encode_step_count_range;
-          Alcotest.test_case "dimension above 0xFFFF raises" `Quick
-            encode_dimension_range;
-          Alcotest.test_case "payload above max_payload raises" `Quick
-            encode_payload_range;
-          Alcotest.test_case "error message cut to 65,535 bytes" `Quick
-            encode_error_message_cut;
-          Alcotest.test_case "u32 field outside its range raises" `Quick
-            encode_u32_range;
-        ] );
+            ]
+        @ [
+            Alcotest.test_case "request count above 0xFFFF raises" `Quick
+              encode_step_count_range;
+            Alcotest.test_case "dimension above 0xFFFF raises" `Quick
+              encode_dimension_range;
+            Alcotest.test_case "payload above max_payload raises" `Quick
+              encode_payload_range;
+            Alcotest.test_case "error message cut to 65,535 bytes" `Quick
+              encode_error_message_cut;
+            Alcotest.test_case "u32 field outside its range raises" `Quick
+              encode_u32_range;
+          ] );
       ( "daemon",
         [
           Alcotest.test_case "serves, rejects, survives hostility" `Quick
