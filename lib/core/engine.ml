@@ -60,17 +60,27 @@ module Session = struct
     mutable cost : Cost.breakdown;
   }
 
-  let create ?rng config (alg : Algorithm.t) ~start =
+  (* The one place a session record is built.  An [of_policy] stepper's
+     whole state is its own position, which is its last answer — the
+     round's [proposed], not the clamped [position]: the engine measures
+     that answer again and may interpolate it once more, so the two can
+     differ in the last bits. *)
+  let restore ?rng config (alg : Algorithm.t) ~position ~proposed ~rounds
+      ~clamped ~cost =
     {
-      stepper = alg.Algorithm.make ?rng config ~start;
+      stepper = alg.Algorithm.make ?rng config ~start:proposed;
       limit = Config.online_limit config;
       config;
-      dim = Vec.dim start;
-      position = Vec.copy start;
-      rounds = 0;
-      clamped = 0;
-      cost = Cost.zero;
+      dim = Vec.dim position;
+      position = Vec.copy position;
+      rounds;
+      clamped;
+      cost;
     }
+
+  let create ?rng config alg ~start =
+    restore ?rng config alg ~position:start ~proposed:start ~rounds:0
+      ~clamped:0 ~cost:Cost.zero
 
   (* The round — the only place it is spelled out: the stepper
      proposes, the proposal is tested against and clamped to the online

@@ -119,7 +119,29 @@ module Session : sig
   val create :
     ?rng:Prng.Xoshiro.t -> Config.t -> Algorithm.t ->
     start:Geometry.Vec.t -> t
-  (** Open a session with the server at [start]. *)
+  (** Open a session with the server at [start]: {!restore} of the
+      opening state, [~position:start ~proposed:start] with no rounds,
+      no clamps and {!Cost.zero}. *)
+
+  val restore :
+    ?rng:Prng.Xoshiro.t -> Config.t -> Algorithm.t ->
+    position:Geometry.Vec.t -> proposed:Geometry.Vec.t -> rounds:int ->
+    clamped:int -> cost:Cost.breakdown -> t
+  (** Rebuild a session from the state after its last round, in O(1):
+      [position], [rounds], [clamped] and [cost] are that session's
+      {!position}, {!rounds}, {!clamped_count} and {!cost}, and
+      [proposed] is the last round's {!step_record.proposed}.  The
+      stepper restarts from [proposed], not from [position]: the
+      engine clamps the answer again and may move it by an ulp.
+
+      Precondition, for [rounds > 0]: [alg] is built by
+      {!Algorithm.of_policy} (its whole state is its last answer) and
+      draws nothing from [rng].  Then the restored session steps on bit
+      for bit as the original would.  Any other stepper (a randomized
+      one, or {!Mtc.algorithm} under [Config.warm_start], which keeps
+      the previous Weiszfeld center) can only be restored at its
+      opening state and must replay its rounds from there.  The
+      vectors are copied. *)
 
   val step : t -> Geometry.Vec.t array -> step_record
   (** Feed one round of requests; returns the post-round record.

@@ -4,13 +4,19 @@ module Engine = Mobile_server.Engine
 module Config = Mobile_server.Config
 module Vec = Geometry.Vec
 
-(* A session's durable record: enough to rebuild the live state by
-   replay after a shard crash.  Only the owning shard ever touches it,
-   so no locking is needed. *)
+(* A session's durable record, enough to rebuild the live state after
+   a shard crash: a state [Engine.Session.restore] accepts, plus the
+   accepted rounds played since that state (the tail).  Recovery
+   restores the state and replays the tail.  Only the owning shard
+   ever touches it, so no locking is needed. *)
 type journal = {
   j_seed : int;
-  j_start : Vec.t;
-  mutable j_rounds_rev : Vec.t array list;  (** Accepted rounds, newest first. *)
+  mutable j_position : Vec.t;
+  mutable j_proposed : Vec.t;
+  mutable j_rounds : int;
+  mutable j_clamped : int;
+  mutable j_cost : Mobile_server.Cost.breakdown;
+  mutable j_tail_rev : Vec.t array list;  (** Newest first. *)
 }
 
 type pending = {
@@ -31,6 +37,7 @@ type t = {
   pool : Exec.Pool.t option;
   queue_capacity : int;
   journaled : bool;
+  snapshots : bool;
   mutable stopped : bool;
 }
 
@@ -73,6 +80,13 @@ let create ?(shards = 8) ?jobs ?(queue_capacity = 1024) ?(journal = true)
     pool = (if jobs = 1 then None else Some (Exec.Pool.create ~jobs));
     queue_capacity;
     journaled = journal;
+    (* A cold MtC session is an [Algorithm.of_policy] stepper that draws
+       nothing from its PRNG, so the state after each accepted round is
+       all [Engine.Session.restore] needs and the tail stays empty.  A
+       warm-started one also keeps the previous Weiszfeld center, which
+       no record exposes: its journal keeps the opening state and every
+       round goes on the tail. *)
+    snapshots = not config.Config.warm_start;
     stopped = false;
   }
 
@@ -86,16 +100,36 @@ let make_session t ~seed ~start =
   Engine.Session.create ~rng:(session_rng ~seed) t.config
     Mobile_server.Mtc.algorithm ~start
 
-(* Rebuild a journaled session by replaying its accepted rounds: the
-   session PRNG restarts from the seed and consumes exactly the same
-   draws, so the rebuilt state is bit-identical to the pre-crash one. *)
+(* Rebuild a journaled session: restore its journaled state, then
+   replay the tail.  The session PRNG restarts from the seed; a tail
+   replays from the opening state and so consumes exactly the same
+   draws, and the rebuilt state is bit-identical to the pre-crash one. *)
 let recover t shard id (j : journal) =
-  let session = make_session t ~seed:j.j_seed ~start:j.j_start in
+  let session =
+    Engine.Session.restore ~rng:(session_rng ~seed:j.j_seed) t.config
+      Mobile_server.Mtc.algorithm ~position:j.j_position
+      ~proposed:j.j_proposed ~rounds:j.j_rounds ~clamped:j.j_clamped
+      ~cost:j.j_cost
+  in
   List.iter
     (fun round -> ignore (Engine.Session.step session round))
-    (List.rev j.j_rounds_rev);
+    (List.rev j.j_tail_rev);
   Hashtbl.replace shard.live id session;
   session
+
+(* The journal takes an accepted round in place.  It may share the
+   record's vectors with the live session: [Engine.Session.advance] and
+   the [of_policy] stepper replace their position vectors each round
+   and never write into one. *)
+let journal_step t (j : journal) live (record : Engine.step_record) requests =
+  if t.snapshots then begin
+    j.j_position <- record.Engine.position;
+    j.j_proposed <- record.Engine.proposed;
+    j.j_rounds <- Engine.Session.rounds live;
+    j.j_clamped <- Engine.Session.clamped_count live;
+    j.j_cost <- Engine.Session.cost live
+  end
+  else j.j_tail_rev <- requests :: j.j_tail_rev
 
 let find_session t shard id =
   match Hashtbl.find_opt shard.live id with
@@ -134,7 +168,15 @@ let process t shard (req : (Frame.request, string) result) : Frame.reply =
       let start = Array.copy start in
       if t.journaled then
         Hashtbl.replace shard.journals session
-          { j_seed = seed; j_start = start; j_rounds_rev = [] };
+          {
+            j_seed = seed;
+            j_position = start;
+            j_proposed = start;
+            j_rounds = 0;
+            j_clamped = 0;
+            j_cost = Mobile_server.Cost.zero;
+            j_tail_rev = [];
+          };
       Hashtbl.replace shard.live session (make_session t ~seed ~start);
       Frame.Opened { session }
     end
@@ -153,7 +195,7 @@ let process t shard (req : (Frame.request, string) result) : Frame.reply =
        (match Engine.Session.step live requests with
         | record ->
           (match Hashtbl.find_opt shard.journals session with
-           | Some j -> j.j_rounds_rev <- requests :: j.j_rounds_rev
+           | Some j -> journal_step t j live record requests
            | None -> () (* journaling off *));
           Frame.Stepped
             {

@@ -1214,6 +1214,103 @@ let kill_and_recover () =
     (on_shard 1);
   List.iter (fun id -> step_and_mirror d mirrors id (-0.5)) (on_shard 0)
 
+(* Kill the owning shard after the open and after every step of a 2-D
+   open-world schedule, checkpointing after each kill, so every reply
+   comes from a recovered session.  A cold session recovers from its
+   journaled state, whose stepper must restart from the last proposal:
+   the engine clamps that answer again and may move it by an ulp, and
+   the schedule holds such rounds (asserted, so the case keeps covering
+   them).  A warm-started session recovers by replaying its tail.  One
+   rejected round, answered before a kill, must leave the journal
+   untouched. *)
+let kill_after_every_step config () =
+  let sched =
+    Open_world.generate ~arrival_rate:4.0 ~mean_lifetime:16.0 ~initial:32
+      ~dim:2 ~seed:3 ~ticks:24 ()
+  in
+  let d = Daemon.create ~shards:2 ~jobs:1 ~config () in
+  Fun.protect ~finally:(fun () -> Daemon.shutdown d) @@ fun () ->
+  let mirrors = Hashtbl.create 64 in
+  let moved_by_clamp = ref 0 and rejected = ref false in
+  let kill_and_checkpoint what id =
+    Daemon.kill_shard d (Daemon.shard_of_session d id);
+    match get_reply d (checkpoint_frame id) with
+    | Frame.Snapshot { rounds; clamped_rounds; position; move; service; _ } ->
+      check_snapshotish what ~rounds ~clamped_rounds ~position ~move ~service
+        (Hashtbl.find mirrors id)
+    | _ -> Alcotest.failf "%s: expected Snapshot" what
+  in
+  Open_world.iter sched
+    ~open_:(fun p inst ->
+      let id = p.Open_world.id and seed = p.Open_world.seed in
+      let start = inst.Mobile_server.Instance.start in
+      (match
+         get_reply d
+           (Frame.encode_request (Frame.Open { session = id; seed; start }))
+       with
+       | Frame.Opened _ -> ()
+       | _ -> Alcotest.failf "open %Ld: expected Opened" id);
+      Hashtbl.replace mirrors id
+        (Engine.Session.create ~rng:(Daemon.session_rng ~seed) config
+           Mobile_server.Mtc.algorithm ~start);
+      kill_and_checkpoint (Printf.sprintf "session %Ld opened" id) id)
+    ~step:(fun p ~round requests ->
+      let id = p.Open_world.id in
+      let what = Printf.sprintf "session %Ld round %d" id round in
+      if round = 1 && not !rejected then begin
+        rejected := true;
+        expect_error (what ^ " (1-D round)")
+          (get_reply d
+             (Frame.encode_request
+                (Frame.Step { session = id; requests = [| [| 1.0 |] |] })))
+          Frame.Bad_request;
+        kill_and_checkpoint (what ^ " rejected") id
+      end;
+      let record = Engine.Session.step (Hashtbl.find mirrors id) requests in
+      if not (eq_vec record.Engine.proposed record.Engine.position) then
+        incr moved_by_clamp;
+      check_stepped what
+        (get_reply d
+           (Frame.encode_request (Frame.Step { session = id; requests })))
+        record;
+      kill_and_checkpoint what id)
+    ~close:(fun p ->
+      let id = p.Open_world.id in
+      (match get_reply d (close_frame id) with
+       | Frame.Closed { rounds; clamped_rounds; position; move; service; _ } ->
+         check_snapshotish
+           (Printf.sprintf "session %Ld closed" id)
+           ~rounds ~clamped_rounds ~position ~move ~service
+           (Hashtbl.find mirrors id)
+       | _ -> Alcotest.failf "close %Ld: expected Closed" id);
+      Hashtbl.remove mirrors id)
+    ~tick_end:(fun ~tick:_ -> ());
+  Alcotest.(check bool) "a round was rejected" true !rejected;
+  Alcotest.(check bool) "some position differs from its proposal" true
+    (!moved_by_clamp > 0);
+  Alcotest.(check int) "every session closed" 0 (Daemon.live_sessions d)
+
+(* A cold session's journal is its state after the last accepted round,
+   updated in place, so a journaled daemon does not grow with the
+   steps it has served. *)
+let journal_memory_bounded () =
+  with_daemon ~shards:1 ~jobs:1 @@ fun d ->
+  (match get_reply d (open_frame 1L 5) with
+   | Frame.Opened _ -> ()
+   | _ -> Alcotest.fail "open: expected Opened");
+  let serve_steps lo hi =
+    for k = lo to hi do
+      match get_reply d (step_frame 1L (Float.sin (float_of_int k))) with
+      | Frame.Stepped _ -> ()
+      | _ -> Alcotest.failf "step %d: expected Stepped" k
+    done
+  in
+  serve_steps 1 1_000;
+  let after_1k = Obj.reachable_words (Obj.repr d) in
+  serve_steps 1_001 20_000;
+  Alcotest.(check int) "reachable words after 1k and 20k steps" after_1k
+    (Obj.reachable_words (Obj.repr d))
+
 (* --- open-world schedule ---------------------------------------------- *)
 
 let schedule ?(seed = 11) ?(ticks = 8) () =
@@ -1361,6 +1458,12 @@ let () =
             backpressure_no_drop_no_reorder;
           Alcotest.test_case "shard crash: exact resume or clean loss" `Quick
             kill_and_recover;
+          Alcotest.test_case "kill after every step: exact resume" `Quick
+            (kill_after_every_step config);
+          Alcotest.test_case "warm start: kill after every step" `Quick
+            (kill_after_every_step (Config.with_warm_start config true));
+          Alcotest.test_case "journal memory is O(1) in steps" `Quick
+            journal_memory_bounded;
         ] );
       ( "open-world",
         [ Alcotest.test_case "schedule determinism" `Quick open_world_determinism ]
