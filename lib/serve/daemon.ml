@@ -37,7 +37,6 @@ type t = {
   pool : Exec.Pool.t option;
   queue_capacity : int;
   journaled : bool;
-  snapshots : bool;
   mutable stopped : bool;
 }
 
@@ -80,13 +79,6 @@ let create ?(shards = 8) ?jobs ?(queue_capacity = 1024) ?(journal = true)
     pool = (if jobs = 1 then None else Some (Exec.Pool.create ~jobs));
     queue_capacity;
     journaled = journal;
-    (* A cold MtC session is an [Algorithm.of_policy] stepper that draws
-       nothing from its PRNG, so the state after each accepted round is
-       all [Engine.Session.restore] needs and the tail stays empty.  A
-       warm-started one also keeps the previous Weiszfeld center, which
-       no record exposes: its journal keeps the opening state and every
-       round goes on the tail. *)
-    snapshots = not config.Config.warm_start;
     stopped = false;
   }
 
@@ -117,19 +109,24 @@ let recover t shard id (j : journal) =
   Hashtbl.replace shard.live id session;
   session
 
-(* The journal takes an accepted round in place.  It may share the
-   record's vectors with the live session: [Engine.Session.advance] and
-   the [of_policy] stepper replace their position vectors each round
-   and never write into one. *)
+(* The journal takes an accepted round in place.  A cold MtC session is
+   an [Algorithm.of_policy] stepper that draws nothing from its PRNG,
+   so its state after the round is all [Engine.Session.restore] needs
+   and the tail stays empty.  A warm-started stepper also keeps the
+   previous Weiszfeld center, which no record exposes: its journal
+   keeps the opening state and the round goes on the tail.  The state
+   may share the record's vectors with the live session:
+   [Engine.Session.advance] and the [of_policy] stepper replace their
+   position vectors each round and never write into one. *)
 let journal_step t (j : journal) live (record : Engine.step_record) requests =
-  if t.snapshots then begin
+  if t.config.Config.warm_start then j.j_tail_rev <- requests :: j.j_tail_rev
+  else begin
     j.j_position <- record.Engine.position;
     j.j_proposed <- record.Engine.proposed;
     j.j_rounds <- Engine.Session.rounds live;
     j.j_clamped <- Engine.Session.clamped_count live;
     j.j_cost <- Engine.Session.cost live
   end
-  else j.j_tail_rev <- requests :: j.j_tail_rev
 
 let find_session t shard id =
   match Hashtbl.find_opt shard.live id with
