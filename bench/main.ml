@@ -251,14 +251,33 @@ module Seed_replica = struct
   let algorithm = MS.Mtc.with_center ~name:"mtc-seed-replica" center
 end
 
+(* Seconds per call: the median of [min 5 repeat] samples (the upper
+   middle one for an even count), which share the [repeat] timed calls
+   as evenly as they divide, after one warm-up call outside the clock.
+   The median drops a slow stretch within one row's calls; it does not
+   remove the host's drift between runs, so compare records from
+   alternated runs. *)
 let time_per ~repeat f =
-  (* Seconds per call, one warm-up call outside the clock. *)
   ignore (Sys.opaque_identity (f ()));
-  let t0 = Unix.gettimeofday () in
-  for _ = 1 to repeat do
-    ignore (Sys.opaque_identity (f ()))
-  done;
-  (Unix.gettimeofday () -. t0) /. float_of_int repeat
+  let samples = Stdlib.min 5 repeat in
+  let per_call =
+    Array.init samples (fun k ->
+        let calls =
+          (repeat / samples) + if k < repeat mod samples then 1 else 0
+        in
+        let t0 = Unix.gettimeofday () in
+        for _ = 1 to calls do
+          ignore (Sys.opaque_identity (f ()))
+        done;
+        (Unix.gettimeofday () -. t0) /. float_of_int calls)
+  in
+  Array.sort Float.compare per_call;
+  per_call.(samples / 2)
+
+(* The rule above, stated in every record whose rows it times. *)
+let timing_json =
+  "\"timing\": \"seconds per call = median of min(5, calls) samples that \
+   share the row's calls evenly (upper middle for an even count)\""
 
 (* The machine a bench record was measured on, as one JSON field. *)
 let machine_json () =
@@ -495,6 +514,7 @@ let run_hotpath ~quick ~out ~golden () =
   Buffer.add_string buf "{\n";
   Buffer.add_string buf "  \"schema\": \"msp-bench-hotpath-v1\",\n";
   Buffer.add_string buf (Printf.sprintf "  %s,\n" (machine_json ()));
+  Buffer.add_string buf (Printf.sprintf "  %s,\n" timing_json);
   Buffer.add_string buf (Printf.sprintf "  \"quick\": %b,\n" quick);
   Buffer.add_string buf
     (Printf.sprintf "  \"kernel_dist_alloc_ns\": %.6g,\n" dist_alloc_ns);
@@ -832,6 +852,7 @@ let run_solver ~quick ~out () =
   Buffer.add_string buf "  \"schema\": \"msp-bench-solver-v1\",\n";
   Buffer.add_string buf (Printf.sprintf "  \"quick\": %b,\n" quick);
   Buffer.add_string buf (Printf.sprintf "  %s,\n" (machine_json ()));
+  Buffer.add_string buf (Printf.sprintf "  %s,\n" timing_json);
   Buffer.add_string buf
     (Printf.sprintf "  \"line_dp_rounds\": %d,\n" solve_t);
   Buffer.add_string buf
@@ -1217,6 +1238,8 @@ let run_network ~quick ~out () =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf "{\n";
   Buffer.add_string buf "  \"schema\": \"msp-bench-network-v1\",\n";
+  Buffer.add_string buf (Printf.sprintf "  %s,\n" (machine_json ()));
+  Buffer.add_string buf (Printf.sprintf "  %s,\n" timing_json);
   Buffer.add_string buf (Printf.sprintf "  \"quick\": %b,\n" quick);
   Buffer.add_string buf (Printf.sprintf "  \"nodes\": %d,\n" n);
   Buffer.add_string buf (Printf.sprintf "  \"edges\": %d,\n" edge_count);
@@ -1624,6 +1647,9 @@ let run_parallel ~quick ~jobs ~out () =
   Printf.printf "\n=== PARALLEL: jobs=1 vs jobs=%d scaling check ===\n\n" jobs;
   let time_at ~jobs id =
     Exec.set_jobs jobs;
+    (* Both runs pay cold solves — otherwise the jobs=1 run warms the
+       OPT cache and the jobs=N run reports a phantom speedup. *)
+    Offline.Opt_cache.clear ();
     let t0 = Unix.gettimeofday () in
     let result = Experiments.Catalog.run ~quick id in
     (Unix.gettimeofday () -. t0, Experiments.Catalog.result_to_markdown result)
@@ -1645,6 +1671,7 @@ let run_parallel ~quick ~jobs ~out () =
   let buf = Buffer.create 512 in
   Buffer.add_string buf "{\n";
   Buffer.add_string buf "  \"schema\": \"msp-bench-parallel-v1\",\n";
+  Buffer.add_string buf (Printf.sprintf "  %s,\n" (machine_json ()));
   Buffer.add_string buf (Printf.sprintf "  \"jobs\": %d,\n" jobs);
   Buffer.add_string buf (Printf.sprintf "  \"quick\": %b,\n" quick);
   Buffer.add_string buf
