@@ -171,3 +171,96 @@ let fleet_string () =
   Buffer.contents buf
 
 let fleet_path = "test/golden/fleet_v1.txt"
+
+(* --- network capture ------------------------------------------------- *)
+
+(* Small graphs of every generator family; the unit-length ones (grid,
+   cycle, complete) are where the DP's argmin meets exact ties. *)
+let network_graphs () =
+  let rng seed = Prng.Stream.named ~name:"golden-network" ~seed in
+  [
+    ("geometric-n16", fst (Network.Graph.random_geometric ~n:16 (rng 1)));
+    ("geometric-n24", fst (Network.Graph.random_geometric ~n:24 (rng 2)));
+    ("grid-5x4", Network.Graph.grid ~width:5 ~height:4 ());
+    ("cycle-12", Network.Graph.cycle 12);
+    ("tree-n14", Network.Graph.random_tree ~n:14 (rng 3));
+    ("complete-8", Network.Graph.complete 8);
+  ]
+
+(* bench network's instance: one stream draws the graph, then four
+   requesting nodes a round. *)
+let bench_network_instance ~n ~t =
+  let rng = Prng.Stream.named ~name:"bench-network" ~seed:1 in
+  let graph, _layout = Network.Graph.random_geometric ~n rng in
+  ( graph,
+    Network.Pm_model.make_instance graph ~start:0
+      (Array.init t (fun _ ->
+           Array.init 4 (fun _ -> Prng.Xoshiro.next_below rng n))) )
+
+(* Every graph with its runs: T = 40 uniform and localized requests
+   (one stream seed each), each at D in {1, 2.5, 4}; then bench
+   network's quick and full instances at D = 4. *)
+let network_cases () =
+  let per_graph =
+    List.mapi
+      (fun i (gname, graph) ->
+        let rng k =
+          Prng.Stream.named ~name:"golden-network-req" ~seed:((2 * i) + k)
+        in
+        let kinds =
+          [ ("uniform", Network.Pm_model.uniform_requests graph ~t:40 (rng 0));
+            ( "localized",
+              Network.Pm_model.localized_requests graph ~t:40 (rng 1) ) ]
+        in
+        ( gname,
+          graph,
+          List.concat_map
+            (fun (kind, inst) ->
+              List.map
+                (fun d -> (Printf.sprintf "%s-d%g" kind d, inst, d))
+                [ 1.0; 2.5; 4.0 ])
+            kinds ))
+      (network_graphs ())
+  in
+  let bench ~n ~t =
+    let graph, inst = bench_network_instance ~n ~t in
+    ( Printf.sprintf "bench-n%d" n,
+      graph,
+      [ (Printf.sprintf "t%d-d4" t, inst, 4.0) ] )
+  in
+  per_graph @ [ bench ~n:120 ~t:64; bench ~n:400 ~t:256 ]
+
+let table_md5 metric =
+  let flat = Network.Dijkstra.dense_table metric in
+  let len = Geometry.Fbuf.length flat in
+  let buf = Buffer.create (8 * len) in
+  for i = 0 to len - 1 do
+    Buffer.add_int64_le buf (Int64.bits_of_float (Geometry.Fbuf.get flat i))
+  done;
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let nodes_md5 positions =
+  let buf = Buffer.create (8 * Array.length positions) in
+  Array.iter (fun x -> Buffer.add_int64_le buf (Int64.of_int x)) positions;
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let network_string () =
+  let buf = Buffer.create 4096 in
+  Buffer.add_string buf
+    "# Network golden v1: <graph> <requests> table=<md5 of IEEE bits> \
+     cost=<%h> traj=<md5 of node ids>\n";
+  List.iter
+    (fun (gname, graph, runs) ->
+      let metric = Network.Dijkstra.all_pairs graph in
+      let table = table_md5 metric in
+      List.iter
+        (fun (rname, inst, d_factor) ->
+          let sol = Network.Pm_offline.solve metric ~d_factor inst in
+          Printf.bprintf buf "%s %s table=%s cost=%h traj=%s\n" gname rname
+            table sol.Network.Pm_offline.cost
+            (nodes_md5 sol.Network.Pm_offline.positions))
+        runs)
+    (network_cases ());
+  Buffer.contents buf
+
+let network_path = "test/golden/network_v1.txt"

@@ -77,3 +77,28 @@ val fleet_string : unit -> string
 
 val fleet_path : string
 (** Repo-root-relative path of the committed fleet capture. *)
+
+(** {1 Network capture}
+
+    [test/golden/network_v1.txt] pins the all-pairs shortest-path
+    table ({!Network.Dijkstra.all_pairs}) and the graph Page Migration
+    optimum ({!Network.Pm_offline.solve}) bit for bit.  It was captured
+    while [bench network] still checked both against a replica of the
+    pre-CSR code, and [test_network] compares {!network_string} with it
+    byte for byte.  Regenerate (only when the case list changes, never
+    to paper over a mismatch) with
+    [dune exec tools/gen_golden/gen_network_golden.exe]. *)
+
+val network_string : unit -> string
+(** One line per (graph, requests, [D]): the MD5 of the dense table's
+    little-endian IEEE bits, the optimum's cost as [%h] and the MD5 of
+    its page positions.  The graphs are two seeded random-geometric
+    ones ([n = 16, 24]), a 5×4 grid, a 12-cycle, a seeded random tree
+    ([n = 14]) and the complete graph on 8 nodes, each under [T = 40]
+    uniform and localized requests at [D] in [{1, 2.5, 4}]; then
+    [bench network]'s instances (stream ["bench-network"], seed 1,
+    four requesting nodes a round) at [n = 120, T = 64] and
+    [n = 400, T = 256], [D = 4]. *)
+
+val network_path : string
+(** Repo-root-relative path of the committed network capture. *)

@@ -261,6 +261,19 @@ let pm_optimum_cached_matches_solve () =
     Alcotest.failf "cached optimum %g differs from solve %g" cached
       sol.Network.Pm_offline.cost
 
+(* test/golden/network_v1.txt was captured while bench network still
+   checked the CSR table and DP against a replica of the pre-CSR code,
+   which reproduced every line; lib/experiments/golden.mli has the
+   rules.  Never regenerate it to silence this test. *)
+let pm_golden_capture () =
+  let path =
+    if Sys.file_exists "golden/network_v1.txt" then "golden/network_v1.txt"
+    else Experiments.Golden.network_path
+  in
+  Alcotest.(check string) "byte identical"
+    (In_channel.with_open_bin path In_channel.input_all)
+    (Experiments.Golden.network_string ())
+
 (* --- Embedding -------------------------------------------------------- *)
 
 let embedding_round_trip () =
@@ -437,6 +450,7 @@ let () =
             pm_offline_matches_brute_force;
           Alcotest.test_case "cached optimum matches solve" `Quick
             pm_optimum_cached_matches_solve;
+          Alcotest.test_case "golden capture" `Quick pm_golden_capture;
         ] );
       ( "embedding",
         [
