@@ -9,23 +9,30 @@
      dune exec bench/main.exe -- parallel     -- jobs=1 vs jobs=N comparison
                                                  (JSON to BENCH_parallel.json,
                                                   or --parallel-out PATH)
-     dune exec bench/main.exe -- hotpath      -- allocation-free kernels and
-                                                 warm-start vs seed replicas
-                                                 (JSON to BENCH_hotpath.json,
-                                                  or --hotpath-out PATH;
-                                                  golden file override with
-                                                  --golden PATH)
-     dune exec bench/main.exe -- solver       -- packed Line_dp vs the
-                                                 pre-packing replica and the
-                                                 OPT cache, with byte-identity
-                                                 verdicts (JSON to
+     dune exec bench/main.exe -- hotpath      -- Vec.dist, cold and warm
+                                                 medians, engine rounds and
+                                                 the frame codec, gated on
+                                                 the golden trajectory and
+                                                 jobs1 = jobs2 (JSON to
+                                                 BENCH_hotpath.json, or
+                                                 --hotpath-out PATH; golden
+                                                 file override with
+                                                 --golden PATH)
+     dune exec bench/main.exe -- solver       -- packed Line_dp solve and the
+                                                 OPT cache, gated on
+                                                 boxed = packed,
+                                                 cached = uncached,
+                                                 jobs1 = jobs2 and the disk
+                                                 round trip (JSON to
                                                  BENCH_solver.json, or
                                                  --solver-out PATH)
-     dune exec bench/main.exe -- network      -- CSR graphs + unboxed Dijkstra
-                                                 + flat-metric PM optima vs the
-                                                 pre-CSR replica, with
-                                                 byte-identity verdicts (JSON
-                                                 to BENCH_network.json, or
+     dune exec bench/main.exe -- network      -- all-pairs Dijkstra, distance
+                                                 queries, the PM offline DP
+                                                 and its cache, gated on
+                                                 lazy = dense,
+                                                 cached = uncached and
+                                                 jobs1 = jobs2 (JSON to
+                                                 BENCH_network.json, or
                                                  --network-out PATH)
      dune exec bench/main.exe -- serve        -- sharded session daemon under
                                                  an open-world schedule at
@@ -33,7 +40,7 @@
                                                  1M-live streaming point, gated
                                                  on serve = engine,
                                                  jobs1 = jobsN and
-                                                 stream = materialized
+                                                 journal on = off
                                                  byte-identity (JSON to
                                                  BENCH_serve.json, or
                                                  --serve-out PATH)
@@ -42,12 +49,10 @@
                                                  jobs=1/2/4/8, identity-gated
                                                  (JSON to BENCH_multicore.json,
                                                  or --multicore-out PATH)
-     dune exec bench/main.exe -- fleet        -- packed fleet engine vs boxed
-                                                 at k = 10/100/1000 and the
-                                                 min-cost-flow relaxation OPT
-                                                 vs brute force + the OPT
+     dune exec bench/main.exe -- fleet        -- the min-cost-flow relaxation
+                                                 OPT at k = 10/100/1000, vs
+                                                 brute force and the OPT
                                                  cache, gated on
-                                                 packed = boxed,
                                                  flow = brute,
                                                  cached = cold and
                                                  jobs1 = jobsN byte-identity
@@ -162,94 +167,67 @@ let run_micro () =
        rows)
 
 (* ------------------------------------------------------------------ *)
-(* Hot-path benchmark: allocation-free kernels and the warm-started
-   Weiszfeld iteration, priced against faithful replicas of the seed
-   (allocating, cold-start) implementations, plus the byte-identity
-   checks that prove the rewrite changed no science.  JSON lands in
-   BENCH_hotpath.json (or --hotpath-out PATH). *)
+(* Bench records and shared helpers.                                   *)
 
-(* Replicas of the pre-optimization kernels: the exact arithmetic of
-   the seed code, materializing a difference vector per distance and
-   restarting Weiszfeld from the centroid.  Kept here (not in lib/) so
-   the comparison target cannot drift into production use. *)
-module Seed_replica = struct
-  module V = Geometry.Vec
+(* A bench record's values.  Numbers print as %d or %.6g and strings
+   as %S; an [Obj] prints inline on one line, and a [Rows] array puts
+   one element a line. *)
+type value =
+  | Int of int
+  | Num of float
+  | Bool of bool
+  | Str of string
+  | Obj of (string * value) list
+  | Rows of value list
 
-  let dist u v = V.norm (V.sub u v)
+let rec inline = function
+  | Int i -> string_of_int i
+  | Num x -> Printf.sprintf "%.6g" x
+  | Bool b -> string_of_bool b
+  | Str s -> Printf.sprintf "%S" s
+  | Obj fields ->
+    "{"
+    ^ String.concat ", "
+        (List.map (fun (k, v) -> Printf.sprintf "%S: %s" k (inline v)) fields)
+    ^ "}"
+  | Rows rows -> "[" ^ String.concat ", " (List.map inline rows) ^ "]"
 
-  (* The seed's Vardi–Zhang loop for the general-position case (the
-     1-D/collinear/degenerate branches are shared with the current code
-     and are not on the hot path). *)
-  let weiszfeld ?(eps = 1e-10) ?(max_iter = 200) points =
-    let n = Array.length points in
-    let d = V.dim points.(0) in
-    if n = 1 then V.copy points.(0)
-    else begin
-      let origin = points.(0) in
-      let spread =
-        Array.fold_left (fun acc p -> Float.max acc (dist origin p)) 0.0 points
-      in
-      if spread < 1e-300 then V.copy origin
-      else begin
-        let y = ref (V.centroid points) in
-        let tol = Float.max eps (eps *. spread) in
-        let iter = ref 0 in
-        let continue_ = ref true in
-        while !continue_ && !iter < max_iter do
-          incr iter;
-          let anchor_eps = 1e-13 *. spread in
-          let multiplicity = ref 0 in
-          let inv_sum = ref 0.0 in
-          let weighted = Array.make d 0.0 in
-          let resultant = Array.make d 0.0 in
-          Array.iter
-            (fun p ->
-              let dist = dist !y p in
-              if dist <= anchor_eps then incr multiplicity
-              else begin
-                let w = 1.0 /. dist in
-                inv_sum := !inv_sum +. w;
-                for i = 0 to d - 1 do
-                  weighted.(i) <- weighted.(i) +. (w *. p.(i));
-                  resultant.(i) <- resultant.(i) +. (w *. (p.(i) -. !y.(i)))
-                done
-              end)
-            points;
-          if Float.equal !inv_sum 0.0 then continue_ := false
-          else begin
-            let t = Array.map (fun w -> w /. !inv_sum) weighted in
-            let next =
-              if !multiplicity = 0 then t
-              else begin
-                let r = V.norm resultant in
-                let k = float_of_int !multiplicity in
-                if r <= k then begin
-                  continue_ := false;
-                  V.copy !y
-                end
-                else
-                  let beta = k /. r in
-                  V.add (V.scale (1.0 -. beta) t) (V.scale beta !y)
-              end
-            in
-            if dist next !y <= tol then continue_ := false;
-            y := next
-          end
-        done;
-        !y
-      end
-    end
+(* Writes a record to [path], one top-level field a line, and says so
+   on stdout. *)
+let write_record ~report path fields =
+  let value = function
+    | Rows (_ :: _ as rows) ->
+      "[\n"
+      ^ String.concat ",\n" (List.map (fun r -> "    " ^ inline r) rows)
+      ^ "\n  ]"
+    | v -> inline v
+  in
+  Out_channel.with_open_text path (fun oc ->
+      Out_channel.output_string oc "{\n";
+      Out_channel.output_string oc
+        (String.concat ",\n"
+           (List.map
+              (fun (k, v) -> Printf.sprintf "  %S: %s" k (value v))
+              fields));
+      Out_channel.output_string oc "\n}\n");
+  Printf.printf "%s report written to %s\n" report path
 
-  (* MtC with the replica median: times a full engine round on the seed
-     kernels inside the current binary.  Degenerate rounds (fewer than
-     three requests) share the current code in both runs, so the
-     comparison isolates the hot path. *)
-  let center ~server requests =
-    if Array.length requests < 3 then Geometry.Median.center ~server requests
-    else weiszfeld requests
+(* The machine a bench record was measured on. *)
+let machine () =
+  ( "machine",
+    Obj
+      [ ("recommended_domain_count", Int (Domain.recommended_domain_count ()));
+        ("ocaml_version", Str Sys.ocaml_version);
+        ("flambda", Bool Build_info.flambda) ] )
 
-  let algorithm = MS.Mtc.with_center ~name:"mtc-seed-replica" center
-end
+(* Runs [f] with the Exec pool at [n] jobs, then restores the previous
+   setting, also when [f] raises. *)
+let with_jobs n f =
+  let saved = Exec.jobs () in
+  Exec.set_jobs n;
+  Fun.protect ~finally:(fun () -> Exec.set_jobs saved) f
+
+let bit_eq a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
 
 (* Seconds per call: the median of [min 5 repeat] samples (the upper
    middle one for an even count), which share the [repeat] timed calls
@@ -275,16 +253,19 @@ let time_per ~repeat f =
   per_call.(samples / 2)
 
 (* The rule above, stated in every record whose rows it times. *)
-let timing_json =
-  "\"timing\": \"seconds per call = median of min(5, calls) samples that \
-   share the row's calls evenly (upper middle for an even count)\""
+let timing =
+  ( "timing",
+    Str
+      "seconds per call = median of min(5, calls) samples that share the \
+       row's calls evenly (upper middle for an even count)" )
 
-(* The machine a bench record was measured on, as one JSON field. *)
-let machine_json () =
-  Printf.sprintf
-    "\"machine\": {\"recommended_domain_count\": %d, \"ocaml_version\": \"%s\", \
-     \"flambda\": %b}"
-    (Domain.recommended_domain_count ()) Sys.ocaml_version Build_info.flambda
+(* ------------------------------------------------------------------ *)
+(* Hot-path benchmark: the allocation-free kernels, the cold and
+   warm-started Weiszfeld iteration, full engine rounds and the frame
+   codec, plus the byte-identity checks that prove the science did not
+   move.  The seed kernels' bits are held by test_perf_equiv (the
+   golden trajectory and the closure-form Weiszfeld reference).  JSON
+   lands in BENCH_hotpath.json (or --hotpath-out PATH). *)
 
 let run_hotpath ~quick ~out ~golden () =
   print_endline "\n=== HOTPATH: kernels, warm-started median, identity ===\n";
@@ -294,18 +275,15 @@ let run_hotpath ~quick ~out ~golden () =
       (Prng.Dist.uniform rng ~lo:(-10.0) ~hi:10.0)
       (Prng.Dist.uniform rng ~lo:(-10.0) ~hi:10.0)
   in
-  (* --- kernel micro: fused vs allocating distance ----------------- *)
+  (* --- kernel micro: the fused distance ----------------------------- *)
   let pairs = Array.init 512 (fun _ -> (point (), point ())) in
   let kernel_reps = if quick then 200 else 2000 in
-  let sum_with dist () =
-    Array.fold_left (fun acc (u, v) -> acc +. dist u v) 0.0 pairs
-  in
-  let per_call secs = secs /. float_of_int (Array.length pairs) *. 1e9 in
-  let dist_alloc_ns =
-    per_call (time_per ~repeat:kernel_reps (sum_with Seed_replica.dist))
-  in
-  let dist_fused_ns =
-    per_call (time_per ~repeat:kernel_reps (sum_with Geometry.Vec.dist))
+  let dist_ns =
+    time_per ~repeat:kernel_reps (fun () ->
+        Array.fold_left
+          (fun acc (u, v) -> acc +. Geometry.Vec.dist u v)
+          0.0 pairs)
+    /. float_of_int (Array.length pairs) *. 1e9
   in
   (* --- warm-started median on drifting request sets ---------------- *)
   (* MtC's situation each round: the same requests, each nudged a
@@ -340,32 +318,24 @@ let run_hotpath ~quick ~out ~golden () =
         snapshot)
   in
   let median_reps = if quick then 3 else 10 in
-  let cold_total =
-    time_per ~repeat:median_reps (fun () ->
-        Array.iter (fun pts -> ignore (Geometry.Median.weiszfeld pts)) sets)
+  let per_round secs = secs /. float_of_int rounds *. 1e6 in
+  let median_cold_us =
+    per_round
+      (time_per ~repeat:median_reps (fun () ->
+           Array.iter (fun pts -> ignore (Geometry.Median.weiszfeld pts)) sets))
   in
-  let warm_total =
-    time_per ~repeat:median_reps (fun () ->
-        let prev = ref None in
-        Array.iter
-          (fun pts ->
-            let m = Geometry.Median.weiszfeld ?init:!prev pts in
-            prev := Some m)
-          sets)
+  let median_warm_us =
+    per_round
+      (time_per ~repeat:median_reps (fun () ->
+           let prev = ref None in
+           Array.iter
+             (fun pts ->
+               let m = Geometry.Median.weiszfeld ?init:!prev pts in
+               prev := Some m)
+             sets))
   in
-  let seed_total =
-    time_per ~repeat:median_reps (fun () ->
-        Array.iter (fun pts -> ignore (Seed_replica.weiszfeld pts)) sets)
-  in
-  let median_seed_us = seed_total /. float_of_int rounds *. 1e6 in
-  let median_cold_us = cold_total /. float_of_int rounds *. 1e6 in
-  let median_warm_us = warm_total /. float_of_int rounds *. 1e6 in
-  (* The headline: the PR's total effect on the median hot path (seed
-     kernels + cold start, versus fused kernels + warm start).  The
-     same-kernel warm-vs-cold ratio is reported separately; Weiszfeld
-     converges linearly, so a closer start saves only a log-factor of
-     iterations and that ratio is necessarily modest. *)
-  let warm_speedup = median_seed_us /. median_warm_us in
+  (* Weiszfeld converges linearly, so a closer start saves only a
+     log-factor of iterations and this ratio is necessarily modest. *)
   let warm_vs_cold = median_cold_us /. median_warm_us in
   (* Warm and cold runs must land on the same median (within the
      iteration tolerance scaled by the point spread). *)
@@ -379,36 +349,26 @@ let run_hotpath ~quick ~out ~golden () =
         Float.max acc (Geometry.Vec.dist cold warm))
       0.0 sets
   in
-  (* --- full engine rounds: seed-replica kernels vs current ---------- *)
+  (* --- full engine rounds, cold and warm start ---------------------- *)
   let config = MS.Config.make ~d_factor:4.0 ~delta:0.5 () in
+  let warm_config = MS.Config.with_warm_start config true in
   let inst =
     Workloads.Clusters.generate ~dim:2 ~t:256
       (Prng.Stream.named ~name:"bench-inst" ~seed:2)
   in
-  let t_len = MS.Instance.length inst in
   let engine_reps = if quick then 3 else 10 in
-  let engine_seed_us =
-    time_per ~repeat:engine_reps (fun () ->
-        MS.Engine.total_cost config Seed_replica.algorithm inst)
-    /. float_of_int t_len *. 1e6
-  in
-  let engine_opt_us =
+  let engine_round_us config =
     time_per ~repeat:engine_reps (fun () ->
         MS.Engine.total_cost config MS.Mtc.algorithm inst)
-    /. float_of_int t_len *. 1e6
+    /. float_of_int (MS.Instance.length inst) *. 1e6
   in
-  let warm_config = MS.Config.with_warm_start config true in
-  let engine_warm_us =
-    time_per ~repeat:engine_reps (fun () ->
-        MS.Engine.total_cost warm_config MS.Mtc.algorithm inst)
-    /. float_of_int t_len *. 1e6
+  let engine_opt_us = engine_round_us config in
+  let engine_warm_us = engine_round_us warm_config in
+  let warm_cost_rel =
+    let cold = MS.Engine.total_cost config MS.Mtc.algorithm inst in
+    let warm = MS.Engine.total_cost warm_config MS.Mtc.algorithm inst in
+    Float.abs (warm -. cold) /. Float.max 1.0 (Float.abs cold)
   in
-  let cost_seed = MS.Engine.total_cost config Seed_replica.algorithm inst in
-  let cost_opt = MS.Engine.total_cost config MS.Mtc.algorithm inst in
-  let cost_warm = MS.Engine.total_cost warm_config MS.Mtc.algorithm inst in
-  let rel a b = Float.abs (a -. b) /. Float.max 1.0 (Float.abs b) in
-  let engine_cost_rel = rel cost_seed cost_opt in
-  let warm_cost_rel = rel cost_warm cost_opt in
   (* --- frame codec: one 2-D step frame with r = 3, both ways --------- *)
   let module Frame = Serve.Frame in
   let step_request =
@@ -442,56 +402,35 @@ let run_hotpath ~quick ~out ~golden () =
     ]
   in
   (* --- byte-identity: the science did not move --------------------- *)
-  let golden_expected =
-    match open_in golden with
+  let identity_golden =
+    match In_channel.with_open_bin golden In_channel.input_all with
     | exception Sys_error msg ->
       Printf.eprintf "hotpath: cannot read golden file %s (%s)\n" golden msg;
-      None
-    | ic ->
-      Fun.protect
-        ~finally:(fun () -> close_in ic)
-        (fun () ->
-          Some (really_input_string ic (in_channel_length ic)))
-  in
-  let identity_golden =
-    match golden_expected with
-    | None -> false
-    | Some expected ->
+      false
+    | expected ->
       String.equal expected (Experiments.Golden.trajectory_string ())
   in
   (* Default-config catalog report, sequential vs parallel harness. *)
   let report_at jobs =
-    Exec.set_jobs jobs;
-    Experiments.Catalog.result_to_markdown
-      (Experiments.Catalog.run ~quick:true "e1")
+    with_jobs jobs (fun () ->
+        Experiments.Catalog.result_to_markdown
+          (Experiments.Catalog.run ~quick:true "e1"))
   in
-  let saved_jobs = Exec.jobs () in
-  let report_seq = report_at 1 in
-  let report_par = report_at 2 in
-  Exec.set_jobs saved_jobs;
-  let identity_report = String.equal report_seq report_par in
+  let identity_report = String.equal (report_at 1) (report_at 2) in
   (* --- render ------------------------------------------------------ *)
   Tables.print
     ~title:"hot-path timings (lower is better)"
     (Tables.create
-       ~aligns:[ Tables.Left; Tables.Right; Tables.Right; Tables.Right ]
-       ~header:[ "operation"; "seed / cold"; "optimized / warm"; "speedup" ]
+       ~aligns:[ Tables.Left; Tables.Right ]
+       ~header:[ "operation"; "time" ]
        [
-         [ "Vec.dist (ns)"; Tables.cell dist_alloc_ns;
-           Tables.cell dist_fused_ns;
-           Tables.cell (dist_alloc_ns /. dist_fused_ns) ];
+         [ "Vec.dist (ns)"; Tables.cell dist_ns ];
          [ Printf.sprintf "median, %d pts cold (us)" n_pts;
-           Tables.cell median_seed_us; Tables.cell median_cold_us;
-           Tables.cell (median_seed_us /. median_cold_us) ];
+           Tables.cell median_cold_us ];
          [ Printf.sprintf "median, %d pts warm (us)" n_pts;
-           Tables.cell median_seed_us; Tables.cell median_warm_us;
-           Tables.cell warm_speedup ];
-         [ "engine round (us)"; Tables.cell engine_seed_us;
-           Tables.cell engine_opt_us;
-           Tables.cell (engine_seed_us /. engine_opt_us) ];
-         [ "engine round, warm (us)"; Tables.cell engine_seed_us;
-           Tables.cell engine_warm_us;
-           Tables.cell (engine_seed_us /. engine_warm_us) ];
+           Tables.cell median_warm_us ];
+         [ "engine round (us)"; Tables.cell engine_opt_us ];
+         [ "engine round, warm (us)"; Tables.cell engine_warm_us ];
        ]);
   Tables.print
     ~title:"frame codec, 2-D step frame, r = 3 (lower is better)"
@@ -504,263 +443,72 @@ let run_hotpath ~quick ~out ~golden () =
           codec_rows));
   Printf.printf "warm-vs-cold median deviation : %.3g (tolerance-level)\n"
     warm_max_dev;
-  Printf.printf "engine cost drift seed->opt   : %.3g (must be 0)\n"
-    engine_cost_rel;
   Printf.printf "engine cost drift warm        : %.3g (tolerance-level)\n"
     warm_cost_rel;
   Printf.printf "golden trajectory identical   : %b\n" identity_golden;
   Printf.printf "e1 report jobs1 = jobs2       : %b\n%!" identity_report;
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\n";
-  Buffer.add_string buf "  \"schema\": \"msp-bench-hotpath-v1\",\n";
-  Buffer.add_string buf (Printf.sprintf "  %s,\n" (machine_json ()));
-  Buffer.add_string buf (Printf.sprintf "  %s,\n" timing_json);
-  Buffer.add_string buf (Printf.sprintf "  \"quick\": %b,\n" quick);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"kernel_dist_alloc_ns\": %.6g,\n" dist_alloc_ns);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"kernel_dist_fused_ns\": %.6g,\n" dist_fused_ns);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"kernel_dist_speedup\": %.6g,\n"
-       (dist_alloc_ns /. dist_fused_ns));
-  Buffer.add_string buf
-    (Printf.sprintf "  \"median_seed_us\": %.6g,\n" median_seed_us);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"median_cold_us\": %.6g,\n" median_cold_us);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"median_warm_us\": %.6g,\n" median_warm_us);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"median_warm_speedup\": %.6g,\n" warm_speedup);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"median_warm_vs_cold_same_kernel\": %.6g,\n"
-       warm_vs_cold);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"median_warm_max_deviation\": %.6g,\n" warm_max_dev);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"engine_round_seed_us\": %.6g,\n" engine_seed_us);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"engine_round_opt_us\": %.6g,\n" engine_opt_us);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"engine_round_warm_us\": %.6g,\n" engine_warm_us);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"engine_round_speedup\": %.6g,\n"
-       (engine_seed_us /. engine_opt_us));
-  Buffer.add_string buf
-    (Printf.sprintf "  \"engine_cost_rel_drift\": %.6g,\n" engine_cost_rel);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"engine_warm_cost_rel_drift\": %.6g,\n" warm_cost_rel);
-  List.iter
-    (fun (name, (ns, words)) ->
-      Buffer.add_string buf
-        (Printf.sprintf "  \"codec_%s_ns\": %.6g,\n" name ns);
-      Buffer.add_string buf
-        (Printf.sprintf "  \"codec_%s_minor_words\": %.6g,\n" name words))
-    codec_rows;
-  Buffer.add_string buf
-    (Printf.sprintf "  \"identity_golden_trajectory\": %b,\n" identity_golden);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"identity_report_jobs1_vs_jobs2\": %b\n"
-       identity_report);
-  Buffer.add_string buf "}\n";
-  let oc = open_out out in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (Buffer.contents buf));
-  Printf.printf "hotpath report written to %s\n" out;
+  write_record ~report:"hotpath" out
+    ([ ("schema", Str "msp-bench-hotpath-v2"); machine (); timing;
+       ("quick", Bool quick);
+       ("kernel_dist_fused_ns", Num dist_ns);
+       ("median_cold_us", Num median_cold_us);
+       ("median_warm_us", Num median_warm_us);
+       ("median_warm_vs_cold_same_kernel", Num warm_vs_cold);
+       ("median_warm_max_deviation", Num warm_max_dev);
+       ("engine_round_opt_us", Num engine_opt_us);
+       ("engine_round_warm_us", Num engine_warm_us);
+       ("engine_warm_cost_rel_drift", Num warm_cost_rel) ]
+     @ List.concat_map
+         (fun (name, (ns, words)) ->
+           [ (Printf.sprintf "codec_%s_ns" name, Num ns);
+             (Printf.sprintf "codec_%s_minor_words" name, Num words) ])
+         codec_rows
+     @ [ ("identity_golden_trajectory", Bool identity_golden);
+         ("identity_report_jobs1_vs_jobs2", Bool identity_report) ]);
   if not (identity_golden && identity_report) then begin
     prerr_endline
       "FATAL: hot-path rewrite is not byte-identical to the baseline";
-    exit 1
-  end;
-  if engine_cost_rel > 0.0 then begin
-    prerr_endline
-      "FATAL: seed-replica and optimized engine runs disagree on cost";
     exit 1
   end
 
 (* ------------------------------------------------------------------ *)
 (* Offline-solver benchmark: the packed Line_dp core and the OPT memo
-   cache, priced against a faithful replica of the pre-packing solver
-   (per-round allocations, boxed request access), plus the identity
-   checks — packed vs boxed, cached vs uncached, jobs=1 vs jobs=2 —
-   that prove the speedups changed no science.  JSON lands in
-   BENCH_solver.json (or --solver-out PATH). *)
-
-(* Replica of the pre-packing Line_dp: identical arithmetic, but the
-   service table, sorted-request scratch and deques are allocated fresh
-   every round and requests are read through boxed vectors.  Kept here
-   (not in lib/) so the comparison target cannot drift into production
-   use. *)
-module Line_dp_replica = struct
-  module Config = MS.Config
-  module Instance = MS.Instance
-  module Variant = MS.Variant
-
-  let service_on_grid grid requests =
-    let g = Array.length grid in
-    let out = Array.make g 0.0 in
-    let r = Array.length requests in
-    if r > 0 then begin
-      let sorted = Array.map (fun v -> v.(0)) requests in
-      Array.sort Float.compare sorted;
-      let prefix = Array.make (r + 1) 0.0 in
-      for i = 0 to r - 1 do
-        prefix.(i + 1) <- prefix.(i) +. sorted.(i)
-      done;
-      let total = prefix.(r) in
-      let j = ref 0 in
-      for k = 0 to g - 1 do
-        let x = grid.(k) in
-        while !j < r && sorted.(!j) <= x do incr j done;
-        let below = float_of_int !j and sum_below = prefix.(!j) in
-        let above = float_of_int (r - !j)
-        and sum_above = total -. prefix.(!j) in
-        out.(k) <- (below *. x) -. sum_below +. (sum_above -. (above *. x))
-      done
-    end;
-    out
-
-  let window_min_left ~w key out_val out_idx =
-    let g = Array.length key in
-    let deque = Array.make g 0 in
-    let head = ref 0 and tail = ref 0 in
-    for k = 0 to g - 1 do
-      while !head < !tail && deque.(!head) < k - w do incr head done;
-      while !head < !tail && key.(deque.(!tail - 1)) >= key.(k) do
-        decr tail
-      done;
-      deque.(!tail) <- k;
-      incr tail;
-      let j = deque.(!head) in
-      out_val.(k) <- key.(j);
-      out_idx.(k) <- j
-    done
-
-  let optimum ?(grid_per_m = 64) (config : Config.t) inst =
-    if Instance.dim inst <> 1 then
-      invalid_arg "Line_dp.solve: instance is not 1-dimensional";
-    let t_len = Instance.length inst in
-    if t_len = 0 then invalid_arg "Line_dp.solve: empty instance";
-    let m = Config.offline_limit config in
-    let d_factor = config.Config.d_factor in
-    let start = inst.Instance.start.(0) in
-    let lo = ref start and hi = ref start in
-    Array.iter
-      (Array.iter (fun v ->
-           if v.(0) < !lo then lo := v.(0);
-           if v.(0) > !hi then hi := v.(0)))
-      inst.Instance.steps;
-    let width = !hi -. !lo in
-    let max_cells = 40_000_000 in
-    let max_grid = Stdlib.max 64 (Stdlib.min 60_000 (max_cells / t_len)) in
-    let pitch =
-      let by_m = m /. float_of_int (Stdlib.min grid_per_m 126) in
-      let by_width =
-        if width > 0.0 then width /. float_of_int max_grid else by_m
-      in
-      Float.max by_m by_width
-    in
-    let k_lo = -(int_of_float (Float.ceil ((start -. !lo) /. pitch))) in
-    let k_hi = int_of_float (Float.ceil ((!hi -. start) /. pitch)) in
-    let g = k_hi - k_lo + 1 in
-    let grid =
-      Array.init g (fun i -> start +. (float_of_int (k_lo + i) *. pitch))
-    in
-    let start_idx = -k_lo in
-    let w = int_of_float (Float.floor ((m /. pitch) +. 1e-9)) in
-    if w < 1 then invalid_arg "Line_dp.solve: grid pitch exceeds m";
-    let inf = infinity in
-    let parents = Bytes.make (t_len * g) '\000' in
-    let value = Array.make g inf in
-    value.(start_idx) <- 0.0;
-    let key = Array.make g 0.0 in
-    let left_val = Array.make g 0.0 and left_idx = Array.make g 0 in
-    let right_val = Array.make g 0.0 and right_idx = Array.make g 0 in
-    let rev_val = Array.make g 0.0 and rev_idx = Array.make g 0 in
-    let next = Array.make g 0.0 in
-    let serve_first =
-      Variant.equal config.Config.variant Variant.Serve_first
-    in
-    for t = 0 to t_len - 1 do
-      let service = service_on_grid grid inst.Instance.steps.(t) in
-      let base j =
-        if serve_first then value.(j) +. service.(j) else value.(j)
-      in
-      for j = 0 to g - 1 do
-        key.(j) <- base j -. (d_factor *. grid.(j))
-      done;
-      window_min_left ~w key left_val left_idx;
-      for j = 0 to g - 1 do
-        key.(j) <- base (g - 1 - j) +. (d_factor *. grid.(g - 1 - j))
-      done;
-      window_min_left ~w key rev_val rev_idx;
-      for k = 0 to g - 1 do
-        right_val.(k) <- rev_val.(g - 1 - k);
-        right_idx.(k) <- g - 1 - rev_idx.(g - 1 - k)
-      done;
-      for k = 0 to g - 1 do
-        let x = grid.(k) in
-        let from_left = left_val.(k) +. (d_factor *. x) in
-        let from_right = right_val.(k) -. (d_factor *. x) in
-        let best_val, best_j =
-          if from_left <= from_right then (from_left, left_idx.(k))
-          else (from_right, right_idx.(k))
-        in
-        next.(k) <-
-          (if Float.is_finite best_val then
-             if serve_first then best_val else best_val +. service.(k)
-           else inf);
-        Bytes.set parents ((t * g) + k) (Char.chr (best_j - k + 128))
-      done;
-      Array.blit next 0 value 0 g
-    done;
-    let best_k = ref 0 in
-    for k = 1 to g - 1 do
-      if value.(k) < value.(!best_k) then best_k := k
-    done;
-    value.(!best_k)
-end
+   cache, plus the identity checks — boxed vs packed, cached vs
+   uncached, jobs=1 vs jobs=2, the disk round trip — that prove the
+   cache changed no science.  Line_dp's own bits are held by
+   test_offline (the line_dp_v1.txt golden and the naive window-scan
+   property).  JSON lands in BENCH_solver.json (or --solver-out PATH). *)
 
 let run_solver ~quick ~out () =
   print_endline "\n=== SOLVER: packed Line_dp, OPT cache, identity ===\n";
-  let bit_eq a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b) in
   let config = MS.Config.make ~d_factor:4.0 ~delta:0.5 () in
   let line_gen ~t rng =
     Workloads.Clusters.generate ~r_min:2 ~r_max:2 ~arena:10.0 ~dim:1 ~t rng
   in
-  (* --- cold single solve: replica vs packed core ------------------- *)
+  (* --- cold single solve ------------------------------------------- *)
   let solve_t = if quick then 512 else 2000 in
   let inst =
     line_gen ~t:solve_t (Prng.Stream.named ~name:"bench-solver" ~seed:1)
   in
   let solve_reps = if quick then 5 else 15 in
-  let seed_ms =
-    time_per ~repeat:solve_reps (fun () -> Line_dp_replica.optimum config inst)
-    *. 1e3
-  in
   let packed_ms =
     time_per ~repeat:solve_reps (fun () ->
         Offline.Line_dp.optimum config inst)
     *. 1e3
   in
-  let cold_speedup = seed_ms /. packed_ms in
-  (* Identity: replica, boxed entry and packed core agree bit for bit
+  (* Identity: the boxed entry and the packed core agree bit for bit
      across several instances. *)
   let identity_packed_vs_boxed =
-    let ok = ref true in
-    for seed = 1 to 8 do
-      let inst =
-        line_gen ~t:(if quick then 64 else 128)
-          (Prng.Stream.named ~name:"bench-solver-id" ~seed)
-      in
-      let replica = Line_dp_replica.optimum config inst in
-      let boxed = Offline.Line_dp.optimum config inst in
-      let packed =
-        Offline.Line_dp.optimum_packed config (MS.Instance.pack inst)
-      in
-      if not (bit_eq replica boxed && bit_eq boxed packed) then ok := false
-    done;
-    !ok
+    List.for_all
+      (fun seed ->
+        let inst =
+          line_gen ~t:(if quick then 64 else 128)
+            (Prng.Stream.named ~name:"bench-solver-id" ~seed)
+        in
+        bit_eq
+          (Offline.Line_dp.optimum config inst)
+          (Offline.Line_dp.optimum_packed config (MS.Instance.pack inst)))
+      [ 1; 2; 3; 4; 5; 6; 7; 8 ]
   in
   (* --- cached sweep: cold vs warm, jobs=1 vs jobs=2 ----------------- *)
   let sweep_seeds = if quick then 6 else 16 in
@@ -774,23 +522,26 @@ let run_solver ~quick ~out () =
     let r = f () in
     (Unix.gettimeofday () -. t0, r)
   in
-  let saved_jobs = Exec.jobs () in
-  Exec.set_jobs 1;
-  Offline.Opt_cache.clear ();
-  Offline.Opt_cache.reset_stats ();
-  let cold_s, sweep_cold = timed sweep in
-  let warm_s, sweep_warm = timed sweep in
+  let cold_s, warm_s, sweep_cold, sweep_warm, sweep_uncached =
+    with_jobs 1 (fun () ->
+        Offline.Opt_cache.clear ();
+        Offline.Opt_cache.reset_stats ();
+        let cold_s, sweep_cold = timed sweep in
+        let warm_s, sweep_warm = timed sweep in
+        (* Uncached pass: the cache bypassed entirely, same jobs count. *)
+        Offline.Opt_cache.set_enabled false;
+        let _, sweep_uncached = timed sweep in
+        Offline.Opt_cache.set_enabled true;
+        (cold_s, warm_s, sweep_cold, sweep_warm, sweep_uncached))
+  in
   let warm_speedup = cold_s /. warm_s in
-  (* Uncached pass: the cache bypassed entirely, same jobs count. *)
-  Offline.Opt_cache.set_enabled false;
-  let _, sweep_uncached = timed sweep in
-  Offline.Opt_cache.set_enabled true;
   (* jobs=2 from a cold cache, then warm. *)
-  Exec.set_jobs 2;
-  Offline.Opt_cache.clear ();
-  let _, sweep_j2_cold = timed sweep in
-  let _, sweep_j2_warm = timed sweep in
-  Exec.set_jobs saved_jobs;
+  let sweep_j2_cold, sweep_j2_warm =
+    with_jobs 2 (fun () ->
+        Offline.Opt_cache.clear ();
+        let cold = sweep () in
+        (cold, sweep ()))
+  in
   let ratios s = s.Experiments.Ratio.ratios in
   let all_bit_eq a b =
     Array.length a = Array.length b && Array.for_all2 bit_eq a b
@@ -828,73 +579,41 @@ let run_solver ~quick ~out () =
   Tables.print
     ~title:"offline-solver timings (lower is better)"
     (Tables.create
-       ~aligns:[ Tables.Left; Tables.Right; Tables.Right; Tables.Right ]
-       ~header:[ "operation"; "seed / cold"; "packed / warm"; "speedup" ]
+       ~aligns:[ Tables.Left; Tables.Right ]
+       ~header:[ "operation"; "time" ]
        [
          [ Printf.sprintf "line-dp solve, T=%d (ms)" solve_t;
-           Tables.cell seed_ms; Tables.cell packed_ms;
-           Tables.cell cold_speedup ];
-         [ Printf.sprintf "ratio sweep, %d seeds (s)" sweep_seeds;
-           Tables.cell cold_s; Tables.cell warm_s;
-           Tables.cell warm_speedup ];
+           Tables.cell packed_ms ];
+         [ Printf.sprintf "ratio sweep, %d seeds, cold (s)" sweep_seeds;
+           Tables.cell cold_s ];
+         [ Printf.sprintf "ratio sweep, %d seeds, warm (s)" sweep_seeds;
+           Tables.cell warm_s ];
        ]);
   Printf.printf "cache stats                    : %d hits, %d misses, %d disk\n"
     stats.Offline.Opt_cache.hits stats.Offline.Opt_cache.misses
     stats.Offline.Opt_cache.disk_hits;
-  Printf.printf "packed = boxed = seed replica  : %b\n" identity_packed_vs_boxed;
+  Printf.printf "boxed = packed                 : %b\n" identity_packed_vs_boxed;
   Printf.printf "cached = uncached              : %b\n"
     identity_cached_vs_uncached;
   Printf.printf "jobs1 = jobs2 (cold and warm)  : %b\n" identity_jobs1_vs_jobs2;
   Printf.printf "disk round trip                : %b\n%!"
     identity_disk_roundtrip;
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\n";
-  Buffer.add_string buf "  \"schema\": \"msp-bench-solver-v1\",\n";
-  Buffer.add_string buf (Printf.sprintf "  \"quick\": %b,\n" quick);
-  Buffer.add_string buf (Printf.sprintf "  %s,\n" (machine_json ()));
-  Buffer.add_string buf (Printf.sprintf "  %s,\n" timing_json);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"line_dp_rounds\": %d,\n" solve_t);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"line_dp_seed_ms\": %.6g,\n" seed_ms);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"line_dp_packed_ms\": %.6g,\n" packed_ms);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"line_dp_cold_speedup\": %.6g,\n" cold_speedup);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"sweep_seeds\": %d,\n" sweep_seeds);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"sweep_cold_s\": %.6g,\n" cold_s);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"sweep_warm_s\": %.6g,\n" warm_s);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"cache_warm_speedup\": %.6g,\n" warm_speedup);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"cache_hits\": %d,\n" stats.Offline.Opt_cache.hits);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"cache_misses\": %d,\n"
-       stats.Offline.Opt_cache.misses);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"cache_disk_hits\": %d,\n"
-       stats.Offline.Opt_cache.disk_hits);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"identity_packed_vs_boxed\": %b,\n"
-       identity_packed_vs_boxed);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"identity_cached_vs_uncached\": %b,\n"
-       identity_cached_vs_uncached);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"identity_jobs1_vs_jobs2\": %b,\n"
-       identity_jobs1_vs_jobs2);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"identity_disk_roundtrip\": %b\n"
-       identity_disk_roundtrip);
-  Buffer.add_string buf "}\n";
-  let oc = open_out out in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (Buffer.contents buf));
-  Printf.printf "solver report written to %s\n" out;
+  write_record ~report:"solver" out
+    [ ("schema", Str "msp-bench-solver-v2"); ("quick", Bool quick);
+      machine (); timing;
+      ("line_dp_rounds", Int solve_t);
+      ("line_dp_packed_ms", Num packed_ms);
+      ("sweep_seeds", Int sweep_seeds);
+      ("sweep_cold_s", Num cold_s);
+      ("sweep_warm_s", Num warm_s);
+      ("cache_warm_speedup", Num warm_speedup);
+      ("cache_hits", Int stats.Offline.Opt_cache.hits);
+      ("cache_misses", Int stats.Offline.Opt_cache.misses);
+      ("cache_disk_hits", Int stats.Offline.Opt_cache.disk_hits);
+      ("identity_packed_vs_boxed", Bool identity_packed_vs_boxed);
+      ("identity_cached_vs_uncached", Bool identity_cached_vs_uncached);
+      ("identity_jobs1_vs_jobs2", Bool identity_jobs1_vs_jobs2);
+      ("identity_disk_roundtrip", Bool identity_disk_roundtrip) ];
   if not (identity_packed_vs_boxed && identity_cached_vs_uncached
           && identity_jobs1_vs_jobs2 && identity_disk_roundtrip)
   then begin
@@ -906,176 +625,18 @@ let run_solver ~quick ~out () =
 (* ------------------------------------------------------------------ *)
 (* Network benchmark: the CSR graph stack — unboxed Dijkstra into one
    flat metric table, lazy rows, and the flat-row Page Migration DP —
-   priced against faithful replicas of the pre-CSR implementations
-   (list adjacency, tuple-heap Dijkstra, per-pair distance calls in
-   the DP), plus the identity checks that prove the rewrite changed no
-   science.  JSON lands in BENCH_network.json (or --network-out). *)
-
-(* Replicas of the pre-CSR graph/metric/DP code: the exact arithmetic
-   and data structures of the seed network stack.  Kept here (not in
-   lib/) so the comparison target cannot drift into production use. *)
-module Network_replica = struct
-  type graph = { n : int; adjacency : (int * float) list array }
-
-  (* Rebuild the historical adjacency-list representation from the
-     canonical edge list — cons per endpoint in edge order, exactly
-     like the seed [Graph.of_edges]. *)
-  let of_graph g =
-    let n = Network.Graph.nodes g in
-    let adjacency = Array.make n [] in
-    List.iter
-      (fun (u, v, len) ->
-        adjacency.(u) <- (v, len) :: adjacency.(u);
-        adjacency.(v) <- (u, len) :: adjacency.(v))
-      (Network.Graph.edges g);
-    { n; adjacency }
-
-  (* The seed's binary heap on boxed (distance, node) pairs. *)
-  module Heap = struct
-    type t = {
-      mutable data : (float * int) array;
-      mutable size : int;
-    }
-
-    let create capacity =
-      { data = Array.make (Stdlib.max 1 capacity) (0.0, 0); size = 0 }
-
-    let swap h i j =
-      let tmp = h.data.(i) in
-      h.data.(i) <- h.data.(j);
-      h.data.(j) <- tmp
-
-    let rec sift_up h i =
-      if i > 0 then begin
-        let parent = (i - 1) / 2 in
-        if fst h.data.(i) < fst h.data.(parent) then begin
-          swap h i parent;
-          sift_up h parent
-        end
-      end
-
-    let rec sift_down h i =
-      let left = (2 * i) + 1 and right = (2 * i) + 2 in
-      let smallest = ref i in
-      if left < h.size && fst h.data.(left) < fst h.data.(!smallest) then
-        smallest := left;
-      if right < h.size && fst h.data.(right) < fst h.data.(!smallest) then
-        smallest := right;
-      if !smallest <> i then begin
-        swap h i !smallest;
-        sift_down h !smallest
-      end
-
-    let push h entry =
-      if h.size = Array.length h.data then begin
-        let grown = Array.make (2 * h.size) (0.0, 0) in
-        Array.blit h.data 0 grown 0 h.size;
-        h.data <- grown
-      end;
-      h.data.(h.size) <- entry;
-      h.size <- h.size + 1;
-      sift_up h (h.size - 1)
-
-    let pop h =
-      if h.size = 0 then None
-      else begin
-        let top = h.data.(0) in
-        h.size <- h.size - 1;
-        if h.size > 0 then begin
-          h.data.(0) <- h.data.(h.size);
-          sift_down h 0
-        end;
-        Some top
-      end
-  end
-
-  let single_source g s =
-    let dist = Array.make g.n infinity in
-    dist.(s) <- 0.0;
-    let heap = Heap.create g.n in
-    Heap.push heap (0.0, s);
-    let rec loop () =
-      match Heap.pop heap with
-      | None -> ()
-      | Some (d, u) ->
-        if d <= dist.(u) then
-          List.iter
-            (fun (v, len) ->
-              let nd = d +. len in
-              if nd < dist.(v) then begin
-                dist.(v) <- nd;
-                Heap.push heap (nd, v)
-              end)
-            g.adjacency.(u);
-        loop ()
-    in
-    loop ();
-    dist
-
-  type metric = { n : int; table : float array array }
-
-  let all_pairs (g : graph) =
-    { n = g.n; table = Array.init g.n (single_source g) }
-
-  let distance m u v =
-    if u < 0 || u >= m.n || v < 0 || v >= m.n then
-      invalid_arg "distance: node out of range";
-    m.table.(u).(v)
-
-  (* The seed Pm_offline.solve: per-pair [distance] calls, service
-     refolded per destination, sequential scan. *)
-  let pm_solve metric ~d_factor (inst : Network.Pm_model.instance) =
-    let t_len = Array.length inst.Network.Pm_model.rounds in
-    let n = metric.n in
-    let value = Array.make n infinity in
-    value.(inst.Network.Pm_model.start) <- 0.0;
-    let parents = Array.make_matrix t_len n 0 in
-    let next = Array.make n 0.0 in
-    for t = 0 to t_len - 1 do
-      let requests = inst.Network.Pm_model.rounds.(t) in
-      for x = 0 to n - 1 do
-        let service =
-          Array.fold_left
-            (fun acc v -> acc +. distance metric x v)
-            0.0 requests
-        in
-        let best = ref infinity and best_y = ref 0 in
-        for y = 0 to n - 1 do
-          if Float.is_finite value.(y) then begin
-            let c = value.(y) +. (d_factor *. distance metric y x) in
-            if c < !best then begin
-              best := c;
-              best_y := y
-            end
-          end
-        done;
-        next.(x) <- !best +. service;
-        parents.(t).(x) <- !best_y
-      done;
-      Array.blit next 0 value 0 n
-    done;
-    let best_x = ref 0 in
-    for x = 1 to n - 1 do
-      if value.(x) < value.(!best_x) then best_x := x
-    done;
-    let positions = Array.make t_len 0 in
-    let x = ref !best_x in
-    for t = t_len - 1 downto 0 do
-      positions.(t) <- !x;
-      x := parents.(t).(!x)
-    done;
-    (value.(!best_x), positions)
-end
+   plus the identity checks for lazy rows, the OPT cache and the jobs
+   count.  The table's and the DP's own bits are held by test_network
+   (the network_v1.txt golden).  JSON lands in BENCH_network.json (or
+   --network-out). *)
 
 let run_network ~quick ~out () =
   print_endline "\n=== NETWORK: CSR graphs, unboxed Dijkstra, PM optima ===\n";
-  let bit_eq a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b) in
   let n = if quick then 120 else 400 in
   let t_len = if quick then 64 else 256 in
   let d = 4.0 in
   let rng = Prng.Stream.named ~name:"bench-network" ~seed:1 in
   let graph, _layout = Network.Graph.random_geometric ~n rng in
-  let replica = Network_replica.of_graph graph in
   let edge_count = List.length (Network.Graph.edges graph) in
   (* Requests: a handful of nodes per round, the shape that exercises
      both the service fold and the migration scan. *)
@@ -1086,66 +647,34 @@ let run_network ~quick ~out () =
   in
   (* --- cold all-pairs construction --------------------------------- *)
   let ap_reps = if quick then 3 else 10 in
-  let ap_replica_ms =
-    time_per ~repeat:ap_reps (fun () -> Network_replica.all_pairs replica)
-    *. 1e3
-  in
   let ap_csr_ms =
     time_per ~repeat:ap_reps (fun () -> Network.Dijkstra.all_pairs graph)
     *. 1e3
   in
-  let ap_speedup = ap_replica_ms /. ap_csr_ms in
-  let rmetric = Network_replica.all_pairs replica in
   let metric = Network.Dijkstra.all_pairs graph in
   (* --- per-query distance ------------------------------------------ *)
   let queries = if quick then 20_000 else 100_000 in
   let qu = Array.init queries (fun _ -> Prng.Xoshiro.next_below rng n) in
   let qv = Array.init queries (fun _ -> Prng.Xoshiro.next_below rng n) in
   let query_reps = if quick then 20 else 50 in
-  let sum_queries dist =
-    let acc = ref 0.0 in
-    for i = 0 to queries - 1 do
-      acc := !acc +. dist qu.(i) qv.(i)
-    done;
-    !acc
-  in
-  let per_query secs = secs /. float_of_int queries *. 1e9 in
-  let query_replica_ns =
-    per_query
-      (time_per ~repeat:query_reps (fun () ->
-           sum_queries (Network_replica.distance rmetric)))
-  in
   let query_csr_ns =
-    per_query
-      (time_per ~repeat:query_reps (fun () ->
-           sum_queries (Network.Dijkstra.distance metric)))
+    time_per ~repeat:query_reps (fun () ->
+        let acc = ref 0.0 in
+        for i = 0 to queries - 1 do
+          acc := !acc +. Network.Dijkstra.distance metric qu.(i) qv.(i)
+        done;
+        !acc)
+    /. float_of_int queries *. 1e9
   in
   (* --- offline DP solve -------------------------------------------- *)
   let dp_reps = if quick then 2 else 3 in
-  let dp_replica_ms =
-    time_per ~repeat:dp_reps (fun () ->
-        Network_replica.pm_solve rmetric ~d_factor:d inst)
-    *. 1e3
-  in
   let dp_csr_ms =
     time_per ~repeat:dp_reps (fun () ->
         Network.Pm_offline.solve metric ~d_factor:d inst)
     *. 1e3
   in
-  let dp_speedup = dp_replica_ms /. dp_csr_ms in
   (* --- identity: the science did not move --------------------------- *)
   let flat = Network.Dijkstra.dense_table metric in
-  let identity_allpairs =
-    let ok = ref true in
-    for u = 0 to n - 1 do
-      let row = rmetric.Network_replica.table.(u) in
-      for v = 0 to n - 1 do
-        if not (bit_eq row.(v) (Geometry.Fbuf.get flat ((u * n) + v))) then
-          ok := false
-      done
-    done;
-    !ok
-  in
   (* Lazy rows, with a capacity forcing evictions, must reproduce the
      dense table bit for bit. *)
   let identity_lazy =
@@ -1163,14 +692,7 @@ let run_network ~quick ~out () =
     done;
     !ok
   in
-  let replica_cost, replica_positions =
-    Network_replica.pm_solve rmetric ~d_factor:d inst
-  in
   let sol = Network.Pm_offline.solve metric ~d_factor:d inst in
-  let identity_dp =
-    bit_eq replica_cost sol.Network.Pm_offline.cost
-    && replica_positions = sol.Network.Pm_offline.positions
-  in
   (* Cached optimum: cold miss, warm hit, both equal to the direct
      solve bit for bit. *)
   Offline.Opt_cache.reset_stats ();
@@ -1191,11 +713,11 @@ let run_network ~quick ~out () =
     && cache_stats.Offline.Opt_cache.hits > 0
   in
   (* jobs=2 must reproduce the jobs=1 table and DP bit for bit. *)
-  let saved_jobs = Exec.jobs () in
-  Exec.set_jobs 2;
-  let metric_j2 = Network.Dijkstra.all_pairs graph in
-  let sol_j2 = Network.Pm_offline.solve metric_j2 ~d_factor:d inst in
-  Exec.set_jobs saved_jobs;
+  let metric_j2, sol_j2 =
+    with_jobs 2 (fun () ->
+        let metric_j2 = Network.Dijkstra.all_pairs graph in
+        (metric_j2, Network.Pm_offline.solve metric_j2 ~d_factor:d inst))
+  in
   let identity_jobs =
     let flat_j2 = Network.Dijkstra.dense_table metric_j2 in
     let ok =
@@ -1214,81 +736,34 @@ let run_network ~quick ~out () =
   Tables.print
     ~title:"network timings (lower is better)"
     (Tables.create
-       ~aligns:[ Tables.Left; Tables.Right; Tables.Right; Tables.Right ]
-       ~header:[ "operation"; "replica"; "CSR"; "speedup" ]
+       ~aligns:[ Tables.Left; Tables.Right ]
+       ~header:[ "operation"; "time" ]
        [
-         [ Printf.sprintf "all-pairs, n=%d (ms)" n;
-           Tables.cell ap_replica_ms; Tables.cell ap_csr_ms;
-           Tables.cell ap_speedup ];
-         [ "distance query (ns)"; Tables.cell query_replica_ns;
-           Tables.cell query_csr_ns;
-           Tables.cell (query_replica_ns /. query_csr_ns) ];
+         [ Printf.sprintf "all-pairs, n=%d (ms)" n; Tables.cell ap_csr_ms ];
+         [ "distance query (ns)"; Tables.cell query_csr_ns ];
          [ Printf.sprintf "PM offline DP, T=%d (ms)" t_len;
-           Tables.cell dp_replica_ms; Tables.cell dp_csr_ms;
-           Tables.cell dp_speedup ];
-         [ "cached PM optimum (ms)"; Tables.cell cache_cold_ms;
-           Tables.cell cache_warm_ms;
-           Tables.cell (cache_cold_ms /. Float.max 1e-6 cache_warm_ms) ];
+           Tables.cell dp_csr_ms ];
+         [ "cached PM optimum, cold (ms)"; Tables.cell cache_cold_ms ];
+         [ "cached PM optimum, warm (ms)"; Tables.cell cache_warm_ms ];
        ]);
-  Printf.printf "replica = CSR (all-pairs)     : %b\n" identity_allpairs;
   Printf.printf "lazy = dense                  : %b\n" identity_lazy;
-  Printf.printf "replica = CSR (DP solve)      : %b\n" identity_dp;
   Printf.printf "cached = uncached             : %b\n" identity_cached;
   Printf.printf "jobs1 = jobs2                 : %b\n%!" identity_jobs;
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\n";
-  Buffer.add_string buf "  \"schema\": \"msp-bench-network-v1\",\n";
-  Buffer.add_string buf (Printf.sprintf "  %s,\n" (machine_json ()));
-  Buffer.add_string buf (Printf.sprintf "  %s,\n" timing_json);
-  Buffer.add_string buf (Printf.sprintf "  \"quick\": %b,\n" quick);
-  Buffer.add_string buf (Printf.sprintf "  \"nodes\": %d,\n" n);
-  Buffer.add_string buf (Printf.sprintf "  \"edges\": %d,\n" edge_count);
-  Buffer.add_string buf (Printf.sprintf "  \"rounds\": %d,\n" t_len);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"allpairs_replica_ms\": %.6g,\n" ap_replica_ms);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"allpairs_csr_ms\": %.6g,\n" ap_csr_ms);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"allpairs_speedup\": %.6g,\n" ap_speedup);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"query_replica_ns\": %.6g,\n" query_replica_ns);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"query_csr_ns\": %.6g,\n" query_csr_ns);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"query_speedup\": %.6g,\n"
-       (query_replica_ns /. query_csr_ns));
-  Buffer.add_string buf
-    (Printf.sprintf "  \"pm_dp_replica_ms\": %.6g,\n" dp_replica_ms);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"pm_dp_csr_ms\": %.6g,\n" dp_csr_ms);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"pm_dp_speedup\": %.6g,\n" dp_speedup);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"pm_cache_cold_ms\": %.6g,\n" cache_cold_ms);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"pm_cache_warm_ms\": %.6g,\n" cache_warm_ms);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"identity_allpairs_replica_vs_csr\": %b,\n"
-       identity_allpairs);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"identity_lazy_vs_dense\": %b,\n" identity_lazy);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"identity_dp_replica_vs_csr\": %b,\n" identity_dp);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"identity_cached_vs_uncached\": %b,\n" identity_cached);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"identity_jobs1_vs_jobs2\": %b\n" identity_jobs);
-  Buffer.add_string buf "}\n";
-  let oc = open_out out in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (Buffer.contents buf));
-  Printf.printf "network report written to %s\n" out;
-  if
-    not
-      (identity_allpairs && identity_lazy && identity_dp && identity_cached
-       && identity_jobs)
-  then begin
+  write_record ~report:"network" out
+    [ ("schema", Str "msp-bench-network-v2"); machine (); timing;
+      ("quick", Bool quick);
+      ("nodes", Int n);
+      ("edges", Int edge_count);
+      ("rounds", Int t_len);
+      ("allpairs_csr_ms", Num ap_csr_ms);
+      ("query_csr_ns", Num query_csr_ns);
+      ("pm_dp_csr_ms", Num dp_csr_ms);
+      ("pm_cache_cold_ms", Num cache_cold_ms);
+      ("pm_cache_warm_ms", Num cache_warm_ms);
+      ("identity_lazy_vs_dense", Bool identity_lazy);
+      ("identity_cached_vs_uncached", Bool identity_cached);
+      ("identity_jobs1_vs_jobs2", Bool identity_jobs) ];
+  if not (identity_lazy && identity_cached && identity_jobs) then begin
     prerr_endline
       "FATAL: network rewrite is not byte-identical to the baseline";
     exit 1
@@ -1453,41 +928,34 @@ let run_serve ~quick ~out () =
               Tables.cell r.sr_p99_service_ms;
               Tables.cell r.sr_p99_sojourn_ms ])
           rows));
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\n";
-  Buffer.add_string buf "  \"schema\": \"msp-bench-serve-v3\",\n";
-  Buffer.add_string buf (Printf.sprintf "  %s,\n" (machine_json ()));
-  Buffer.add_string buf (Printf.sprintf "  \"quick\": %b,\n" quick);
-  Buffer.add_string buf (Printf.sprintf "  \"jobs\": %d,\n" jobs);
-  Buffer.add_string buf (Printf.sprintf "  \"shards\": %d,\n" shards);
-  Buffer.add_string buf (Printf.sprintf "  \"dim\": %d,\n" dim);
-  Buffer.add_string buf "  \"scales\": [\n";
-  List.iteri
-    (fun i r ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    {\"mode\": %S, \"live_target\": %d, \"ticks\": %d, \
-            \"peak_live\": %d, \"sessions\": %d, \"steps\": %d, \
-            \"elapsed_s\": %.6g, \"steps_per_sec\": %.6g, \
-            \"p99_service_latency_ms\": %.6g, \"p99_sojourn_latency_ms\": \
-            %.6g, \"schedule_fingerprint\": %S, \
-            \"identity_serve_vs_engine\": %b, \"identity_jobs1_vs_jobsN\": \
-            %b%s}%s\n"
-           r.sr_mode r.sr_scale r.sr_ticks r.sr_peak r.sr_sessions r.sr_steps
-           r.sr_elapsed r.sr_sps r.sr_p99_service_ms r.sr_p99_sojourn_ms
-           r.sr_fingerprint r.sr_id_engine r.sr_id_jobs
-           (match r.sr_id_journal with
-            | None -> ""
-            | Some b ->
-              Printf.sprintf ", \"identity_journal_on_vs_off\": %b" b)
-           (if i < List.length rows - 1 then "," else "")))
-    rows;
-  Buffer.add_string buf "  ]\n}\n";
-  let oc = open_out out in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (Buffer.contents buf));
-  Printf.printf "serve report written to %s\n" out;
+  write_record ~report:"serve" out
+    [ ("schema", Str "msp-bench-serve-v3"); machine ();
+      ("quick", Bool quick);
+      ("jobs", Int jobs);
+      ("shards", Int shards);
+      ("dim", Int dim);
+      ( "scales",
+        Rows
+          (List.map
+             (fun r ->
+               Obj
+                 ([ ("mode", Str r.sr_mode);
+                    ("live_target", Int r.sr_scale);
+                    ("ticks", Int r.sr_ticks);
+                    ("peak_live", Int r.sr_peak);
+                    ("sessions", Int r.sr_sessions);
+                    ("steps", Int r.sr_steps);
+                    ("elapsed_s", Num r.sr_elapsed);
+                    ("steps_per_sec", Num r.sr_sps);
+                    ("p99_service_latency_ms", Num r.sr_p99_service_ms);
+                    ("p99_sojourn_latency_ms", Num r.sr_p99_sojourn_ms);
+                    ("schedule_fingerprint", Str r.sr_fingerprint);
+                    ("identity_serve_vs_engine", Bool r.sr_id_engine);
+                    ("identity_jobs1_vs_jobsN", Bool r.sr_id_jobs) ]
+                 @ match r.sr_id_journal with
+                   | None -> []
+                   | Some b -> [ ("identity_journal_on_vs_off", Bool b) ]))
+             rows) ) ];
   if
     not
       (List.for_all
@@ -1527,11 +995,10 @@ let with_gc_delta f =
       minor_gcs = s1.Gc.minor_collections - s0.Gc.minor_collections;
       major_gcs = s1.Gc.major_collections - s0.Gc.major_collections } )
 
-let gc_delta_json prefix g =
-  Printf.sprintf
-    "\"%s_minor_words\": %.6g, \"%s_minor_collections\": %d, \
-     \"%s_major_collections\": %d"
-    prefix g.minor_words prefix g.minor_gcs prefix g.major_gcs
+let gc_fields prefix g =
+  [ (prefix ^ "_minor_words", Num g.minor_words);
+    (prefix ^ "_minor_collections", Int g.minor_gcs);
+    (prefix ^ "_major_collections", Int g.major_gcs) ]
 
 let run_multicore ~quick ~out () =
   Printf.printf "\n=== MULTICORE: jobs=1/2/4/8 matrix ===\n\n";
@@ -1557,15 +1024,15 @@ let run_multicore ~quick ~out () =
                   ( Unix.gettimeofday () -. t0,
                     report.Serve.Driver.reply_digest )))
         in
-        Exec.set_jobs jobs;
         (* Every cell pays cold solves — otherwise the first cell warms
            the OPT cache and later cells report a phantom speedup. *)
         Offline.Opt_cache.clear ();
         let (exp_s, result), exp_gc =
-          with_gc_delta (fun () ->
-              let t0 = Unix.gettimeofday () in
-              let result = Experiments.Catalog.run ~quick experiment in
-              (Unix.gettimeofday () -. t0, result))
+          with_jobs jobs (fun () ->
+              with_gc_delta (fun () ->
+                  let t0 = Unix.gettimeofday () in
+                  let result = Experiments.Catalog.run ~quick experiment in
+                  (Unix.gettimeofday () -. t0, result)))
         in
         let exp_report = Experiments.Catalog.result_to_markdown result in
         Printf.printf
@@ -1574,10 +1041,10 @@ let run_multicore ~quick ~out () =
         (jobs, serve_s, digest, exp_s, exp_report, serve_gc, exp_gc))
       multicore_jobs
   in
-  Exec.set_jobs (Exec.default_jobs ());
   let _, base_serve, base_digest, base_exp, base_report, _, _ =
     List.hd cells
   in
+  let speedup base secs = if secs > 0.0 then base /. secs else 1.0 in
   let identical =
     List.for_all
       (fun (_, _, digest, _, report, _, _) ->
@@ -1594,43 +1061,30 @@ let run_multicore ~quick ~out () =
           (fun (jobs, serve_s, _, exp_s, _, _, _) ->
             [ Printf.sprintf "%d" jobs;
               Tables.cell serve_s;
-              Tables.cell (if serve_s > 0.0 then base_serve /. serve_s else 1.0);
+              Tables.cell (speedup base_serve serve_s);
               Tables.cell exp_s;
-              Tables.cell (if exp_s > 0.0 then base_exp /. exp_s else 1.0) ])
+              Tables.cell (speedup base_exp exp_s) ])
           cells));
-  let buf = Buffer.create 512 in
-  Buffer.add_string buf "{\n";
-  Buffer.add_string buf "  \"schema\": \"msp-bench-multicore-v1\",\n";
-  Buffer.add_string buf (Printf.sprintf "  %s,\n" (machine_json ()));
-  Buffer.add_string buf (Printf.sprintf "  \"quick\": %b,\n" quick);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"serve_live_target\": %d,\n" scale);
-  Buffer.add_string buf (Printf.sprintf "  \"experiment\": %S,\n" experiment);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"identical_output\": %b,\n" identical);
-  Buffer.add_string buf "  \"cells\": [\n";
-  List.iteri
-    (fun i (jobs, serve_s, digest, exp_s, _, serve_gc, exp_gc) ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    {\"jobs\": %d, \"serve_seconds\": %.6g, \"serve_speedup\": \
-            %.6g, \"experiment_seconds\": %.6g, \"experiment_speedup\": \
-            %.6g, %s, %s, \"serve_reply_digest\": %S}%s\n"
-           jobs serve_s
-           (if serve_s > 0.0 then base_serve /. serve_s else 1.0)
-           exp_s
-           (if exp_s > 0.0 then base_exp /. exp_s else 1.0)
-           (gc_delta_json "serve" serve_gc)
-           (gc_delta_json "experiment" exp_gc)
-           digest
-           (if i < List.length cells - 1 then "," else "")))
-    cells;
-  Buffer.add_string buf "  ]\n}\n";
-  let oc = open_out out in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (Buffer.contents buf));
-  Printf.printf "multicore report written to %s\n" out;
+  write_record ~report:"multicore" out
+    [ ("schema", Str "msp-bench-multicore-v1"); machine ();
+      ("quick", Bool quick);
+      ("serve_live_target", Int scale);
+      ("experiment", Str experiment);
+      ("identical_output", Bool identical);
+      ( "cells",
+        Rows
+          (List.map
+             (fun (jobs, serve_s, digest, exp_s, _, serve_gc, exp_gc) ->
+               Obj
+                 ([ ("jobs", Int jobs);
+                    ("serve_seconds", Num serve_s);
+                    ("serve_speedup", Num (speedup base_serve serve_s));
+                    ("experiment_seconds", Num exp_s);
+                    ("experiment_speedup", Num (speedup base_exp exp_s)) ]
+                 @ gc_fields "serve" serve_gc
+                 @ gc_fields "experiment" exp_gc
+                 @ [ ("serve_reply_digest", Str digest) ]))
+             cells) ) ];
   if not identical then begin
     prerr_endline "FATAL: multicore output differs across jobs counts";
     exit 1
@@ -1646,13 +1100,14 @@ let parallel_sample = [ "e4"; "e9"; "t1" ]
 let run_parallel ~quick ~jobs ~out () =
   Printf.printf "\n=== PARALLEL: jobs=1 vs jobs=%d scaling check ===\n\n" jobs;
   let time_at ~jobs id =
-    Exec.set_jobs jobs;
-    (* Both runs pay cold solves — otherwise the jobs=1 run warms the
-       OPT cache and the jobs=N run reports a phantom speedup. *)
-    Offline.Opt_cache.clear ();
-    let t0 = Unix.gettimeofday () in
-    let result = Experiments.Catalog.run ~quick id in
-    (Unix.gettimeofday () -. t0, Experiments.Catalog.result_to_markdown result)
+    with_jobs jobs (fun () ->
+        (* Both runs pay cold solves — otherwise the jobs=1 run warms
+           the OPT cache and the jobs=N run reports a phantom speedup. *)
+        Offline.Opt_cache.clear ();
+        let t0 = Unix.gettimeofday () in
+        let result = Experiments.Catalog.run ~quick id in
+        ( Unix.gettimeofday () -. t0,
+          Experiments.Catalog.result_to_markdown result ))
   in
   let rows =
     List.map
@@ -1667,31 +1122,22 @@ let run_parallel ~quick ~jobs ~out () =
         (id, s1, sn, speedup, identical))
       parallel_sample
   in
-  Exec.set_jobs jobs;
-  let buf = Buffer.create 512 in
-  Buffer.add_string buf "{\n";
-  Buffer.add_string buf "  \"schema\": \"msp-bench-parallel-v1\",\n";
-  Buffer.add_string buf (Printf.sprintf "  %s,\n" (machine_json ()));
-  Buffer.add_string buf (Printf.sprintf "  \"jobs\": %d,\n" jobs);
-  Buffer.add_string buf (Printf.sprintf "  \"quick\": %b,\n" quick);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"default_jobs\": %d,\n" (Exec.default_jobs ()));
-  Buffer.add_string buf "  \"experiments\": [\n";
-  List.iteri
-    (fun i (id, s1, sn, speedup, identical) ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    {\"id\": %S, \"seconds_jobs1\": %.6g, \"seconds_jobsN\": \
-            %.6g, \"speedup\": %.6g, \"identical_output\": %b}%s\n"
-           id s1 sn speedup identical
-           (if i < List.length rows - 1 then "," else "")))
-    rows;
-  Buffer.add_string buf "  ]\n}\n";
-  let oc = open_out out in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (Buffer.contents buf));
-  Printf.printf "parallel scaling report written to %s\n" out;
+  write_record ~report:"parallel scaling" out
+    [ ("schema", Str "msp-bench-parallel-v1"); machine ();
+      ("jobs", Int jobs);
+      ("quick", Bool quick);
+      ("default_jobs", Int (Exec.default_jobs ()));
+      ( "experiments",
+        Rows
+          (List.map
+             (fun (id, s1, sn, speedup, identical) ->
+               Obj
+                 [ ("id", Str id);
+                   ("seconds_jobs1", Num s1);
+                   ("seconds_jobsN", Num sn);
+                   ("speedup", Num speedup);
+                   ("identical_output", Bool identical) ])
+             rows) ) ];
   if not (List.for_all (fun (_, _, _, _, identical) -> identical) rows) then begin
     prerr_endline "FATAL: parallel output differs from sequential output";
     exit 1
@@ -1705,7 +1151,6 @@ let run_parallel ~quick ~jobs ~out () =
 
 let run_fleet ~quick ~out () =
   print_endline "\n=== FLEET: flow OPT, identity ===\n";
-  let bit_eq a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b) in
   let all_bit_eq a b =
     Array.length a = Array.length b && Array.for_all2 bit_eq a b
   in
@@ -1796,14 +1241,13 @@ let run_fleet ~quick ~out () =
         cost /. opt)
       (Array.init sweep_seeds (fun i -> 500 + i))
   in
-  let saved_jobs = Exec.jobs () in
-  Exec.set_jobs 1;
-  Offline.Opt_cache.clear ();
-  let j1_s, sweep_j1 = timed sweep in
-  Exec.set_jobs 2;
-  Offline.Opt_cache.clear ();
-  let j2_s, sweep_j2 = timed sweep in
-  Exec.set_jobs saved_jobs;
+  let timed_sweep jobs =
+    with_jobs jobs (fun () ->
+        Offline.Opt_cache.clear ();
+        timed sweep)
+  in
+  let j1_s, sweep_j1 = timed_sweep 1 in
+  let j2_s, sweep_j2 = timed_sweep 2 in
   let identity_jobs1_vs_jobs2 = all_bit_eq sweep_j1 sweep_j2 in
   (* --- render ------------------------------------------------------- *)
   Tables.print ~title:"flow OPT of the serve-assignment relaxation"
@@ -1838,60 +1282,35 @@ let run_fleet ~quick ~out () =
     identity_cached_vs_uncached;
   Printf.printf "jobs1 = jobs2                  : %b\n%!"
     identity_jobs1_vs_jobs2;
-  let buf = Buffer.create 2048 in
-  Buffer.add_string buf "{\n";
-  Buffer.add_string buf "  \"schema\": \"msp-bench-fleet-v2\",\n";
-  Buffer.add_string buf (Printf.sprintf "  %s,\n" (machine_json ()));
-  Buffer.add_string buf (Printf.sprintf "  \"quick\": %b,\n" quick);
-  Buffer.add_string buf "  \"flow\": [\n";
-  List.iteri
-    (fun i (k, n, ms, opt) ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    {\"k\": %d, \"requests\": %d, \"solve_ms\": %.6g, \
-            \"opt\": %.6g}%s\n"
-           k n ms opt
-           (if i < List.length flow_rows - 1 then "," else "")))
-    flow_rows;
-  Buffer.add_string buf "  ],\n";
-  Buffer.add_string buf "  \"brute\": [\n";
-  List.iteri
-    (fun i (k, n, bms, fms, s, ok) ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    {\"k\": %d, \"requests\": %d, \"brute_ms\": %.6g, \
-            \"flow_ms\": %.6g, \"speedup\": %.6g, \"identical\": %b}%s\n"
-           k n bms fms s ok
-           (if i < List.length brute_rows - 1 then "," else "")))
-    brute_rows;
-  Buffer.add_string buf "  ],\n";
-  Buffer.add_string buf
-    (Printf.sprintf "  \"flow_cold_ms\": %.6g,\n" (cold_s *. 1e3));
-  Buffer.add_string buf
-    (Printf.sprintf "  \"flow_warm_ms\": %.6g,\n" (warm_s *. 1e3));
-  Buffer.add_string buf
-    (Printf.sprintf "  \"cache_warm_speedup\": %.6g,\n" (cold_s /. warm_s));
-  Buffer.add_string buf
-    (Printf.sprintf "  \"sweep_seeds\": %d,\n" sweep_seeds);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"sweep_jobs1_s\": %.6g,\n" j1_s);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"sweep_jobs2_s\": %.6g,\n" j2_s);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"identity_flow_vs_brute\": %b,\n"
-       identity_flow_vs_brute);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"identity_cached_vs_uncached\": %b,\n"
-       identity_cached_vs_uncached);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"identity_jobs1_vs_jobs2\": %b\n"
-       identity_jobs1_vs_jobs2);
-  Buffer.add_string buf "}\n";
-  let oc = open_out out in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (Buffer.contents buf));
-  Printf.printf "fleet report written to %s\n" out;
+  write_record ~report:"fleet" out
+    [ ("schema", Str "msp-bench-fleet-v2"); machine ();
+      ("quick", Bool quick);
+      ( "flow",
+        Rows
+          (List.map
+             (fun (k, n, ms, opt) ->
+               Obj
+                 [ ("k", Int k); ("requests", Int n); ("solve_ms", Num ms);
+                   ("opt", Num opt) ])
+             flow_rows) );
+      ( "brute",
+        Rows
+          (List.map
+             (fun (k, n, bms, fms, s, ok) ->
+               Obj
+                 [ ("k", Int k); ("requests", Int n); ("brute_ms", Num bms);
+                   ("flow_ms", Num fms); ("speedup", Num s);
+                   ("identical", Bool ok) ])
+             brute_rows) );
+      ("flow_cold_ms", Num (cold_s *. 1e3));
+      ("flow_warm_ms", Num (warm_s *. 1e3));
+      ("cache_warm_speedup", Num (cold_s /. warm_s));
+      ("sweep_seeds", Int sweep_seeds);
+      ("sweep_jobs1_s", Num j1_s);
+      ("sweep_jobs2_s", Num j2_s);
+      ("identity_flow_vs_brute", Bool identity_flow_vs_brute);
+      ("identity_cached_vs_uncached", Bool identity_cached_vs_uncached);
+      ("identity_jobs1_vs_jobs2", Bool identity_jobs1_vs_jobs2) ];
   if not (identity_flow_vs_brute && identity_cached_vs_uncached
           && identity_jobs1_vs_jobs2)
   then begin
@@ -1981,11 +1400,8 @@ let () =
   (match !markdown_path with
    | None -> ()
    | Some path ->
-     let oc = open_out path in
-     Fun.protect
-       ~finally:(fun () -> close_out oc)
-       (fun () ->
-         output_string oc
+     Out_channel.with_open_text path (fun oc ->
+         Out_channel.output_string oc
            (Experiments.Catalog.report_markdown (List.rev !results)));
      Printf.printf "markdown report written to %s\n" path);
   Printf.printf "\nAll done in %.1fs.\n" (Unix.gettimeofday () -. t0)
