@@ -195,21 +195,19 @@ let rec inline = function
 (* Writes a record to [path], one top-level field a line, and says so
    on stdout. *)
 let write_record ~report path fields =
-  let value = function
-    | Rows (_ :: _ as rows) ->
+  let render = function
+    | Rows rows ->
       "[\n"
       ^ String.concat ",\n" (List.map (fun r -> "    " ^ inline r) rows)
       ^ "\n  ]"
     | v -> inline v
   in
+  let body =
+    String.concat ",\n"
+      (List.map (fun (k, v) -> Printf.sprintf "  %S: %s" k (render v)) fields)
+  in
   Out_channel.with_open_text path (fun oc ->
-      Out_channel.output_string oc "{\n";
-      Out_channel.output_string oc
-        (String.concat ",\n"
-           (List.map
-              (fun (k, v) -> Printf.sprintf "  %S: %s" k (value v))
-              fields));
-      Out_channel.output_string oc "\n}\n");
+      Printf.fprintf oc "{\n%s\n}\n" body);
   Printf.printf "%s report written to %s\n" report path
 
 (* The machine a bench record was measured on. *)
@@ -228,6 +226,12 @@ let with_jobs n f =
   Fun.protect ~finally:(fun () -> Exec.set_jobs saved) f
 
 let bit_eq a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+(* Wall-clock seconds of one call of [f], with its result. *)
+let timed f =
+  let t0 = Unix.gettimeofday () in
+  let r = f () in
+  (Unix.gettimeofday () -. t0, r)
 
 (* Seconds per call: the median of [min 5 repeat] samples (the upper
    middle one for an even count), which share the [repeat] timed calls
@@ -517,11 +521,6 @@ let run_solver ~quick ~out () =
     Experiments.Ratio.vs_line_dp ~seeds:sweep_seeds ~base_seed:11
       ~name:"bench-opt-cache" config MS.Mtc.algorithm (line_gen ~t:sweep_t)
   in
-  let timed f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (Unix.gettimeofday () -. t0, r)
-  in
   let cold_s, warm_s, sweep_cold, sweep_warm, sweep_uncached =
     with_jobs 1 (fun () ->
         Offline.Opt_cache.clear ();
@@ -592,7 +591,8 @@ let run_solver ~quick ~out () =
   Printf.printf "cache stats                    : %d hits, %d misses, %d disk\n"
     stats.Offline.Opt_cache.hits stats.Offline.Opt_cache.misses
     stats.Offline.Opt_cache.disk_hits;
-  Printf.printf "boxed = packed                 : %b\n" identity_packed_vs_boxed;
+  Printf.printf "boxed = packed                 : %b\n"
+    identity_packed_vs_boxed;
   Printf.printf "cached = uncached              : %b\n"
     identity_cached_vs_uncached;
   Printf.printf "jobs1 = jobs2 (cold and warm)  : %b\n" identity_jobs1_vs_jobs2;
@@ -696,16 +696,12 @@ let run_network ~quick ~out () =
   (* Cached optimum: cold miss, warm hit, both equal to the direct
      solve bit for bit. *)
   Offline.Opt_cache.reset_stats ();
-  let cache_t0 = Unix.gettimeofday () in
-  let cached_cold =
-    Network.Pm_offline.optimum_cached ~graph metric ~d_factor:d inst
+  let cached () =
+    timed (fun () ->
+        Network.Pm_offline.optimum_cached ~graph metric ~d_factor:d inst)
   in
-  let cache_cold_ms = (Unix.gettimeofday () -. cache_t0) *. 1e3 in
-  let cache_t1 = Unix.gettimeofday () in
-  let cached_warm =
-    Network.Pm_offline.optimum_cached ~graph metric ~d_factor:d inst
-  in
-  let cache_warm_ms = (Unix.gettimeofday () -. cache_t1) *. 1e3 in
+  let cache_cold_s, cached_cold = cached () in
+  let cache_warm_s, cached_warm = cached () in
   let cache_stats = Offline.Opt_cache.stats () in
   let identity_cached =
     bit_eq cached_cold sol.Network.Pm_offline.cost
@@ -743,8 +739,8 @@ let run_network ~quick ~out () =
          [ "distance query (ns)"; Tables.cell query_csr_ns ];
          [ Printf.sprintf "PM offline DP, T=%d (ms)" t_len;
            Tables.cell dp_csr_ms ];
-         [ "cached PM optimum, cold (ms)"; Tables.cell cache_cold_ms ];
-         [ "cached PM optimum, warm (ms)"; Tables.cell cache_warm_ms ];
+         [ "cached PM optimum, cold (ms)"; Tables.cell (cache_cold_s *. 1e3) ];
+         [ "cached PM optimum, warm (ms)"; Tables.cell (cache_warm_s *. 1e3) ];
        ]);
   Printf.printf "lazy = dense                  : %b\n" identity_lazy;
   Printf.printf "cached = uncached             : %b\n" identity_cached;
@@ -758,8 +754,8 @@ let run_network ~quick ~out () =
       ("allpairs_csr_ms", Num ap_csr_ms);
       ("query_csr_ns", Num query_csr_ns);
       ("pm_dp_csr_ms", Num dp_csr_ms);
-      ("pm_cache_cold_ms", Num cache_cold_ms);
-      ("pm_cache_warm_ms", Num cache_warm_ms);
+      ("pm_cache_cold_ms", Num (cache_cold_s *. 1e3));
+      ("pm_cache_warm_ms", Num (cache_warm_s *. 1e3));
       ("identity_lazy_vs_dense", Bool identity_lazy);
       ("identity_cached_vs_uncached", Bool identity_cached);
       ("identity_jobs1_vs_jobs2", Bool identity_jobs) ];
@@ -1030,9 +1026,7 @@ let run_multicore ~quick ~out () =
         let (exp_s, result), exp_gc =
           with_jobs jobs (fun () ->
               with_gc_delta (fun () ->
-                  let t0 = Unix.gettimeofday () in
-                  let result = Experiments.Catalog.run ~quick experiment in
-                  (Unix.gettimeofday () -. t0, result)))
+                  timed (fun () -> Experiments.Catalog.run ~quick experiment)))
         in
         let exp_report = Experiments.Catalog.result_to_markdown result in
         Printf.printf
@@ -1104,10 +1098,10 @@ let run_parallel ~quick ~jobs ~out () =
         (* Both runs pay cold solves — otherwise the jobs=1 run warms
            the OPT cache and the jobs=N run reports a phantom speedup. *)
         Offline.Opt_cache.clear ();
-        let t0 = Unix.gettimeofday () in
-        let result = Experiments.Catalog.run ~quick id in
-        ( Unix.gettimeofday () -. t0,
-          Experiments.Catalog.result_to_markdown result ))
+        let secs, result =
+          timed (fun () -> Experiments.Catalog.run ~quick id)
+        in
+        (secs, Experiments.Catalog.result_to_markdown result))
   in
   let rows =
     List.map
@@ -1158,11 +1152,6 @@ let run_fleet ~quick ~out () =
   let gen ?hotspots ?r_min ?r_max ~t seed =
     Workloads.Hotspots.generate ?hotspots ?r_min ?r_max ~dim:2 ~t
       (Prng.Stream.named ~name:"bench-fleet" ~seed)
-  in
-  let timed f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (Unix.gettimeofday () -. t0, r)
   in
   (* --- flow OPT timings at k in {10, 100, 1000} --------------------- *)
   let flow_points =
