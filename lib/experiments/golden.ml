@@ -24,6 +24,12 @@ let trajectory_string () = trajectory_string_with (config ())
 
 let golden_path = "test/golden/t1_default.trajectory"
 
+(* Hex MD5 of the 64-bit little-endian words [emit] adds. *)
+let md5_le emit =
+  let buf = Buffer.create 4096 in
+  emit (Buffer.add_int64_le buf);
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
 (* --- Line_dp capture ------------------------------------------------- *)
 
 (* Round [t] emptied when [t mod 3 = 1], plus the first two rounds, so
@@ -74,12 +80,10 @@ let line_dp_cases () =
     ]
 
 let trajectory_md5 positions =
-  let buf = Buffer.create (8 * Array.length positions) in
-  Array.iter
-    (fun (p : Geometry.Vec.t) ->
-      Buffer.add_int64_le buf (Int64.bits_of_float p.(0)))
-    positions;
-  Digest.to_hex (Digest.string (Buffer.contents buf))
+  md5_le (fun add ->
+      Array.iter
+        (fun (p : Geometry.Vec.t) -> add (Int64.bits_of_float p.(0)))
+        positions)
 
 let line_dp_string () =
   let buf = Buffer.create 4096 in
@@ -123,12 +127,10 @@ let fleet_algorithms ~k inst =
   ]
 
 let fleets_md5 fleets =
-  let buf = Buffer.create 4096 in
-  Array.iter
-    (Array.iter
-       (Array.iter (fun x -> Buffer.add_int64_le buf (Int64.bits_of_float x))))
-    fleets;
-  Digest.to_hex (Digest.string (Buffer.contents buf))
+  md5_le (fun add ->
+      Array.iter
+        (Array.iter (Array.iter (fun x -> add (Int64.bits_of_float x))))
+        fleets)
 
 let fleet_string () =
   let buf = Buffer.create 16384 in
@@ -187,16 +189,6 @@ let network_graphs () =
     ("complete-8", Network.Graph.complete 8);
   ]
 
-(* bench network's instance: one stream draws the graph, then four
-   requesting nodes a round. *)
-let bench_network_instance ~n ~t =
-  let rng = Prng.Stream.named ~name:"bench-network" ~seed:1 in
-  let graph, _layout = Network.Graph.random_geometric ~n rng in
-  ( graph,
-    Network.Pm_model.make_instance graph ~start:0
-      (Array.init t (fun _ ->
-           Array.init 4 (fun _ -> Prng.Xoshiro.next_below rng n))) )
-
 (* Every graph with its runs: T = 40 uniform and localized requests
    (one stream seed each), each at D in {1, 2.5, 4}; then bench
    network's quick and full instances at D = 4. *)
@@ -222,8 +214,16 @@ let network_cases () =
             kinds ))
       (network_graphs ())
   in
+  (* bench network's instance: one stream draws the graph, then four
+     requesting nodes a round. *)
   let bench ~n ~t =
-    let graph, inst = bench_network_instance ~n ~t in
+    let rng = Prng.Stream.named ~name:"bench-network" ~seed:1 in
+    let graph, _layout = Network.Graph.random_geometric ~n rng in
+    let inst =
+      Network.Pm_model.make_instance graph ~start:0
+        (Array.init t (fun _ ->
+             Array.init 4 (fun _ -> Prng.Xoshiro.next_below rng n)))
+    in
     ( Printf.sprintf "bench-n%d" n,
       graph,
       [ (Printf.sprintf "t%d-d4" t, inst, 4.0) ] )
@@ -232,17 +232,13 @@ let network_cases () =
 
 let table_md5 metric =
   let flat = Network.Dijkstra.dense_table metric in
-  let len = Geometry.Fbuf.length flat in
-  let buf = Buffer.create (8 * len) in
-  for i = 0 to len - 1 do
-    Buffer.add_int64_le buf (Int64.bits_of_float (Geometry.Fbuf.get flat i))
-  done;
-  Digest.to_hex (Digest.string (Buffer.contents buf))
+  md5_le (fun add ->
+      for i = 0 to Geometry.Fbuf.length flat - 1 do
+        add (Int64.bits_of_float (Geometry.Fbuf.get flat i))
+      done)
 
 let nodes_md5 positions =
-  let buf = Buffer.create (8 * Array.length positions) in
-  Array.iter (fun x -> Buffer.add_int64_le buf (Int64.of_int x)) positions;
-  Digest.to_hex (Digest.string (Buffer.contents buf))
+  md5_le (fun add -> Array.iter (fun x -> add (Int64.of_int x)) positions)
 
 let network_string () =
   let buf = Buffer.create 4096 in
