@@ -9,9 +9,9 @@
      dune exec bench/main.exe -- parallel     -- jobs=1 vs jobs=N comparison
                                                  (JSON to BENCH_parallel.json,
                                                   or --parallel-out PATH)
-     dune exec bench/main.exe -- hotpath      -- Vec.dist, cold and warm
-                                                 medians, engine rounds and
-                                                 the frame codec, gated on
+     dune exec bench/main.exe -- hotpath      -- Vec.dist, the median,
+                                                 engine rounds and the
+                                                 frame codec, gated on
                                                  the golden trajectory and
                                                  jobs1 = jobs2 (JSON to
                                                  BENCH_hotpath.json, or
@@ -256,23 +256,25 @@ let time_per ~repeat f =
   Array.sort Float.compare per_call;
   per_call.(samples / 2)
 
-(* The rule above, stated in every record whose rows it times. *)
-let timing =
+(* The rule above, stated in every record whose rows it times;
+   [one_pass] names a row timed by one [timed] call instead. *)
+let timing ?(one_pass = "") () =
   ( "timing",
     Str
-      "seconds per call = median of min(5, calls) samples that share the \
-       row's calls evenly (upper middle for an even count)" )
+      ("seconds per call = median of min(5, calls) samples that share the \
+        row's calls evenly (upper middle for an even count)"
+      ^ if one_pass = "" then "" else "; one call, not a median: " ^ one_pass) )
 
 (* ------------------------------------------------------------------ *)
-(* Hot-path benchmark: the allocation-free kernels, the cold and
-   warm-started Weiszfeld iteration, full engine rounds and the frame
-   codec, plus the byte-identity checks that prove the science did not
-   move.  The seed kernels' bits are held by test_perf_equiv (the
-   golden trajectory and the closure-form Weiszfeld reference).  JSON
-   lands in BENCH_hotpath.json (or --hotpath-out PATH). *)
+(* Hot-path benchmark: the allocation-free kernels, the Weiszfeld
+   iteration, full engine rounds and the frame codec, plus the
+   byte-identity checks that prove the science did not move.  The seed
+   kernels' bits are held by test_perf_equiv (the golden trajectory and
+   the closure-form Weiszfeld reference).  JSON lands in
+   BENCH_hotpath.json (or --hotpath-out PATH). *)
 
 let run_hotpath ~quick ~out ~golden () =
-  print_endline "\n=== HOTPATH: kernels, warm-started median, identity ===\n";
+  print_endline "\n=== HOTPATH: kernels, median, identity ===\n";
   let rng = Prng.Stream.named ~name:"bench-hotpath" ~seed:1 in
   let point () =
     Geometry.Vec.make2
@@ -289,12 +291,10 @@ let run_hotpath ~quick ~out ~golden () =
           0.0 pairs)
     /. float_of_int (Array.length pairs) *. 1e9
   in
-  (* --- warm-started median on drifting request sets ---------------- *)
+  (* --- the median on drifting request sets ------------------------- *)
   (* MtC's situation each round: the same requests, each nudged a
-     little, so the previous median is an excellent starting iterate.
-     The set is a tight cluster plus far outliers — the heavy-tailed
-     shape where the centroid (cold start) lands far from the median
-     and the cold iteration pays for the trip every round. *)
+     little.  A tight cluster plus far outliers puts the centroid, where
+     the iteration starts, far from the median every round. *)
   let rounds = if quick then 60 else 400 in
   let n_pts = 16 in
   let n_outliers = 4 in
@@ -328,50 +328,17 @@ let run_hotpath ~quick ~out ~golden () =
       (time_per ~repeat:median_reps (fun () ->
            Array.iter (fun pts -> ignore (Geometry.Median.weiszfeld pts)) sets))
   in
-  let median_warm_us =
-    per_round
-      (time_per ~repeat:median_reps (fun () ->
-           let prev = ref None in
-           Array.iter
-             (fun pts ->
-               let m = Geometry.Median.weiszfeld ?init:!prev pts in
-               prev := Some m)
-             sets))
-  in
-  (* Weiszfeld converges linearly, so a closer start saves only a
-     log-factor of iterations and this ratio is necessarily modest. *)
-  let warm_vs_cold = median_cold_us /. median_warm_us in
-  (* Warm and cold runs must land on the same median (within the
-     iteration tolerance scaled by the point spread). *)
-  let warm_max_dev =
-    let prev = ref None in
-    Array.fold_left
-      (fun acc pts ->
-        let cold = Geometry.Median.weiszfeld pts in
-        let warm = Geometry.Median.weiszfeld ?init:!prev pts in
-        prev := Some warm;
-        Float.max acc (Geometry.Vec.dist cold warm))
-      0.0 sets
-  in
-  (* --- full engine rounds, cold and warm start ---------------------- *)
+  (* --- full engine rounds ------------------------------------------- *)
   let config = MS.Config.make ~d_factor:4.0 ~delta:0.5 () in
-  let warm_config = MS.Config.with_warm_start config true in
   let inst =
     Workloads.Clusters.generate ~dim:2 ~t:256
       (Prng.Stream.named ~name:"bench-inst" ~seed:2)
   in
   let engine_reps = if quick then 3 else 10 in
-  let engine_round_us config =
+  let engine_opt_us =
     time_per ~repeat:engine_reps (fun () ->
         MS.Engine.total_cost config MS.Mtc.algorithm inst)
     /. float_of_int (MS.Instance.length inst) *. 1e6
-  in
-  let engine_opt_us = engine_round_us config in
-  let engine_warm_us = engine_round_us warm_config in
-  let warm_cost_rel =
-    let cold = MS.Engine.total_cost config MS.Mtc.algorithm inst in
-    let warm = MS.Engine.total_cost warm_config MS.Mtc.algorithm inst in
-    Float.abs (warm -. cold) /. Float.max 1.0 (Float.abs cold)
   in
   (* --- frame codec: one 2-D step frame with r = 3, both ways --------- *)
   let module Frame = Serve.Frame in
@@ -429,12 +396,9 @@ let run_hotpath ~quick ~out ~golden () =
        ~header:[ "operation"; "time" ]
        [
          [ "Vec.dist (ns)"; Tables.cell dist_ns ];
-         [ Printf.sprintf "median, %d pts cold (us)" n_pts;
+         [ Printf.sprintf "median, %d pts (us)" n_pts;
            Tables.cell median_cold_us ];
-         [ Printf.sprintf "median, %d pts warm (us)" n_pts;
-           Tables.cell median_warm_us ];
          [ "engine round (us)"; Tables.cell engine_opt_us ];
-         [ "engine round, warm (us)"; Tables.cell engine_warm_us ];
        ]);
   Tables.print
     ~title:"frame codec, 2-D step frame, r = 3 (lower is better)"
@@ -445,23 +409,14 @@ let run_hotpath ~quick ~out ~golden () =
           (fun (name, (ns, words)) ->
             [ "Frame." ^ name; Tables.cell ns; Tables.cell words ])
           codec_rows));
-  Printf.printf "warm-vs-cold median deviation : %.3g (tolerance-level)\n"
-    warm_max_dev;
-  Printf.printf "engine cost drift warm        : %.3g (tolerance-level)\n"
-    warm_cost_rel;
   Printf.printf "golden trajectory identical   : %b\n" identity_golden;
   Printf.printf "e1 report jobs1 = jobs2       : %b\n%!" identity_report;
   write_record ~report:"hotpath" out
-    ([ ("schema", Str "msp-bench-hotpath-v2"); machine (); timing;
+    ([ ("schema", Str "msp-bench-hotpath-v3"); machine (); timing ();
        ("quick", Bool quick);
        ("kernel_dist_fused_ns", Num dist_ns);
        ("median_cold_us", Num median_cold_us);
-       ("median_warm_us", Num median_warm_us);
-       ("median_warm_vs_cold_same_kernel", Num warm_vs_cold);
-       ("median_warm_max_deviation", Num warm_max_dev);
-       ("engine_round_opt_us", Num engine_opt_us);
-       ("engine_round_warm_us", Num engine_warm_us);
-       ("engine_warm_cost_rel_drift", Num warm_cost_rel) ]
+       ("engine_round_opt_us", Num engine_opt_us) ]
      @ List.concat_map
          (fun (name, (ns, words)) ->
            [ (Printf.sprintf "codec_%s_ns" name, Num ns);
@@ -525,11 +480,13 @@ let run_solver ~quick ~out () =
     with_jobs 1 (fun () ->
         Offline.Opt_cache.clear ();
         Offline.Opt_cache.reset_stats ();
+        (* Only the first pass meets a cold cache: one timed call. *)
         let cold_s, sweep_cold = timed sweep in
-        let warm_s, sweep_warm = timed sweep in
+        let sweep_warm = sweep () in
+        let warm_s = time_per ~repeat:(if quick then 5 else 15) sweep in
         (* Uncached pass: the cache bypassed entirely, same jobs count. *)
         Offline.Opt_cache.set_enabled false;
-        let _, sweep_uncached = timed sweep in
+        let sweep_uncached = sweep () in
         Offline.Opt_cache.set_enabled true;
         (cold_s, warm_s, sweep_cold, sweep_warm, sweep_uncached))
   in
@@ -600,7 +557,7 @@ let run_solver ~quick ~out () =
     identity_disk_roundtrip;
   write_record ~report:"solver" out
     [ ("schema", Str "msp-bench-solver-v2"); ("quick", Bool quick);
-      machine (); timing;
+      machine (); timing ~one_pass:"sweep_cold_s" ();
       ("line_dp_rounds", Int solve_t);
       ("line_dp_packed_ms", Num packed_ms);
       ("sweep_seeds", Int sweep_seeds);
@@ -693,15 +650,16 @@ let run_network ~quick ~out () =
     !ok
   in
   let sol = Network.Pm_offline.solve metric ~d_factor:d inst in
-  (* Cached optimum: cold miss, warm hit, both equal to the direct
-     solve bit for bit. *)
+  (* Cached optimum: cold miss, warm hits, both equal to the direct
+     solve bit for bit.  Only the first call meets a cold cache: one
+     timed call. *)
   Offline.Opt_cache.reset_stats ();
   let cached () =
-    timed (fun () ->
-        Network.Pm_offline.optimum_cached ~graph metric ~d_factor:d inst)
+    Network.Pm_offline.optimum_cached ~graph metric ~d_factor:d inst
   in
-  let cache_cold_s, cached_cold = cached () in
-  let cache_warm_s, cached_warm = cached () in
+  let cache_cold_s, cached_cold = timed cached in
+  let cached_warm = cached () in
+  let cache_warm_s = time_per ~repeat:(if quick then 20 else 50) cached in
   let cache_stats = Offline.Opt_cache.stats () in
   let identity_cached =
     bit_eq cached_cold sol.Network.Pm_offline.cost
@@ -746,7 +704,8 @@ let run_network ~quick ~out () =
   Printf.printf "cached = uncached             : %b\n" identity_cached;
   Printf.printf "jobs1 = jobs2                 : %b\n%!" identity_jobs;
   write_record ~report:"network" out
-    [ ("schema", Str "msp-bench-network-v2"); machine (); timing;
+    [ ("schema", Str "msp-bench-network-v2"); machine ();
+      timing ~one_pass:"pm_cache_cold_ms" ();
       ("quick", Bool quick);
       ("nodes", Int n);
       ("edges", Int edge_count);

@@ -77,23 +77,12 @@ let verbose =
                & info [ "v"; "verbose" ]
                    ~doc:"Enable solver diagnostics on stderr."))
 
-let warm_start =
-  Arg.(value & flag
-       & info [ "warm-start" ]
-           ~doc:"Warm-start the MtC median iteration from the previous \
-                 round's center.  Off by default: default runs are \
-                 byte-identical across versions; warm-started runs agree \
-                 with cold ones up to the solver's step tolerance (see \
-                 docs/perf.md).")
-
 let config_term =
-  let make d m delta variant warm_start =
-    try Ok (MS.Config.make ~d_factor:d ~move_limit:m ~delta ~variant
-              ~warm_start ())
+  let make d m delta variant =
+    try Ok (MS.Config.make ~d_factor:d ~move_limit:m ~delta ~variant ())
     with Invalid_argument msg -> Error (`Msg msg)
   in
-  Term.(term_result
-          (const make $ d_factor $ move_limit $ delta $ variant $ warm_start))
+  Term.(term_result (const make $ d_factor $ move_limit $ delta $ variant))
 
 let opt_cache_setup =
   let setup no_cache dir =

@@ -11,25 +11,16 @@ type t = private {
   move_limit : float;  (** The offline per-round movement limit [m]. *)
   delta : float;  (** Augmentation [δ]; the paper studies δ ∈ (0, 1]. *)
   variant : Variant.t;
-  warm_start : bool;
-  (** Performance flag, default [false]: when set, MtC warm-starts each
-      round's Weiszfeld iteration from the previous round's center
-      instead of the centroid.  This is an implementation lever, not a
-      model parameter — it changes how fast the median converges, never
-      which point it converges to (up to the iteration's step
-      tolerance).  Default runs are byte-identical to the historical
-      (cold-start) trajectories; see [docs/perf.md] for the exact
-      determinism contract. *)
 }
 
 val make :
   ?d_factor:float -> ?move_limit:float -> ?delta:float ->
-  ?variant:Variant.t -> ?warm_start:bool -> unit -> t
+  ?variant:Variant.t -> unit -> t
 (** [make ()] validates and builds a configuration.  Defaults:
     [d_factor = 1.], [move_limit = 1.], [delta = 0.] (no augmentation),
-    [variant = Move_first], [warm_start = false].  Raises
-    [Invalid_argument] if [d_factor < 1], [move_limit <= 0],
-    [delta < 0], or any parameter is non-finite. *)
+    [variant = Move_first].  Raises [Invalid_argument] if
+    [d_factor < 1], [move_limit <= 0], [delta < 0], or any parameter is
+    non-finite. *)
 
 val online_limit : t -> float
 (** [online_limit c] is [(1 + delta) · move_limit] — the online
@@ -43,9 +34,5 @@ val with_delta : t -> float -> t
 
 val with_variant : t -> Variant.t -> t
 (** [with_variant c v] is [c] with the cost variant replaced. *)
-
-val with_warm_start : t -> bool -> t
-(** [with_warm_start c flag] is [c] with the Weiszfeld warm-start flag
-    replaced. *)
 
 val pp : Format.formatter -> t -> unit

@@ -137,11 +137,10 @@ module Session : sig
       Precondition, for [rounds > 0]: [alg] is built by
       {!Algorithm.of_policy} (its whole state is its last answer) and
       draws nothing from [rng].  Then the restored session steps on bit
-      for bit as the original would.  Any other stepper (a randomized
-      one, or {!Mtc.algorithm} under [Config.warm_start], which keeps
-      the previous Weiszfeld center) can only be restored at its
-      opening state and must replay its rounds from there.  The
-      vectors are copied. *)
+      for bit as the original would; {!Mtc.algorithm} is such a
+      stepper.  Any other stepper, a randomized one say, can only be
+      restored at its opening state and must replay its rounds from
+      there.  The vectors are copied. *)
 
   val step : t -> Geometry.Vec.t array -> step_record
   (** Feed one round of requests; returns the post-round record.

@@ -16,12 +16,8 @@
     [O((1/δ^{3/2})·Rmax/Rmin)]-competitive in the Euclidean plane. *)
 
 val algorithm : Algorithm.t
-(** The deterministic MtC algorithm exactly as in the paper.  When
-    [Config.warm_start] is set, each round's Weiszfeld iteration starts
-    from the previous round's center instead of the centroid — a
-    convergence-speed lever that never changes the point the iteration
-    targets (docs/perf.md states the determinism contract); with the
-    flag off (the default) the stepper is the exact historical code. *)
+(** The deterministic MtC algorithm exactly as in the paper:
+    [with_center ~name:"mtc" center]. *)
 
 val target : Config.t -> server:Geometry.Vec.t -> Geometry.Vec.t array ->
   Geometry.Vec.t

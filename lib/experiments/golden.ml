@@ -11,16 +11,11 @@ let instance () =
 
 let config () = Config.make ~d_factor:4.0 ~move_limit:1.0 ~delta:0.0 ()
 
-let run_with config =
+let trajectory_string () =
   let inst = instance () in
-  (inst, Engine.run config Mtc.algorithm inst)
-
-let trajectory_string_with config =
-  let inst, run = run_with config in
+  let run = Engine.run (config ()) Mtc.algorithm inst in
   Serialize.trajectory_to_string ~start:inst.Instance.start
     run.Engine.positions
-
-let trajectory_string () = trajectory_string_with (config ())
 
 let golden_path = "test/golden/t1_default.trajectory"
 

@@ -1,9 +1,9 @@
 (** The golden fixtures guarding the hot-path and line-DP rewrites.
 
     One fixed, fully deterministic run — MtC with the default
-    (cold-start) configuration on the t1 clusters workload — whose
-    serialized trajectory was captured {e before} the allocation-free
-    kernel rewrite and committed as [test/golden/t1_default.trajectory].
+    configuration on the t1 clusters workload — whose serialized
+    trajectory was captured {e before} the allocation-free kernel
+    rewrite and committed as [test/golden/t1_default.trajectory].
     The differential suite ([test_perf_equiv]) and [bench hotpath] both
     regenerate the trajectory through the current code and require it to
     be {e byte-identical} to the committed capture: any drift in the
@@ -19,19 +19,11 @@ val instance : unit -> Mobile_server.Instance.t
     ["t1-clusters"]/seed 42 — the t1 catalog family. *)
 
 val config : unit -> Mobile_server.Config.t
-(** The fixed model: [D = 4], [m = 1], [delta = 0], move-first,
-    warm-start off. *)
-
-val run_with :
-  Mobile_server.Config.t -> Mobile_server.Instance.t * Mobile_server.Engine.run
-(** [run_with config] replays the golden instance under [config]. *)
-
-val trajectory_string_with : Mobile_server.Config.t -> string
-(** Serialized trajectory of {!run_with}. *)
+(** The fixed model: [D = 4], [m = 1], [delta = 0], move-first. *)
 
 val trajectory_string : unit -> string
-(** [trajectory_string_with (config ())] — the bytes that must match
-    the committed golden file. *)
+(** The serialized trajectory of MtC on {!instance} under {!config}:
+    the bytes that must match the committed golden file. *)
 
 val golden_path : string
 (** Repo-root-relative path of the committed capture. *)

@@ -238,7 +238,7 @@ let iterate_2d ~max_iter ~tol ~anchor_eps points y =
   y.(0) <- !y0;
   y.(1) <- !y1
 
-let weiszfeld ?(eps = 1e-10) ?(max_iter = 200) ?tie_break ?init points =
+let weiszfeld ?(eps = 1e-10) ?(max_iter = 200) ?tie_break points =
   let n = Array.length points in
   if n = 0 then invalid_arg "Median.weiszfeld: empty array";
   let d = Vec.dim points.(0) in
@@ -246,10 +246,6 @@ let weiszfeld ?(eps = 1e-10) ?(max_iter = 200) ?tie_break ?init points =
     if Vec.dim points.(j) <> d then
       invalid_arg "Median.weiszfeld: mixed dimensions"
   done;
-  (match init with
-   | Some v when Vec.dim v <> d ->
-     invalid_arg "Median.weiszfeld: init dimension mismatch"
-   | Some _ | None -> ());
   let tie_break = match tie_break with Some t -> t | None -> Vec.zero d in
   if n = 1 then Vec.copy points.(0)
   else if d = 1 then
@@ -279,16 +275,8 @@ let weiszfeld ?(eps = 1e-10) ?(max_iter = 200) ?tie_break ?init points =
           (if n = 2 then project_segment points.(0) points.(1) tie_break
            else collinear_median ~origin ~dir ~tie_break points)
         else begin
-          (* Start from the centroid — never worse than 2x optimal — or,
-             when the caller supplies [?init], from that iterate (MtC
-             warm start: consecutive rounds move the median only
-             slightly, so the previous center converges in a fraction
-             of the iterations).  A run started from the centroid is
-             bit-identical to the allocating reference. *)
-          let y = match init with
-            | Some v -> Vec.copy v
-            | None -> Vec.centroid points
-          in
+          (* Start from the centroid: never worse than 2x optimal. *)
+          let y = Vec.centroid points in
           let tol = Float.max eps (eps *. spread) in
           (* Loop-invariant: the anchor radius depends only on the
              spread, not on the iterate. *)
@@ -299,7 +287,7 @@ let weiszfeld ?(eps = 1e-10) ?(max_iter = 200) ?tie_break ?init points =
         end
   end
 
-let center ?init ~server requests =
+let center ~server requests =
   let n = Array.length requests in
   if n = 0 then invalid_arg "Median.center: no requests";
   for j = 0 to n - 1 do
@@ -309,7 +297,7 @@ let center ?init ~server requests =
   match n with
   | 1 -> Vec.copy requests.(0)
   | 2 -> project_segment requests.(0) requests.(1) server
-  | _ -> weiszfeld ~tie_break:server ?init requests
+  | _ -> weiszfeld ~tie_break:server requests
 
 let mean_center ~server requests =
   if Array.length requests = 0 then invalid_arg "Median.mean_center: no requests";

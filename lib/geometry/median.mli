@@ -23,21 +23,12 @@ val median_1d : ?tie_break:float -> float array -> float
     (default [0.]). *)
 
 val weiszfeld :
-  ?eps:float -> ?max_iter:int -> ?tie_break:Vec.t -> ?init:Vec.t ->
-  Vec.t array -> Vec.t
+  ?eps:float -> ?max_iter:int -> ?tie_break:Vec.t -> Vec.t array -> Vec.t
 (** [weiszfeld points] is the geometric median of a non-empty array of
     points of equal dimension, to absolute step tolerance [eps]
-    (default [1e-10], at most [max_iter] = 200 iterations).
-
-    [init] is the starting iterate (default: the centroid, a
-    2-approximation).  Passing the previous round's median warm-starts
-    the iteration — MtC's consecutive centers move only slightly, so a
-    warm start converges in a fraction of the iterations.  The starting
-    iterate only affects {e how fast} the iteration converges, not what
-    it converges to (up to the step tolerance); [init] is ignored by the
-    1-D, single-point and exactly-collinear branches, which are direct.
-    Raises [Invalid_argument] if [init]'s dimension does not match the
-    points.
+    (default [1e-10], at most [max_iter] = 200 iterations), started
+    from the centroid (a 2-approximation).  The 1-D, single-point and
+    exactly-collinear branches are direct.
 
     Uses the Vardi–Zhang update: when the current iterate coincides with
     an input point of multiplicity [k], the pull of that point is
@@ -58,21 +49,19 @@ val weiszfeld :
     perform, per coordinate, the operations of the original
     closure-form loop in its order, with [Vec.dist]'s arithmetic for
     every distance, so the result is bit-identical to it for every
-    input, start and option (test_perf_equiv checks this against a
+    input and option (test_perf_equiv checks this against a
     verbatim copy).  Neither allocates per iteration or per point: a
     call allocates a constant number of words, apart from one boxed
     float per Vardi–Zhang anchor step when [d >= 3] (see
     docs/perf.md). *)
 
-val center : ?init:Vec.t -> server:Vec.t -> Vec.t array -> Vec.t
+val center : server:Vec.t -> Vec.t array -> Vec.t
 (** [center ~server requests] is the paper's center point [c]: the
     geometric median of [requests], ties broken toward [server].
     Requires a non-empty request array whose dimension matches
     [server].  Special cases: one request returns that request; two
     requests return the segment point closest to [server] (the whole
-    segment is optimal).  [init] warm-starts the underlying
-    {!weiszfeld} iteration (see there); it never changes which point
-    the iteration targets. *)
+    segment is optimal). *)
 
 val mean_center : server:Vec.t -> Vec.t array -> Vec.t
 (** [mean_center ~server requests] is the centroid of the requests — a

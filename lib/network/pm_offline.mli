@@ -13,7 +13,8 @@
     bases are hoisted, and destination columns are minimized in
     parallel node blocks over the {!Exec} pool — bit-identical at any
     jobs count, and bit-identical to the historical per-pair
-    implementation (see `bench network`). *)
+    implementation (test_network's "page-migration golden capture"
+    holds this against [test/golden/network_v1.txt]). *)
 
 type solution = {
   cost : float;

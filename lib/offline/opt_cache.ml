@@ -35,9 +35,9 @@ let evictions = ref 0 [@@guarded_by lock]
    memoized MD5 of the serialization.  Digesting the 16-byte instance
    digest instead of the raw serialize bytes makes repeat lookups on
    the same instance O(1): serialization is paid once per instance, not
-   once per lookup (the v1 key re-serialized every time).  [delta] and
-   [warm_start] shape online runs only and are deliberately excluded —
-   sweeping them must keep hitting the same entries. *)
+   once per lookup (the v1 key re-serialized every time).  [delta]
+   shapes online runs only and is deliberately excluded — sweeping it
+   must keep hitting the same entries. *)
 let key ~solver (config : Config.t) packed =
   let buf = Buffer.create (64 + String.length solver) in
   Buffer.add_string buf "msp-opt-cache-v2\n";

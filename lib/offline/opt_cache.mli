@@ -10,8 +10,8 @@
       iteration budgets),
     - the model parameters an offline solve can observe — [d_factor],
       the offline budget [move_limit] and the {!Mobile_server.Variant} —
-      as raw IEEE bits ([delta] and [warm_start] are excluded: they
-      affect online runs only, so sweeping them hits the same entries),
+      as raw IEEE bits ([delta] is excluded: it affects online runs
+      only, so sweeping it hits the same entries),
     - the instance's {!Mobile_server.Instance.Packed.content_digest}
       (the memoized MD5 of its serialization — covering every IEEE bit
       of every coordinate, paid once per instance rather than once per

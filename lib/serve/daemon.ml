@@ -5,10 +5,9 @@ module Config = Mobile_server.Config
 module Vec = Geometry.Vec
 
 (* A session's durable record, enough to rebuild the live state after
-   a shard crash: a state [Engine.Session.restore] accepts, plus the
-   accepted rounds played since that state (the tail).  Recovery
-   restores the state and replays the tail.  Only the owning shard
-   ever touches it, so no locking is needed. *)
+   a shard crash: its seed and its state after its last accepted round,
+   which [Engine.Session.restore] accepts.  Only the owning shard ever
+   touches it, so no locking is needed. *)
 type journal = {
   j_seed : int;
   mutable j_position : Vec.t;
@@ -16,7 +15,6 @@ type journal = {
   mutable j_rounds : int;
   mutable j_clamped : int;
   mutable j_cost : Mobile_server.Cost.breakdown;
-  mutable j_tail_rev : Vec.t array list;  (** Newest first. *)
 }
 
 type pending = {
@@ -92,10 +90,6 @@ let make_session t ~seed ~start =
   Engine.Session.create ~rng:(session_rng ~seed) t.config
     Mobile_server.Mtc.algorithm ~start
 
-(* Rebuild a journaled session: restore its journaled state, then
-   replay the tail.  The session PRNG restarts from the seed; a tail
-   replays from the opening state and so consumes exactly the same
-   draws, and the rebuilt state is bit-identical to the pre-crash one. *)
 let recover t shard id (j : journal) =
   let session =
     Engine.Session.restore ~rng:(session_rng ~seed:j.j_seed) t.config
@@ -103,30 +97,21 @@ let recover t shard id (j : journal) =
       ~proposed:j.j_proposed ~rounds:j.j_rounds ~clamped:j.j_clamped
       ~cost:j.j_cost
   in
-  List.iter
-    (fun round -> ignore (Engine.Session.step session round))
-    (List.rev j.j_tail_rev);
   Hashtbl.replace shard.live id session;
   session
 
-(* The journal takes an accepted round in place.  A cold MtC session is
-   an [Algorithm.of_policy] stepper that draws nothing from its PRNG,
-   so its state after the round is all [Engine.Session.restore] needs
-   and the tail stays empty.  A warm-started stepper also keeps the
-   previous Weiszfeld center, which no record exposes: its journal
-   keeps the opening state and the round goes on the tail.  The state
-   may share the record's vectors with the live session:
+(* The journal takes an accepted round in place.  MtC is an
+   [Algorithm.of_policy] stepper that draws nothing from its PRNG, so
+   its state after the round is all [Engine.Session.restore] needs.
+   The state may share the record's vectors with the live session:
    [Engine.Session.advance] and the [of_policy] stepper replace their
    position vectors each round and never write into one. *)
-let journal_step t (j : journal) live (record : Engine.step_record) requests =
-  if t.config.Config.warm_start then j.j_tail_rev <- requests :: j.j_tail_rev
-  else begin
-    j.j_position <- record.Engine.position;
-    j.j_proposed <- record.Engine.proposed;
-    j.j_rounds <- Engine.Session.rounds live;
-    j.j_clamped <- Engine.Session.clamped_count live;
-    j.j_cost <- Engine.Session.cost live
-  end
+let journal_step (j : journal) live (record : Engine.step_record) =
+  j.j_position <- record.Engine.position;
+  j.j_proposed <- record.Engine.proposed;
+  j.j_rounds <- Engine.Session.rounds live;
+  j.j_clamped <- Engine.Session.clamped_count live;
+  j.j_cost <- Engine.Session.cost live
 
 let find_session t shard id =
   match Hashtbl.find_opt shard.live id with
@@ -172,7 +157,6 @@ let process t shard (req : (Frame.request, string) result) : Frame.reply =
             j_rounds = 0;
             j_clamped = 0;
             j_cost = Mobile_server.Cost.zero;
-            j_tail_rev = [];
           };
       Hashtbl.replace shard.live session (make_session t ~seed ~start);
       Frame.Opened { session }
@@ -192,7 +176,7 @@ let process t shard (req : (Frame.request, string) result) : Frame.reply =
        (match Engine.Session.step live requests with
         | record ->
           (match Hashtbl.find_opt shard.journals session with
-           | Some j -> journal_step t j live record requests
+           | Some j -> journal_step j live record
            | None -> () (* journaling off *));
           Frame.Stepped
             {

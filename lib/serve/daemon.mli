@@ -29,10 +29,8 @@
     lost, but each session's journal survives unless [lose_journal] is
     set, and the shard transparently rebuilds a journaled session from
     it on its next frame — the session {e resumes exactly}, bit for
-    bit.  A journal holds the session's seed, its state after its last
-    accepted round ({!Mobile_server.Engine.Session.restore}) and the
-    rounds since that state, which only a [warm_start] session keeps
-    (see {!create}).  With
+    bit.  A journal holds the session's seed and its state after its
+    last accepted round ({!Mobile_server.Engine.Session.restore}).  With
     [lose_journal], subsequent frames for the lost sessions get a clean
     [Error Unknown_session] while every other session keeps serving.
 
@@ -54,15 +52,13 @@ val create :
     [Exec.jobs ()]) is capped at [shards] — [jobs = 1] runs shard
     drains inline with no pool at all; [queue_capacity] (default 1024)
     bounds each shard's pending queue.  [journal] (default true)
-    controls crash-recovery journaling.  A cold session's journal is
-    its state after its last accepted round, overwritten in place, so
-    it costs O(1) words whatever the session's length.  Under
-    [config.warm_start] the stepper also holds the previous Weiszfeld
-    center, which no record exposes, so the journal keeps the opening
-    state plus every accepted round: O(steps).  With [~journal:false]
-    no journal is kept, at the price that {!kill_shard} loses the
-    shard's sessions for good (as if [lose_journal] were set).  Replies
-    are bit-identical either way; journaling only affects recovery.
+    controls crash-recovery journaling.  A session's journal is its
+    state after its last accepted round, overwritten in place, so it
+    costs O(1) words whatever the session's length.  With
+    [~journal:false] no journal is kept, at the price that {!kill_shard}
+    loses the shard's sessions for good (as if [lose_journal] were
+    set).  Replies are bit-identical either way; journaling only
+    affects recovery.
     Raises [Invalid_argument] on non-positive parameters. *)
 
 val config : t -> Mobile_server.Config.t
@@ -107,9 +103,8 @@ val kill_shard : ?lose_journal:bool -> t -> int -> unit
     states.  With [lose_journal] (default false) the journals are
     discarded too and the sessions are gone for good; otherwise each
     is rebuilt from its journal on next touch: its journaled state is
-    restored in O(1) and its tail of rounds (empty unless
-    [config.warm_start]) replayed.  Pending frames survive (they are
-    the daemon's, not the shard's). *)
+    restored in O(1).  Pending frames survive (they are the daemon's,
+    not the shard's). *)
 
 val shutdown : t -> unit
 (** Flush pending work, then stop and join the worker domains.

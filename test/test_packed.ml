@@ -254,15 +254,15 @@ let cache_hit_equals_miss () =
   check_float_bits "convex miss = direct" direct miss;
   check_float_bits "convex hit = direct" direct hit
 
-(* The key deliberately excludes [delta] and [warm_start]: they shape
-   online runs only, so sweeping them must keep hitting the entry the
-   base config created. *)
+(* The key deliberately excludes [delta]: it shapes online runs only,
+   so sweeping it must keep hitting the entry the base config
+   created. *)
 let cache_key_ignores_online_knobs () =
   Offline.Opt_cache.set_disk_dir None;
   let rng = Prng.Stream.named ~name:"packed-cache-knobs" ~seed:6 in
   let p = Instance.pack (line_inst rng ~t:16) in
   let c0 = Config.make ~d_factor:2.0 ~move_limit:1.0 ~delta:0.0 () in
-  let c1 = Config.with_warm_start (Config.with_delta c0 0.7) true in
+  let c1 = Config.with_delta c0 0.7 in
   Offline.Opt_cache.clear ();
   let a = Offline.Opt_cache.line_dp c0 p in
   let hits_before = (Offline.Opt_cache.stats ()).Offline.Opt_cache.hits in

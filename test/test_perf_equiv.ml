@@ -1,11 +1,10 @@
 (* Differential tests for the hot-path rewrite.
 
-   Every allocation-free kernel in [Geometry.Vec] is checked
-   bit-for-bit against its allocating reference; the warm-started
-   Weiszfeld iteration is checked against the cold-start one; and the
-   committed golden trajectory pins the default-configuration engine
-   byte-for-byte.  Any rewrite that changes a rounding step — not just
-   a result — fails here. *)
+   Every allocation-free kernel in [Geometry.Vec] and the Weiszfeld
+   iteration are checked bit-for-bit against their allocating
+   references, and the committed golden trajectory pins the
+   default-configuration engine byte-for-byte.  Any rewrite that
+   changes a rounding step — not just a result — fails here. *)
 
 module Vec = Geometry.Vec
 module Median = Geometry.Median
@@ -245,7 +244,7 @@ module Closure_ref = struct
     let c = median_1d ~tie_break:tb coords in
     add origin (scale c dir)
 
-  let weiszfeld ?(eps = 1e-10) ?(max_iter = 200) ?tie_break ?init points =
+  let weiszfeld ?(eps = 1e-10) ?(max_iter = 200) ?tie_break points =
     let n = Array.length points in
     let d = Array.length points.(0) in
     let tie_break =
@@ -277,10 +276,7 @@ module Closure_ref = struct
             (if n = 2 then project_segment points.(0) points.(1) tie_break
              else collinear_median ~origin ~dir ~tie_break points)
           else begin
-            let y = match init with
-              | Some v -> Array.copy v
-              | None -> centroid points
-            in
+            let y = centroid points in
             let next = Array.make d 0.0 in
             let weighted = Array.make d 0.0 in
             let resultant = Array.make d 0.0 in
@@ -341,7 +337,6 @@ end
 type wz_case = {
   dim : int;
   points : Vec.t array;
-  init : Vec.t option;
   tie_break : Vec.t option;
   max_iter : int option;
 }
@@ -354,7 +349,7 @@ let wz_case_gen =
   let scale = 10.0 ** float_of_int expo in
   let coord = map (fun x -> x *. scale) (float_range (-10.0) 10.0) in
   let point = map Array.of_list (list_repeat dim coord) in
-  let* shape = int_range 0 4 in
+  let* shape = int_range 0 5 in
   let* points =
     match shape with
     | 0 -> array_repeat n point
@@ -392,30 +387,46 @@ let wz_case_gen =
            (Array.mapi
               (fun i nz -> (t *. dir.(i)) +. (jitter *. scale *. nz))
               (Array.of_list noise)))
-    | _ ->
+    | 4 ->
       (* Mixed magnitudes inside one set. *)
       array_repeat n
         (let* e = int_range (-6) 6 in
          map (Array.map (fun x -> x *. (10.0 ** float_of_int e))) point)
-  in
-  let* init =
-    frequency
-      [ (3, return None);
-        (1, map Option.some point);
-        (1,
-         map
-           (fun i -> Some (Array.copy points.(i)))
-           (int_range 0 (Array.length points - 1))) ]
+    | _ ->
+      (* The first iterate on an anchor that is not the median: k
+         copies of the origin, a cone of m >= k + 2 points around the
+         first axis, then the negation of the cone's left-to-right
+         float sum.  The centroid's sum cancels exactly, so the
+         iteration starts on the origin, where the other points'
+         resultant has norm about m - 1 > k: the Vardi–Zhang damped
+         step runs on the first iteration. *)
+      let* k = int_range 1 2 in
+      let* m = int_range (k + 2) (k + 10) in
+      let* cone =
+        array_repeat m
+          (let* len = float_range 1.0 10.0 in
+           let* off = list_repeat (dim - 1) (float_range (-0.2) 0.2) in
+           return
+             (Array.of_list
+                ((len *. scale) :: List.map (fun o -> o *. len *. scale) off)))
+      in
+      let sum = Array.make dim 0.0 in
+      Array.iter
+        (fun p -> Array.iteri (fun i x -> sum.(i) <- sum.(i) +. x) p)
+        cone;
+      return
+        (Array.concat
+           [ Array.init k (fun _ -> Array.make dim 0.0); cone;
+             [| Array.map Float.neg sum |] ])
   in
   let* tie_break = opt point in
   let* max_iter = frequency [ (3, return None); (1, map Option.some (int_range 1 8)) ] in
-  return { dim; points; init; tie_break; max_iter }
+  return { dim; points; tie_break; max_iter }
 
 let print_wz_case c =
   let vecs vs = String.concat "; " (Array.to_list (Array.map (Printf.sprintf "%h") vs)) in
-  Printf.sprintf "dim=%d max_iter=%s init=%s tie=%s points=[%s]" c.dim
+  Printf.sprintf "dim=%d max_iter=%s tie=%s points=[%s]" c.dim
     (match c.max_iter with None -> "-" | Some k -> string_of_int k)
-    (match c.init with None -> "-" | Some v -> vecs v)
     (match c.tie_break with None -> "-" | Some v -> vecs v)
     (String.concat " | " (Array.to_list (Array.map vecs c.points)))
 
@@ -425,12 +436,12 @@ let qcheck_weiszfeld_matches_closure_ref =
     (QCheck.make ~print:print_wz_case wz_case_gen)
     (fun c ->
       let got =
-        Median.weiszfeld ?init:c.init ?tie_break:c.tie_break
-          ?max_iter:c.max_iter c.points
+        Median.weiszfeld ?tie_break:c.tie_break ?max_iter:c.max_iter
+          c.points
       in
       let want =
-        Closure_ref.weiszfeld ?init:c.init ?tie_break:c.tie_break
-          ?max_iter:c.max_iter c.points
+        Closure_ref.weiszfeld ?tie_break:c.tie_break ?max_iter:c.max_iter
+          c.points
       in
       bit_equal got want)
 
@@ -583,66 +594,6 @@ let frame_encode_allocation () =
   check "encode_reply words, 2-D Stepped: the frame only" (fun () ->
       Serve.Frame.encode_reply reply)
 
-(* --- warm-started Weiszfeld ----------------------------------------- *)
-
-let qcheck_weiszfeld_centroid_init_identical =
-  (* An explicit [init] equal to the default starting iterate must give
-     the byte-for-byte identical result: the warm-start plumbing adds no
-     arithmetic of its own. *)
-  QCheck.Test.make ~count:100 ~name:"weiszfeld ~init:centroid = default"
-    (points_sized 3 12)
-    (fun ps ->
-      bit_equal (Median.weiszfeld ps)
-        (Median.weiszfeld ~init:(Vec.centroid ps) ps))
-
-let qcheck_weiszfeld_warm_cost_close =
-  (* Any starting iterate converges to the same optimum.  Under the
-     default step tolerance and iteration cap the two runs stop at
-     slightly different near-optimal iterates — measured gap up to
-     ~1e-4 relative on adversarial random instances, asserted with a
-     20x margin (a wrong optimum would show as an O(1) gap). *)
-  QCheck.Test.make ~count:100 ~name:"weiszfeld warm start: same cost"
-    QCheck.(pair (points_sized 3 12) point2)
-    (fun (ps, init) ->
-      let cold = Median.cost (Median.weiszfeld ps) ps in
-      let warm = Median.cost (Median.weiszfeld ~init ps) ps in
-      let rel = Float.abs (cold -. warm) /. Float.max 1.0 cold in
-      if rel <= 2e-3 then true
-      else
-        QCheck.Test.fail_reportf
-          "warm start changed the cost: cold %.12g vs warm %.12g (rel %.3g)"
-          cold warm rel)
-
-let weiszfeld_init_dim_mismatch () =
-  Alcotest.check_raises "init dim"
-    (Invalid_argument "Median.weiszfeld: init dimension mismatch") (fun () ->
-      ignore
-        (Median.weiszfeld ~init:(Vec.make1 0.0)
-           [| Vec.make2 0.0 0.0; Vec.make2 1.0 0.0; Vec.make2 0.0 1.0 |]))
-
-let weiszfeld_init_on_duplicate_anchor () =
-  (* Start the iteration exactly on a duplicated input point that is
-     NOT the median: the Vardi–Zhang branch must take over on the very
-     first step instead of dividing by zero or freezing. *)
-  let p = Vec.make2 0.0 0.0 in
-  let far = Vec.make2 10.0 0.0 in
-  let ps = [| p; p; far; far; far |] in
-  let m = Median.weiszfeld ~init:(Vec.copy p) ps in
-  if Vec.dist m far > 1e-6 then
-    Alcotest.failf "majority point should win, got %s" (Vec.to_string m)
-
-let weiszfeld_collinear_ignores_init () =
-  (* Exactly collinear input takes the direct 1-D branch; init must not
-     perturb the answer. *)
-  let ps =
-    [| Vec.make2 0.0 0.0; Vec.make2 1.0 1.0; Vec.make2 2.0 2.0;
-       Vec.make2 3.0 3.0 |]
-  in
-  let tie = Vec.make2 1.5 1.5 in
-  Alcotest.check vec "collinear with init"
-    (Median.weiszfeld ~tie_break:tie ps)
-    (Median.weiszfeld ~tie_break:tie ~init:(Vec.make2 50.0 (-3.0)) ps)
-
 (* --- Median.center vs brute force ----------------------------------- *)
 
 (* Iteratively refined grid search: scan a 21x21 grid over a window,
@@ -731,17 +682,15 @@ let weiszfeld_converged_matches_brute_force () =
 
 let center_duplicate_requests () =
   (* All requests identical: the median is that point, regardless of
-     the server or a warm-start iterate. *)
+     the server. *)
   let p = Vec.make2 2.0 (-1.0) in
   let ps = [| Vec.copy p; Vec.copy p; Vec.copy p; Vec.copy p |] in
   let server = Vec.make2 9.0 9.0 in
-  Alcotest.check vec "all duplicates" p (Median.center ~server ps);
-  Alcotest.check vec "all duplicates, warm" p
-    (Median.center ~init:server ~server ps)
+  Alcotest.check vec "all duplicates" p (Median.center ~server ps)
 
 let center_collinear_even_tie_break () =
   (* Even collinear request set: minimizer segment, tie broken toward
-     the server; the warm-start iterate must not shift the tie. *)
+     the server. *)
   let ps =
     [| Vec.make2 0.0 0.0; Vec.make2 2.0 0.0; Vec.make2 6.0 0.0;
        Vec.make2 8.0 0.0 |]
@@ -750,9 +699,7 @@ let center_collinear_even_tie_break () =
   let expected = Vec.make2 3.0 0.0 in
   let eq = Alcotest.testable (Fmt.of_to_string Vec.to_string)
       (Vec.equal ~eps:1e-9) in
-  Alcotest.check eq "tie toward server" expected (Median.center ~server ps);
-  Alcotest.check eq "tie toward server, warm" expected
-    (Median.center ~init:(Vec.make2 7.0 0.0) ~server ps)
+  Alcotest.check eq "tie toward server" expected (Median.center ~server ps)
 
 (* --- golden trajectory ---------------------------------------------- *)
 
@@ -776,14 +723,6 @@ let golden_byte_identical () =
     (read_file golden_file)
     (Experiments.Golden.trajectory_string ())
 
-let golden_warm_flag_off_is_default () =
-  (* Config.make defaults warm_start to off; an explicit off must be the
-     same run. *)
-  let config = MS.Config.with_warm_start (Experiments.Golden.config ()) false in
-  Alcotest.(check string) "explicit warm_start:false"
-    (read_file golden_file)
-    (Experiments.Golden.trajectory_string_with config)
-
 let golden_jobs2_identical () =
   (* Two cells under the PR 2 parallel harness must both reproduce the
      sequential bytes. *)
@@ -796,23 +735,6 @@ let golden_jobs2_identical () =
   Array.iter
     (fun got -> Alcotest.(check string) "jobs=2 cell" expected got)
     runs
-
-(* --- warm-started engine -------------------------------------------- *)
-
-let warm_engine_feasible_and_close () =
-  let base = Experiments.Golden.config () in
-  let warm = MS.Config.with_warm_start base true in
-  let inst, cold_run = Experiments.Golden.run_with base in
-  let _, warm_run = Experiments.Golden.run_with warm in
-  let limit = MS.Config.online_limit warm in
-  let start = inst.MS.Instance.start in
-  if not (MS.Cost.feasible ~limit ~start warm_run.MS.Engine.positions) then
-    Alcotest.fail "warm-started trajectory violates the online move limit";
-  let cold = MS.Cost.total cold_run.MS.Engine.cost in
-  let warm_cost = MS.Cost.total warm_run.MS.Engine.cost in
-  if Float.abs (cold -. warm_cost) > 1e-3 *. Float.max 1.0 cold then
-    Alcotest.failf "warm run cost drifted: cold %.12g vs warm %.12g" cold
-      warm_cost
 
 let () =
   Alcotest.run "perf-equiv"
@@ -841,20 +763,6 @@ let () =
           Alcotest.test_case "frame encode words: the frame only" `Quick
             frame_encode_allocation;
         ] );
-      ( "weiszfeld-warm",
-        [
-          Alcotest.test_case "init dim mismatch" `Quick
-            weiszfeld_init_dim_mismatch;
-          Alcotest.test_case "init on duplicate anchor" `Quick
-            weiszfeld_init_on_duplicate_anchor;
-          Alcotest.test_case "collinear ignores init" `Quick
-            weiszfeld_collinear_ignores_init;
-        ]
-        @ List.map QCheck_alcotest.to_alcotest
-            [
-              qcheck_weiszfeld_centroid_init_identical;
-              qcheck_weiszfeld_warm_cost_close;
-            ] );
       ( "center",
         [
           Alcotest.test_case "duplicate requests" `Quick
@@ -869,13 +777,6 @@ let () =
       ( "golden",
         [
           Alcotest.test_case "byte identical" `Quick golden_byte_identical;
-          Alcotest.test_case "warm flag off = default" `Quick
-            golden_warm_flag_off_is_default;
           Alcotest.test_case "jobs=2 identical" `Quick golden_jobs2_identical;
-        ] );
-      ( "warm-engine",
-        [
-          Alcotest.test_case "feasible and close" `Quick
-            warm_engine_feasible_and_close;
         ] );
     ]

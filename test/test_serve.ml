@@ -1216,14 +1216,13 @@ let kill_and_recover () =
 
 (* Kill the owning shard after the open and after every step of a 2-D
    open-world schedule, checkpointing after each kill, so every reply
-   comes from a recovered session.  A cold session recovers from its
+   comes from a recovered session.  A session recovers from its
    journaled state, whose stepper must restart from the last proposal:
    the engine clamps that answer again and may move it by an ulp, and
    the schedule holds such rounds (asserted, so the case keeps covering
-   them).  A warm-started session recovers by replaying its tail.  One
-   rejected round, answered before a kill, must leave the journal
-   untouched. *)
-let kill_after_every_step config () =
+   them).  One rejected round, answered before a kill, must leave the
+   journal untouched. *)
+let kill_after_every_step () =
   let sched =
     Open_world.generate ~arrival_rate:4.0 ~mean_lifetime:16.0 ~initial:32
       ~dim:2 ~seed:3 ~ticks:24 ()
@@ -1290,7 +1289,7 @@ let kill_after_every_step config () =
     (!moved_by_clamp > 0);
   Alcotest.(check int) "every session closed" 0 (Daemon.live_sessions d)
 
-(* A cold session's journal is its state after the last accepted round,
+(* A session's journal is its state after the last accepted round,
    updated in place, so a journaled daemon does not grow with the
    steps it has served. *)
 let journal_memory_bounded () =
@@ -1459,9 +1458,7 @@ let () =
           Alcotest.test_case "shard crash: exact resume or clean loss" `Quick
             kill_and_recover;
           Alcotest.test_case "kill after every step: exact resume" `Quick
-            (kill_after_every_step config);
-          Alcotest.test_case "warm start: kill after every step" `Quick
-            (kill_after_every_step (Config.with_warm_start config true));
+            kill_after_every_step;
           Alcotest.test_case "journal memory is O(1) in steps" `Quick
             journal_memory_bounded;
         ] );
