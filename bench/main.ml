@@ -29,7 +29,6 @@
      dune exec bench/main.exe -- network      -- all-pairs Dijkstra, distance
                                                  queries, the PM offline DP
                                                  and its cache, gated on
-                                                 lazy = dense,
                                                  cached = uncached and
                                                  jobs1 = jobs2 (JSON to
                                                  BENCH_network.json, or
@@ -581,9 +580,8 @@ let run_solver ~quick ~out () =
 
 (* ------------------------------------------------------------------ *)
 (* Network benchmark: the CSR graph stack — unboxed Dijkstra into one
-   flat metric table, lazy rows, and the flat-row Page Migration DP —
-   plus the identity checks for lazy rows, the OPT cache and the jobs
-   count.  The table's and the DP's own bits are held by test_network
+   flat metric table and the flat-row Page Migration DP — plus the
+   identity checks for the OPT cache and the jobs count.  The table's and the DP's own bits are held by test_network
    (the network_v1.txt golden).  JSON lands in BENCH_network.json (or
    --network-out). *)
 
@@ -631,24 +629,6 @@ let run_network ~quick ~out () =
     *. 1e3
   in
   (* --- identity: the science did not move --------------------------- *)
-  let flat = Network.Dijkstra.dense_table metric in
-  (* Lazy rows, with a capacity forcing evictions, must reproduce the
-     dense table bit for bit. *)
-  let identity_lazy =
-    let lazym = Network.Dijkstra.lazy_metric ~capacity:32 graph in
-    let ok = ref true in
-    for u = 0 to n - 1 do
-      for v = 0 to n - 1 do
-        if
-          not
-            (bit_eq
-               (Network.Dijkstra.distance lazym u v)
-               (Geometry.Fbuf.get flat ((u * n) + v)))
-        then ok := false
-      done
-    done;
-    !ok
-  in
   let sol = Network.Pm_offline.solve metric ~d_factor:d inst in
   (* Cached optimum: cold miss, warm hits, both equal to the direct
      solve bit for bit.  Only the first call meets a cold cache: one
@@ -673,6 +653,7 @@ let run_network ~quick ~out () =
         (metric_j2, Network.Pm_offline.solve metric_j2 ~d_factor:d inst))
   in
   let identity_jobs =
+    let flat = Network.Dijkstra.dense_table metric in
     let flat_j2 = Network.Dijkstra.dense_table metric_j2 in
     let ok =
       ref (Geometry.Fbuf.length flat_j2 = Geometry.Fbuf.length flat)
@@ -700,11 +681,10 @@ let run_network ~quick ~out () =
          [ "cached PM optimum, cold (ms)"; Tables.cell (cache_cold_s *. 1e3) ];
          [ "cached PM optimum, warm (ms)"; Tables.cell (cache_warm_s *. 1e3) ];
        ]);
-  Printf.printf "lazy = dense                  : %b\n" identity_lazy;
   Printf.printf "cached = uncached             : %b\n" identity_cached;
   Printf.printf "jobs1 = jobs2                 : %b\n%!" identity_jobs;
   write_record ~report:"network" out
-    [ ("schema", Str "msp-bench-network-v2"); machine ();
+    [ ("schema", Str "msp-bench-network-v3"); machine ();
       timing ~one_pass:"pm_cache_cold_ms" ();
       ("quick", Bool quick);
       ("nodes", Int n);
@@ -715,10 +695,9 @@ let run_network ~quick ~out () =
       ("pm_dp_csr_ms", Num dp_csr_ms);
       ("pm_cache_cold_ms", Num (cache_cold_s *. 1e3));
       ("pm_cache_warm_ms", Num (cache_warm_s *. 1e3));
-      ("identity_lazy_vs_dense", Bool identity_lazy);
       ("identity_cached_vs_uncached", Bool identity_cached);
       ("identity_jobs1_vs_jobs2", Bool identity_jobs) ];
-  if not (identity_lazy && identity_cached && identity_jobs) then begin
+  if not (identity_cached && identity_jobs) then begin
     prerr_endline
       "FATAL: network rewrite is not byte-identical to the baseline";
     exit 1
@@ -729,10 +708,10 @@ let run_network ~quick ~out () =
    two live-session scales on a journaled daemon plus one streaming
    scale point on an unjournaled one.  Throughput and p99 step latency
    are reported, but the numbers only count if the identity wall holds:
-   every served trajectory byte-identical to an in-process
-   Engine.run_stream replay, the jobs=1 reply stream byte-identical to
-   jobs=N, and (at the smallest scale) journal on byte-identical to
-   journal off. *)
+   every step reply's position, costs and clamp flag bit-identical to an
+   in-process Engine.run_stream replay, the jobs=1 reply stream
+   byte-identical to jobs=N, and (at the smallest scale) journal on
+   byte-identical to journal off. *)
 
 type serve_row = {
   sr_mode : string;  (* "journaled" | "unjournaled" *)

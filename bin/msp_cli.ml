@@ -677,10 +677,10 @@ let simtest_cmd =
   Cmd.v
     (Cmd.info "simtest"
        ~doc:"Deterministic simulation testing: generate a seeded op \
-             sequence (session steps, cache faults, metric queries, pool \
-             fan-outs), oracle every answer against batch replays and \
-             cold recomputes, and on failure shrink to a minimal \
-             replayable artifact.")
+             sequence (session steps, cache faults, pool fan-outs, \
+             serve-daemon traffic and shard crashes), oracle every answer \
+             against batch replays and cold recomputes, and on failure \
+             shrink to a minimal replayable artifact.")
     Term.(term_result
             (const action $ verbose $ seed $ ops_count $ replay_file
              $ out_file $ inject_bug $ inject_audit_bug))

@@ -24,10 +24,6 @@ let count t ~kind =
 
 let is_clamped = function Clamped_proposal _ -> true | _ -> false
 
-let is_non_finite = function
-  | Non_finite_proposal | Non_finite_position | Non_finite_cost -> true
-  | _ -> false
-
 let is_nondeterministic = function Nondeterministic _ -> true | _ -> false
 
 let pp_kind ppf = function

@@ -49,9 +49,6 @@ val count : t -> kind:(kind -> bool) -> int
 
 val is_clamped : kind -> bool
 
-val is_non_finite : kind -> bool
-(** True for proposal/position/cost non-finiteness. *)
-
 val is_nondeterministic : kind -> bool
 
 val pp_kind : Format.formatter -> kind -> unit

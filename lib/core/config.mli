@@ -32,7 +32,4 @@ val offline_limit : t -> float
 val with_delta : t -> float -> t
 (** [with_delta c delta] is [c] with the augmentation replaced. *)
 
-val with_variant : t -> Variant.t -> t
-(** [with_variant c v] is [c] with the cost variant replaced. *)
-
 val pp : Format.formatter -> t -> unit

@@ -2,7 +2,6 @@ module Config = Mobile_server.Config
 module Engine = Mobile_server.Engine
 module Instance = Mobile_server.Instance
 module Mtc = Mobile_server.Mtc
-module Serialize = Mobile_server.Serialize
 module Variant = Mobile_server.Variant
 
 let instance () =
@@ -14,8 +13,22 @@ let config () = Config.make ~d_factor:4.0 ~move_limit:1.0 ~delta:0.0 ()
 let trajectory_string () =
   let inst = instance () in
   let run = Engine.run (config ()) Mtc.algorithm inst in
-  Serialize.trajectory_to_string ~start:inst.Instance.start
-    run.Engine.positions
+  let start = inst.Instance.start in
+  let buf = Buffer.create 8192 in
+  let coords v =
+    Array.iter (fun c -> Printf.bprintf buf " %.17g" c) v;
+    Buffer.add_char buf '\n'
+  in
+  Buffer.add_string buf "# mobile-server-trajectory v1\n";
+  Printf.bprintf buf "dim %d\nrounds %d\nstart" (Array.length start)
+    (Array.length run.Engine.positions);
+  coords start;
+  Array.iteri
+    (fun t p ->
+      Printf.bprintf buf "pos %d" t;
+      coords p)
+    run.Engine.positions;
+  Buffer.contents buf
 
 let golden_path = "test/golden/t1_default.trajectory"
 

@@ -22,8 +22,11 @@ val config : unit -> Mobile_server.Config.t
 (** The fixed model: [D = 4], [m = 1], [delta = 0], move-first. *)
 
 val trajectory_string : unit -> string
-(** The serialized trajectory of MtC on {!instance} under {!config}:
-    the bytes that must match the committed golden file. *)
+(** The trajectory of MtC on {!instance} under {!config} as text: the
+    bytes that must match the committed golden file.  A
+    [# mobile-server-trajectory v1] header, then [dim], [rounds] and
+    [start] lines, then one [pos t x y] line per round; every
+    coordinate is printed with [%.17g], so each double round-trips. *)
 
 val golden_path : string
 (** Repo-root-relative path of the committed capture. *)

@@ -121,43 +121,22 @@ let run_into g heap dist s =
     end
   done
 
-let single_source g s =
-  let n = Graph.nodes g in
-  if s < 0 || s >= n then invalid_arg "Dijkstra.single_source: bad source";
-  let dist = Array.make n infinity in
-  run_into g (Heap.create n) dist s;
-  dist
+(* A metric is the densified closure: one flat row-major n² Bigarray
+   ({!Geometry.Fbuf.t}, outside the OCaml heap), row [u] at offset
+   [u·n].  The table is never mutated after construction, so a borrowed
+   row stays valid for the metric's lifetime. *)
+type metric = { n : int; flat : Geometry.Fbuf.t }
 
-(* A metric is either the densified closure — one flat row-major n²
-   Bigarray ({!Geometry.Fbuf.t}, outside the OCaml heap), row [u] at
-   offset [u·n] — or a lazy row store that runs Dijkstra per requested
-   source and keeps the most recent rows in a mutex-guarded LRU (for
-   graphs too big to densify).  Rows are immutable once computed, so a
-   borrowed row stays valid even after the cache evicts it. *)
-type lazy_rows = {
-  graph : Graph.t;
-  capacity : int;
-  lock : Mutex.t;
-  rows : (int, Geometry.Fbuf.t * int ref) Hashtbl.t; [@guarded_by lock]
-  clock : int ref; [@guarded_by lock]
-}
-
-type metric =
-  | Dense of { n : int; flat : Geometry.Fbuf.t }
-  | Lazy of { n : int; state : lazy_rows }
-
-let size = function Dense { n; _ } -> n | Lazy { n; _ } -> n
-
-let check_connected ~who g =
-  if not (Graph.is_connected g) then
-    invalid_arg (Printf.sprintf "Dijkstra.%s: graph is not connected" who)
+let size m = m.n
 
 (* Sources are swept in fixed blocks; each block owns one heap and one
    row buffer and writes its rows into disjoint slices of [flat], so
    the result is the same flat array at any jobs count. *)
 let block_size = 16
 
-let dense_of_graph g =
+let all_pairs g =
+  if not (Graph.is_connected g) then
+    invalid_arg "Dijkstra.all_pairs: graph is not connected";
   let n = Graph.nodes g in
   let flat = Geometry.Fbuf.create (n * n) in
   let blocks = (n + block_size - 1) / block_size in
@@ -172,129 +151,26 @@ let dense_of_graph g =
     done
   in
   ignore (Exec.map compute_block (Array.init blocks Fun.id));
-  Dense { n; flat }
-
-let all_pairs g =
-  check_connected ~who:"all_pairs" g;
-  dense_of_graph g
-
-let lazy_metric ?(capacity = 64) g =
-  if capacity < 1 then invalid_arg "Dijkstra.lazy_metric: capacity < 1";
-  check_connected ~who:"lazy_metric" g;
-  Lazy
-    {
-      n = Graph.nodes g;
-      state =
-        {
-          graph = g;
-          capacity;
-          lock = Mutex.create ();
-          rows = Hashtbl.create capacity;
-          clock = ref 0;
-        };
-    }
-
-let is_dense = function Dense _ -> true | Lazy _ -> false
-
-let to_dense = function
-  | Dense _ as m -> m
-  | Lazy { state; _ } -> dense_of_graph state.graph
-
-(* Caller holds the lock.  O(capacity) victim scan, paid only on
-   inserts past the limit.  The fold is order-independent: ticks are
-   unique (the clock only advances under the lock), so
-   min-by-(tick, source) has one fixed point in any iteration order. *)
-let evict_over_capacity state =
-  while Hashtbl.length state.rows > state.capacity do
-    let victim =
-      (* msp-lint: allow determinism-hashtbl-order — commutative min *)
-      Hashtbl.fold
-        (fun s (_, tick) best ->
-          match best with
-          | Some (bs, bt) when bt < !tick || (bt = !tick && bs <= s) -> best
-          | _ -> Some (s, !tick))
-        state.rows None
-    in
-    match victim with
-    | Some (s, _) -> Hashtbl.remove state.rows s
-    | None -> ()
-  done
-[@@requires_lock lock]
-
-(* The row is computed under the lock: recomputing on a concurrent
-   miss would yield the identical row (Dijkstra is deterministic), so
-   holding the lock trades a little contention for never wasting a
-   solve. *)
-let lazy_row state s =
-  Mutex.lock state.lock;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock state.lock)
-    (fun () ->
-      incr state.clock;
-      match Hashtbl.find_opt state.rows s with
-      | Some (row, tick) ->
-        tick := !(state.clock);
-        row
-      | None ->
-        let n = Graph.nodes state.graph in
-        let scratch = Array.make n infinity in
-        run_into state.graph (Heap.create n) scratch s;
-        (* Same IEEE values, copied verbatim into an off-heap row. *)
-        let row = Geometry.Fbuf.of_array scratch in
-        Hashtbl.replace state.rows s (row, ref !(state.clock));
-        evict_over_capacity state;
-        row)
-
-(* Simulation-testing hook: model a row-cache crash by dropping every
-   cached row.  Rows are pure functions of (graph, source), so a
-   recompute after invalidation is bitwise identical — which is exactly
-   the invariant the simtest harness checks against the dense oracle.
-   Borrowed rows already handed out stay valid (they are immutable and
-   merely unreferenced by the table). *)
-let invalidate = function
-  | Dense _ -> ()
-  | Lazy { state; _ } ->
-    Mutex.lock state.lock;
-    Fun.protect
-      ~finally:(fun () -> Mutex.unlock state.lock)
-      (fun () -> Hashtbl.reset state.rows)
+  { n; flat }
 
 let row m u =
-  let n = size m in
-  if u < 0 || u >= n then invalid_arg "Dijkstra.row: node out of range";
-  match m with
-  | Dense { flat; _ } -> (flat, u * n)
-  | Lazy { state; _ } -> (lazy_row state u, 0)
+  if u < 0 || u >= m.n then invalid_arg "Dijkstra.row: node out of range";
+  (m.flat, u * m.n)
 
 let distance m u v =
-  let n = size m in
+  let n = m.n in
   if u < 0 || u >= n || v < 0 || v >= n then
     invalid_arg "Dijkstra.distance: node out of range";
-  match m with
-  | Dense { flat; _ } -> Geometry.Fbuf.get flat ((u * n) + v)
-  | Lazy { state; _ } -> Geometry.Fbuf.get (lazy_row state u) v
+  Geometry.Fbuf.get m.flat ((u * n) + v)
 
-let dense_table = function
-  | Dense { flat; _ } -> flat
-  | Lazy _ -> invalid_arg "Dijkstra.dense_table: metric is lazy"
+let dense_table m = m.flat
 
 let diameter m =
-  let n = size m in
   let best = ref 0.0 in
-  (match m with
-   | Dense { flat; _ } ->
-     for i = 0 to Geometry.Fbuf.length flat - 1 do
-       let d = Geometry.Fbuf.get flat i in
-       if d > !best then best := d
-     done
-   | Lazy { state; _ } ->
-     for u = 0 to n - 1 do
-       let row = lazy_row state u in
-       for i = 0 to Geometry.Fbuf.length row - 1 do
-         let d = Geometry.Fbuf.get row i in
-         if d > !best then best := d
-       done
-     done);
+  for i = 0 to Geometry.Fbuf.length m.flat - 1 do
+    let d = Geometry.Fbuf.get m.flat i in
+    if d > !best then best := d
+  done;
   !best
 
 let nearest m u candidates =

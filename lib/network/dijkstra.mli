@@ -2,28 +2,18 @@
 
     The Page Migration cost model charges graph distances for both
     requests and migrations, so the engine precomputes the metric
-    closure once per graph.  A metric is either {e dense} — the whole
-    closure in one flat row-major [n²] {!Geometry.Fbuf.t} (Bigarray
-    float64, outside the OCaml heap so the GC never scans it), built by
-    {!all_pairs} with the per-source sweeps fanned out over the
-    {!Exec} pool — or {e lazy} ({!lazy_metric}): single-source rows
-    computed on demand and kept in a small LRU, for graphs too big to
-    densify.  Both modes answer {!distance} and {!row} with bitwise
-    identical values (the same per-source relaxations produce every
-    row); dense trades memory for zero recomputation.
+    closure once per graph: the whole closure in one flat row-major
+    [n²] {!Geometry.Fbuf.t} (Bigarray float64, outside the OCaml heap
+    so the GC never scans it), built by {!all_pairs} with the
+    per-source sweeps fanned out over the {!Exec} pool.
 
     Row ownership (see docs/network.md): buffers handed out by {!row}
     and {!dense_table} are borrowed, read-only views owned by the
     metric.  They are never mutated after construction, so a borrowed
-    row stays valid indefinitely — even if the lazy LRU has since
-    evicted it. *)
+    row stays valid for as long as the metric is reachable. *)
 
 type metric
-(** Shortest-path distances of a connected graph (dense or lazy). *)
-
-val single_source : Graph.t -> int -> float array
-(** [single_source g s] is a fresh array of distances from [s] to
-    every node; [infinity] for unreachable nodes. *)
+(** Shortest-path distances of a connected graph. *)
 
 val all_pairs : Graph.t -> metric
 (** [all_pairs g] runs Dijkstra from every node into one flat
@@ -31,50 +21,26 @@ val all_pairs : Graph.t -> metric
     bit-identical at any jobs count).  Raises [Invalid_argument] if
     [g] is not connected (the PM model needs a total metric). *)
 
-val lazy_metric : ?capacity:int -> Graph.t -> metric
-(** [lazy_metric g] answers queries by running Dijkstra from the
-    queried source on demand, caching the most recent [capacity] rows
-    (default 64) in a mutex-guarded LRU — O(capacity·n) memory instead
-    of O(n²).  Raises [Invalid_argument] if [g] is not connected or
-    [capacity < 1]. *)
-
-val is_dense : metric -> bool
-(** Whether the metric holds the full closure. *)
-
-val invalidate : metric -> unit
-(** Simulation-testing hook: drop every cached row of a lazy metric
-    (no-op on a dense one), as if the row cache were lost.  Subsequent
-    queries recompute rows from the graph — bitwise identical to the
-    evicted ones, which the {!Simtest} harness cross-checks against a
-    dense oracle.  Previously borrowed rows remain valid. *)
-
-val to_dense : metric -> metric
-(** [to_dense m] is [m] if dense already, else the densified closure
-    of the lazy metric's graph — bitwise the same distances. *)
-
 val distance : metric -> int -> int -> float
 (** [distance m u v] is the shortest-path distance. *)
 
 val row : metric -> int -> Geometry.Fbuf.t * int
 [@@borrow]
 (** [row m u] is [(buf, base)] with [Fbuf.get buf (base + v) =
-    distance m u v]: a zero-copy view of row [u] (the flat table itself
-    for a dense metric, the cached row for a lazy one).  Borrowed and
-    read-only; hot loops fetch a row once and index it directly instead
-    of calling {!distance} per pair. *)
+    distance m u v]: a zero-copy view of row [u] in the flat table.
+    Borrowed and read-only; hot loops fetch a row once and index it
+    directly instead of calling {!distance} per pair. *)
 
 val dense_table : metric -> Geometry.Fbuf.t
 [@@borrow]
-(** The flat row-major [n²] table of a dense metric ([u·n + v] is
-    [distance m u v]).  Borrowed and read-only.  Raises
-    [Invalid_argument] on a lazy metric — call {!to_dense} first. *)
+(** The flat row-major [n²] table ([u·n + v] is [distance m u v]).
+    Borrowed and read-only. *)
 
 val size : metric -> int
 (** Number of nodes the metric covers. *)
 
 val diameter : metric -> float
-(** Largest pairwise distance.  On a lazy metric this computes every
-    row (through the LRU). *)
+(** Largest pairwise distance. *)
 
 val nearest : metric -> int -> int list -> int
 (** [nearest m u candidates] is the candidate closest to [u] (first on

@@ -12,9 +12,6 @@ let to_mobile_instance ~layout (inst : Pm_model.instance) =
        (fun round -> Array.map (node_point layout) round)
        inst.Pm_model.rounds)
 
-let page_trajectory_to_positions ~layout positions =
-  Array.map (node_point layout) positions
-
 let round_trip_gap ~metric ~layout =
   let n = Dijkstra.size metric in
   if n > Array.length layout then

@@ -16,12 +16,6 @@ val to_mobile_instance :
     layout coordinates.  Raises [Invalid_argument] if a node has no
     layout entry. *)
 
-val page_trajectory_to_positions :
-  layout:Geometry.Vec.t array -> int array -> Geometry.Vec.t array
-(** Map a page trajectory (node per round) to Euclidean positions —
-    feasible for the mobile-server replay only if consecutive nodes are
-    within the movement budget, which [Engine.replay] checks. *)
-
 val round_trip_gap :
   metric:Dijkstra.metric -> layout:Geometry.Vec.t array -> float
 (** [round_trip_gap ~metric ~layout] is the largest relative gap

@@ -15,7 +15,6 @@ let solve metric ~d_factor (inst : Pm_model.instance) =
   if d_factor < 1.0 then invalid_arg "Pm_offline.solve: D must be >= 1";
   let t_len = Array.length inst.Pm_model.rounds in
   if t_len = 0 then invalid_arg "Pm_offline.solve: empty instance";
-  let metric = Dijkstra.to_dense metric in
   let flat = Dijkstra.dense_table metric in
   let n = Dijkstra.size metric in
   (* Value + next rows live off-heap ({!Geometry.Fbuf.t}); same IEEE

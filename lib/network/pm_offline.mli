@@ -8,8 +8,7 @@
     costs [O(T·n²)] — exact, no discretization.  This is the ground
     truth for experiment B1's empirical competitive ratios.
 
-    The DP runs on the metric's flat dense table (a lazy metric is
-    densified first): per-round service vectors are computed once, row
+    The DP runs on the metric's flat dense table: per-round service vectors are computed once, row
     bases are hoisted, and destination columns are minimized in
     parallel node blocks over the {!Exec} pool — bit-identical at any
     jobs count, and bit-identical to the historical per-pair

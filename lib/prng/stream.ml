@@ -1,7 +1,5 @@
 type t = Xoshiro.t
 
-let of_seed seed = Xoshiro.create (Int64.of_int seed)
-
 let fnv1a name =
   let h = ref 0xCBF29CE484222325L in
   String.iter

@@ -8,9 +8,6 @@
 type t = Xoshiro.t
 (** A stream is just a xoshiro generator. *)
 
-val of_seed : int -> t
-(** [of_seed seed] is the root stream for an integer seed. *)
-
 val named : name:string -> seed:int -> t
 (** [named ~name ~seed] derives a stream from a label and a seed.  The
     label is hashed with FNV-1a into the seed material, so distinct

@@ -25,17 +25,23 @@ let same_vec a b =
       Array.iteri (fun i x -> if not (same_bits x b.(i)) then ok := false) a;
       !ok)
 
-(* Canonical position bytes for the trajectory digests: raw big-endian
-   IEEE bits per coordinate ({!Frame}'s float convention), so equal
-   digests mean bitwise-equal trajectories. *)
-let vec_bytes v =
-  let b = Bytes.create (8 * Array.length v) in
+(* Canonical bytes of one served round for the per-session digests:
+   the position's raw big-endian IEEE bits per coordinate ({!Frame}'s
+   float convention), the round's move and service cost bits, then its
+   clamp flag — so equal digests mean every round's position, costs and
+   clamp flag matched bitwise. *)
+let round_bytes position ~move ~service ~clamped =
+  let d = Array.length position in
+  let b = Bytes.create ((8 * d) + 17) in
   Array.iteri
     (fun i x -> Bytes.set_int64_be b (i * 8) (Int64.bits_of_float x))
-    v;
+    position;
+  Bytes.set_int64_be b (8 * d) (Int64.bits_of_float move);
+  Bytes.set_int64_be b ((8 * d) + 8) (Int64.bits_of_float service);
+  Bytes.set b ((8 * d) + 16) (if clamped then '\001' else '\000');
   Bytes.unsafe_to_string b
 
-let traj_digest_seed = Digest.string "serve-traj-stream-v1"
+let round_digest_seed = Digest.string "serve-round-stream-v2"
 
 type kind = K_open | K_step | K_close
 
@@ -113,11 +119,12 @@ let tick_flush daemon acc ~timing ~clock ~tick_steps =
   end
 
 (* Per-session state: the plan, the served round count and a chained
-   digest of the served positions — O(1) per session.  At close the
-   session is replayed through {!Engine.run_stream} on a fresh
-   {!Open_world.plan_cursor}, chaining the replay positions into the
-   same digest construction; equal digests mean every per-round
-   position matched bitwise. *)
+   digest of the served rounds ({!round_bytes} of every [Stepped]
+   reply) — O(1) per session.  At close the session is replayed through
+   {!Engine.run_stream} on a fresh {!Open_world.plan_cursor}, chaining
+   each replayed round's {!Engine.step_record} into the same digest
+   construction; equal digests mean every round's position, move and
+   service costs and clamp flag matched bitwise. *)
 type session_state = {
   ss_plan : Open_world.plan;
   mutable ss_rounds : int;
@@ -134,12 +141,17 @@ let run ?now daemon (spec : Open_world.spec) =
     let p = st.ss_plan in
     let id = p.Open_world.id in
     let start, next = Open_world.plan_cursor spec p in
-    let dig = ref traj_digest_seed in
+    let dig = ref round_digest_seed in
     let summary =
       Engine.run_stream
         ~rng:(Daemon.session_rng ~seed:p.Open_world.seed)
         ~trace:(fun r ->
-          dig := Digest.string (!dig ^ vec_bytes r.Engine.position))
+          let c = r.Engine.cost in
+          dig :=
+            Digest.string
+              (!dig
+              ^ round_bytes r.Engine.position ~move:c.Cost.move
+                  ~service:c.Cost.service ~clamped:r.Engine.clamped))
         (Daemon.config daemon) Mobile_server.Mtc.algorithm ~start
         ~rounds:p.Open_world.rounds
         (fun _ -> next ())
@@ -148,7 +160,10 @@ let run ?now daemon (spec : Open_world.spec) =
       flag acc "session %Ld: served %d rounds, engine replay has %d" id
         st.ss_rounds summary.Engine.s_rounds
     else if st.ss_digest <> !dig then
-      flag acc "session %Ld: served trajectory diverges from engine" id;
+      flag acc
+        "session %Ld: served trajectory diverges from engine (a round's \
+         position, move, service or clamp flag)"
+        id;
     if rounds <> summary.Engine.s_rounds then
       flag acc "session %Ld: daemon says %d rounds, engine %d" id rounds
         summary.Engine.s_rounds;
@@ -177,13 +192,16 @@ let run ?now daemon (spec : Open_world.spec) =
         (Frame.error_code_to_string code)
         message
     | Ok (Frame.Opened _) -> ()
-    | Ok (Frame.Stepped { session; position; _ }) -> begin
+    | Ok (Frame.Stepped { session; position; move; service; clamped }) ->
+      begin
         acc.a_steps <- acc.a_steps + 1;
         match Hashtbl.find_opt states session with
         | None -> flag acc "step reply for unknown session %Ld" session
         | Some st ->
           st.ss_rounds <- st.ss_rounds + 1;
-          st.ss_digest <- Digest.string (st.ss_digest ^ vec_bytes position)
+          st.ss_digest <-
+            Digest.string
+              (st.ss_digest ^ round_bytes position ~move ~service ~clamped)
       end
     | Ok (Frame.Snapshot _) -> ()
     | Ok (Frame.Closed { session; rounds; clamped_rounds; position; move;
@@ -210,7 +228,7 @@ let run ?now daemon (spec : Open_world.spec) =
         {
           ss_plan = p;
           ss_rounds = 0;
-          ss_digest = traj_digest_seed;
+          ss_digest = round_digest_seed;
         };
       submit K_open p.Open_world.id
         (Frame.encode_request

@@ -7,21 +7,24 @@
     bytes), flushes, then decodes every reply.  The schedule streams
     from a {!Workloads.Open_world.spec} (no plan array), and each
     session keeps only a served-round count and a chained digest of its
-    served positions.  When the session closes the driver replays it
+    [Stepped] replies: every round's position, move cost, service cost
+    and clamp flag.  When the session closes the driver replays it
     through an in-process {!Mobile_server.Engine.run_stream} over the
     session's workload cursor, with the same PRNG
-    ({!Daemon.session_rng}), and compares {e bitwise}: the position
-    digests, the cumulative move/service costs, the round and clamp
-    counts and the final position.  Any divergence is reported;
+    ({!Daemon.session_rng}), and compares {e bitwise}: the per-round
+    digests (position, move, service and clamp flag of every round),
+    the cumulative move/service costs, the round and clamp counts and
+    the final position.  Any divergence is reported;
     [bench serve] and [msp serve] turn it into a non-zero exit.
     Driver-side memory is O(live sessions), which is what serves the
     million-live-session bench point.
 
     Replies depend only on the frames, and the frames only on the spec:
-    {!Workloads.Open_world.iter_stream} yields the same callbacks as
-    [Open_world.iter (of_spec spec)] (test_stream pins this), so a
-    journaled and an unjournaled daemon, or a daemon at any [jobs],
-    answer with byte-identical reply streams.
+    {!Workloads.Open_world.iter_stream} is a pure function of it, and
+    test_stream pins its callbacks against a materialized reference
+    loop over [of_spec spec], so a journaled and an unjournaled daemon,
+    or a daemon at any [jobs], answer with byte-identical reply
+    streams.
 
     Clocks are injected ([?now]) because this library must stay
     wall-clock-free (the determinism-clock lint): the bench passes

@@ -19,8 +19,6 @@ type result = {
   quarantined : int;
 }
 
-let graph_nodes = 24
-let lazy_capacity = 4
 let cache_capacity = 512
 let start () = Vec.make1 0.0
 
@@ -64,8 +62,6 @@ type state = {
   mutable generation : int;
   mutable session : Engine.Session.t;
   mutable prefix_rev : Vec.t array list;  (** Rounds fed, newest first. *)
-  dense : Network.Dijkstra.metric;
-  lazy_m : Network.Dijkstra.metric;
   audit_alg : Mobile_server.Algorithm.t;
   mutable daemon : Daemon.t option;  (** Created on the first serve op. *)
   serve_replicas : (int64, replica) Hashtbl.t;
@@ -124,19 +120,6 @@ let check_opt st =
       check_failed "cached optimum %.17g diverges from cold recompute %.17g"
         cached cold
   end
-
-let check_metric st =
-  st.checks <- st.checks + 1;
-  let n = Network.Dijkstra.size st.dense in
-  for u = 0 to n - 1 do
-    for v = 0 to n - 1 do
-      let l = Network.Dijkstra.distance st.lazy_m u v in
-      let d = Network.Dijkstra.distance st.dense u v in
-      if not (same_bits l d) then
-        check_failed "lazy metric d(%d,%d) = %.17g, dense closure says %.17g"
-          u v l d
-    done
-  done
 
 (* --- the audit oracle ------------------------------------------------ *)
 
@@ -431,7 +414,6 @@ let check_serve st =
 let checkpoint st =
   check_session_vs_batch st;
   check_opt st;
-  check_metric st;
   check_audit st;
   check_serve st
 
@@ -613,16 +595,6 @@ let exec_op st ~inject_bug op =
     Opt_cache.clear ();
     Opt_cache.Faults.corrupt_next_read c;
     check_opt st
-  | Op.Metric_query (u, v) ->
-    st.checks <- st.checks + 1;
-    let n = Network.Dijkstra.size st.dense in
-    let u = ((u mod n) + n) mod n and v = ((v mod n) + n) mod n in
-    let l = Network.Dijkstra.distance st.lazy_m u v in
-    let d = Network.Dijkstra.distance st.dense u v in
-    if not (same_bits l d) then
-      check_failed "lazy metric d(%d,%d) = %.17g, dense closure says %.17g"
-        u v l d
-  | Op.Metric_invalidate -> Network.Dijkstra.invalidate st.lazy_m
   | Op.Fleet_check k -> do_fleet_check st k
   | Op.Fleet_opt_check k -> do_fleet_opt st k
   | Op.Concurrent_step k -> do_concurrent_step st k
@@ -667,10 +639,6 @@ let run_ops ?(inject_bug = false) ?(inject_audit_bug = false) ~seed ops =
       Opt_cache.set_capacity cache_capacity;
       Opt_cache.clear ();
       let quarantined0 = Opt_cache.Faults.quarantined () in
-      let graph, _layout =
-        Network.Graph.random_geometric ~n:graph_nodes
-          (Prng.Stream.named ~name:"simtest-graph" ~seed)
-      in
       let session_base = Prng.Stream.named ~name:"simtest-session" ~seed in
       let st =
         {
@@ -680,8 +648,6 @@ let run_ops ?(inject_bug = false) ?(inject_audit_bug = false) ~seed ops =
           generation = 0;
           session = make_session ~session_base ~generation:0;
           prefix_rev = [];
-          dense = Network.Dijkstra.all_pairs graph;
-          lazy_m = Network.Dijkstra.lazy_metric ~capacity:lazy_capacity graph;
           audit_alg =
             (if inject_audit_bug then teleport
              else Mobile_server.Mtc.algorithm);
@@ -732,7 +698,7 @@ let gen_ops ?(weights = Op.default_weights) ~seed ~count () =
   let g = Prng.Stream.named ~name:"simtest-ops" ~seed in
   let rec build acc n =
     if n = 0 then List.rev acc
-    else build (Op.gen ~graph_nodes weights g :: acc) (n - 1)
+    else build (Op.gen weights g :: acc) (n - 1)
   in
   build [] (max 0 count)
 

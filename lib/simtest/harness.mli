@@ -4,9 +4,8 @@
     One run owns: an incremental {!Mobile_server.Engine.Session} (MtC,
     1-D, [D = 2], [m = 1], [δ = 0.5]) mirrored by a growing request
     {e prefix}; the process-wide {!Offline.Opt_cache} pointed at a
-    fresh private temp directory; and a seed-derived random geometric
-    graph queried through both a dense {!Network.Dijkstra} closure (the
-    oracle) and a [capacity]-4 lazy metric (the system under test).
+    fresh private temp directory; and, from the first serve op on, a
+    {!Serve.Daemon} with one in-process mirror per daemon session.
 
     The oracle, applied per-op and in one implicit final checkpoint:
 
@@ -14,7 +13,6 @@
       bitwise;
     - cached offline optimum ≡ a cold [Line_dp] recompute, bitwise —
       including immediately after injected disk faults;
-    - lazy-metric distances ≡ the dense closure, bitwise;
     - invalid rounds raise [Invalid_argument] and leave the session
       untouched;
     - fleet and pool replays of the prefix reproduce the live session
@@ -52,9 +50,6 @@ type result = {
   faults_armed : int;  (** Disk faults injected. *)
   quarantined : int;  (** Corrupt disk entries removed during the run. *)
 }
-
-val graph_nodes : int
-(** Node count of the harness graph; {!Op.gen}'s [~graph_nodes]. *)
 
 val gen_ops : ?weights:Op.weights -> seed:int -> count:int -> unit -> Op.op list
 (** The op list for a seed — pure: same [(weights, seed, count)] gives

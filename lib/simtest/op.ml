@@ -17,8 +17,6 @@ type op =
   | Cache_clear
   | Disk_write_fail
   | Disk_read_corrupt of corruption
-  | Metric_query of int * int
-  | Metric_invalidate
   | Fleet_check of int
   | Concurrent_step of int
   | Serve_open
@@ -39,8 +37,6 @@ type weights = {
   cache_clear : float;
   disk_write_fail : float;
   disk_read_corrupt : float;
-  metric_query : float;
-  metric_invalidate : float;
   fleet_check : float;
   concurrent_step : float;
   serve_open : float;
@@ -63,8 +59,6 @@ let default_weights =
     cache_clear = 0.04;
     disk_write_fail = 0.03;
     disk_read_corrupt = 0.04;
-    metric_query = 0.10;
-    metric_invalidate = 0.02;
     fleet_check = 0.04;
     concurrent_step = 0.02;
     serve_open = 0.05;
@@ -98,8 +92,6 @@ let categories w =
     w.cache_clear;
     w.disk_write_fail;
     w.disk_read_corrupt;
-    w.metric_query;
-    w.metric_invalidate;
     w.fleet_check;
     w.concurrent_step;
     w.serve_open;
@@ -111,7 +103,7 @@ let categories w =
     w.fleet_opt_check;
   |]
 
-let gen ~graph_nodes w g =
+let gen w g =
   let cats = categories w in
   let total = Array.fold_left ( +. ) 0.0 cats in
   if not (total > 0.0) then invalid_arg "Simtest.Op.gen: weights sum to 0";
@@ -143,23 +135,18 @@ let gen ~graph_nodes w g =
        | 0 -> Sys_err
        | 1 -> Truncate
        | _ -> Garbage)
-  | 9 ->
-    let u = Prng.Xoshiro.next_below g graph_nodes in
-    let v = Prng.Xoshiro.next_below g graph_nodes in
-    Metric_query (u, v)
-  | 10 -> Metric_invalidate
-  | 11 -> Fleet_check (2 + Prng.Xoshiro.next_below g 3)
-  | 12 -> Concurrent_step (2 + Prng.Xoshiro.next_below g 5)
-  | 13 -> Serve_open
-  | 14 ->
+  | 9 -> Fleet_check (2 + Prng.Xoshiro.next_below g 3)
+  | 10 -> Concurrent_step (2 + Prng.Xoshiro.next_below g 5)
+  | 11 -> Serve_open
+  | 12 ->
     let t = Prng.Xoshiro.next_below g 8 in
     Serve_step (t, gen_round g)
-  | 15 -> Serve_checkpoint (Prng.Xoshiro.next_below g 8)
-  | 16 -> Serve_close (Prng.Xoshiro.next_below g 8)
-  | 17 ->
+  | 13 -> Serve_checkpoint (Prng.Xoshiro.next_below g 8)
+  | 14 -> Serve_close (Prng.Xoshiro.next_below g 8)
+  | 15 ->
     let shard = Prng.Xoshiro.next_below g 8 in
     Serve_kill (shard, Prng.Dist.fair_coin g)
-  | 18 ->
+  | 16 ->
     Serve_bad_frame
       (match Prng.Xoshiro.next_below g 3 with
        | 0 -> Truncated
@@ -208,8 +195,6 @@ let to_string = function
   | Cache_clear -> "cache-clear"
   | Disk_write_fail -> "disk-write-fail"
   | Disk_read_corrupt c -> "disk-read-corrupt " ^ corruption_to_string c
-  | Metric_query (u, v) -> Printf.sprintf "metric-query %d %d" u v
-  | Metric_invalidate -> "metric-invalidate"
   | Fleet_check k -> Printf.sprintf "fleet-check %d" k
   | Concurrent_step k -> Printf.sprintf "concurrent-step %d" k
   | Serve_open -> "serve-open"
@@ -275,14 +260,6 @@ let of_string line =
   | "disk-read-corrupt", "sys-error" -> Ok (Disk_read_corrupt Sys_err)
   | "disk-read-corrupt", "truncate" -> Ok (Disk_read_corrupt Truncate)
   | "disk-read-corrupt", "garbage" -> Ok (Disk_read_corrupt Garbage)
-  | "metric-query", uv ->
-    (match String.split_on_char ' ' uv with
-     | [ u; v ] ->
-       let* u = parse_int u in
-       let* v = parse_int v in
-       Ok (Metric_query (u, v))
-     | _ -> Error (Printf.sprintf "bad metric-query operands %S" uv))
-  | "metric-invalidate", "" -> Ok Metric_invalidate
   | "fleet-check", k -> Result.map (fun k -> Fleet_check k) (parse_int k)
   | "concurrent-step", k ->
     Result.map (fun k -> Concurrent_step k) (parse_int k)

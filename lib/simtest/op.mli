@@ -2,8 +2,8 @@
 
     An op is one action against the system under test — the incremental
     {!Mobile_server.Engine.Session}, the {!Multi.Fleet_engine}, the
-    {!Offline.Opt_cache} (memory + disk store) and the
-    {!Network.Dijkstra} lazy metric.  A simtest run is a pure function
+    {!Offline.Opt_cache} (memory + disk store) and the serve daemon
+    ({!Serve.Daemon}).  A simtest run is a pure function
     of [(seed, weights, count)]: ops are drawn from {!Prng.Stream}
     substreams with the weighted distribution below, so the same seed
     always yields the same op list — and a failing list serializes to a
@@ -36,7 +36,7 @@ type op =
           (generation + 1) with an empty prefix. *)
   | Checkpoint
       (** Full oracle sweep: session ≡ batch [Engine.run] on the
-          prefix, cached OPT ≡ cold recompute, lazy metric ≡ dense. *)
+          prefix, cached OPT ≡ cold recompute. *)
   | Opt_query
       (** Cached offline optimum of the prefix ≡ a cold (cache-free)
           recompute, bitwise. *)
@@ -47,11 +47,6 @@ type op =
       (** Arm the next disk-store write to fail ([Sys_error]). *)
   | Disk_read_corrupt of corruption
       (** Arm the next disk-store read to hit a corrupt entry. *)
-  | Metric_query of int * int
-      (** Lazy-metric distance ≡ dense closure, bitwise. *)
-  | Metric_invalidate
-      (** Drop the lazy metric's row cache (a simulated crash); later
-          queries must still match the dense oracle. *)
   | Fleet_check of int
       (** Replay the prefix through a [k]-server fleet twice with
           identically seeded PRNGs: runs must agree bitwise. *)
@@ -103,8 +98,6 @@ type weights = {
   cache_clear : float;
   disk_write_fail : float;
   disk_read_corrupt : float;
-  metric_query : float;
-  metric_invalidate : float;
   fleet_check : float;
   concurrent_step : float;
   serve_open : float;
@@ -119,8 +112,8 @@ type weights = {
 val default_weights : weights
 (** Step-heavy mix with a few percent of every fault and cross-check. *)
 
-val gen : graph_nodes:int -> weights -> Prng.Xoshiro.t -> op
-(** [gen ~graph_nodes weights g] draws one op.  Consumes a bounded,
+val gen : weights -> Prng.Xoshiro.t -> op
+(** [gen weights g] draws one op.  Consumes a bounded,
     category-dependent number of PRNG values, so an op sequence is a
     pure function of the generator state. *)
 

@@ -25,7 +25,9 @@
 type plan = {
   id : int64;  (** Session id, unique and increasing in arrival order. *)
   seed : int;  (** Session seed; also drives {!Serve.Daemon.session_rng}. *)
-  family : int;  (** Catalog family index; see {!family_name}. *)
+  family : int;
+      (** Catalog family index: 0 {!Clusters}, 1 {!Bursts},
+          2 {!Random_walk} (round-robin by id). *)
   arrival : int;  (** Tick at which the session opens (first step same tick). *)
   rounds : int;  (** Lifetime in ticks; [>= 1], ends within the horizon. *)
 }
@@ -82,36 +84,19 @@ val plans : t -> plan array
 (** All plans, ordered by [(arrival, id)].  A borrow; treat as
     read-only. *)
 
-val plan_instance : t -> plan -> Mobile_server.Instance.t
-(** The session's full request stream as a closed instance ([rounds]
-    rounds), regenerated deterministically from [plan.seed] — the
-    serve≡engine identity gate replays exactly this instance through
-    [Engine.run].  Memory stays O(live sessions): nothing is cached. *)
-
-val family_name : int -> string
-(** Stable catalog names ("clusters", "bursts", "random-walk"). *)
-
-val iter :
-  t ->
-  open_:(plan -> Mobile_server.Instance.t -> unit) ->
-  step:(plan -> round:int -> Geometry.Vec.t array -> unit) ->
-  close:(plan -> unit) ->
-  tick_end:(tick:int -> unit) ->
-  unit
-(** Drive the schedule tick by tick.  Per tick, in this fixed order:
-    arrivals open (id order; [open_] receives the session's instance,
-    whose [start] is the server's opening position), every live session
-    steps once (id order; [round] counts from 0), sessions whose last
-    round just played close (id order), then [tick_end].  Instances are
-    materialized at open and dropped at close. *)
-
 val plan_cursor :
   spec -> plan -> Geometry.Vec.t * (unit -> Geometry.Vec.t array)
 (** The session's request stream in streaming form: its start position
     and a thunk producing one round per call ({!Clusters.cursor} et
-    al), regenerated deterministically from [plan.seed].  Calling the
-    thunk [plan.rounds] times yields rounds bit-identical to
-    [plan_instance]'s steps, with O(1) live state. *)
+    al), regenerated deterministically from [plan.seed], with O(1) live
+    state.  The only place a plan's family is dispatched. *)
+
+val plan_instance : t -> plan -> Mobile_server.Instance.t
+(** The session's full request stream as a closed instance: the
+    {!plan_cursor} start and the thunk's first [plan.rounds] rounds,
+    bit-identical to the family's [generate] on the same stream.  The
+    closed-instance view of a plan, for replaying one session through
+    [Engine.run] or auditing it; nothing is cached. *)
 
 val iter_stream :
   spec ->
@@ -120,13 +105,18 @@ val iter_stream :
   close:(plan -> unit) ->
   tick_end:(tick:int -> unit) ->
   unit
-(** {!iter} without the materialization: plans are admitted tick by
-    tick from the same named arrival stream {!of_spec} draws (same
-    draws, same order — the plans and their callback order are
-    identical to [iter (of_spec spec)]), and each live session's
-    rounds come from its {!plan_cursor} rather than a prebuilt
-    instance.  Live state is O(concurrently live sessions) — cursors
-    and plans, no request history — so schedules with millions of
+(** Drive the schedule tick by tick.  Per tick, in this fixed order:
+    arrivals open (id order; [open_] receives the plan and the
+    session's opening position, and is called as the plan is
+    admitted), every live session steps once (id order; [round] counts
+    from 0), sessions whose last round just played close (id order),
+    then [tick_end].
+
+    Plans come from the same admission draws {!of_spec} collects (same
+    draws, same order), so the plans handed to [open_] are
+    field-identical to [plans (of_spec spec)].  No plan array is built:
+    each live session holds its plan and {!plan_cursor}, so live state
+    is O(concurrently live sessions) and schedules with millions of
     total sessions stream in bounded memory.  The request array passed
     to [step] is only valid for the duration of the callback. *)
 

@@ -118,37 +118,6 @@ let dijkstra_nearest () =
 
 let bit_eq a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
 
-let dijkstra_lazy_matches_dense () =
-  let g = fst (G.random_geometric ~n:30 (rng_of 18)) in
-  let dense = Dij.all_pairs g in
-  (* Capacity far below n forces evictions mid-sweep. *)
-  let lazy_m = Dij.lazy_metric ~capacity:4 g in
-  let n = Dij.size dense in
-  for u = 0 to n - 1 do
-    let row, base = Dij.row dense u in
-    let lrow, lbase = Dij.row lazy_m u in
-    for v = 0 to n - 1 do
-      if
-        not
-          (bit_eq
-             (Geometry.Fbuf.get row (base + v))
-             (Geometry.Fbuf.get lrow (lbase + v)))
-      then Alcotest.failf "lazy row %d differs from dense at %d" u v
-    done
-  done;
-  (* Row 0 was evicted long ago; recomputation is still bit-identical,
-     and a previously borrowed row survives the eviction untouched. *)
-  let early, early_base = Dij.row lazy_m 0 in
-  let dense0, dense0_base = Dij.row dense 0 in
-  for v = 0 to n - 1 do
-    if
-      not
-        (bit_eq
-           (Geometry.Fbuf.get early (early_base + v))
-           (Geometry.Fbuf.get dense0 (dense0_base + v)))
-    then Alcotest.failf "recomputed lazy row 0 differs at %d" v
-  done
-
 (* --- Page Migration model --------------------------------------------- *)
 
 let pm_hand_computed () =
@@ -396,22 +365,6 @@ let qcheck_metric_symmetry_and_triangle =
       done;
       !ok)
 
-let qcheck_lazy_equals_dense =
-  QCheck.Test.make ~count:15 ~name:"lazy metric = dense metric, bitwise"
-    QCheck.(pair (int_range 4 20) (int_range 0 999))
-    (fun (n, seed) ->
-      let g = fst (G.random_geometric ~n (rng_of (3000 + seed))) in
-      let dense = Dij.all_pairs g in
-      let lazy_m = Dij.lazy_metric ~capacity:3 g in
-      let ok = ref true in
-      for u = 0 to n - 1 do
-        for v = 0 to n - 1 do
-          if not (bit_eq (Dij.distance dense u v) (Dij.distance lazy_m u v))
-          then ok := false
-        done
-      done;
-      !ok)
-
 let () =
   Alcotest.run "network"
     [
@@ -433,8 +386,6 @@ let () =
           Alcotest.test_case "rejects disconnected" `Quick
             dijkstra_rejects_disconnected;
           Alcotest.test_case "nearest" `Quick dijkstra_nearest;
-          Alcotest.test_case "lazy matches dense" `Quick
-            dijkstra_lazy_matches_dense;
         ] );
       ( "page-migration",
         [
@@ -465,6 +416,5 @@ let () =
             qcheck_dijkstra_vs_bfs_on_uniform;
             qcheck_dijkstra_vs_floyd_warshall;
             qcheck_metric_symmetry_and_triangle;
-            qcheck_lazy_equals_dense;
           ] );
     ]

@@ -1239,10 +1239,9 @@ let kill_after_every_step () =
         (Hashtbl.find mirrors id)
     | _ -> Alcotest.failf "%s: expected Snapshot" what
   in
-  Open_world.iter sched
-    ~open_:(fun p inst ->
+  Open_world.iter_stream (Open_world.spec_of sched)
+    ~open_:(fun p ~start ->
       let id = p.Open_world.id and seed = p.Open_world.seed in
-      let start = inst.Mobile_server.Instance.start in
       (match
          get_reply d
            (Frame.encode_request (Frame.Open { session = id; seed; start }))
@@ -1318,11 +1317,11 @@ let schedule ?(seed = 11) ?(ticks = 8) () =
 
 let iter_trace t =
   let b = Buffer.create 1024 in
-  Open_world.iter t
-    ~open_:(fun p inst ->
+  Open_world.iter_stream (Open_world.spec_of t)
+    ~open_:(fun p ~start ->
       Buffer.add_string b
         (Printf.sprintf "o%Ld:%d:%Lx " p.Open_world.id p.Open_world.seed
-           (bits inst.Mobile_server.Instance.start.(0))))
+           (bits start.(0))))
     ~step:(fun p ~round requests ->
       Buffer.add_string b
         (Printf.sprintf "s%Ld:%d:%d:%Lx " p.Open_world.id round

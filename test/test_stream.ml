@@ -119,7 +119,56 @@ let qcheck_cursor_matches_generate =
           || QCheck.Test.fail_reportf "family %s diverged" name)
         cursor_families)
 
-(* --- Open_world.iter_stream ≡ iter --------------------------------- *)
+(* --- Open_world.iter_stream ≡ the materialized loop ------------------ *)
+
+module Open_world = Workloads.Open_world
+
+(* Reference: the materialized schedule loop [Open_world.iter] ran
+   before [iter_stream] became the only one, copied verbatim onto the
+   public accessors.  Plans come from [of_spec]'s array, and each
+   session's instance from its family's [generate] (as the old
+   [plan_instance] built it), not from [plan_cursor].  Do not edit it
+   to make it agree: the event order and the bits are what it pins. *)
+let reference_plan_instance t (p : Open_world.plan) =
+  let rng =
+    Prng.Stream.named ~name:"open-world-session" ~seed:p.Open_world.seed
+  in
+  let dim = Open_world.dim t and t_len = p.Open_world.rounds in
+  match p.Open_world.family with
+  | 0 -> Workloads.Clusters.generate ~dim ~t:t_len rng
+  | 1 -> Workloads.Bursts.generate ~dim ~t:t_len rng
+  | 2 -> Workloads.Random_walk.generate ~dim ~t:t_len rng
+  | i -> invalid_arg (Printf.sprintf "reference_plan_instance: family %d" i)
+
+let reference_iter t ~open_ ~step ~close ~tick_end =
+  let plans = Open_world.plans t in
+  let n = Array.length plans in
+  let live = ref [] in
+  let cursor = ref 0 in
+  for tick = 0 to Open_world.ticks t - 1 do
+    let opened = ref [] in
+    while !cursor < n && plans.(!cursor).Open_world.arrival = tick do
+      let p = plans.(!cursor) in
+      incr cursor;
+      let inst = reference_plan_instance t p in
+      open_ p inst;
+      opened := (p, inst) :: !opened
+    done;
+    live := !live @ List.rev !opened;
+    List.iter
+      (fun ((p : Open_world.plan), (inst : Instance.t)) ->
+        let round = tick - p.Open_world.arrival in
+        step p ~round inst.Instance.steps.(round))
+      !live;
+    live :=
+      List.filter
+        (fun ((p : Open_world.plan), _) ->
+          let finished = tick - p.Open_world.arrival = p.Open_world.rounds - 1 in
+          if finished then close p;
+          not finished)
+        !live;
+    tick_end ~tick
+  done
 
 let vec_line (v : Vec.t) =
   String.concat ","
@@ -142,7 +191,7 @@ let open_world_stream_matches_iter () =
       in
       let log_of_iter () =
         let buf = Buffer.create 4096 in
-        Workloads.Open_world.iter
+        reference_iter
           (Workloads.Open_world.of_spec spec)
           ~open_:(fun p inst ->
             Buffer.add_string buf

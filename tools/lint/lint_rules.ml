@@ -98,9 +98,10 @@ let rules =
         "float_of_string accepts \"nan\" and \"inf\" and raises on \
          garbage, so parsed input can smuggle non-finite values into cost \
          accounting (the auditor's Non_finite_* violations).  Parse with \
-         float_of_string_opt and validate finiteness (see \
-         Serialize.finite_float_of_string).  Similarly a literal division \
-         by 0. is a guaranteed inf/nan factory.";
+         float_of_string_opt and keep only results that pass \
+         Float.is_finite, or carry floats as IEEE-754 bits as the \
+         Opt_cache disk store does.  Similarly a literal division by 0. \
+         is a guaranteed inf/nan factory.";
     };
     {
       id = "guarded-by";
