@@ -182,6 +182,81 @@ let fleet_string () =
 
 let fleet_path = "test/golden/fleet_v1.txt"
 
+(* --- fleet flow capture ---------------------------------------------- *)
+
+(* Requests on the 1/4 lattice of [-1, 1]^dim: few distinct points, so
+   equal distances, duplicate requests and tied reduced costs abound. *)
+let lattice_instance ~dim ~t ~r_max seed =
+  let rng = Prng.Stream.named ~name:"golden-fleet-flow-lattice" ~seed in
+  Instance.make ~start:(Array.make dim 0.0)
+    (Array.init t (fun _ ->
+         Array.init
+           (1 + Prng.Xoshiro.next_below rng r_max)
+           (fun _ ->
+             Array.init dim (fun _ ->
+                 float_of_int (Prng.Xoshiro.next_below rng 9 - 4) /. 4.0))))
+
+(* (name, instance, ks); every case is solved at D = 2. *)
+let fleet_flow_cases () =
+  let f1 seed =
+    ( Printf.sprintf "f1-s%d" seed,
+      Workloads.Hotspots.generate ~hotspots:3 ~dim:2 ~t:40
+        (Prng.Stream.named ~name:"golden-fleet-flow" ~seed),
+      [ 2; 3; 4 ] )
+  in
+  let lattice ~dim ~t ~r_max seed =
+    ( Printf.sprintf "lattice-d%d-t%d-s%d" dim t seed,
+      lattice_instance ~dim ~t ~r_max seed,
+      [ 1; 2; 3; 4; 5; 6 ] )
+  in
+  (* bench fleet's flow-vs-brute instances, quick and full. *)
+  let brute (k, t, seed) =
+    ( Printf.sprintf "bench-brute-t%d-s%d" t seed,
+      Workloads.Hotspots.generate ~hotspots:1 ~r_min:1 ~r_max:1 ~dim:2 ~t
+        (Prng.Stream.named ~name:"bench-fleet" ~seed),
+      [ k ] )
+  in
+  List.concat
+    [
+      List.map f1 [ 1; 2; 3 ];
+      List.map (lattice ~dim:1 ~t:12 ~r_max:3) [ 1; 2; 3; 4; 5; 6 ];
+      List.map (lattice ~dim:2 ~t:10 ~r_max:3) [ 7; 8; 9; 10; 11; 12 ];
+      List.map brute
+        [ (2, 10, 3); (3, 8, 4); (2, 18, 3); (2, 14, 5); (3, 12, 4);
+          (3, 10, 6) ];
+    ]
+
+let chains_md5 chains =
+  md5_le (fun add ->
+      add (Int64.of_int (Array.length chains));
+      Array.iter
+        (fun chain ->
+          add (Int64.of_int (Array.length chain));
+          Array.iter (fun j -> add (Int64.of_int j)) chain)
+        chains)
+
+let fleet_flow_string () =
+  let buf = Buffer.create 4096 in
+  Buffer.add_string buf
+    "# Fleet flow golden v1: <case> k=<k> cost=<%h> chains=<md5 of the \
+     chain count, then each chain's length and indices>\n";
+  List.iter
+    (fun (name, (inst : Instance.t), ks) ->
+      let requests = Array.concat (Array.to_list inst.Instance.steps) in
+      List.iter
+        (fun k ->
+          let cost, chains =
+            Multi.Fleet_flow.solve ~d_factor:2.0 ~start:inst.Instance.start
+              ~requests ~k
+          in
+          Printf.bprintf buf "%s k=%d cost=%h chains=%s\n" name k cost
+            (chains_md5 chains))
+        ks)
+    (fleet_flow_cases ());
+  Buffer.contents buf
+
+let fleet_flow_path = "test/golden/fleet_flow_v1.txt"
+
 (* --- network capture ------------------------------------------------- *)
 
 (* Small graphs of every generator family; the unit-length ones (grid,

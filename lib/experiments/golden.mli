@@ -73,6 +73,28 @@ val fleet_string : unit -> string
 val fleet_path : string
 (** Repo-root-relative path of the committed fleet capture. *)
 
+(** {1 Fleet flow capture}
+
+    [test/golden/fleet_flow_v1.txt] pins {!Multi.Fleet_flow.solve}'s
+    cost and its choice among optimal chain sets, so a change to the
+    solver's scans or tie-breaks shows even where the cost bits agree.
+    [test_fleet] compares {!fleet_flow_string} with it byte for byte.
+    Regenerate (only when the case list changes, never to paper over a
+    mismatch) with [dune exec tools/gen_golden/gen_fleet_flow_golden.exe]. *)
+
+val fleet_flow_string : unit -> string
+(** One line per (case, [k]): the cost as [%h] and the MD5 of the
+    chains (their count, then each chain's length and request indices,
+    as little-endian 64-bit words), all at [D = 2].  The cases are
+    perfbench [fleet-f1]'s shape (3 hotspots, [d = 2], [T = 40]) at
+    [k = 2, 3, 4]; 1-D and 2-D instances on the 1/4 lattice of
+    [[-1, 1]^d] (one to three requests a round, so duplicate requests
+    and exact ties are common) at [k = 1..6]; and [bench fleet]'s
+    flow-vs-brute instances at their [k]. *)
+
+val fleet_flow_path : string
+(** Repo-root-relative path of the committed fleet flow capture. *)
+
 (** {1 Network capture}
 
     [test/golden/network_v1.txt] pins the all-pairs shortest-path

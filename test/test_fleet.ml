@@ -77,6 +77,18 @@ let fleet_golden_capture () =
     (In_channel.with_open_bin path In_channel.input_all)
     (Experiments.Golden.fleet_string ())
 
+(* test/golden/fleet_flow_v1.txt pins Fleet_flow.solve's cost and chain
+   choice; lib/experiments/golden.mli has the rules.  Never regenerate it
+   to silence this test. *)
+let fleet_flow_golden_capture () =
+  let path =
+    if Sys.file_exists "golden/fleet_flow_v1.txt" then "golden/fleet_flow_v1.txt"
+    else Experiments.Golden.fleet_flow_path
+  in
+  Alcotest.(check string) "byte identical"
+    (In_channel.with_open_bin path In_channel.input_all)
+    (Experiments.Golden.fleet_flow_string ())
+
 (* --- flow vs brute --------------------------------------------------- *)
 
 let tiny_instance seed ~rounds ~per_round =
@@ -195,6 +207,297 @@ let wfa_engine_budget () =
          run.Multi.Fleet_engine.fleets)
   then Alcotest.fail "WFA trajectory exceeds the online budget"
 
+(* --- WFA against the pre-flat-tuple implementation ------------------ *)
+
+(* A verbatim copy of Fleet_wfa as it stood before configs became flat
+   int tuples: per child an [Array.copy], an [Array.sort compare] and a
+   structural [Hashtbl] lookup, then the beam ordered by [cmp_child].
+   Never edit it to make the property below agree: it is the reference
+   that pins every bit of the shipping WFA. *)
+module Ref_wfa = struct
+  module Fbuf = Geometry.Fbuf
+
+  (* The Work-Function Algorithm over the serve-assignment relaxation
+     (docs/fleet.md).  A config is a multiset of [k] positions drawn from
+     the {e pool} — the start plus every request seen so far, stored in a
+     growable Fbuf — encoded as a sorted tuple of pool indices.  The work
+     function w_t over configs updates {e incrementally} per request on
+     reused Fbuf rows: each beamed config spawns [k] one-server children,
+     children are deduped keeping the smaller value (the lazy DP step —
+     in the relaxation only the serving server needs to move, so the
+     one-replacement update is exact), sorted by (value, config) and
+     truncated to the beam.  The algorithm's own labeled config is
+     force-kept in the beam, so its decision values always exist.  With a
+     beam at least the reachable config count the DP is untruncated and
+     [opt_estimate] equals the relaxation optimum (pinned against the
+     brute enumerator in test_fleet); any smaller beam keeps
+     [opt_estimate >= OPT_relax]. *)
+
+  type t = {
+    k : int;
+    dim : int;
+    d_factor : float;
+    beam_cap : int;
+    mutable pool : Fbuf.t;
+    mutable pool_len : int;
+    (* Beam: [configs.(c)] (sorted pool-index tuples) with values in the
+       reused row [w.(c)], [beam_len] entries. *)
+    configs : int array array;
+    w : Fbuf.t;
+    mutable beam_len : int;
+    (* Child scratch: up to [k·beam_cap] candidates per request, values
+       in the reused row [child_w]. *)
+    child_configs : int array array;
+    child_w : Fbuf.t;
+    tbl : (int array, int) Hashtbl.t;
+    (* The algorithm's own labeled config and its accumulated
+       (relaxation-level) service cost. *)
+    cur : int array;
+    mutable cur_w : float;
+    mutable serve_cost : float;
+  }
+
+  let create ~beam ~k ~d_factor (start : Vec.t) =
+    if k < 1 then invalid_arg "Fleet_wfa: k < 1";
+    if beam < 1 then invalid_arg "Fleet_wfa: beam < 1";
+    let dim = Vec.dim start in
+    let pool = Fbuf.create (dim * 16) in
+    Fbuf.blit_from_array start 0 pool 0 dim;
+    let t =
+      {
+        k;
+        dim;
+        d_factor;
+        beam_cap = beam;
+        pool;
+        pool_len = 1;
+        configs = Array.make beam [||];
+        w = Fbuf.create beam;
+        beam_len = 1;
+        child_configs = Array.make (k * beam) [||];
+        child_w = Fbuf.create (k * beam);
+        tbl = Hashtbl.create (4 * k * beam);
+        cur = Array.make k 0;
+        cur_w = 0.0;
+        serve_cost = 0.0;
+      }
+    in
+    t.configs.(0) <- Array.make k 0;
+    Fbuf.set t.w 0 0.0;
+    t
+
+  (* [Vec.dist] between pool entries, operation for operation. *)
+  let pool_dist t a b =
+    let d = t.dim in
+    let ba = a * d and bb = b * d in
+    let pool = t.pool in
+    let m = ref 0.0 in
+    for c = 0 to d - 1 do
+      m := Float.max !m (Float.abs (Fbuf.get pool (ba + c) -. Fbuf.get pool (bb + c)))
+    done;
+    let m = !m in
+    if Float.equal m 0.0 then 0.0
+    else if Float.equal m infinity then infinity
+    else begin
+      let acc = ref 0.0 in
+      for c = 0 to d - 1 do
+        let x = (Fbuf.get pool (ba + c) -. Fbuf.get pool (bb + c)) /. m in
+        acc := !acc +. (x *. x)
+      done;
+      m *. sqrt !acc
+    end
+
+  let pool_get t i = Array.init t.dim (fun c -> Fbuf.get t.pool ((i * t.dim) + c))
+
+  let append_pool t (r : Vec.t) =
+    if Array.length r <> t.dim then
+      invalid_arg "Fleet_wfa: request dimension mismatch";
+    if (t.pool_len + 1) * t.dim > Fbuf.length t.pool then begin
+      let fresh = Fbuf.create (2 * Fbuf.length t.pool) in
+      Fbuf.blit t.pool 0 fresh 0 (t.pool_len * t.dim);
+      t.pool <- fresh
+    end;
+    Fbuf.blit_from_array r 0 t.pool (t.pool_len * t.dim) t.dim;
+    t.pool_len <- t.pool_len + 1;
+    t.pool_len - 1
+
+  let cmp_child t a b =
+    let wa = Fbuf.get t.child_w a and wb = Fbuf.get t.child_w b in
+    let c = Float.compare wa wb in
+    if c <> 0 then c else compare t.child_configs.(a) t.child_configs.(b)
+
+  (* Feed one request; returns the serving server's index in the
+     algorithm's labeled config (strict argmin, lowest index). *)
+  let observe t (r : Vec.t) =
+    let p = append_pool t r in
+    let k = t.k in
+    (* Spawn and dedup children of every beamed config. *)
+    Hashtbl.reset t.tbl;
+    let nchild = ref 0 in
+    for c = 0 to t.beam_len - 1 do
+      let base = Fbuf.get t.w c in
+      let cfg = t.configs.(c) in
+      for i = 0 to k - 1 do
+        let w' = base +. (t.d_factor *. pool_dist t cfg.(i) p) in
+        let key = Array.copy cfg in
+        key.(i) <- p;
+        Array.sort compare key;
+        match Hashtbl.find_opt t.tbl key with
+        | Some slot ->
+          if w' < Fbuf.get t.child_w slot then Fbuf.set t.child_w slot w'
+        | None ->
+          let slot = !nchild in
+          incr nchild;
+          t.child_configs.(slot) <- key;
+          Fbuf.set t.child_w slot w';
+          Hashtbl.replace t.tbl key slot
+      done
+    done;
+    (* The algorithm's decision: serve with the server minimizing
+       w_t(cur[i := r]) + D·d(cur_i, r); those children all exist in the
+       table because cur is force-kept in the beam. *)
+    let best_i = ref 0 and best_v = ref infinity and best_w = ref infinity in
+    let probe = Array.make k 0 in
+    for i = 0 to k - 1 do
+      Array.blit t.cur 0 probe 0 k;
+      probe.(i) <- p;
+      Array.sort compare probe;
+      let slot = Hashtbl.find t.tbl probe in
+      let w' = Fbuf.get t.child_w slot in
+      let v = w' +. (t.d_factor *. pool_dist t t.cur.(i) p) in
+      if v < !best_v then begin
+        best_i := i;
+        best_v := v;
+        best_w := w'
+      end
+    done;
+    t.serve_cost <- t.serve_cost +. (t.d_factor *. pool_dist t t.cur.(!best_i) p);
+    t.cur.(!best_i) <- p;
+    t.cur_w <- !best_w;
+    (* New beam: children sorted by (value, tuple), truncated, with the
+       algorithm's (canonicalized) config force-kept. *)
+    let order = Array.init !nchild (fun i -> i) in
+    Array.sort (cmp_child t) order;
+    let keep = if !nchild < t.beam_cap then !nchild else t.beam_cap in
+    let cur_key = Array.copy t.cur in
+    Array.sort compare cur_key;
+    let cur_kept = ref false in
+    for c = 0 to keep - 1 do
+      let slot = order.(c) in
+      t.configs.(c) <- t.child_configs.(slot);
+      Fbuf.set t.w c (Fbuf.get t.child_w slot);
+      if t.child_configs.(slot) = cur_key then cur_kept := true
+    done;
+    t.beam_len <-
+      (if !cur_kept then keep
+       else begin
+         let c = if keep = t.beam_cap then keep - 1 else keep in
+         t.configs.(c) <- cur_key;
+         Fbuf.set t.w c t.cur_w;
+         if keep < t.beam_cap then keep + 1 else keep
+       end);
+    !best_i
+
+  let opt_estimate t =
+    let best = ref (Fbuf.get t.w 0) in
+    for c = 1 to t.beam_len - 1 do
+      let w = Fbuf.get t.w c in
+      if w < !best then best := w
+    done;
+    !best
+
+  let serve_cost t = t.serve_cost
+
+  let default_beam = 64
+
+  type outcome = { serve_cost : float; opt_estimate : float }
+
+  let run ?(beam = default_beam) ~k (config : Config.t) (inst : Instance.t) =
+    let t = create ~beam ~k ~d_factor:config.Config.d_factor inst.Instance.start in
+    Array.iter (fun round -> Array.iter (fun r -> ignore (observe t r)) round)
+      inst.Instance.steps;
+    { serve_cost = serve_cost t; opt_estimate = opt_estimate t }
+
+  (* The engine-facing wrapper: per round, feed each request to the DP in
+     arrival order, then propose the labeled config's positions; the
+     internal fleet (and the engine again, idempotently) clamps the
+     proposal onto the online budget, exactly like [kmeans_tracker]. *)
+  let algorithm ?(beam = default_beam) () =
+    {
+      Multi.Fleet_algorithm.name = "fleet-wfa";
+      make =
+        (fun ?rng:_ (config : Config.t) ~start ->
+          let k = Array.length start in
+          if k = 0 then invalid_arg "fleet-wfa: empty fleet";
+          let t = create ~beam ~k ~d_factor:config.Config.d_factor start.(0) in
+          let fleet = ref (Array.map Vec.copy start) in
+          let limit = Config.online_limit config in
+          fun requests ->
+            Array.iter (fun r -> ignore (observe t r)) requests;
+            let proposed = Array.init k (fun i -> pool_get t t.cur.(i)) in
+            let clamped =
+              Array.mapi
+                (fun i p -> Vec.clamp_step ~from:(!fleet).(i) limit p)
+                proposed
+            in
+            fleet := clamped;
+            clamped);
+    }
+end
+
+(* Inputs for the reference property: [rounds] rounds of 0..4 requests
+   (0 = an empty round).  On the lattice every coordinate is a multiple
+   of 1/4 in [-1, 1], so requests repeat and child values tie exactly.
+   The tuple tie-break of the beam order decides only which tied child
+   survives truncation, so half the cases draw a beam of at most 12,
+   which truncates on most of these inputs. *)
+let wfa_case_instance ~seed ~dim ~lattice =
+  let rng = rng_of (5000 + seed) in
+  let coord () =
+    if lattice then float_of_int (Prng.Xoshiro.next_below rng 9 - 4) /. 4.0
+    else Prng.Dist.uniform rng ~lo:(-10.0) ~hi:10.0
+  in
+  let rounds = 1 + Prng.Xoshiro.next_below rng 12 in
+  Instance.make ~start:(Vec.zero dim)
+    (Array.init rounds (fun _ ->
+         Array.init (Prng.Xoshiro.next_below rng 5) (fun _ ->
+             Array.init dim (fun _ -> coord ()))))
+
+let qcheck_wfa_matches_reference =
+  QCheck.Test.make ~count:300
+    ~name:"Fleet_wfa ≡ pre-flat-tuple reference (bitwise)"
+    QCheck.(
+      pair
+        (triple (int_bound 1_000_000) (int_range 1 5)
+           (oneof [ int_range 1 128; int_range 1 12 ]))
+        (quad (int_range 1 3) bool bool (int_bound 2)))
+    (fun ((seed, k, beam), (dim, lattice, serve_first, d_index)) ->
+      let inst = wfa_case_instance ~seed ~dim ~lattice in
+      let variant =
+        if serve_first then Mobile_server.Variant.Serve_first
+        else Mobile_server.Variant.Move_first
+      in
+      let cfg =
+        Config.make ~d_factor:[| 1.0; 2.0; 7.5 |].(d_index) ~move_limit:1.0
+          ~delta:0.5 ~variant ()
+      in
+      let got = Multi.Fleet_wfa.run ~beam ~k cfg inst in
+      let want = Ref_wfa.run ~beam ~k cfg inst in
+      let engine alg = Multi.Fleet_engine.run ~k cfg alg inst in
+      let a = engine (Multi.Fleet_wfa.algorithm ~beam ()) in
+      let b = engine (Ref_wfa.algorithm ~beam ()) in
+      let same_fleets =
+        Array.for_all2
+          (Array.for_all2 (Array.for_all2 bit_eq))
+          a.Multi.Fleet_engine.fleets b.Multi.Fleet_engine.fleets
+      in
+      bit_eq got.Multi.Fleet_wfa.serve_cost want.Ref_wfa.serve_cost
+      && bit_eq got.Multi.Fleet_wfa.opt_estimate want.Ref_wfa.opt_estimate
+      && bit_eq a.Multi.Fleet_engine.cost.Cost.move b.Multi.Fleet_engine.cost.Cost.move
+      && bit_eq a.Multi.Fleet_engine.cost.Cost.service
+           b.Multi.Fleet_engine.cost.Cost.service
+      && same_fleets)
+
 (* --- predictions ----------------------------------------------------- *)
 
 let prediction_deterministic () =
@@ -305,7 +608,8 @@ let () =
   Alcotest.run "fleet"
     [
       ( "golden",
-        [ Alcotest.test_case "fleet capture" `Quick fleet_golden_capture ] );
+        [ Alcotest.test_case "fleet capture" `Quick fleet_golden_capture;
+          Alcotest.test_case "flow capture" `Quick fleet_flow_golden_capture ] );
       ( "flow",
         [
           Alcotest.test_case "flow ≡ brute (bitwise)" `Quick flow_equals_brute;
@@ -344,5 +648,5 @@ let () =
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [ qcheck_service_and_step ] );
+          [ qcheck_service_and_step; qcheck_wfa_matches_reference ] );
     ]
