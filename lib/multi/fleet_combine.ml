@@ -1,3 +1,5 @@
+[@@@no_boxed_floats]
+
 module Vec = Geometry.Vec
 module Config = Mobile_server.Config
 module Cost = Mobile_server.Cost
@@ -104,17 +106,17 @@ let randomized ?(eps = 1.0) candidates =
              round from the combiner's stream. *)
           let best = min_cost sims in
           let weights =
-            List.map (fun sim -> exp (-.eps *. (sim.cost -. best))) sims
+            Array.of_list
+              (List.map (fun sim -> exp (-.eps *. (sim.cost -. best))) sims)
           in
-          let total = List.fold_left ( +. ) 0.0 weights in
+          let n = Array.length weights in
+          let total = Array.fold_left ( +. ) 0.0 weights in
           let u = Prng.Dist.uniform rng ~lo:0.0 ~hi:total in
-          let active = ref 0 and acc = ref 0.0 and i = ref 0 in
-          List.iter
-            (fun w ->
-              acc := !acc +. w;
-              if !acc < u then active := Stdlib.min (!i + 1) (List.length sims - 1);
-              incr i)
-            weights;
+          let active = ref 0 and acc = ref 0.0 in
+          for i = 0 to n - 1 do
+            acc := !acc +. weights.(i);
+            if !acc < u then active := Stdlib.min (i + 1) (n - 1)
+          done;
           let next = follow_active ~fleet:!fleet ~limit (List.nth sims !active) in
           fleet := next;
           next);

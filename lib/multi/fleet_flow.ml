@@ -1,3 +1,5 @@
+[@@@no_boxed_floats]
+
 module Vec = Geometry.Vec
 
 (* Exact optimum of the serve-assignment relaxation (docs/fleet.md):
@@ -121,15 +123,15 @@ let price_chains ~d_factor ~start ~(requests : Vec.t array) chains =
   let sorted = Array.copy chains in
   Array.sort (fun a b -> compare a.(0) b.(0)) sorted;
   let acc = ref 0.0 in
-  Array.iter
-    (fun chain ->
-      acc := !acc +. (d_factor *. Vec.dist start requests.(chain.(0)));
-      for pos = 1 to Array.length chain - 1 do
-        acc :=
-          !acc
-          +. (d_factor *. Vec.dist requests.(chain.(pos - 1)) requests.(chain.(pos)))
-      done)
-    sorted;
+  for c = 0 to Array.length sorted - 1 do
+    let chain = sorted.(c) in
+    acc := !acc +. (d_factor *. Vec.dist start requests.(chain.(0)));
+    for pos = 1 to Array.length chain - 1 do
+      acc :=
+        !acc
+        +. (d_factor *. Vec.dist requests.(chain.(pos - 1)) requests.(chain.(pos)))
+    done
+  done;
   !acc
 
 (* --- the solver ------------------------------------------------------- *)
@@ -190,7 +192,15 @@ let solve ~d_factor ~start ~(requests : Vec.t array) ~k =
           (d_factor *. (Vec.dist requests.(j) requests.(l) -. start_d.(l)))
       done
     done;
+    (* [b_live.(l)] is B_l's one residual out-arc.  B_l's in-arcs come
+       from the A side and its only out-arc is to the sink (capacity
+       1), so by conservation it is matched to at most one A_j: while
+       unmatched its live arc is the sink arc, once matched to A_j it
+       is the reverse of A_j → B_l.  Dijkstra relaxes just that arc,
+       the one its full scan would find with capacity. *)
+    let b_live = Array.make n 0 in
     for l = 0 to n - 1 do
+      b_live.(l) <- cursor.(b_node l);
       add_arc (b_node l) sink 0.0
     done;
     (* Johnson potentials, initialized by one topological relaxation
@@ -241,8 +251,10 @@ let solve ~d_factor ~start ~(requests : Vec.t array) ~k =
         if not popped.(u) && d <= dist.(u) then begin
           popped.(u) <- true;
           if u = sink then searching := false
-          else
-            for a = head.(u) to head.(u + 1) - 1 do
+          else begin
+            let lo = if u > n then b_live.(u - n - 1) else head.(u) in
+            let hi = if u > n then lo else head.(u + 1) - 1 in
+            for a = lo to hi do
               if acap.(a) > 0 then begin
                 let v = ato.(a) in
                 if not popped.(v) then begin
@@ -255,6 +267,7 @@ let solve ~d_factor ~start ~(requests : Vec.t array) ~k =
                 end
               end
             done
+          end
         end
       done;
       if Float.equal dist.(sink) infinity then running := false
@@ -267,6 +280,9 @@ let solve ~d_factor ~start ~(requests : Vec.t array) ~k =
             let a = parent.(!v) in
             acap.(a) <- acap.(a) - 1;
             acap.(arev.(a)) <- acap.(arev.(a)) + 1;
+            (* A path enters B_l only by a forward arc from some A_j
+               (the sink is never expanded), which it now matches. *)
+            if !v > n && !v < sink then b_live.(!v - n - 1) <- arev.(a);
             v := ato.(arev.(a))
           done;
           incr flow;

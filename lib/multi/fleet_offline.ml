@@ -33,9 +33,12 @@ let static_kmeans ~k (config : Config.t) (inst : Instance.t) rng =
   in
   Cost.total (Fleet_engine.replay config ~start fleets inst)
 
+(* Memoized: the bound does not depend on [k], so callers pricing one
+   instance at several [k] solve it once. *)
 let single_server (config : Config.t) inst =
-  if Instance.dim inst = 1 then Offline.Line_dp.optimum config inst
-  else Offline.Convex_opt.optimum config inst
+  let packed = Instance.pack inst in
+  if Instance.dim inst = 1 then Offline.Opt_cache.line_dp config packed
+  else Offline.Opt_cache.convex config packed
 
 (* The tie rule of [best_upper], exposed so the regression suite can
    pin it: k-means wins ties, so the label stays stable when the

@@ -207,6 +207,30 @@ let wfa_engine_budget () =
          run.Multi.Fleet_engine.fleets)
   then Alcotest.fail "WFA trajectory exceeds the online budget"
 
+(* Minor words per request of the engine-facing WFA stepper on the f1
+   shape at k = 3, counted after [make] (which sizes every buffer from
+   the beam): the per-round proposal arrays and nothing per child. *)
+let wfa_words_per_request ~beam =
+  let inst = Workloads.Hotspots.generate ~hotspots:3 ~dim:2 ~t:40 (rng_of 67) in
+  let k = 3 in
+  let step =
+    (Multi.Fleet_wfa.algorithm ~beam ()).Multi.Fleet_algorithm.make (config ())
+      ~start:(Fleet.spread_start ~k inst.Instance.start)
+  in
+  let requests =
+    Array.fold_left (fun n r -> n + Array.length r) 0 inst.Instance.steps
+  in
+  let w0 = Gc.minor_words () in
+  Array.iter (fun round -> ignore (step round)) inst.Instance.steps;
+  (Gc.minor_words () -. w0) /. float_of_int requests
+
+let wfa_alloc_independent_of_beam () =
+  let w8 = wfa_words_per_request ~beam:8 in
+  let w128 = wfa_words_per_request ~beam:128 in
+  if w128 > w8 +. 1.0 then
+    Alcotest.failf "WFA minor words per request grow with the beam: %.1f at \
+                    beam 8, %.1f at beam 128" w8 w128
+
 (* --- WFA against the pre-flat-tuple implementation ------------------ *)
 
 (* A verbatim copy of Fleet_wfa as it stood before configs became flat
@@ -624,6 +648,8 @@ let () =
           Alcotest.test_case "beam keeps upper bound" `Quick wfa_beam_is_upper_bound;
           Alcotest.test_case "deterministic" `Quick wfa_deterministic;
           Alcotest.test_case "budget respected" `Quick wfa_engine_budget;
+          Alcotest.test_case "allocation independent of beam" `Quick
+            wfa_alloc_independent_of_beam;
         ] );
       ( "prediction",
         [
