@@ -4,7 +4,11 @@
      dune exec bench/main.exe                 -- everything (E1..E9, T1, micro)
      dune exec bench/main.exe -- e1 e4        -- selected experiments
      dune exec bench/main.exe -- micro        -- microbenchmarks only
-     dune exec bench/main.exe -- --quick ...  -- reduced horizons/seeds
+     dune exec bench/main.exe -- --quick ...  -- reduced horizons/seeds; a
+                                                 mode's JSON then goes to
+                                                 BENCH_<mode>.quick.json
+                                                 unless --<mode>-out is
+                                                 given
      dune exec bench/main.exe -- --jobs 4 ... -- worker domains for sweeps
      dune exec bench/main.exe -- parallel     -- jobs=1 vs jobs=N comparison
                                                  (JSON to BENCH_parallel.json,
@@ -51,7 +55,8 @@
      dune exec bench/main.exe -- fleet        -- the min-cost-flow relaxation
                                                  OPT at k = 10/100/1000, vs
                                                  brute force and the OPT
-                                                 cache, gated on
+                                                 cache, the WFA step per
+                                                 request, gated on
                                                  flow = brute,
                                                  cached = cold and
                                                  jobs1 = jobsN byte-identity
@@ -1077,9 +1082,9 @@ let run_parallel ~quick ~jobs ~out () =
 
 (* ------------------------------------------------------------------ *)
 (* Fleet benchmark: the min-cost-flow relaxation optimum vs brute-force
-   enumeration and the OPT cache, and the jobs=1 vs jobs=N sweep — all
-   gated on bitwise identity.  JSON lands in BENCH_fleet.json (or
-   --fleet-out). *)
+   enumeration and the OPT cache, the WFA step, and the jobs=1 vs jobs=N
+   sweep — the flow and sweep rows gated on bitwise identity.  JSON
+   lands in BENCH_fleet.json (or --fleet-out). *)
 
 let run_fleet ~quick ~out () =
   print_endline "\n=== FLEET: flow OPT, identity ===\n";
@@ -1153,6 +1158,35 @@ let run_fleet ~quick ~out () =
     bit_eq opt_cold opt_warm && bit_eq opt_cold opt_uncached
   in
   let cache_stats = Offline.Opt_cache.stats () in
+  (* --- the WFA step on perfbench fleet-f1's shape ------------------- *)
+  (* ns and minor words per request of Fleet_wfa.run (create included)
+     at the default beam, over 3-hotspot 2-D instances with T = 40. *)
+  let wfa_insts =
+    Array.init (if quick then 4 else 16) (fun i -> gen ~t:40 (3000 + i))
+  in
+  let wfa_requests =
+    Array.fold_left
+      (fun n inst ->
+        Array.fold_left (fun n r -> n + Array.length r) n inst.MS.Instance.steps)
+      0 wfa_insts
+  in
+  let wfa_rows =
+    List.map
+      (fun k ->
+        let pass () =
+          Array.iter
+            (fun inst -> ignore (Multi.Fleet_wfa.run ~k config inst))
+            wfa_insts
+        in
+        let ns =
+          time_per ~repeat:(if quick then 3 else 10) pass *. 1e9
+          /. float_of_int wfa_requests
+        in
+        let w0 = Gc.minor_words () in
+        pass ();
+        (k, ns, (Gc.minor_words () -. w0) /. float_of_int wfa_requests))
+      [ 2; 3; 4 ]
+  in
   (* --- jobs=1 vs jobs=2: engine cost / flow OPT per seed ------------ *)
   let sweep_seeds = if quick then 4 else 8 in
   let sweep_t = if quick then 12 else 30 in
@@ -1199,6 +1233,17 @@ let run_fleet ~quick ~out () =
             [ string_of_int k; string_of_int n; Tables.cell bms;
               Tables.cell fms; Tables.cell s; string_of_bool ok ])
           brute_rows));
+  Tables.print
+    ~title:
+      (Printf.sprintf "WFA step, beam %d, %d requests" Multi.Fleet_wfa.default_beam
+         wfa_requests)
+    (Tables.create
+       ~aligns:[ Tables.Right; Tables.Right; Tables.Right ]
+       ~header:[ "k"; "ns/request"; "minor words/request" ]
+       (List.map
+          (fun (k, ns, words) ->
+            [ string_of_int k; Tables.cell ns; Tables.cell words ])
+          wfa_rows));
   Printf.printf "cache stats                    : %d hits, %d misses\n"
     cache_stats.Offline.Opt_cache.hits cache_stats.Offline.Opt_cache.misses;
   Printf.printf "flow cold %.1fms, warm %.1fms (speedup %.1fx)\n"
@@ -1210,7 +1255,12 @@ let run_fleet ~quick ~out () =
   Printf.printf "jobs1 = jobs2                  : %b\n%!"
     identity_jobs1_vs_jobs2;
   write_record ~report:"fleet" out
-    [ ("schema", Str "msp-bench-fleet-v2"); machine ();
+    [ ("schema", Str "msp-bench-fleet-v3"); machine ();
+      timing
+        ~one_pass:
+          "flow solve_ms, brute_ms, flow_ms, flow_cold_ms, flow_warm_ms, \
+           sweep_jobs1_s, sweep_jobs2_s"
+        ();
       ("quick", Bool quick);
       ( "flow",
         Rows
@@ -1229,6 +1279,15 @@ let run_fleet ~quick ~out () =
                    ("flow_ms", Num fms); ("speedup", Num s);
                    ("identical", Bool ok) ])
              brute_rows) );
+      ( "wfa",
+        Rows
+          (List.map
+             (fun (k, ns, words) ->
+               Obj
+                 [ ("k", Int k); ("beam", Int Multi.Fleet_wfa.default_beam);
+                   ("requests", Int wfa_requests); ("ns_per_request", Num ns);
+                   ("minor_words_per_request", Num words) ])
+             wfa_rows) );
       ("flow_cold_ms", Num (cold_s *. 1e3));
       ("flow_warm_ms", Num (warm_s *. 1e3));
       ("cache_warm_speedup", Num (cold_s /. warm_s));
@@ -1252,13 +1311,17 @@ let () =
   let quick = List.mem "--quick" args in
   (* Optional: --markdown <path> writes the whole report as Markdown. *)
   let markdown_path = ref None in
-  let parallel_out = ref "BENCH_parallel.json" in
-  let hotpath_out = ref "BENCH_hotpath.json" in
-  let solver_out = ref "BENCH_solver.json" in
-  let network_out = ref "BENCH_network.json" in
-  let serve_out = ref "BENCH_serve.json" in
-  let multicore_out = ref "BENCH_multicore.json" in
-  let fleet_out = ref "BENCH_fleet.json" in
+  (* A --quick record never replaces a committed full-mode one. *)
+  let out mode =
+    ref ("BENCH_" ^ mode ^ if quick then ".quick.json" else ".json")
+  in
+  let parallel_out = out "parallel" in
+  let hotpath_out = out "hotpath" in
+  let solver_out = out "solver" in
+  let network_out = out "network" in
+  let serve_out = out "serve" in
+  let multicore_out = out "multicore" in
+  let fleet_out = out "fleet" in
   let golden_path = ref Experiments.Golden.golden_path in
   let rec strip = function
     | [] -> []
