@@ -463,6 +463,20 @@ let lint_cmd =
              tools/lint/msp_lint) over the source trees.")
     Term.(term_result (const action $ verbose $ json $ sarif $ roots))
 
+(* --- oracle failures --------------------------------------------------- *)
+
+(* [msp serve] and [msp simtest] exit 1 when an oracle fails (a served
+   trajectory diverging from its engine replay, a dirty audit, a failed
+   simtest check), so a script can tell that from Cmdliner's 124 for a
+   command-line error. *)
+let oracle_failed = 1
+
+let oracle_exits doc = Cmd.Exit.info oracle_failed ~doc :: Cmd.Exit.defaults
+
+let fail_oracle msg =
+  Printf.eprintf "msp: %s\n%!" msg;
+  exit oracle_failed
+
 (* --- serve ----------------------------------------------------------- *)
 
 let serve_cmd =
@@ -572,15 +586,18 @@ let serve_cmd =
               end
             in
             if not (Serve.Driver.ok report) then
-              Error (`Msg "serve output diverged from the in-process engine")
+              fail_oracle "serve output diverged from the in-process engine"
             else if audit_bad > 0 then
-              Error
-                (`Msg
-                   (Printf.sprintf "audit found %d dirty report(s)" audit_bad))
+              fail_oracle
+                (Printf.sprintf "audit found %d dirty report(s)" audit_bad)
             else Ok ()))
   in
   Cmd.v
     (Cmd.info "serve"
+       ~exits:
+         (oracle_exits
+            "when a served trajectory diverges from its engine replay, or \
+             $(b,--audit) finds a dirty report.")
        ~doc:"Run the sharded session-serving daemon over a seeded \
              open-world schedule (Poisson arrivals, exponential \
              lifetimes), verify every served trajectory bit-for-bit \
@@ -640,7 +657,7 @@ let simtest_cmd =
          (match r.Simtest.Harness.outcome with
           | Simtest.Harness.Pass -> Ok ()
           | Simtest.Harness.Fail _ ->
-            Error (`Msg "simtest replay failed (see verdict above)")))
+            fail_oracle "simtest replay failed (see verdict above)"))
     | None ->
       let ops = Simtest.Harness.gen_ops ~seed ~count:ops_count () in
       let r =
@@ -665,17 +682,20 @@ let simtest_cmd =
              Out_channel.output_string oc artifact);
          Printf.printf "shrunk to %d op(s), written to %s:\n%s"
            (List.length minimal) out artifact;
-         Error
-           (`Msg
-              (Printf.sprintf
-                 "simtest failed at seed %d; replay with: msp simtest \
-                  --replay %s%s"
-                 seed out
-                 (if inject_bug then " --inject-bug" else "")
-               ^ (if inject_audit_bug then " --inject-audit-bug" else ""))))
+         fail_oracle
+           (Printf.sprintf
+              "simtest failed at seed %d; replay with: msp simtest \
+               --replay %s%s"
+              seed out
+              (if inject_bug then " --inject-bug" else "")
+           ^ if inject_audit_bug then " --inject-audit-bug" else ""))
   in
   Cmd.v
     (Cmd.info "simtest"
+       ~exits:
+         (oracle_exits
+            "when an oracle check fails (the shrunk artifact is written \
+             first) or a replayed artifact fails.")
        ~doc:"Deterministic simulation testing: generate a seeded op \
              sequence (session steps, cache faults, pool fan-outs, \
              serve-daemon traffic and shard crashes), oracle every answer \
