@@ -24,7 +24,8 @@ module Instance = Mobile_server.Instance
 
    The new request's pool index [p] exceeds every stored index, so the
    sorted child [cfg[i := p]] is [cfg] with entry [i] dropped and [p]
-   appended: no child is ever sorted.  A request allocates nothing. *)
+   appended: no child is ever sorted.  Apart from the pool's amortized
+   growth, a request allocates nothing. *)
 
 type t = {
   k : int;
@@ -185,24 +186,13 @@ let child_cmp t a b =
   end
 
 (* Sorts [order.(lo) .. order.(hi − 1)] by [child_cmp]: merge sort
-   through [spare], insertion sort on short runs. *)
+   through [spare]. *)
 let rec sort_children t lo hi =
-  let order = t.order in
-  if hi - lo <= 8 then
-    for i = lo + 1 to hi - 1 do
-      let x = order.(i) in
-      let j = ref (i - 1) in
-      while !j >= lo && child_cmp t order.(!j) x > 0 do
-        order.(!j + 1) <- order.(!j);
-        decr j
-      done;
-      order.(!j + 1) <- x
-    done
-  else begin
+  if hi - lo > 1 then begin
+    let order = t.order and spare = t.spare in
     let mid = (lo + hi) / 2 in
     sort_children t lo mid;
     sort_children t mid hi;
-    let spare = t.spare in
     Array.blit order lo spare lo (mid - lo);
     let i = ref lo and j = ref mid and o = ref lo in
     while !i < mid do
