@@ -257,6 +257,94 @@ let fleet_flow_string () =
 
 let fleet_flow_path = "test/golden/fleet_flow_v1.txt"
 
+(* --- Convex_opt capture ---------------------------------------------- *)
+
+(* (name, config, max_iter, sweeps, instance).  Every clusters and
+   lattice instance runs under both variants, D in {1, 2, 4, 7.5},
+   m in {0.5, 1, 1.3} and both knob settings; the f1 instances run at
+   perfbench fleet-f1's model and the solver's default knobs. *)
+let convex_cases () =
+  let clusters ~dim ~t seed =
+    Workloads.Clusters.generate ~r_min:1 ~r_max:4 ~sigma:1.0 ~drift:0.4
+      ~arena:6.0 ~dim ~t
+      (Prng.Stream.named ~name:"golden-convex" ~seed)
+  in
+  let variants = [ ("mf", Variant.Move_first); ("sf", Variant.Serve_first) ] in
+  let knobs = [ ("i400-s30", 400, 30); ("i40-s4", 40, 4) ] in
+  let sweep name inst =
+    List.concat_map
+      (fun (vname, variant) ->
+        List.concat_map
+          (fun d ->
+            List.concat_map
+              (fun m ->
+                List.map
+                  (fun (kname, max_iter, sweeps) ->
+                    ( Printf.sprintf "%s-%s-d%g-m%g-%s" name vname d m kname,
+                      Config.make ~d_factor:d ~move_limit:m ~variant (),
+                      max_iter,
+                      sweeps,
+                      inst ))
+                  knobs)
+              [ 0.5; 1.0; 1.3 ])
+          [ 1.0; 2.0; 4.0; 7.5 ])
+      variants
+  in
+  let f1 seed =
+    let inst =
+      Workloads.Hotspots.generate ~hotspots:3 ~dim:2 ~t:40
+        (Prng.Stream.named ~name:"golden-convex-f1" ~seed)
+    in
+    List.map
+      (fun (vname, variant) ->
+        ( Printf.sprintf "f1-s%d-%s" seed vname,
+          Config.make ~d_factor:2.0 ~move_limit:1.0 ~delta:0.5 ~variant (),
+          400,
+          30,
+          inst ))
+      variants
+  in
+  let lattice seed =
+    sweep (Printf.sprintf "lattice-d2-s%d" seed)
+      (lattice_instance ~dim:2 ~t:10 ~r_max:3 (100 + seed))
+  in
+  List.concat
+    [
+      sweep "clusters-d1" (clusters ~dim:1 ~t:14 1);
+      sweep "holes-d1" (with_empty_rounds (clusters ~dim:1 ~t:16 2));
+      sweep "clusters-d2" (clusters ~dim:2 ~t:12 3);
+      sweep "holes-d2" (with_empty_rounds (clusters ~dim:2 ~t:14 4));
+      sweep "clusters-d3" (clusters ~dim:3 ~t:10 5);
+      sweep "holes-d3" (with_empty_rounds (clusters ~dim:3 ~t:12 6));
+      List.concat_map f1 [ 1; 2; 3 ];
+      lattice 1;
+      lattice 2;
+    ]
+
+let positions_md5 positions =
+  md5_le (fun add ->
+      Array.iter
+        (Array.iter (fun x -> add (Int64.bits_of_float x)))
+        positions)
+
+let convex_string () =
+  let buf = Buffer.create 32768 in
+  Buffer.add_string buf
+    "# Convex_opt golden v1: <case> cost=<%h> traj=<md5 of IEEE bits> \
+     iters=<subgradient iterations> sweeps=<descent sweeps>\n";
+  List.iter
+    (fun (name, config, max_iter, sweeps, inst) ->
+      let sol = Offline.Convex_opt.solve ~max_iter ~sweeps config inst in
+      Printf.bprintf buf "%s cost=%h traj=%s iters=%d sweeps=%d\n" name
+        sol.Offline.Convex_opt.cost
+        (positions_md5 sol.Offline.Convex_opt.positions)
+        sol.Offline.Convex_opt.subgradient_iterations
+        sol.Offline.Convex_opt.descent_sweeps)
+    (convex_cases ());
+  Buffer.contents buf
+
+let convex_path = "test/golden/convex_v1.txt"
+
 (* --- network capture ------------------------------------------------- *)
 
 (* Small graphs of every generator family; the unit-length ones (grid,

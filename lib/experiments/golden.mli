@@ -95,6 +95,31 @@ val fleet_flow_string : unit -> string
 val fleet_flow_path : string
 (** Repo-root-relative path of the committed fleet flow capture. *)
 
+(** {1 Convex_opt capture}
+
+    [test/golden/convex_v1.txt] pins {!Offline.Convex_opt.solve} bit
+    for bit: the cost, the trajectory and how many subgradient
+    iterations and descent sweeps it took.  It was captured while the
+    solver's descent phases still read the boxed instance, and
+    [test_offline] compares {!convex_string} with it byte for byte.
+    Regenerate (only when the case list changes, never to paper over a
+    mismatch) with [dune exec tools/gen_golden/gen_convex_golden.exe]. *)
+
+val convex_string : unit -> string
+(** One line per case: [cost] as [%h], the MD5 of the trajectory's
+    little-endian IEEE bits, the subgradient iterations and the
+    descent sweeps.  The cases are seeded 1-D, 2-D and 3-D clusters,
+    each also with empty rounds, and 2-D instances on the 1/4 lattice
+    of [[-1, 1]^2] (duplicate requests), each under both variants,
+    [D] in [{1, 2, 4, 7.5}], [m] in [{0.5, 1, 1.3}] and the knobs at
+    the defaults and at [max_iter = 40], [sweeps = 4]; then three
+    perfbench [fleet-f1]-shaped instances (3 hotspots, [d = 2],
+    [T = 40]) at [D = 2], [m = 1] and the default knobs, both
+    variants. *)
+
+val convex_path : string
+(** Repo-root-relative path of the committed Convex_opt capture. *)
+
 (** {1 Network capture}
 
     [test/golden/network_v1.txt] pins the all-pairs shortest-path

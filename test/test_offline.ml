@@ -361,6 +361,18 @@ let convex_never_beaten_by_online () =
     Alcotest.failf "solver (%g) worse than the online algorithm (%g)" cvx
       online
 
+(* test/golden/convex_v1.txt was captured while the solver's descent
+   phases still read the boxed instance; lib/experiments/golden.mli has
+   the rules.  Never regenerate it to silence this test. *)
+let convex_golden_capture () =
+  let path =
+    if Sys.file_exists "golden/convex_v1.txt" then "golden/convex_v1.txt"
+    else Experiments.Golden.convex_path
+  in
+  Alcotest.(check string) "byte identical"
+    (In_channel.with_open_bin path In_channel.input_all)
+    (Experiments.Golden.convex_string ())
+
 let convex_empty_rejected () =
   let config = Config.make () in
   Alcotest.check_raises "empty"
@@ -511,6 +523,7 @@ let () =
           Alcotest.test_case "never beaten by online" `Quick
             convex_never_beaten_by_online;
           Alcotest.test_case "empty rejected" `Quick convex_empty_rejected;
+          Alcotest.test_case "golden capture" `Quick convex_golden_capture;
         ] );
       ( "brute",
         [
