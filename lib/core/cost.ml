@@ -23,29 +23,15 @@ let step (config : Config.t) ~from ~to_ vs =
   in
   { move; service }
 
-let trajectory config ~start positions inst =
-  let t_len = Instance.length inst in
-  if Array.length positions <> t_len then
-    invalid_arg
-      (Printf.sprintf "Cost.trajectory: %d positions for %d rounds"
-         (Array.length positions) t_len);
-  let acc = ref zero in
-  let prev = ref start in
-  for t = 0 to t_len - 1 do
-    acc := add !acc (step config ~from:!prev ~to_:positions.(t) inst.steps.(t));
-    prev := positions.(t)
-  done;
-  !acc
-
-(* Same accumulation as [trajectory] — one [step]-shaped breakdown per
-   round, added in round order — with the service sums taken over the
-   flat request buffer ([Points.sum_dist] is bit-identical to
-   [service_cost] on the boxed slice). *)
-let trajectory_packed config ~start positions (p : Instance.Packed.t) =
+(* One [step]-shaped breakdown per round, added in round order, with
+   the service sums taken over the flat request buffer
+   ([Points.sum_dist] is bit-identical to [service_cost] on the boxed
+   round, so this prices exactly as the engine's per-round [step]). *)
+let trajectory config ~start positions (p : Instance.Packed.t) =
   let t_len = Instance.Packed.length p in
   if Array.length positions <> t_len then
     invalid_arg
-      (Printf.sprintf "Cost.trajectory_packed: %d positions for %d rounds"
+      (Printf.sprintf "Cost.trajectory: %d positions for %d rounds"
          (Array.length positions) t_len);
   let points = Instance.Packed.points p in
   let acc = ref zero in

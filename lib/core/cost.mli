@@ -32,22 +32,16 @@ val step :
 
 val trajectory :
   Config.t -> start:Geometry.Vec.t -> Geometry.Vec.t array ->
-  Instance.t -> breakdown
-(** [trajectory config ~start positions inst] prices a full server
-    trajectory against an instance: [positions.(t)] is the server's
-    position at the end of round [t], with [start] the position before
-    round 0.  [positions] must have length [Instance.length inst] and
-    matching dimension.  No movement-limit check is performed here — use
-    {!feasible} for that. *)
-
-val trajectory_packed :
-  Config.t -> start:Geometry.Vec.t -> Geometry.Vec.t array ->
   Instance.Packed.t -> breakdown
-(** [trajectory_packed config ~start positions p] is {!trajectory} on
-    the struct-of-arrays view — bit-identical to pricing the boxed
-    instance (same per-round breakdowns, same summation order), but the
-    service sums iterate the flat request buffer with no per-request
-    boxing. *)
+(** [trajectory config ~start positions p] prices a full server
+    trajectory against a packed instance: [positions.(t)] is the
+    server's position at the end of round [t], with [start] the
+    position before round 0.  [positions] must have length
+    [Instance.Packed.length p] and matching dimension.  The result is
+    bit-identical to adding {!step}'s breakdowns over the rounds in
+    order from {!zero}, as the engine does; the service sums iterate
+    the flat request buffer.  No movement-limit check is performed
+    here — use {!feasible} for that. *)
 
 val feasible :
   ?tol:float -> limit:float -> start:Geometry.Vec.t ->

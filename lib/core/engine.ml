@@ -198,7 +198,7 @@ let total_cost ?rng config alg (inst : Instance.t) =
    no per-round array is allocated.  [views.(r)] shares the first [r]
    scratch vectors; the session sees ordinary [Vec.t array] values with
    exactly the boxed coordinates, so the run is bit-identical to one on
-   the unpacked instance.  Contract: the algorithm must not retain the
+   the boxed instance.  Contract: the algorithm must not retain the
    request array or its vectors across rounds — they are overwritten by
    the next round (every in-tree algorithm copies what it keeps). *)
 let packed_rounds (p : Instance.Packed.t) =
@@ -218,10 +218,6 @@ let packed_rounds (p : Instance.Packed.t) =
     done;
     views.(r)
 
-let run_packed ?rng config alg p =
-  play ?rng config alg ~start:(Instance.Packed.start p)
-    ~rounds:(Instance.Packed.length p) (packed_rounds p)
-
 let total_cost_packed ?rng config alg p =
   Cost.total
     (run_stream ?rng config alg ~start:(Instance.Packed.start p)
@@ -231,4 +227,4 @@ let total_cost_packed ?rng config alg p =
 let replay config ~start positions inst =
   if not (Cost.feasible ~limit:(Config.offline_limit config) ~start positions)
   then invalid_arg "Engine.replay: trajectory exceeds the offline budget m";
-  Cost.trajectory config ~start positions inst
+  Cost.trajectory config ~start positions (Instance.pack inst)

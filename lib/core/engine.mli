@@ -70,19 +70,14 @@ val run_stream :
     {!Session.step} for the validating entry).  Raises
     [Invalid_argument] if [rounds < 0]. *)
 
-val run_packed :
-  ?rng:Prng.Xoshiro.t -> Config.t -> Algorithm.t -> Instance.Packed.t -> run
-(** {!run} on the packed view; bit-identical to running the unpacked
-    instance.  Per-round requests reach the algorithm through a fixed
-    set of reused scratch vectors (no per-round boxing).  Contract: the
-    algorithm must not retain the request array or its vectors past the
-    round. *)
-
 val total_cost_packed :
   ?rng:Prng.Xoshiro.t -> Config.t -> Algorithm.t -> Instance.Packed.t ->
   float
-(** {!total_cost} on the packed view, under {!run_packed}'s
-    contract. *)
+(** {!total_cost} on the packed view; bit-identical to pricing the
+    boxed instance.  Per-round requests reach the algorithm through a
+    fixed set of reused scratch vectors (no per-round boxing).
+    Contract: the algorithm must not retain the request array or its
+    vectors past the round. *)
 
 val replay :
   Config.t -> start:Geometry.Vec.t -> Geometry.Vec.t array -> Instance.t ->
@@ -90,7 +85,8 @@ val replay :
 (** [replay config ~start positions inst] prices a precomputed
     trajectory (for example an offline optimum); checks it against the
     {e offline} budget [m] and raises [Invalid_argument] if it moves too
-    far in some round. *)
+    far in some round.  The pricing is {!Cost.trajectory} on
+    [Instance.pack inst]. *)
 
 val iter :
   ?rng:Prng.Xoshiro.t -> Config.t -> Algorithm.t -> Instance.t ->
@@ -108,7 +104,7 @@ val iter :
     each {!Session.step} consumes one round of requests, moves the
     server (clamped to the online budget) and returns the round's
     record.  The session round is the engine's only round: {!run},
-    {!iter}, {!run_stream}, {!run_packed} and the [total_cost]s feed
+    {!iter}, {!run_stream} and the [total_cost]s feed
     their rounds through it and read their totals off it, so
     [Engine.run] equals replaying the instance through a session by
     construction — and test_core's entry-point property still checks

@@ -99,13 +99,6 @@ let pack inst =
     inst.steps;
   { Packed.start = Vec.copy inst.start; points; offsets; digest = None }
 
-let unpack (p : Packed.t) =
-  make ~start:p.Packed.start
-    (Array.init (Packed.length p) (fun t ->
-         let base = Packed.round_start p t in
-         Array.init (Packed.round_length p t) (fun i ->
-             Geometry.Points.get p.Packed.points (base + i))))
-
 let dim inst = Vec.dim inst.start
 
 let length inst = Array.length inst.steps

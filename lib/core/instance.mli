@@ -21,9 +21,10 @@ val make : start:Geometry.Vec.t -> Geometry.Vec.t array array -> t
 
 (** Struct-of-arrays view of an instance: every request coordinate in
     one flat {!Geometry.Points} buffer plus a per-round offset table.
-    The hot consumers (offline solvers, [Engine.run_packed], the
-    experiment sweeps) iterate this representation; {!pack}/{!unpack}
-    are lossless, so the two views are interchangeable bit for bit. *)
+    The offline solvers, {!Cost.trajectory},
+    [Engine.total_cost_packed] and the experiment sweeps read this
+    representation; {!pack} is lossless, so a packed instance holds
+    every coordinate of the boxed one bit for bit. *)
 module Packed : sig
   type t
 
@@ -70,10 +71,6 @@ end
 val pack : t -> Packed.t
 (** [pack inst] is the struct-of-arrays view of [inst] — a lossless
     copy, never a borrow. *)
-
-val unpack : Packed.t -> t
-(** [unpack p] rebuilds the boxed view; [unpack (pack inst)] equals
-    [inst] coordinate-for-coordinate (bit-identical floats). *)
 
 val dim : t -> int
 (** Space dimension. *)

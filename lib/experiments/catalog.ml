@@ -642,7 +642,7 @@ let t1 ~seed ~quick =
                   let alg_rng = Prng.Xoshiro.copy alg_streams.(i) in
                   let acc = Stats.Running.create () in
                   Stats.Running.add acc
-                    (Ratio.cost_pair_packed ~rng:alg_rng config alg packed
+                    (Ratio.cost_pair ~rng:alg_rng config alg packed
                        ~opt);
                   acc)
                 algorithms)

@@ -13,11 +13,7 @@ let summarize rng ratios =
       ci_lo = ci.Stats.Bootstrap.lo; ci_hi = ci.Stats.Bootstrap.hi }
   end
 
-let cost_pair ?rng config alg inst ~opt =
-  if opt <= 0.0 then invalid_arg "Ratio.cost_pair: non-positive optimum";
-  Engine.total_cost ?rng config alg inst /. opt
-
-let cost_pair_packed ?rng config alg packed ~opt =
+let cost_pair ?rng config alg packed ~opt =
   if opt <= 0.0 then invalid_arg "Ratio.cost_pair: non-positive optimum";
   Engine.total_cost_packed ?rng config alg packed /. opt
 
@@ -48,13 +44,13 @@ let vs_line_dp ?grid_per_m ~seeds ~base_seed ~name config alg gen =
   replicated ~seeds ~base_seed ~name (fun rng ->
       let packed = Instance.pack (gen rng) in
       let opt = Offline.Opt_cache.line_dp ?grid_per_m config packed in
-      cost_pair_packed ~rng config alg packed ~opt)
+      cost_pair ~rng config alg packed ~opt)
 
 let vs_convex ?max_iter ~seeds ~base_seed ~name config alg gen =
   replicated ~seeds ~base_seed ~name (fun rng ->
       let packed = Instance.pack (gen rng) in
       let opt = Offline.Opt_cache.convex ?max_iter config packed in
-      cost_pair_packed ~rng config alg packed ~opt)
+      cost_pair ~rng config alg packed ~opt)
 
 let vs_construction_tight ?max_iter ~seeds ~base_seed ~name config alg gen =
   replicated ~seeds ~base_seed ~name (fun rng ->
@@ -62,5 +58,5 @@ let vs_construction_tight ?max_iter ~seeds ~base_seed ~name config alg gen =
       let packed = Instance.pack c.Adversary.Construction.instance in
       let via_trajectory = Adversary.Construction.adversary_cost config c in
       let via_convex = Offline.Opt_cache.convex ?max_iter config packed in
-      cost_pair_packed ~rng config alg packed
+      cost_pair ~rng config alg packed
         ~opt:(Float.min via_trajectory via_convex))

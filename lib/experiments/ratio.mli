@@ -56,15 +56,10 @@ val vs_construction_tight :
 
 val cost_pair :
   ?rng:Prng.Xoshiro.t -> Mobile_server.Config.t ->
-  Mobile_server.Algorithm.t -> Mobile_server.Instance.t ->
-  opt:float -> float
-(** [cost_pair config alg inst ~opt] is [cost(alg on inst) / opt];
-    raises [Invalid_argument] when [opt <= 0]. *)
-
-val cost_pair_packed :
-  ?rng:Prng.Xoshiro.t -> Mobile_server.Config.t ->
   Mobile_server.Algorithm.t -> Mobile_server.Instance.Packed.t ->
   opt:float -> float
-(** {!cost_pair} on the struct-of-arrays view — bit-identical, and the
-    natural pairing with the {!Offline.Opt_cache} solver entry points
-    when the caller has already packed the instance. *)
+(** [cost_pair config alg packed ~opt] is [cost(alg on packed) / opt],
+    the online cost taken by {!Mobile_server.Engine.total_cost_packed}
+    — the natural pairing with the {!Offline.Opt_cache} solver entry
+    points, which take the same packed instance.  Raises
+    [Invalid_argument] when [opt <= 0]. *)

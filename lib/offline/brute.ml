@@ -59,7 +59,8 @@ let hull_1d (p : Instance.Packed.t) =
   done;
   (!lo, !hi)
 
-let grid_1d_packed ~cells config (p : Instance.Packed.t) =
+let grid_1d ~cells config inst =
+  let p = Instance.pack inst in
   if Instance.Packed.dim p <> 1 then invalid_arg "Brute.grid_1d: not 1-D";
   if Instance.Packed.length p = 0 then
     invalid_arg "Brute.grid_1d: empty instance";
@@ -81,9 +82,8 @@ let grid_1d_packed ~cells config (p : Instance.Packed.t) =
   points.(!start_idx) <- [| start |];
   value_iteration config p points !start_idx
 
-let grid_1d ~cells config inst = grid_1d_packed ~cells config (Instance.pack inst)
-
-let grid_2d_packed ~cells_per_axis config (p : Instance.Packed.t) =
+let grid_2d ~cells_per_axis config inst =
+  let p = Instance.pack inst in
   if Instance.Packed.dim p <> 2 then invalid_arg "Brute.grid_2d: not 2-D";
   if Instance.Packed.length p = 0 then
     invalid_arg "Brute.grid_2d: empty instance";
@@ -115,6 +115,3 @@ let grid_2d_packed ~cells_per_axis config (p : Instance.Packed.t) =
     points;
   points.(!start_idx) <- Vec.copy start;
   value_iteration config p points !start_idx
-
-let grid_2d ~cells_per_axis config inst =
-  grid_2d_packed ~cells_per_axis config (Instance.pack inst)

@@ -27,16 +27,3 @@ val grid_2d :
     of start and requests (expanded so the start is a lattice point).
     Cost is [O(T · cells⁴)]; intended for [cells_per_axis <= 41] and
     [T <= 8] in tests. *)
-
-val grid_1d_packed :
-  cells:int -> Mobile_server.Config.t -> Mobile_server.Instance.Packed.t ->
-  float
-(** {!grid_1d} on the struct-of-arrays view — the shared core, so
-    [grid_1d_packed ~cells config (pack inst)] is bit-identical to
-    [grid_1d ~cells config inst]. *)
-
-val grid_2d_packed :
-  cells_per_axis:int -> Mobile_server.Config.t ->
-  Mobile_server.Instance.Packed.t -> float
-(** {!grid_2d} on the struct-of-arrays view; bit-identical to the boxed
-    entry point. *)

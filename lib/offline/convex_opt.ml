@@ -1,4 +1,8 @@
+[@@@no_boxed_floats]
+
 module Vec = Geometry.Vec
+module Points = Geometry.Points
+module Fbuf = Geometry.Fbuf
 module Config = Mobile_server.Config
 module Instance = Mobile_server.Instance
 module Cost = Mobile_server.Cost
@@ -15,22 +19,13 @@ let log_src = Logs.Src.create "offline.convex" ~doc:"Convex trajectory solver"
 
 module Log = (val Logs.src_log log_src : Logs.LOG)
 
-(* Requests charged at position x_t: round t under Move-first, round
-   t+1 under Serve-first (the pre-move position of the next round).
-   Serve-first additionally charges round 0 at the fixed start, which
-   is a constant and can be ignored by the optimizer but must be added
-   back to the reported cost — we simply price the final trajectory
-   with [Cost.trajectory], which accounts for everything. *)
-let requests_at (config : Config.t) (inst : Instance.t) t =
-  match config.Config.variant with
-  | Variant.Move_first -> inst.Instance.steps.(t)
-  | Variant.Serve_first ->
-    if t + 1 < Array.length inst.Instance.steps then
-      inst.Instance.steps.(t + 1)
-    else [||]
-
-(* Same charging rule as [requests_at], as a slice [lo, hi) of the flat
-   packed request buffer. *)
+(* Requests charged at position x_t, as a slice [lo, hi) of the flat
+   packed request buffer: round t under Move-first, round t+1 under
+   Serve-first (the pre-move position of the next round).  Serve-first
+   additionally charges round 0 at the fixed start, which is a constant
+   and can be ignored by the optimizer but must be added back to the
+   reported cost — we simply price the final trajectory with
+   [Cost.trajectory], which accounts for everything. *)
 let charged_slice (config : Config.t) (p : Instance.Packed.t) t =
   match config.Config.variant with
   | Variant.Move_first ->
@@ -43,8 +38,7 @@ let charged_slice (config : Config.t) (p : Instance.Packed.t) t =
 
 let price config (p : Instance.Packed.t) positions =
   Cost.total
-    (Cost.trajectory_packed config ~start:(Instance.Packed.start p) positions
-       p)
+    (Cost.trajectory config ~start:(Instance.Packed.start p) positions p)
 
 (* Forward feasibility pass: clamp each move to the budget. *)
 let restore_feasible ~limit ~start positions =
@@ -67,7 +61,7 @@ let warm_start config (p : Instance.Packed.t) ~limit ~cvec =
       let next =
         if hi = lo then !pos
         else begin
-          Geometry.Points.centroid_into points ~lo ~hi cvec;
+          Points.centroid_into points ~lo ~hi cvec;
           Vec.clamp_step ~from:!pos limit cvec
         end
       in
@@ -82,7 +76,7 @@ let unit_towards a b =
 
 (* Subgradient of the total cost at [positions], accumulated in place
    into the caller-owned flat [grad] buffer — row [t] is the slice
-   [t·dim, (t+1)·dim) of an {!Geometry.Fbuf.t}, so the whole gradient
+   [t·dim, (t+1)·dim) of an {!Fbuf.t}, so the whole gradient
    sits outside the OCaml heap ([dvec] is dim-sized scratch for
    difference vectors).  Replicates the allocating formulation term for
    term: each pull adds [w · ((1/n) · d_c)] with [n = ‖d‖] computed by
@@ -91,16 +85,16 @@ let unit_towards a b =
    IEEE addition only yields -0.0 from two negative zeros, so the skip
    is bit-identical). *)
 let subgradient_into config (p : Instance.Packed.t) positions
-    ~(grad : Geometry.Fbuf.t) ~dvec =
+    ~(grad : Fbuf.t) ~dvec =
   let t_len = Array.length positions in
   let d_factor = config.Config.d_factor in
-  let data = Geometry.Points.raw (Instance.Packed.points p) in
+  let data = Points.raw (Instance.Packed.points p) in
   let dim = Array.length dvec in
   let start = Instance.Packed.start p in
   for t = 0 to t_len - 1 do
     let gbase = t * dim in
     for c = 0 to dim - 1 do
-      Geometry.Fbuf.set grad (gbase + c) 0.0
+      Fbuf.set grad (gbase + c) 0.0
     done;
     let x = positions.(t) in
     (* Accumulate w · unit(x − a) into row t for a boxed anchor a. *)
@@ -111,8 +105,8 @@ let subgradient_into config (p : Instance.Packed.t) positions
       let n = Vec.norm dvec in
       if n >= 1e-300 then
         for c = 0 to dim - 1 do
-          Geometry.Fbuf.set grad (gbase + c)
-            (Geometry.Fbuf.get grad (gbase + c)
+          Fbuf.set grad (gbase + c)
+            (Fbuf.get grad (gbase + c)
              +. (w *. ((1.0 /. n) *. dvec.(c))))
         done
     in
@@ -126,13 +120,13 @@ let subgradient_into config (p : Instance.Packed.t) positions
     for i = lo to hi - 1 do
       let base = i * dim in
       for c = 0 to dim - 1 do
-        dvec.(c) <- x.(c) -. Geometry.Fbuf.get data (base + c)
+        dvec.(c) <- x.(c) -. Fbuf.get data (base + c)
       done;
       let n = Vec.norm dvec in
       if n >= 1e-300 then
         for c = 0 to dim - 1 do
-          Geometry.Fbuf.set grad (gbase + c)
-            (Geometry.Fbuf.get grad (gbase + c)
+          Fbuf.set grad (gbase + c)
+            (Fbuf.get grad (gbase + c)
              +. (1.0 *. ((1.0 /. n) *. dvec.(c))))
         done
     done
@@ -141,13 +135,13 @@ let subgradient_into config (p : Instance.Packed.t) positions
 (* Bit-identical to [sqrt (Σ_t Vec.norm2 grad_row_t)] on the boxed
    rows: per row a left-to-right Σ g_c·g_c ([Vec.dot v v]), rows
    accumulated in order. *)
-let grad_norm (grad : Geometry.Fbuf.t) ~t_len ~dim =
+let grad_norm (grad : Fbuf.t) ~t_len ~dim =
   let acc = ref 0.0 in
   for t = 0 to t_len - 1 do
     let base = t * dim in
     let row = ref 0.0 in
     for c = 0 to dim - 1 do
-      let g = Geometry.Fbuf.get grad (base + c) in
+      let g = Fbuf.get grad (base + c) in
       row := !row +. (g *. g)
     done;
     acc := !acc +. !row
@@ -171,67 +165,87 @@ let project_two_balls ~limit a b p =
   done;
   !q
 
-(* Damped weighted Weiszfeld step for min Σ w_i ‖x − a_i‖. *)
-let weighted_median_step anchors weights x =
-  let dim = Vec.dim x in
-  let num = Array.make dim 0.0 in
-  let den = ref 0.0 in
-  Array.iteri
-    (fun i a ->
-      let d = Vec.dist x a in
-      if d > 1e-12 then begin
-        let w = weights.(i) /. d in
-        den := !den +. w;
-        for c = 0 to dim - 1 do
-          num.(c) <- num.(c) +. (w *. a.(c))
-        done
-      end)
-    anchors;
-  if !den <= 0.0 then x
-  else Array.init dim (fun c -> num.(c) /. !den)
+(* Adds the pull of a boxed anchor [a] with weight [w] at [x] into the
+   Weiszfeld sums [acc] (see [weiszfeld_step]). *)
+let pull_anchor ~acc ~w x (a : Vec.t) =
+  let dim = Array.length x in
+  let d = Vec.dist x a in
+  if d > 1e-12 then begin
+    let w = w /. d in
+    acc.(dim) <- acc.(dim) +. w;
+    for c = 0 to dim - 1 do
+      acc.(c) <- acc.(c) +. (w *. a.(c))
+    done
+  end
 
-let coordinate_sweep config inst ~limit ~reverse positions =
+(* Damped weighted Weiszfeld step for
+   min D·‖x − next‖ + D·‖x − prev‖ + Σ_{i ∈ [lo, hi)} ‖x − v_i‖, the
+   pulls summed in that order: next anchor (absent in the last round),
+   previous anchor, then the charged requests.  [acc] is dim + 1 floats
+   of scratch: the weighted coordinate sums, then the weight sum. *)
+let weiszfeld_step ~d_factor ~next ~prev points ~lo ~hi ~acc x =
+  let dim = Array.length x in
+  Array.fill acc 0 (dim + 1) 0.0;
+  (match next with Some n -> pull_anchor ~acc ~w:d_factor x n | None -> ());
+  pull_anchor ~acc ~w:d_factor x prev;
+  let data = Points.raw points in
+  for i = lo to hi - 1 do
+    let d = Points.dist points i x in
+    if d > 1e-12 then begin
+      let w = 1.0 /. d in
+      acc.(dim) <- acc.(dim) +. w;
+      let base = i * dim in
+      for c = 0 to dim - 1 do
+        acc.(c) <- acc.(c) +. (w *. Fbuf.get data (base + c))
+      done
+    end
+  done;
+  let den = acc.(dim) in
+  if den <= 0.0 then x
+  else begin
+    let r = Array.make dim 0.0 in
+    for c = 0 to dim - 1 do
+      r.(c) <- acc.(c) /. den
+    done;
+    r
+  end
+
+let coordinate_sweep config (p : Instance.Packed.t) ~limit ~reverse ~acc
+    positions =
   let t_len = Array.length positions in
+  let d_factor = config.Config.d_factor in
+  let points = Instance.Packed.points p in
   let improved = ref false in
   for step = 0 to t_len - 1 do
     let t = if reverse then t_len - 1 - step else step in
-    let prev = if t = 0 then inst.Instance.start else positions.(t - 1) in
-    let reqs = requests_at config inst t in
-    let next_anchor = if t + 1 < t_len then Some positions.(t + 1) else None in
+    let prev = if t = 0 then Instance.Packed.start p else positions.(t - 1) in
+    let next = if t + 1 < t_len then Some positions.(t + 1) else None in
+    let lo, hi = charged_slice config p t in
     (* Local objective around x_t. *)
     let local x =
       let moving =
-        config.Config.d_factor
+        d_factor
         *. (Vec.dist prev x
-            +. match next_anchor with
+            +. match next with
                | Some n -> Vec.dist x n
                | None -> 0.0)
       in
-      moving +. Cost.service_cost x reqs
-    in
-    let anchors, weights =
-      let base = [ (prev, config.Config.d_factor) ] in
-      let base =
-        match next_anchor with
-        | Some n -> (n, config.Config.d_factor) :: base
-        | None -> base
-      in
-      let all =
-        base @ Array.to_list (Array.map (fun v -> (v, 1.0)) reqs)
-      in
-      (Array.of_list (List.map fst all), Array.of_list (List.map snd all))
+      moving +. Points.sum_dist points ~lo ~hi x
     in
     (* Projected Weiszfeld: project back into the feasible lens after
        every step, so the iteration optimizes the constrained problem
        rather than projecting once at the end. *)
-    let project p =
-      match next_anchor with
-      | Some n -> project_two_balls ~limit prev n p
-      | None -> Vec.clamp_step ~from:prev limit p
+    let project q =
+      match next with
+      | Some n -> project_two_balls ~limit prev n q
+      | None -> Vec.clamp_step ~from:prev limit q
     in
     let candidate = ref positions.(t) in
     for _ = 1 to 15 do
-      candidate := project (weighted_median_step anchors weights !candidate)
+      candidate :=
+        project
+          (weiszfeld_step ~d_factor ~next ~prev points ~lo ~hi ~acc
+             !candidate)
     done;
     let projected = !candidate in
     if local projected < local positions.(t) -. 1e-15 then begin
@@ -253,13 +267,15 @@ let coordinate_sweep config inst ~limit ~reverse positions =
    O(T) — and candidates whose boundary steps would exceed the budget
    are rejected outright (no restoration pass needed, interior steps
    remain feasible by construction). *)
-let block_phase config (inst : Instance.t) ~limit positions =
+let block_phase config (p : Instance.Packed.t) ~limit positions =
   let t_len = Array.length positions in
   if t_len < 2 then false
   else begin
     let improved = ref false in
     let dim = Vec.dim positions.(0) in
     let d_factor = config.Config.d_factor in
+    let points = Instance.Packed.points p in
+    let data = Points.raw points in
     let slack = limit *. (1.0 +. 1e-12) in
     let size = ref 2 in
     while !size <= t_len do
@@ -268,21 +284,37 @@ let block_phase config (inst : Instance.t) ~limit positions =
       while !i < t_len do
         let lo = !i in
         let hi = Stdlib.min (t_len - 1) (lo + !size - 1) in
-        let before = if lo = 0 then inst.Instance.start else positions.(lo - 1) in
+        let before =
+          if lo = 0 then Instance.Packed.start p else positions.(lo - 1)
+        in
         (* Average pull on the block: service terms inside, movement
-           terms only at the block boundary. *)
+           terms only at the block boundary.  Each term subtracts
+           k · unit(x − a), the unit vector taken as (1/‖x − a‖)·(x − a)
+           and skipped at ‖x − a‖ < 1e-300, where it is the zero vector
+           (subtracting +0.0 changes no bit). *)
         let pull = Array.make dim 0.0 in
-        let add v = Array.iteri (fun c x -> pull.(c) <- pull.(c) -. x) v in
+        let sub_scaled k (u : Vec.t) =
+          for c = 0 to dim - 1 do
+            pull.(c) <- pull.(c) -. (k *. u.(c))
+          done
+        in
         for t = lo to hi do
-          Array.iter
-            (fun v -> add (unit_towards positions.(t) v))
-            (requests_at config inst t)
+          let x = positions.(t) in
+          let r_lo, r_hi = charged_slice config p t in
+          for r = r_lo to r_hi - 1 do
+            let n = Points.dist points r x in
+            if not (n < 1e-300) then begin
+              let base = r * dim in
+              for c = 0 to dim - 1 do
+                pull.(c) <-
+                  pull.(c) -. ((1.0 /. n) *. (x.(c) -. Fbuf.get data (base + c)))
+              done
+            end
+          done
         done;
-        add (Vec.scale d_factor (unit_towards positions.(lo) before));
+        sub_scaled d_factor (unit_towards positions.(lo) before);
         if hi + 1 < t_len then
-          add
-            (Vec.scale d_factor
-               (unit_towards positions.(hi) positions.(hi + 1)));
+          sub_scaled d_factor (unit_towards positions.(hi) positions.(hi + 1));
         (match Vec.normalize pull with
          | None -> ()
          | Some u ->
@@ -310,12 +342,13 @@ let block_phase config (inst : Instance.t) ~limit positions =
                  in
                  let service_delta = ref 0.0 in
                  for t = lo to hi do
-                   let p = positions.(t) and p' = shifted t in
-                   Array.iter
-                     (fun v ->
-                       service_delta :=
-                         !service_delta +. Vec.dist p' v -. Vec.dist p v)
-                     (requests_at config inst t)
+                   let x = positions.(t) and x' = shifted t in
+                   let r_lo, r_hi = charged_slice config p t in
+                   for r = r_lo to r_hi - 1 do
+                     service_delta :=
+                       !service_delta +. Points.dist points r x'
+                       -. Points.dist points r x
+                   done
                  done;
                  Some (move_delta +. !service_delta)
                end
@@ -339,23 +372,19 @@ let block_phase config (inst : Instance.t) ~limit positions =
     !improved
   end
 
-(* The solver core works on both views of the same instance: the
-   packed one drives the hot paths (warm start, subgradient iterations,
-   trajectory pricing), the boxed one the structural descent phases
-   (coordinate sweeps, block translation).  [pack]/[unpack] are
-   lossless, so entering from either representation computes
-   bit-identical results. *)
-let solve_core ~max_iter ~sweeps (config : Config.t) (inst : Instance.t)
+let solve_packed ?(max_iter = 400) ?(sweeps = 30) (config : Config.t)
     (packed : Instance.Packed.t) =
   let t_len = Instance.Packed.length packed in
   if t_len = 0 then invalid_arg "Convex_opt.solve: empty instance";
   let limit = Config.offline_limit config in
   let dim = Instance.Packed.dim packed in
   (* Solver-level scratch: flat gradient buffer (t_len rows of dim
-     doubles, outside the OCaml heap), difference vector, centroid. *)
-  let grad = Geometry.Fbuf.create (t_len * dim) in
+     doubles, outside the OCaml heap), difference vector, centroid,
+     Weiszfeld sums. *)
+  let grad = Fbuf.create (t_len * dim) in
   let dvec = Array.make dim 0.0 in
   let cvec = Array.make dim 0.0 in
+  let acc = Array.make (dim + 1) 0.0 in
   let best = ref (warm_start config packed ~limit ~cvec) in
   let best_cost = ref (price config packed !best) in
   let iterations = ref 0 in
@@ -378,7 +407,7 @@ let solve_core ~max_iter ~sweeps (config : Config.t) (inst : Instance.t)
          for t = 0 to t_len - 1 do
            let xt = x.(t) and gbase = t * dim in
            for c = 0 to dim - 1 do
-             xt.(c) <- xt.(c) -. (alpha *. Geometry.Fbuf.get grad (gbase + c))
+             xt.(c) <- xt.(c) -. (alpha *. Fbuf.get grad (gbase + c))
            done
          done;
          let prev = ref start in
@@ -401,7 +430,7 @@ let solve_core ~max_iter ~sweeps (config : Config.t) (inst : Instance.t)
        for s = 1 to rounds do
          let before = price config packed polished in
          let improved =
-           coordinate_sweep config inst ~limit ~reverse:(s mod 2 = 0)
+           coordinate_sweep config packed ~limit ~reverse:(s mod 2 = 0) ~acc
              polished
          in
          incr sweeps_done;
@@ -421,7 +450,7 @@ let solve_core ~max_iter ~sweeps (config : Config.t) (inst : Instance.t)
      after which another descent round can refine further. *)
   let block_round () =
     let candidate = Array.map Vec.copy !best in
-    if block_phase config inst ~limit candidate then begin
+    if block_phase config packed ~limit candidate then begin
       let c = price config packed candidate in
       if c < !best_cost then begin
         best_cost := c;
@@ -448,7 +477,7 @@ let solve_core ~max_iter ~sweeps (config : Config.t) (inst : Instance.t)
   (* Numerical safety: force exact feasibility and reprice, so the
      reported cost is always achieved by the reported trajectory. *)
   let final =
-    restore_feasible ~limit ~start:inst.Instance.start !best
+    restore_feasible ~limit ~start:(Instance.Packed.start packed) !best
   in
   {
     cost = price config packed final;
@@ -457,14 +486,11 @@ let solve_core ~max_iter ~sweeps (config : Config.t) (inst : Instance.t)
     descent_sweeps = !sweeps_done;
   }
 
-let solve ?(max_iter = 400) ?(sweeps = 30) config inst =
-  solve_core ~max_iter ~sweeps config inst (Instance.pack inst)
+let optimum_packed ?max_iter ?sweeps config packed =
+  (solve_packed ?max_iter ?sweeps config packed).cost
 
-let solve_packed ?(max_iter = 400) ?(sweeps = 30) config packed =
-  solve_core ~max_iter ~sweeps config (Instance.unpack packed) packed
+let solve ?max_iter ?sweeps config inst =
+  solve_packed ?max_iter ?sweeps config (Instance.pack inst)
 
 let optimum ?max_iter ?sweeps config inst =
   (solve ?max_iter ?sweeps config inst).cost
-
-let optimum_packed ?max_iter ?sweeps config packed =
-  (solve_packed ?max_iter ?sweeps config packed).cost

@@ -45,11 +45,12 @@ val optimum :
 val solve_packed :
   ?max_iter:int -> ?sweeps:int -> Mobile_server.Config.t ->
   Mobile_server.Instance.Packed.t -> solution
-(** {!solve} on the struct-of-arrays view.  Both entry points run the
-    same core — the packed view drives the hot paths (warm start,
-    subgradient with in-place gradient accumulation, trajectory
-    pricing) and the boxed view the structural descent phases — so
-    [solve_packed (pack inst)] is bit-identical to [solve inst]. *)
+(** [solve_packed config p] is the solver: the warm start, the
+    subgradient phase (in-place gradient accumulation), the coordinate
+    sweeps, the block translation and the trajectory pricing all read
+    each round's charged requests from the flat request buffer.
+    {!solve} is [solve_packed] after {!Mobile_server.Instance.pack}, so
+    the two are bit-identical by construction. *)
 
 val optimum_packed :
   ?max_iter:int -> ?sweeps:int -> Mobile_server.Config.t ->

@@ -165,7 +165,9 @@ let cost_trajectory_sums () =
   let config = Config.make ~d_factor:2.0 () in
   let inst = instance_of_lists [ [ 1.0 ]; [ 2.0 ] ] in
   let positions = [| Vec.make1 1.0; Vec.make1 2.0 |] in
-  let b = Cost.trajectory config ~start:(Vec.zero 1) positions inst in
+  let b =
+    Cost.trajectory config ~start:(Vec.zero 1) positions (Instance.pack inst)
+  in
   (* Moves: 1 + 1 at weight 2 -> 4; service: 0 + 0. *)
   check_float "move" 4.0 b.Cost.move;
   check_float "service" 0.0 b.Cost.service
@@ -178,7 +180,7 @@ let cost_trajectory_length_mismatch () =
       ignore
         (Cost.trajectory config ~start:(Vec.zero 1)
            [| Vec.make1 0.0; Vec.make1 0.0 |]
-           inst))
+           (Instance.pack inst)))
 
 let cost_feasible () =
   let start = Vec.zero 1 in
@@ -512,8 +514,9 @@ let qcheck_variant_same_movement =
 
 (* Every engine entry point plays the same rounds: records from [iter],
    [run_stream ~trace] and [Session.step] agree field for field, and
-   the totals of [run], [run_packed], [total_cost], [total_cost_packed]
-   and [run_stream] agree with them — all bitwise, on random instances
+   the totals of [run], [total_cost], [total_cost_packed] and
+   [run_stream] agree with them, as does [Cost.trajectory] pricing
+   [run]'s positions on the packed instance — all bitwise, on random instances
    with empty rounds, under both variants, for an honest and a clamped
    algorithm. *)
 let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
@@ -574,7 +577,10 @@ let qcheck_engine_entry_points_agree =
       in
       let run = Engine.run config alg inst in
       let packed = Instance.pack inst in
-      let run_packed = Engine.run_packed config alg packed in
+      let priced =
+        Cost.trajectory config ~start:inst.Instance.start run.Engine.positions
+          packed
+      in
       let total = Engine.total_cost config alg inst in
       let total_packed = Engine.total_cost_packed config alg packed in
       let record_cost, record_clamped =
@@ -592,15 +598,13 @@ let qcheck_engine_entry_points_agree =
       && List.for_all2
            (fun (r : Engine.step_record) p -> same_vec r.Engine.position p)
            iter_records (Array.to_list run.Engine.positions)
-      && Array.for_all2 same_vec run.Engine.positions run_packed.Engine.positions
       && same_cost record_cost run.Engine.cost
-      && same_cost run.Engine.cost run_packed.Engine.cost
+      && same_cost run.Engine.cost priced
       && same_cost run.Engine.cost summary.Engine.s_cost
       && same_cost run.Engine.cost (Engine.Session.cost session)
       && same_bits total (Cost.total run.Engine.cost)
       && same_bits total_packed total
       && record_clamped = run.Engine.clamped
-      && run.Engine.clamped = run_packed.Engine.clamped
       && run.Engine.clamped = summary.Engine.s_clamped
       && run.Engine.clamped = Engine.Session.clamped_count session
       && summary.Engine.s_rounds = t

@@ -27,15 +27,16 @@ let summarize_empty () =
 
 let cost_pair_validates () =
   let config = Config.make () in
-  let inst =
-    Mobile_server.Instance.make ~start:(Geometry.Vec.zero 1)
-      [| [| Geometry.Vec.make1 1.0 |] |]
+  let packed =
+    Mobile_server.Instance.pack
+      (Mobile_server.Instance.make ~start:(Geometry.Vec.zero 1)
+         [| [| Geometry.Vec.make1 1.0 |] |])
   in
   Alcotest.check_raises "opt 0"
     (Invalid_argument "Ratio.cost_pair: non-positive optimum") (fun () ->
       ignore
-        (Experiments.Ratio.cost_pair config Mobile_server.Mtc.algorithm inst
-           ~opt:0.0))
+        (Experiments.Ratio.cost_pair config Mobile_server.Mtc.algorithm
+           packed ~opt:0.0))
 
 let vs_line_dp_at_least_one () =
   let config = Config.make ~d_factor:2.0 ~delta:0.5 () in

@@ -62,7 +62,7 @@ let line_dp_positions_feasible_and_priced () =
   let priced =
     Cost.total
       (Cost.trajectory config ~start:inst.Instance.start
-         sol.Offline.Line_dp.positions inst)
+         sol.Offline.Line_dp.positions (Instance.pack inst))
   in
   (* The reported cost must equal the price of the reported trajectory. *)
   Alcotest.(check (float 1e-6)) "self-consistent" sol.Offline.Line_dp.cost
@@ -339,13 +339,16 @@ let convex_solution_feasible () =
   Alcotest.(check bool) "feasible" true
     (Cost.feasible ~limit:(Config.offline_limit config)
        ~start:inst.Instance.start sol.Offline.Convex_opt.positions);
+  (* The reported cost is the replayed price of the reported
+     trajectory, bit for bit. *)
   let priced =
     Cost.total
-      (Cost.trajectory config ~start:inst.Instance.start
+      (Engine.replay config ~start:inst.Instance.start
          sol.Offline.Convex_opt.positions inst)
   in
-  Alcotest.(check (float 1e-6)) "self-consistent" sol.Offline.Convex_opt.cost
-    priced
+  Alcotest.(check int64) "self-consistent"
+    (Int64.bits_of_float priced)
+    (Int64.bits_of_float sol.Offline.Convex_opt.cost)
 
 let convex_never_beaten_by_online () =
   (* Any online algorithm's cost upper-bounds OPT; the solver should be
@@ -473,7 +476,9 @@ let qcheck_dp_beats_any_feasible_plan =
             Vec.make1 !pos)
       in
       let plan_cost =
-        Cost.total (Cost.trajectory config ~start:inst.Instance.start plan inst)
+        Cost.total
+          (Cost.trajectory config ~start:inst.Instance.start plan
+             (Instance.pack inst))
       in
       dp <= plan_cost +. (0.02 *. Float.max 1.0 plan_cost))
 
@@ -495,6 +500,39 @@ let qcheck_dp_output_always_feasible =
       let sol = Offline.Line_dp.solve config inst in
       Cost.feasible ~limit:(Config.offline_limit config)
         ~start:inst.Instance.start sol.Offline.Line_dp.positions)
+
+(* The solver's reported cost is what replaying its trajectory through
+   the engine's pricing charges, bit for bit, and the trajectory is
+   feasible — in 1-3 dimensions, both variants, with empty rounds. *)
+let qcheck_convex_replays_exactly =
+  QCheck.Test.make ~count:120
+    ~name:"Convex_opt cost = Engine.replay price (bitwise), feasible"
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let rng = Prng.Xoshiro.create (Int64.of_int (seed + 4000)) in
+      let below n = Prng.Xoshiro.next_below rng n in
+      let dim = 1 + below 3 in
+      let point () =
+        Array.init dim (fun _ -> Prng.Dist.uniform rng ~lo:(-3.0) ~hi:3.0)
+      in
+      let start = point () in
+      let rows =
+        Array.init (1 + below 10) (fun _ -> Array.init (below 4) (fun _ -> point ()))
+      in
+      let inst = Instance.make ~start rows in
+      let variant =
+        if Prng.Dist.fair_coin rng then Variant.Move_first
+        else Variant.Serve_first
+      in
+      let config =
+        Config.make ~d_factor:[| 1.0; 2.0; 4.0; 7.5 |].(below 4)
+          ~move_limit:[| 0.5; 1.0; 1.3 |].(below 3) ~variant ()
+      in
+      let sol = Offline.Convex_opt.solve ~max_iter:40 ~sweeps:4 config inst in
+      let positions = sol.Offline.Convex_opt.positions in
+      Cost.feasible ~limit:(Config.offline_limit config) ~start positions
+      && same_bits sol.Offline.Convex_opt.cost
+           (Cost.total (Engine.replay config ~start positions inst)))
 
 let () =
   Alcotest.run "offline"
@@ -544,5 +582,6 @@ let () =
         List.map QCheck_alcotest.to_alcotest
           [ qcheck_dp_beats_any_feasible_plan;
             qcheck_dp_output_always_feasible;
-            qcheck_dp_matches_naive_scan ] );
+            qcheck_dp_matches_naive_scan;
+            qcheck_convex_replays_exactly ] );
     ]

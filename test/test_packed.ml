@@ -1,9 +1,10 @@
 (* Differential tests for the struct-of-arrays instance layer.
 
-   [Instance.pack]/[unpack] must be lossless bit for bit, the [Points]
-   reduction kernels must reproduce their boxed [Vec]/[Cost]
-   counterparts exactly, and every solver/engine packed entry point
-   must be bit-identical to the boxed one on the same instance. *)
+   [Instance.pack] must be lossless bit for bit, the [Points] reduction
+   kernels must reproduce their boxed [Vec]/[Cost] counterparts
+   exactly, and every solver, engine and pricing entry point that reads
+   the packed view must be bit-identical to the boxed one on the same
+   instance. *)
 
 module Vec = Geometry.Vec
 module Points = Geometry.Points
@@ -54,11 +55,19 @@ let instance_bit_equal a b =
 
 (* --- pack/unpack round trip ----------------------------------------- *)
 
+(* The boxed view rebuilt from the packed accessors alone. *)
+let unpack p =
+  Instance.make ~start:(Instance.Packed.start p)
+    (Array.init (Instance.Packed.length p) (fun t ->
+         let base = Instance.Packed.round_start p t in
+         Array.init (Instance.Packed.round_length p t) (fun i ->
+             Points.get (Instance.Packed.points p) (base + i))))
+
 let qcheck_roundtrip d =
   QCheck.Test.make ~count:200
     ~name:(Printf.sprintf "unpack (pack inst) = inst exactly (%d-D)" d)
     (instance_gen d)
-    (fun inst -> instance_bit_equal inst (Instance.unpack (Instance.pack inst)))
+    (fun inst -> instance_bit_equal inst (unpack (Instance.pack inst)))
 
 let packed_accessors () =
   let inst =
@@ -174,24 +183,6 @@ let qcheck_convex_packed =
       && Array.for_all2 vec_bit_equal boxed.Offline.Convex_opt.positions
            packed.Offline.Convex_opt.positions)
 
-let qcheck_brute_packed =
-  QCheck.Test.make ~count:20 ~name:"Brute packed = boxed (bitwise)"
-    QCheck.(pair config_gen (instance_gen 1))
-    (fun (config, inst) ->
-      float_bit_equal
-        (Offline.Brute.grid_1d ~cells:31 config inst)
-        (Offline.Brute.grid_1d_packed ~cells:31 config (Instance.pack inst)))
-
-let brute_2d_packed () =
-  let config = Config.make ~d_factor:2.0 () in
-  let inst =
-    Instance.make ~start:[| 0.0; 0.0 |]
-      [| [| [| 1.0; 1.0 |] |]; [| [| 2.0; 0.5 |]; [| 1.5; 2.0 |] |] |]
-  in
-  check_float_bits "grid_2d"
-    (Offline.Brute.grid_2d ~cells_per_axis:9 config inst)
-    (Offline.Brute.grid_2d_packed ~cells_per_axis:9 config (Instance.pack inst))
-
 (* --- engine: packed vs boxed ---------------------------------------- *)
 
 let qcheck_engine_packed =
@@ -199,33 +190,32 @@ let qcheck_engine_packed =
     QCheck.(pair config_gen (instance_gen 2))
     (fun (config, inst) ->
       let alg = MS.Mtc.algorithm in
-      let boxed = Engine.run config alg inst in
-      let packed = Engine.run_packed config alg (Instance.pack inst) in
-      float_bit_equal (Cost.total boxed.Engine.cost)
-        (Cost.total packed.Engine.cost)
-      && boxed.Engine.clamped = packed.Engine.clamped
-      && Array.for_all2 vec_bit_equal boxed.Engine.positions
-           packed.Engine.positions
-      && float_bit_equal
-           (Engine.total_cost config alg inst)
-           (Engine.total_cost_packed config alg (Instance.pack inst)))
+      float_bit_equal
+        (Engine.total_cost config alg inst)
+        (Engine.total_cost_packed config alg (Instance.pack inst)))
 
+(* [Cost.trajectory] reads the packed view; the reference is the
+   engine's round pricing, [Cost.step] on each boxed round, added in
+   round order from [Cost.zero]. *)
 let qcheck_trajectory_packed =
-  QCheck.Test.make ~count:100 ~name:"Cost.trajectory_packed = boxed (bitwise)"
+  QCheck.Test.make ~count:100 ~name:"Cost.trajectory = Cost.step fold (bitwise)"
     QCheck.(pair config_gen (instance_gen 2))
     (fun (config, inst) ->
-      (* Any trajectory prices the same on both views; use the MtC run. *)
-      let run = Engine.run config MS.Mtc.algorithm inst in
-      let boxed =
-        Cost.trajectory config ~start:inst.Instance.start run.Engine.positions
-          inst
-      in
+      (* Any trajectory will do; use the MtC run. *)
+      let positions = (Engine.run config MS.Mtc.algorithm inst).Engine.positions in
+      let start = inst.Instance.start in
+      let boxed = ref Cost.zero in
+      Array.iteri
+        (fun t round ->
+          let from = if t = 0 then start else positions.(t - 1) in
+          boxed :=
+            Cost.add !boxed (Cost.step config ~from ~to_:positions.(t) round))
+        inst.Instance.steps;
       let packed =
-        Cost.trajectory_packed config ~start:inst.Instance.start
-          run.Engine.positions (Instance.pack inst)
+        Cost.trajectory config ~start positions (Instance.pack inst)
       in
-      float_bit_equal boxed.Cost.move packed.Cost.move
-      && float_bit_equal boxed.Cost.service packed.Cost.service)
+      float_bit_equal !boxed.Cost.move packed.Cost.move
+      && float_bit_equal !boxed.Cost.service packed.Cost.service)
 
 (* --- OPT cache: hits are bitwise equal to misses --------------------- *)
 
@@ -418,8 +408,6 @@ let () =
         [
           q qcheck_line_dp_packed;
           q qcheck_convex_packed;
-          q qcheck_brute_packed;
-          Alcotest.test_case "brute 2-D packed" `Quick brute_2d_packed;
         ] );
       ( "engine",
         [ q qcheck_engine_packed; q qcheck_trajectory_packed ] );
