@@ -395,74 +395,6 @@ let experiment_cmd =
             (const action $ verbose $ opt_cache_setup $ jobs_setup $ id
              $ quick $ seed))
 
-(* --- lint ------------------------------------------------------------ *)
-
-let lint_cmd =
-  let json =
-    Arg.(value & flag
-         & info [ "json" ]
-             ~doc:"Emit the machine-readable JSON report instead of text \
-                   (schema in docs/analysis.md).")
-  in
-  let sarif =
-    Arg.(value & opt (some string) None
-         & info [ "sarif" ] ~docv:"FILE"
-             ~doc:"Also write a SARIF 2.1.0 report to $(docv).")
-  in
-  let roots =
-    Arg.(value & pos_all string []
-         & info [] ~docv:"PATH"
-             ~doc:"Roots to lint (default: lib bin bench examples tools).")
-  in
-  let action () json sarif roots =
-    let module Rules = Msp_lint_core.Lint_rules in
-    let module Driver = Msp_lint_core.Lint_driver in
-    let module Output = Msp_lint_core.Lint_output in
-    match
-      List.find_opt (fun r -> not (Sys.file_exists r)) roots
-    with
-    | Some missing ->
-      Error (`Msg (Printf.sprintf "no such file or directory: %s" missing))
-    | None ->
-      let roots =
-        match roots with
-        | [] ->
-          List.filter Sys.file_exists
-            [ "lib"; "bin"; "bench"; "examples"; "tools" ]
-        | rs -> rs
-      in
-      let findings, errors = Driver.lint_tree roots in
-      (match sarif with
-      | Some path ->
-        let oc = open_out path in
-        Fun.protect
-          ~finally:(fun () -> close_out oc)
-          (fun () -> output_string oc (Output.sarif ~findings ~errors))
-      | None -> ());
-      if json then
-        print_string
-          (Output.json ~findings ~errors
-             ~files_checked:(List.length (Driver.walk roots)))
-      else begin
-        List.iter
-          (fun (f : Rules.finding) ->
-            Printf.printf "%s:%d:%d: [%s] %s\n" f.file f.line f.col f.rule
-              f.message)
-          findings;
-        List.iter (fun e -> Printf.eprintf "%s\n" e) errors
-      end;
-      (* Same contract as the standalone msp_lint: 0 clean, 1 findings,
-         2 parse errors. *)
-      if errors <> [] then exit 2;
-      if findings <> [] then exit 1;
-      Ok ()
-  in
-  Cmd.v
-    (Cmd.info "lint"
-       ~doc:"Run the repo's static analyzer (a passthrough to \
-             tools/lint/msp_lint) over the source trees.")
-    Term.(term_result (const action $ verbose $ json $ sarif $ roots))
-
 (* --- oracle failures --------------------------------------------------- *)
 
 (* [msp serve] and [msp simtest] exit 1 when an oracle fails (a served
@@ -714,4 +646,4 @@ let () =
     (Cmd.eval
        (Cmd.group info
           [ list_cmd; run_cmd; compare_cmd; plot_cmd; audit_cmd;
-            experiment_cmd; lint_cmd; serve_cmd; simtest_cmd ]))
+            experiment_cmd; serve_cmd; simtest_cmd ]))

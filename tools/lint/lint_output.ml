@@ -1,5 +1,5 @@
 (* Machine-readable emitters: a compact JSON report for local tooling
-   (msp_cli lint --json) and SARIF 2.1.0 for CI artifact upload.  Both
+   (msp_lint --format json) and SARIF 2.1.0 for CI artifact upload.  Both
    are hand-rolled — the repo deliberately has no JSON dependency — and
    escape strings per RFC 8259. *)
 
