@@ -14,10 +14,6 @@ let create ~dim count =
   if count < 0 then invalid_arg "Points.create: negative count";
   { dim; data = Fbuf.create (count * dim) }
 
-let dim t = t.dim
-
-let count t = Fbuf.length t.data / t.dim
-
 let raw t = t.data
 
 let check_index name t i =

@@ -24,12 +24,6 @@ val create : dim:int -> int -> t
     dimension [dim], all zero.  Raises [Invalid_argument] if
     [dim <= 0] or [count < 0]. *)
 
-val dim : t -> int
-(** Coordinate dimension of every point. *)
-
-val count : t -> int
-(** Number of points. *)
-
 val raw : t -> Fbuf.t
 [@@borrow]
 (** The backing buffer, of length [count · dim] — a {e borrow}, not a

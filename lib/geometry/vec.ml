@@ -8,10 +8,6 @@ let zero d =
   if d <= 0 then invalid_arg "Vec.zero: dimension must be positive";
   Array.make d 0.0
 
-let of_list coords =
-  if coords = [] then invalid_arg "Vec.of_list: empty coordinate list";
-  Array.of_list coords
-
 let make1 x = [| x |]
 
 let make2 x y = [| x; y |]

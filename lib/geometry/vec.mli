@@ -15,9 +15,6 @@ val dim : t -> int
 val zero : int -> t
 (** [zero d] is the origin of [R^d]. *)
 
-val of_list : float list -> t
-(** [of_list coords] builds a vector from coordinates. *)
-
 val make1 : float -> t
 (** [make1 x] is the 1-D point [x]. *)
 
