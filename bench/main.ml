@@ -1,9 +1,8 @@
 (* Benchmark and reproduction harness.
 
    Usage:
-     dune exec bench/main.exe                 -- everything (E1..E9, T1, micro)
+     dune exec bench/main.exe                 -- every catalog experiment
      dune exec bench/main.exe -- e1 e4        -- selected experiments
-     dune exec bench/main.exe -- micro        -- microbenchmarks only
      dune exec bench/main.exe -- --quick ...  -- reduced horizons/seeds; a
                                                  mode's JSON then goes to
                                                  BENCH_<mode>.quick.json
@@ -64,111 +63,9 @@
                                                  or --fleet-out PATH)
 
    Each experiment regenerates one reproduction target (a theorem of the
-   paper; see DESIGN.md §4 and EXPERIMENTS.md) and prints its tables.
-   The micro suite times the primitive operations with Bechamel. *)
+   paper; see DESIGN.md §4 and EXPERIMENTS.md) and prints its tables. *)
 
 module MS = Mobile_server
-
-(* ------------------------------------------------------------------ *)
-(* Microbenchmarks.                                                    *)
-
-let micro_tests () =
-  let open Bechamel in
-  let rng = Prng.Stream.named ~name:"bench-micro" ~seed:1 in
-  let points n =
-    Array.init n (fun _ ->
-        Geometry.Vec.make2
-          (Prng.Dist.uniform rng ~lo:(-10.0) ~hi:10.0)
-          (Prng.Dist.uniform rng ~lo:(-10.0) ~hi:10.0))
-  in
-  let pts16 = points 16 and pts128 = points 128 in
-  let server = Geometry.Vec.zero 2 in
-  let config = MS.Config.make ~d_factor:4.0 ~delta:0.5 () in
-  let cluster_inst =
-    Workloads.Clusters.generate ~dim:2 ~t:256
-      (Prng.Stream.named ~name:"bench-inst" ~seed:2)
-  in
-  let line_inst =
-    Workloads.Clusters.generate ~r_min:2 ~r_max:2 ~arena:10.0 ~dim:1 ~t:128
-      (Prng.Stream.named ~name:"bench-line" ~seed:3)
-  in
-  [
-    Test.make ~name:"geometric-median-16"
-      (Staged.stage (fun () ->
-           ignore (Geometry.Median.weiszfeld ~tie_break:server pts16)));
-    Test.make ~name:"geometric-median-128"
-      (Staged.stage (fun () ->
-           ignore (Geometry.Median.weiszfeld ~tie_break:server pts128)));
-    Test.make ~name:"mtc-decision-16"
-      (Staged.stage (fun () ->
-           ignore (MS.Mtc.target config ~server pts16)));
-    Test.make ~name:"engine-run-T256"
-      (Staged.stage (fun () ->
-           ignore (MS.Engine.total_cost config MS.Mtc.algorithm cluster_inst)));
-    Test.make ~name:"line-dp-T128"
-      (Staged.stage (fun () ->
-           ignore (Offline.Line_dp.optimum ~grid_per_m:32 config line_inst)));
-    Test.make ~name:"convex-opt-T64"
-      (Staged.stage
-         (let small =
-            Workloads.Clusters.generate ~dim:2 ~t:64
-              (Prng.Stream.named ~name:"bench-cvx" ~seed:4)
-          in
-          fun () ->
-            ignore
-              (Offline.Convex_opt.optimum ~max_iter:20 ~sweeps:3 config small)));
-    Test.make ~name:"thm2-generate"
-      (Staged.stage (fun () ->
-           ignore
-             (Adversary.Thm2.generate ~cycles:2 ~dim:1 ~r_min:1 ~r_max:2
-                config
-                (Prng.Stream.named ~name:"bench-thm2" ~seed:5))));
-    Test.make ~name:"workload-clusters-T256"
-      (Staged.stage (fun () ->
-           ignore
-             (Workloads.Clusters.generate ~dim:2 ~t:256
-                (Prng.Stream.named ~name:"bench-wl" ~seed:6))));
-  ]
-
-let run_micro () =
-  let open Bechamel in
-  print_endline "\n=== MICRO: primitive-operation timings (Bechamel) ===\n";
-  let cfg =
-    Benchmark.cfg ~limit:1000 ~quota:(Time.second 0.5) ~stabilize:true ()
-  in
-  let instances = Toolkit.Instance.[ monotonic_clock ] in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true
-      ~predictors:[| Measure.run |]
-  in
-  let rows =
-    List.map
-      (fun test ->
-        let results = Benchmark.all cfg instances (Test.make_grouped
-            ~name:"g" [ test ]) in
-        let analyzed = Analyze.all ols Toolkit.Instance.monotonic_clock results in
-        Hashtbl.fold
-          (fun name result acc ->
-            let name =
-              match String.index_opt name '/' with
-              | Some i -> String.sub name (i + 1) (String.length name - i - 1)
-              | None -> name
-            in
-            let ns =
-              match Analyze.OLS.estimates result with
-              | Some (t :: _) -> t
-              | _ -> nan
-            in
-            [ name; Tables.cell (ns /. 1000.0); Tables.cell ns ] :: acc)
-          analyzed [])
-      (micro_tests ())
-    |> List.concat
-  in
-  Tables.print
-    (Tables.create
-       ~aligns:[ Tables.Left; Tables.Right; Tables.Right ]
-       ~header:[ "operation"; "us/run"; "ns/run" ]
-       rows)
 
 (* ------------------------------------------------------------------ *)
 (* Bench records and shared helpers.                                   *)
@@ -1363,14 +1260,13 @@ let () =
     | arg :: rest -> arg :: strip rest
   in
   let args = strip args in
-  let wanted = if args = [] then Experiments.Catalog.ids @ [ "micro" ] else args in
+  let wanted = if args = [] then Experiments.Catalog.ids else args in
   let t0 = Unix.gettimeofday () in
   let results = ref [] in
   List.iter
     (fun id ->
       let started = Unix.gettimeofday () in
       (match id with
-       | "micro" -> run_micro ()
        | "parallel" ->
          run_parallel ~quick ~jobs:(Exec.jobs ()) ~out:!parallel_out ()
        | "hotpath" ->
