@@ -506,7 +506,7 @@ let qcheck_dp_output_always_feasible =
    feasible — in 1-3 dimensions, both variants, with empty rounds. *)
 let qcheck_convex_replays_exactly =
   QCheck.Test.make ~count:120
-    ~name:"Convex_opt cost = Engine.replay price (bitwise), feasible"
+    ~name:"Convex_opt cost = replay, feasible"
     QCheck.(int_bound 1_000_000)
     (fun seed ->
       let rng = Prng.Xoshiro.create (Int64.of_int (seed + 4000)) in

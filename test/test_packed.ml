@@ -198,7 +198,7 @@ let qcheck_engine_packed =
    engine's round pricing, [Cost.step] on each boxed round, added in
    round order from [Cost.zero]. *)
 let qcheck_trajectory_packed =
-  QCheck.Test.make ~count:100 ~name:"Cost.trajectory = Cost.step fold (bitwise)"
+  QCheck.Test.make ~count:100 ~name:"Cost.trajectory = Cost.step fold"
     QCheck.(pair config_gen (instance_gen 2))
     (fun (config, inst) ->
       (* Any trajectory will do; use the MtC run. *)
