@@ -304,10 +304,9 @@ let block_phase config (p : Instance.Packed.t) ~limit positions =
           for r = r_lo to r_hi - 1 do
             let n = Points.dist points r x in
             if not (n < 1e-300) then begin
-              let base = r * dim in
+              let k = 1.0 /. n and base = r * dim in
               for c = 0 to dim - 1 do
-                pull.(c) <-
-                  pull.(c) -. ((1.0 /. n) *. (x.(c) -. Fbuf.get data (base + c)))
+                pull.(c) <- pull.(c) -. (k *. (x.(c) -. Fbuf.get data (base + c)))
               done
             end
           done
