@@ -306,7 +306,8 @@ let block_phase config (p : Instance.Packed.t) ~limit positions =
             if not (n < 1e-300) then begin
               let k = 1.0 /. n and base = r * dim in
               for c = 0 to dim - 1 do
-                pull.(c) <- pull.(c) -. (k *. (x.(c) -. Fbuf.get data (base + c)))
+                pull.(c) <-
+                  pull.(c) -. (k *. (x.(c) -. Fbuf.get data (base + c)))
               done
             end
           done

@@ -516,9 +516,9 @@ let qcheck_variant_same_movement =
    [run_stream ~trace] and [Session.step] agree field for field, and
    the totals of [run], [total_cost], [total_cost_packed] and
    [run_stream] agree with them, as does [Cost.trajectory] pricing
-   [run]'s positions on the packed instance — all bitwise, on random instances
-   with empty rounds, under both variants, for an honest and a clamped
-   algorithm. *)
+   [run]'s positions on the packed instance — all bitwise, on random
+   instances with empty rounds, under both variants, for an honest and
+   a clamped algorithm. *)
 let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
 
 let same_vec a b =

@@ -517,7 +517,8 @@ let qcheck_convex_replays_exactly =
       in
       let start = point () in
       let rows =
-        Array.init (1 + below 10) (fun _ -> Array.init (below 4) (fun _ -> point ()))
+        Array.init (1 + below 10) (fun _ ->
+            Array.init (below 4) (fun _ -> point ()))
       in
       let inst = Instance.make ~start rows in
       let variant =

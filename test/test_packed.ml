@@ -202,7 +202,9 @@ let qcheck_trajectory_packed =
     QCheck.(pair config_gen (instance_gen 2))
     (fun (config, inst) ->
       (* Any trajectory will do; use the MtC run. *)
-      let positions = (Engine.run config MS.Mtc.algorithm inst).Engine.positions in
+      let positions =
+        (Engine.run config MS.Mtc.algorithm inst).Engine.positions
+      in
       let start = inst.Instance.start in
       let boxed = ref Cost.zero in
       Array.iteri
