@@ -1,5 +1,6 @@
 [@@@no_boxed_floats]
 
+module Heap = Geometry.Heap
 module Vec = Geometry.Vec
 
 (* Exact optimum of the serve-assignment relaxation (docs/fleet.md):
@@ -25,71 +26,6 @@ module Vec = Geometry.Vec
    matching is what the flow below computes: successive shortest
    paths with Johnson potentials on flat CSR arrays (the exemplar's
    [execute_opt_network], minus the big-M start arcs). *)
-
-(* --- binary min-heap on (float key, int node) ------------------------ *)
-
-type heap = {
-  mutable keys : float array;
-  mutable nodes : int array;
-  mutable size : int;
-}
-
-let heap_create cap =
-  let cap = if cap < 4 then 4 else cap in
-  { keys = Array.make cap 0.0; nodes = Array.make cap 0; size = 0 }
-
-let heap_clear h = h.size <- 0
-
-let heap_swap h i j =
-  let k = h.keys.(i) and n = h.nodes.(i) in
-  h.keys.(i) <- h.keys.(j);
-  h.nodes.(i) <- h.nodes.(j);
-  h.keys.(j) <- k;
-  h.nodes.(j) <- n
-
-let heap_push h key node =
-  if h.size = Array.length h.keys then begin
-    let cap = 2 * h.size in
-    let keys = Array.make cap 0.0 and nodes = Array.make cap 0 in
-    Array.blit h.keys 0 keys 0 h.size;
-    Array.blit h.nodes 0 nodes 0 h.size;
-    h.keys <- keys;
-    h.nodes <- nodes
-  end;
-  let i = ref h.size in
-  h.size <- h.size + 1;
-  h.keys.(!i) <- key;
-  h.nodes.(!i) <- node;
-  let up = ref true in
-  while !up && !i > 0 do
-    let p = (!i - 1) / 2 in
-    if h.keys.(p) > h.keys.(!i) then begin
-      heap_swap h p !i;
-      i := p
-    end
-    else up := false
-  done
-
-let heap_pop h =
-  let key = h.keys.(0) and node = h.nodes.(0) in
-  h.size <- h.size - 1;
-  if h.size > 0 then begin
-    h.keys.(0) <- h.keys.(h.size);
-    h.nodes.(0) <- h.nodes.(h.size);
-    let i = ref 0 and down = ref true in
-    while !down do
-      let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-      let smallest = ref !i in
-      if l < h.size && h.keys.(l) < h.keys.(!smallest) then smallest := l;
-      if r < h.size && h.keys.(r) < h.keys.(!smallest) then smallest := r;
-      if !smallest <> !i then begin
-        heap_swap h !i !smallest;
-        i := !smallest
-      end
-      else down := false
-    done
-  end;
-  (key, node)
 
 (* --- canonical pricing ----------------------------------------------- *)
 
@@ -231,23 +167,25 @@ let solve ~d_factor ~start ~(requests : Vec.t array) ~k =
     let dist = Array.make nodes infinity in
     let parent = Array.make nodes (-1) in
     let popped = Array.make nodes false in
-    let heap = heap_create (4 * nodes) in
+    let heap = Heap.create (4 * nodes) in
     let required = if n - k > 0 then n - k else 0 in
     let flow = ref 0 in
     let running = ref true in
     while !running do
       (* Dijkstra on reduced costs, early exit once the sink pops:
          popped nodes carry final distances, the rest are treated as
-         [dist sink] in the potential update. *)
+         [dist sink] in the potential update.  A pop reads the heap's
+         root in place, then drops it. *)
       Array.fill dist 0 nodes infinity;
       Array.fill parent 0 nodes (-1);
       Array.fill popped 0 nodes false;
-      heap_clear heap;
+      Heap.clear heap;
       dist.(source) <- 0.0;
-      heap_push heap 0.0 source;
+      Heap.push heap 0.0 source;
       let searching = ref true in
-      while !searching && heap.size > 0 do
-        let d, u = heap_pop heap in
+      while !searching && heap.Heap.size > 0 do
+        let d = heap.Heap.dists.(0) and u = heap.Heap.nodes.(0) in
+        Heap.remove_top heap;
         if not popped.(u) && d <= dist.(u) then begin
           popped.(u) <- true;
           if u = sink then searching := false
@@ -262,7 +200,7 @@ let solve ~d_factor ~start ~(requests : Vec.t array) ~k =
                   if nd < dist.(v) then begin
                     dist.(v) <- nd;
                     parent.(v) <- a;
-                    heap_push heap nd v
+                    Heap.push heap nd v
                   end
                 end
               end

@@ -1,7 +1,9 @@
-(* Tests for the geometry library: vectors and geometric medians. *)
+(* Tests for the geometry library: vectors, geometric medians and the
+   shared min-heap. *)
 
 module Vec = Geometry.Vec
 module Median = Geometry.Median
+module Heap = Geometry.Heap
 
 let check_float = Alcotest.(check (float 1e-9))
 let check_loose = Alcotest.(check (float 1e-6))
@@ -15,7 +17,6 @@ let vec_basics () =
   Alcotest.check vec "add" [| 4.0; 6.0 |] (Vec.add v (Vec.make2 1.0 2.0));
   Alcotest.check vec "sub" [| 2.0; 2.0 |] (Vec.sub v (Vec.make2 1.0 2.0));
   Alcotest.check vec "scale" [| 6.0; 8.0 |] (Vec.scale 2.0 v);
-  Alcotest.check vec "neg" [| -3.0; -4.0 |] (Vec.neg v);
   check_float "dot" 11.0 (Vec.dot v (Vec.make2 1.0 2.0));
   check_float "norm" 5.0 (Vec.norm v);
   check_float "norm2" 25.0 (Vec.norm2 v);
@@ -291,6 +292,140 @@ let qcheck_move_towards_distance =
       let moved = Vec.move_towards p target d in
       Float.abs (Vec.dist p moved -. Float.min d gap) <= 1e-6)
 
+(* --- Heap vs the tuple-popping heap it replaced ---------------------- *)
+
+(* The binary min-heap Multi.Fleet_flow kept before it moved onto
+   [Geometry.Heap]: swap-based sifts, and a pop that returns a
+   (key, node) tuple.  Kept verbatim (only wrapped in a module) so the
+   shared heap is checked against the code it replaced, not against
+   itself; never edit it to make the property below pass. *)
+module Tuple_heap = struct
+  type heap = {
+    mutable keys : float array;
+    mutable nodes : int array;
+    mutable size : int;
+  }
+
+  let heap_create cap =
+    let cap = if cap < 4 then 4 else cap in
+    { keys = Array.make cap 0.0; nodes = Array.make cap 0; size = 0 }
+
+  let heap_clear h = h.size <- 0
+
+  let heap_swap h i j =
+    let k = h.keys.(i) and n = h.nodes.(i) in
+    h.keys.(i) <- h.keys.(j);
+    h.nodes.(i) <- h.nodes.(j);
+    h.keys.(j) <- k;
+    h.nodes.(j) <- n
+
+  let heap_push h key node =
+    if h.size = Array.length h.keys then begin
+      let cap = 2 * h.size in
+      let keys = Array.make cap 0.0 and nodes = Array.make cap 0 in
+      Array.blit h.keys 0 keys 0 h.size;
+      Array.blit h.nodes 0 nodes 0 h.size;
+      h.keys <- keys;
+      h.nodes <- nodes
+    end;
+    let i = ref h.size in
+    h.size <- h.size + 1;
+    h.keys.(!i) <- key;
+    h.nodes.(!i) <- node;
+    let up = ref true in
+    while !up && !i > 0 do
+      let p = (!i - 1) / 2 in
+      if h.keys.(p) > h.keys.(!i) then begin
+        heap_swap h p !i;
+        i := p
+      end
+      else up := false
+    done
+
+  let heap_pop h =
+    let key = h.keys.(0) and node = h.nodes.(0) in
+    h.size <- h.size - 1;
+    if h.size > 0 then begin
+      h.keys.(0) <- h.keys.(h.size);
+      h.nodes.(0) <- h.nodes.(h.size);
+      let i = ref 0 and down = ref true in
+      while !down do
+        let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
+        let smallest = ref !i in
+        if l < h.size && h.keys.(l) < h.keys.(!smallest) then smallest := l;
+        if r < h.size && h.keys.(r) < h.keys.(!smallest) then smallest := r;
+        if !smallest <> !i then begin
+          heap_swap h !i !smallest;
+          i := !smallest
+        end
+        else down := false
+      done
+    end;
+    (key, node)
+end
+
+type heap_op = Push of float * int | Pop | Clear
+
+(* Few distinct keys, so equal keys (and the equal-but-distinct 0.0 and
+   -0.0) are common, plus the non-finite keys the strict [<] must order
+   the same way on both sides. *)
+let heap_keys = [| 0.0; -0.0; 1.0; 2.0; 3.0; infinity; Float.nan |]
+
+let heap_ops =
+  let open QCheck.Gen in
+  let op =
+    frequency
+      [ ( 6,
+          map2
+            (fun k node -> Push (heap_keys.(k), node))
+            (int_bound (Array.length heap_keys - 1))
+            (int_bound 30) );
+        (4, return Pop);
+        (1, return Clear) ]
+  in
+  let print = function
+    | Push (k, node) -> Printf.sprintf "push %h %d" k node
+    | Pop -> "pop"
+    | Clear -> "clear"
+  in
+  QCheck.make
+    ~print:(fun ops -> String.concat "; " (List.map print ops))
+    (list_size (int_range 0 300) op)
+
+(* Both heaps start at the smallest capacity, so growth is exercised;
+   every pop (and a final drain) records (key bits, node). *)
+let qcheck_heap_matches_tuple_heap =
+  QCheck.Test.make ~count:500
+    ~name:"Heap pops = tuple-popping reference (bitwise)" heap_ops
+    (fun ops ->
+      let h = Heap.create 1 and r = Tuple_heap.heap_create 1 in
+      let got = ref [] and want = ref [] in
+      let pop () =
+        if h.Heap.size > 0 then begin
+          let key = h.Heap.dists.(0) and node = h.Heap.nodes.(0) in
+          Heap.remove_top h;
+          got := (Int64.bits_of_float key, node) :: !got
+        end;
+        if r.Tuple_heap.size > 0 then begin
+          let key, node = Tuple_heap.heap_pop r in
+          want := (Int64.bits_of_float key, node) :: !want
+        end
+      in
+      List.iter
+        (function
+          | Push (key, node) ->
+            Heap.push h key node;
+            Tuple_heap.heap_push r key node
+          | Pop -> pop ()
+          | Clear ->
+            Heap.clear h;
+            Tuple_heap.heap_clear r)
+        ops;
+      while h.Heap.size > 0 || r.Tuple_heap.size > 0 do
+        pop ()
+      done;
+      !got = !want)
+
 let () =
   Alcotest.run "geometry"
     [
@@ -337,6 +472,7 @@ let () =
           Alcotest.test_case "empty" `Quick center_empty;
           Alcotest.test_case "mean center" `Quick mean_center_is_centroid;
         ] );
+      ("heap", [ QCheck_alcotest.to_alcotest qcheck_heap_matches_tuple_heap ]);
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
           [
