@@ -46,6 +46,9 @@ let step (config : Config.t) ~from ~to_ requests =
   in
   { Cost.move; service }
 
+let clamp ~limit ~from target =
+  Array.mapi (fun i p -> Vec.clamp_step ~from:from.(i) limit p) target
+
 let feasible ?(tol = 1e-9) ~limit ~start fleets =
   let k = Array.length start in
   Array.iter

@@ -30,6 +30,14 @@ val step :
 (** One round's cost under the config's variant.  Fleets must have equal
     positive length and uniform dimension. *)
 
+val clamp :
+  limit:float -> from:Geometry.Vec.t array -> Geometry.Vec.t array ->
+  Geometry.Vec.t array
+(** [clamp ~limit ~from target] moves each server [i] from [from.(i)]
+    toward [target.(i)] by at most [limit] ({!Geometry.Vec.clamp_step}):
+    the per-server budget every online fleet algorithm obeys.  [target]
+    must not have more servers than [from]. *)
+
 val feasible :
   ?tol:float -> limit:float -> start:Geometry.Vec.t array ->
   Geometry.Vec.t array array -> bool

@@ -16,11 +16,7 @@ let of_policy ~name f =
       let target = f config ~fleet:!fleet requests in
       if Array.length target <> Array.length !fleet then
         invalid_arg (name ^ ": policy changed the fleet size");
-      let next =
-        Array.mapi
-          (fun i p -> Vec.clamp_step ~from:(!fleet).(i) limit p)
-          target
-      in
+      let next = Fleet.clamp ~limit ~from:!fleet target in
       fleet := next;
       next
   in

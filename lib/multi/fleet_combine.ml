@@ -43,13 +43,6 @@ let step_sims config sims requests =
 let min_cost sims =
   List.fold_left (fun acc sim -> Float.min acc sim.cost) infinity sims
 
-(* Walk the combiner's fleet toward the active candidate's. *)
-let follow_active ~fleet ~limit active =
-  let next =
-    Array.mapi (fun i p -> Vec.clamp_step ~from:fleet.(i) limit p) active.fleet
-  in
-  next
-
 let check_candidates name = function
   | [] -> invalid_arg (name ^ ": no candidates")
   | _ :: _ -> ()
@@ -80,7 +73,9 @@ let deterministic ?(factor = 2.0) candidates =
               sims;
             active := !found
           end;
-          let next = follow_active ~fleet:!fleet ~limit (List.nth sims !active) in
+          let next =
+            Fleet.clamp ~limit ~from:!fleet (List.nth sims !active).fleet
+          in
           fleet := next;
           next);
   }
@@ -117,7 +112,9 @@ let randomized ?(eps = 1.0) candidates =
             acc := !acc +. weights.(i);
             if !acc < u then active := Stdlib.min (i + 1) (n - 1)
           done;
-          let next = follow_active ~fleet:!fleet ~limit (List.nth sims !active) in
+          let next =
+            Fleet.clamp ~limit ~from:!fleet (List.nth sims !active).fleet
+          in
           fleet := next;
           next);
   }

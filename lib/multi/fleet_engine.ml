@@ -19,11 +19,7 @@ let iter ?rng ~k config (alg : Fleet_algorithm.t) (inst : Instance.t) f =
   Array.iteri
     (fun t requests ->
       let proposed = stepper requests in
-      let next =
-        Array.mapi
-          (fun i p -> Vec.clamp_step ~from:(!fleet).(i) limit p)
-          proposed
-      in
+      let next = Fleet.clamp ~limit ~from:!fleet proposed in
       let cost = Fleet.step config ~from:!fleet ~to_:next requests in
       fleet := next;
       f t next cost)

@@ -93,11 +93,7 @@ let kmeans_tracker =
                 !fleet
             end
           in
-          let clamped =
-            Array.mapi
-              (fun i p -> Vec.clamp_step ~from:(!fleet).(i) limit p)
-              next
-          in
+          let clamped = Fleet.clamp ~limit ~from:!fleet next in
           fleet := clamped;
           clamped);
   }

@@ -56,11 +56,7 @@ let follow ~predictions =
           incr round;
           if Array.length target <> Array.length !fleet then
             invalid_arg "fleet-ftp: prediction fleet size mismatch";
-          let next =
-            Array.mapi
-              (fun i p -> Vec.clamp_step ~from:(!fleet).(i) limit p)
-              target
-          in
+          let next = Fleet.clamp ~limit ~from:!fleet target in
           fleet := next;
           next);
   }

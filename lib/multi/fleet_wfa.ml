@@ -345,11 +345,7 @@ let algorithm ?(beam = default_beam) () =
         fun requests ->
           Array.iter (fun r -> ignore (observe t r)) requests;
           let proposed = Array.init k (fun i -> pool_get t t.cur.(i)) in
-          let clamped =
-            Array.mapi
-              (fun i p -> Vec.clamp_step ~from:(!fleet).(i) limit p)
-              proposed
-          in
+          let clamped = Fleet.clamp ~limit ~from:!fleet proposed in
           fleet := clamped;
           clamped);
   }
