@@ -21,7 +21,5 @@ let of_policy ~name f =
   in
   { name; make }
 
-let rename name alg = { alg with name }
-
 let stay_put =
   of_policy ~name:"stay-put" (fun _config ~server _requests -> server)

@@ -30,8 +30,5 @@ val of_policy :
     clamped to the online budget and becomes the new position.  The
     position bookkeeping is handled by the wrapper. *)
 
-val rename : string -> t -> t
-(** [rename name alg] is [alg] under another display name. *)
-
 val stay_put : t
 (** The trivial algorithm that never moves; a sanity baseline. *)

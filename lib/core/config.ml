@@ -19,9 +19,6 @@ let online_limit c = (1.0 +. c.delta) *. c.move_limit
 
 let offline_limit c = c.move_limit
 
-let with_delta c delta = make ~d_factor:c.d_factor ~move_limit:c.move_limit
-    ~delta ~variant:c.variant ()
-
 let pp ppf c =
   Format.fprintf ppf "{D=%g; m=%g; delta=%g; %a}" c.d_factor c.move_limit
     c.delta Variant.pp c.variant

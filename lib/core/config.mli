@@ -29,7 +29,4 @@ val online_limit : t -> float
 val offline_limit : t -> float
 (** [offline_limit c] is [move_limit] — the adversary/optimum budget. *)
 
-val with_delta : t -> float -> t
-(** [with_delta c delta] is [c] with the augmentation replaced. *)
-
 val pp : Format.formatter -> t -> unit

@@ -115,24 +115,6 @@ let request_bounds inst =
         (Stdlib.min lo r, Stdlib.max hi r))
       (max_int, 0) inst.steps
 
-let round_centroid round =
-  if Array.length round = 0 then None else Some (Vec.centroid round)
-
-let max_step inst =
-  let best = ref 0.0 in
-  let prev = ref (Some inst.start) in
-  Array.iter
-    (fun round ->
-      match round_centroid round with
-      | None -> ()
-      | Some c ->
-        (match !prev with
-         | Some p -> best := Float.max !best (Vec.dist p c)
-         | None -> ());
-        prev := Some c)
-    inst.steps;
-  !best
-
 let single_trajectory inst =
   if Array.for_all (fun round -> Array.length round = 1) inst.steps then
     Some (Array.map (fun round -> round.(0)) inst.steps)
@@ -151,17 +133,6 @@ let is_moving_client ~speed inst =
         prev := a)
       agent;
     !ok
-
-let append inst round =
-  make ~start:inst.start (Array.append inst.steps [| round |])
-
-let concat_rounds a b =
-  if dim a <> dim b then invalid_arg "Instance.concat_rounds: dimension mismatch";
-  make ~start:a.start (Array.append a.steps b.steps)
-
-let map_requests f inst =
-  make ~start:(f inst.start)
-    (Array.map (fun round -> Array.map f round) inst.steps)
 
 let pp ppf inst =
   let lo, hi = request_bounds inst in

@@ -85,10 +85,6 @@ val request_bounds : t -> int * int
 (** [(Rmin, Rmax)] over rounds — the quantities in Theorems 2 and 4.
     [(0, 0)] for an empty instance. *)
 
-val max_step : t -> float
-(** Largest distance between consecutive request centroids; a cheap
-    summary used by workload diagnostics (not a model quantity). *)
-
 val single_trajectory : t -> Geometry.Vec.t array option
 (** If every round has exactly one request (the Moving Client shape),
     the agent positions [A_1 .. A_T]; otherwise [None]. *)
@@ -97,18 +93,6 @@ val is_moving_client : speed:float -> t -> bool
 (** [is_moving_client ~speed inst] checks the Moving Client model's
     input constraint: one request per round, each within [speed] of the
     previous one ([A_0 = start]), up to a 1e-9 relative tolerance. *)
-
-val append : t -> Geometry.Vec.t array -> t
-(** [append inst round] extends the sequence by one round. *)
-
-val concat_rounds : t -> t -> t
-(** [concat_rounds a b] replays [a]'s rounds then [b]'s rounds,
-    starting from [a.start].  [b.start] is ignored; dimensions must
-    match. *)
-
-val map_requests : (Geometry.Vec.t -> Geometry.Vec.t) -> t -> t
-(** [map_requests f inst] applies a pointwise transform (for example an
-    isometry) to every request and the start. *)
 
 val pp : Format.formatter -> t -> unit
 (** Prints a compact summary (dimension, rounds, request counts). *)

@@ -1,9 +1,9 @@
 (* Deterministic fan-out over OCaml 5 domains.
 
    Scheduling is free to vary; results are not.  Every entry point
-   writes results into per-index slots and folds them in index order,
-   so the observable output of [map]/[map_reduce] is a pure function of
-   the input — never of the interleaving.  See docs/parallel.md. *)
+   writes results into per-index slots, so the observable output of
+   [map] is a pure function of the input — never of the interleaving.
+   See docs/parallel.md. *)
 
 (* ------------------------------------------------------------------ *)
 (* Worker pool: bounded queue, caller-runs overflow, work-helping.     *)
@@ -284,8 +284,3 @@ let mapi ?jobs:requested f arr =
 let map ?jobs f arr = mapi ?jobs (fun _ x -> f x) arr
 
 let map_list ?jobs f xs = Array.to_list (map ?jobs f (Array.of_list xs))
-
-let map_reduce ?jobs ~map:f ~merge ~init arr =
-  (* Merge strictly in index order: the reduction tree is fixed, so the
-     floating-point result cannot depend on completion order. *)
-  Array.fold_left merge init (map ?jobs f arr)

@@ -10,9 +10,9 @@
       state (derive a child seed per cell with {!derive_seed} or
       [Prng.Stream.replicate] {e before} fanning out);
     - results land in a slot per index, so the scheduling order is
-      invisible;
-    - reductions ({!map_reduce}) merge per-cell accumulators in index
-      order, so floating-point rounding is independent of [jobs].
+      invisible; a caller that reduces the result array folds it in
+      index order, so floating-point rounding is independent of
+      [jobs].
 
     Consequently [map f] returns the same array at any [jobs] count,
     including [jobs = 1] (which bypasses the pool entirely).
@@ -56,16 +56,6 @@ val mapi : ?jobs:int -> (int -> 'a -> 'b) -> 'a array -> 'b array
 
 val map_list : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
 (** {!map} over a list, preserving order. *)
-
-val map_reduce :
-  ?jobs:int -> map:('a -> 'b) -> merge:('b -> 'b -> 'b) -> init:'b ->
-  'a array -> 'b
-(** [map_reduce ~map ~merge ~init arr] maps every cell on the pool and
-    folds the results {e in index order}:
-    [merge (... (merge init b0) ...) bn].  With an order-sensitive
-    [merge] (for example floating-point accumulation via
-    [Stats.Running.merge]) the result is still independent of [jobs],
-    because the merge order is fixed by index, not by completion. *)
 
 module Pool : sig
   type t

@@ -34,18 +34,8 @@ let get_into t i (dst : Vec.t) =
     invalid_arg "Points.get_into: dimension mismatch";
   Fbuf.blit_to_array t.data (i * t.dim) dst 0 t.dim
 
-let get t i =
-  check_index "get" t i;
-  let base = i * t.dim in
-  Array.init t.dim (fun c -> Fbuf.get t.data (base + c))
-
-let of_vecs ~dim:d vs =
-  let t = create ~dim:d (Array.length vs) in
-  Array.iteri (fun i v -> set t i v) vs;
-  t
-
 (* Distance from point [i] to [v], with exactly the arithmetic of
-   [Vec.dist v (get t i)]: a max-|·| scaling pass then a scaled
+   [Vec.dist v] to a boxed copy of point [i]: a max-|·| scaling pass then a scaled
    sum-of-squares pass.  The subtraction direction is immaterial —
    IEEE negation is exact, and only |d| and d² enter the result.  The
    max is [Vec.norm]'s [Float.max]-free form; inlined, so [sum_dist]

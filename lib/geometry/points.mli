@@ -11,7 +11,8 @@
     the arithmetic of its boxed {!Vec} counterpart exactly — the same
     operations in the same order, hence the same IEEE rounding:
 
-    - {!dist} ≡ [Vec.dist v (get t i)] (overflow-safe two-pass form);
+    - {!dist} ≡ [Vec.dist v p] for point [i] read into [p] by
+      {!get_into} (overflow-safe two-pass form);
     - {!sum_dist} ≡ [Cost.service_cost]'s left fold over the slice;
     - {!centroid_into} ≡ [Vec.centroid] (copy-first, add, scale last).
 
@@ -37,19 +38,13 @@ val coord : t -> int -> int -> float
 val set : t -> int -> Vec.t -> unit
 (** [set t i v] copies [v] into slot [i]. *)
 
-val get : t -> int -> Vec.t
-(** [get t i] is a fresh boxed copy of point [i]. *)
-
 val get_into : t -> int -> Vec.t -> unit
 (** [get_into t i dst] copies point [i] into the caller-owned [dst]. *)
 
-val of_vecs : dim:int -> Vec.t array -> t
-(** [of_vecs ~dim vs] packs boxed vectors (each must have dimension
-    [dim]). *)
-
 val dist : t -> int -> Vec.t -> float
 (** [dist t i v] is the Euclidean distance from point [i] to [v],
-    bit-identical to [Vec.dist v (get t i)]. *)
+    bit-identical to {!Vec.dist} from [v] to a boxed copy of point
+    [i]. *)
 
 val sum_dist : t -> lo:int -> hi:int -> Vec.t -> float
 (** [sum_dist t ~lo ~hi v] is [Σ_{i ∈ [lo, hi)} dist t i v], summed in

@@ -61,8 +61,6 @@ let scale k v =
   done;
   r
 
-let neg v = scale (-1.0) v
-
 (* In-place kernels over caller-owned buffers.  Each coordinate of the
    destination depends only on the same coordinate of the sources, so
    aliasing [dst] with a source is safe. *)
@@ -71,20 +69,6 @@ let check_dst name dst u =
   if Array.length dst <> Array.length u then
     invalid_arg (Printf.sprintf "Vec.%s: destination dimension mismatch (%d vs %d)"
                    name (Array.length dst) (Array.length u))
-
-let add_into dst u v =
-  check_dim "add_into" u v;
-  check_dst "add_into" dst u;
-  for i = 0 to Array.length u - 1 do
-    dst.(i) <- u.(i) +. v.(i)
-  done
-
-let sub_into dst u v =
-  check_dim "sub_into" u v;
-  check_dst "sub_into" dst u;
-  for i = 0 to Array.length u - 1 do
-    dst.(i) <- u.(i) -. v.(i)
-  done
 
 let scale_into dst k v =
   check_dst "scale_into" dst v;

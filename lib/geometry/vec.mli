@@ -45,9 +45,6 @@ val sub : t -> t -> t
 val scale : float -> t -> t
 (** [scale k v] multiplies every coordinate by [k]. *)
 
-val neg : t -> t
-(** [neg v] is [scale (-1.) v]. *)
-
 (** {2 Allocation-free kernels}
 
     The [_into] family writes the result into a caller-owned buffer
@@ -57,12 +54,6 @@ val neg : t -> t
     Coordinate [i] of the destination depends only on coordinate [i] of
     the sources, so the destination may alias a source.  All raise
     [Invalid_argument] on dimension mismatch. *)
-
-val add_into : t -> t -> t -> unit
-(** [add_into dst u v] stores [add u v] in [dst]. *)
-
-val sub_into : t -> t -> t -> unit
-(** [sub_into dst u v] stores [sub u v] in [dst]. *)
 
 val scale_into : t -> float -> t -> unit
 (** [scale_into dst k v] stores [scale k v] in [dst]. *)

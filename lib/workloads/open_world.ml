@@ -21,13 +21,13 @@ let family_count = 3
 
 let spec ?(arrival_rate = 4.0) ?(mean_lifetime = 16.0) ?(initial = 0)
     ~dim ~seed ~ticks () =
-  if dim < 1 then invalid_arg "Open_world.generate: dim < 1";
-  if ticks < 1 then invalid_arg "Open_world.generate: ticks < 1";
-  if initial < 0 then invalid_arg "Open_world.generate: initial < 0";
+  if dim < 1 then invalid_arg "Open_world.spec: dim < 1";
+  if ticks < 1 then invalid_arg "Open_world.spec: ticks < 1";
+  if initial < 0 then invalid_arg "Open_world.spec: initial < 0";
   if not (Float.is_finite arrival_rate) || arrival_rate <= 0. then
-    invalid_arg "Open_world.generate: arrival_rate <= 0";
+    invalid_arg "Open_world.spec: arrival_rate <= 0";
   if not (Float.is_finite mean_lifetime) || mean_lifetime <= 0. then
-    invalid_arg "Open_world.generate: mean_lifetime <= 0";
+    invalid_arg "Open_world.spec: mean_lifetime <= 0";
   {
     s_dim = dim;
     s_seed = seed;
@@ -80,16 +80,10 @@ let of_spec (s : spec) =
   for tick = 0 to s.s_ticks - 1 do admit ~tick keep done;
   { spec = s; plans = Array.of_list (List.rev !plans) }
 
-let generate ?arrival_rate ?mean_lifetime ?initial ~dim ~seed ~ticks () =
-  of_spec (spec ?arrival_rate ?mean_lifetime ?initial ~dim ~seed ~ticks ())
-
 let spec_of t = t.spec
 let dim t = t.spec.s_dim
 let ticks t = t.spec.s_ticks
 let sessions t = Array.length t.plans
-
-let total_rounds t =
-  Array.fold_left (fun acc p -> acc + p.rounds) 0 t.plans
 
 let peak_live t =
   (* Sweep open/close deltas over the tick line. *)

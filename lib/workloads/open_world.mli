@@ -49,33 +49,23 @@ type spec = {
 val spec :
   ?arrival_rate:float -> ?mean_lifetime:float -> ?initial:int ->
   dim:int -> seed:int -> ticks:int -> unit -> spec
-(** Validating constructor; same defaults and [Invalid_argument]
-    conditions as {!generate}. *)
-
-val of_spec : spec -> t
-(** Materialize the schedule a spec describes.  [generate] is
-    [of_spec ∘ spec]. *)
-
-val spec_of : t -> spec
-(** The parameters a materialized schedule was generated from. *)
-
-val generate :
-  ?arrival_rate:float -> ?mean_lifetime:float -> ?initial:int ->
-  dim:int -> seed:int -> ticks:int -> unit -> t
-(** [generate ~dim ~seed ~ticks ()] builds the schedule.
+(** [spec ~dim ~seed ~ticks ()] validates the parameters.
     [arrival_rate] (default 4.0) is the Poisson arrival intensity per
     tick; [mean_lifetime] (default 16.0) the exponential lifetime mean
     in ticks; [initial] (default 0) extra sessions opened at tick 0, so
     a bench can start at steady-state occupancy instead of ramping up.
     Raises [Invalid_argument] on non-positive parameters. *)
 
+val of_spec : spec -> t
+(** Materialize the schedule a spec describes. *)
+
+val spec_of : t -> spec
+(** The parameters a materialized schedule was generated from. *)
+
 val dim : t -> int
 val ticks : t -> int
 val sessions : t -> int
 (** Total sessions over the whole schedule. *)
-
-val total_rounds : t -> int
-(** Total steps over the whole schedule (the sum of plan lifetimes). *)
 
 val peak_live : t -> int
 (** Maximum number of concurrently live sessions at any tick. *)

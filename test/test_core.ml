@@ -58,12 +58,6 @@ let config_validation () =
     (Invalid_argument "Config.make: non-finite parameter") (fun () ->
       ignore (Config.make ~d_factor:Float.nan ()))
 
-let config_with_delta () =
-  let c = Config.make ~d_factor:2.0 () in
-  let c' = Config.with_delta c 0.25 in
-  check_float "delta updated" 0.25 c'.Config.delta;
-  check_float "D kept" 2.0 c'.Config.d_factor
-
 (* --- Instance ------------------------------------------------------ *)
 
 let instance_of_lists rows =
@@ -113,23 +107,6 @@ let instance_moving_client () =
   let multi = instance_of_lists [ [ 0.1; 0.2 ] ] in
   Alcotest.(check bool) "multi-request rejected" false
     (Instance.is_moving_client ~speed:10.0 multi)
-
-let instance_append_concat () =
-  let a = instance_of_lists [ [ 1.0 ] ] in
-  let b = Instance.append a [| Vec.make1 2.0 |] in
-  Alcotest.(check int) "appended" 2 (Instance.length b);
-  let c = Instance.concat_rounds a b in
-  Alcotest.(check int) "concatenated" 3 (Instance.length c)
-
-let instance_map_requests () =
-  let a = instance_of_lists [ [ 1.0 ]; [ 2.0 ] ] in
-  let shifted = Instance.map_requests (fun v -> Vec.add v (Vec.make1 10.0)) a in
-  check_float "request shifted" 11.0 shifted.Instance.steps.(0).(0).(0);
-  check_float "start shifted" 10.0 shifted.Instance.start.(0)
-
-let instance_max_step () =
-  let a = instance_of_lists [ [ 3.0 ]; [ 7.0 ] ] in
-  check_float "max step" 4.0 (Instance.max_step a)
 
 (* --- Cost ---------------------------------------------------------- *)
 
@@ -224,10 +201,6 @@ let algorithm_stay_put () =
   let config = Config.make () in
   let stepper = Algorithm.stay_put.Algorithm.make config ~start:(Vec.make1 5.0) in
   Alcotest.check vec "no move" (Vec.make1 5.0) (stepper [| Vec.make1 0.0 |])
-
-let algorithm_rename () =
-  let renamed = Algorithm.rename "zzz" Algorithm.stay_put in
-  Alcotest.(check string) "renamed" "zzz" renamed.Algorithm.name
 
 (* --- Engine -------------------------------------------------------- *)
 
@@ -625,7 +598,6 @@ let () =
           Alcotest.test_case "defaults" `Quick config_defaults;
           Alcotest.test_case "augmentation" `Quick config_augmentation;
           Alcotest.test_case "validation" `Quick config_validation;
-          Alcotest.test_case "with_delta" `Quick config_with_delta;
         ] );
       ( "instance",
         [
@@ -634,9 +606,6 @@ let () =
           Alcotest.test_case "copies input" `Quick instance_copies_input;
           Alcotest.test_case "single trajectory" `Quick instance_single_trajectory;
           Alcotest.test_case "moving client" `Quick instance_moving_client;
-          Alcotest.test_case "append/concat" `Quick instance_append_concat;
-          Alcotest.test_case "map requests" `Quick instance_map_requests;
-          Alcotest.test_case "max step" `Quick instance_max_step;
         ] );
       ( "cost",
         [
@@ -652,7 +621,6 @@ let () =
         [
           Alcotest.test_case "clamps" `Quick algorithm_clamps;
           Alcotest.test_case "stay put" `Quick algorithm_stay_put;
-          Alcotest.test_case "rename" `Quick algorithm_rename;
         ] );
       ( "engine",
         [

@@ -66,39 +66,6 @@ let map_propagates_exception () =
   | _ -> Alcotest.fail "expected the cell failure to re-raise"
   | exception Failure msg -> Alcotest.(check string) "message" "boom in cell 13" msg
 
-let map_reduce_matches_of_array () =
-  let parent = 7 in
-  let cells = Array.init 50 (fun i -> i) in
-  let values = Array.map (cell_work parent) cells in
-  let direct = Stats.Running.of_array values in
-  List.iter
-    (fun jobs ->
-      let merged =
-        Exec.map_reduce ~jobs
-          ~map:(fun i ->
-            let acc = Stats.Running.create () in
-            Stats.Running.add acc (cell_work parent i);
-            acc)
-          ~merge:Stats.Running.merge
-          ~init:(Stats.Running.create ())
-          cells
-      in
-      (* Merging singletons in index order replays the sequential adds
-         exactly, so even the floating-point bits must agree. *)
-      Alcotest.(check int)
-        (Printf.sprintf "count jobs=%d" jobs)
-        (Stats.Running.count direct) (Stats.Running.count merged);
-      check_float
-        (Printf.sprintf "sum jobs=%d" jobs)
-        (Stats.Running.sum direct) (Stats.Running.sum merged);
-      check_float
-        (Printf.sprintf "min jobs=%d" jobs)
-        (Stats.Running.min direct) (Stats.Running.min merged);
-      check_float
-        (Printf.sprintf "max jobs=%d" jobs)
-        (Stats.Running.max direct) (Stats.Running.max merged))
-    [ 1; 2; 4 ]
-
 let derive_seed_properties () =
   Alcotest.(check int) "deterministic"
     (Exec.derive_seed ~parent:42 17)
@@ -198,8 +165,6 @@ let () =
           Alcotest.test_case "rejects bad jobs" `Quick map_rejects_bad_jobs;
           Alcotest.test_case "propagates exception" `Quick
             map_propagates_exception;
-          Alcotest.test_case "map_reduce = of_array" `Quick
-            map_reduce_matches_of_array;
         ] );
       ( "seeds",
         [

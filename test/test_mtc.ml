@@ -163,7 +163,12 @@ let qcheck_target_never_overshoots_center =
       <= 1e-6)
 
 (* MtC commutes with isometries: translating (or reflecting) the whole
-   instance translates the trajectory and leaves the cost unchanged. *)
+   instance translates the trajectory and leaves the cost unchanged.
+   [map_points f inst] applies [f] to the start and to every request. *)
+let map_points f (inst : Instance.t) =
+  Instance.make ~start:(f inst.Instance.start)
+    (Array.map (Array.map f) inst.Instance.steps)
+
 let qcheck_translation_invariance =
   QCheck.Test.make ~count:50 ~name:"cost invariant under translation"
     QCheck.(pair small_int (pair (float_range (-50.) 50.) (float_range (-50.) 50.)))
@@ -172,9 +177,7 @@ let qcheck_translation_invariance =
       let inst = Workloads.Clusters.generate ~dim:2 ~t:30 (rng ()) in
       let config = Config.make ~d_factor:3.0 ~delta:0.5 () in
       let shift = Vec.make2 dx dy in
-      let moved =
-        Instance.map_requests (fun v -> Vec.add v shift) inst
-      in
+      let moved = map_points (fun v -> Vec.add v shift) inst in
       let a = Engine.total_cost config Mtc.algorithm inst in
       let b = Engine.total_cost config Mtc.algorithm moved in
       Float.abs (a -. b) <= 1e-6 *. Float.max 1.0 a)
@@ -186,9 +189,7 @@ let qcheck_reflection_invariance =
       let rng () = Prng.Stream.named ~name:"mtc-refl" ~seed in
       let inst = Workloads.Clusters.generate ~dim:2 ~t:30 (rng ()) in
       let config = Config.make ~d_factor:3.0 ~delta:0.5 () in
-      let mirrored =
-        Instance.map_requests (fun v -> Vec.make2 (-.v.(0)) v.(1)) inst
-      in
+      let mirrored = map_points (fun v -> Vec.make2 (-.v.(0)) v.(1)) inst in
       let a = Engine.total_cost config Mtc.algorithm inst in
       let b = Engine.total_cost config Mtc.algorithm mirrored in
       Float.abs (a -. b) <= 1e-6 *. Float.max 1.0 a)

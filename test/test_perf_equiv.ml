@@ -61,15 +61,11 @@ let qcheck_into_kernels =
     QCheck.(triple (pointn 4) (pointn 4) (float_range (-3.) 3.))
     (fun (u, v, s) ->
       let dst = Vec.zero 4 in
-      Vec.add_into dst u v;
-      let ok_add = bit_equal dst (Vec.add u v) in
-      Vec.sub_into dst u v;
-      let ok_sub = bit_equal dst (Vec.sub u v) in
       Vec.scale_into dst s u;
       let ok_scale = bit_equal dst (Vec.scale s u) in
       Vec.lerp_into dst u v s;
       let ok_lerp = bit_equal dst (Vec.lerp u v s) in
-      ok_add && ok_sub && ok_scale && ok_lerp)
+      ok_scale && ok_lerp)
 
 let qcheck_into_aliasing =
   (* Coordinate i of the result depends only on coordinate i of the
@@ -77,17 +73,6 @@ let qcheck_into_aliasing =
   QCheck.Test.make ~count:300 ~name:"_into kernels are aliasing-safe"
     QCheck.(triple (pointn 4) (pointn 4) (float_range (-3.) 3.))
     (fun (u, v, s) ->
-      let expected_add = Vec.add u v in
-      let a = Vec.copy u in
-      Vec.add_into a a v;
-      let ok_fst = bit_equal a expected_add in
-      let b = Vec.copy v in
-      Vec.add_into b u b;
-      let ok_snd = bit_equal b expected_add in
-      let expected_sub = Vec.sub u v in
-      let c = Vec.copy u in
-      Vec.sub_into c c v;
-      let ok_sub = bit_equal c expected_sub in
       let expected_scale = Vec.scale s u in
       let d = Vec.copy u in
       Vec.scale_into d s d;
@@ -95,16 +80,20 @@ let qcheck_into_aliasing =
       let expected_lerp = Vec.lerp u v s in
       let e = Vec.copy u in
       Vec.lerp_into e e v s;
-      let ok_lerp = bit_equal e expected_lerp in
-      ok_fst && ok_snd && ok_sub && ok_scale && ok_lerp)
+      let ok_fst = bit_equal e expected_lerp in
+      let f = Vec.copy v in
+      Vec.lerp_into f u f s;
+      let ok_snd = bit_equal f expected_lerp in
+      ok_scale && ok_fst && ok_snd)
 
 let into_dim_mismatch () =
-  Alcotest.check_raises "add_into mismatch"
-    (Invalid_argument "Vec.add_into: dimension mismatch (2 vs 1)") (fun () ->
-      Vec.add_into (Vec.zero 2) (Vec.make2 1.0 2.0) (Vec.make1 1.0));
+  Alcotest.check_raises "lerp_into mismatch"
+    (Invalid_argument "Vec.lerp_into: dimension mismatch (2 vs 1)") (fun () ->
+      Vec.lerp_into (Vec.zero 2) (Vec.make2 1.0 2.0) (Vec.make1 1.0) 0.5);
   Alcotest.check_raises "dst mismatch"
-    (Invalid_argument "Vec.add_into: destination dimension mismatch (1 vs 2)")
-    (fun () -> Vec.add_into (Vec.make1 0.0) (Vec.make2 1.0 2.0) (Vec.make2 3.0 4.0))
+    (Invalid_argument "Vec.lerp_into: destination dimension mismatch (1 vs 2)")
+    (fun () ->
+      Vec.lerp_into (Vec.make1 0.0) (Vec.make2 1.0 2.0) (Vec.make2 3.0 4.0) 0.5)
 
 (* --- the Weiszfeld loop vs a verbatim copy of the closure form ------ *)
 
@@ -467,7 +456,8 @@ let qcheck_dist_matches_float_max =
       let u = Array.of_list u and v = Array.of_list v in
       let bits = Int64.bits_of_float in
       let want = bits (Closure_ref.dist u v) in
-      let packed = Geometry.Points.of_vecs ~dim:(Array.length v) [| v |] in
+      let packed = Geometry.Points.create ~dim:(Array.length v) 1 in
+      Geometry.Points.set packed 0 v;
       Int64.equal want (bits (Vec.dist u v))
       && Int64.equal want (bits (Geometry.Points.dist packed 0 u))
       && Int64.equal (bits (Closure_ref.norm u)) (bits (Vec.norm u)))
