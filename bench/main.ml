@@ -6,36 +6,27 @@
      dune exec bench/main.exe -- --quick ...  -- reduced horizons/seeds; a
                                                  mode's JSON then goes to
                                                  BENCH_<mode>.quick.json
-                                                 unless --<mode>-out is
-                                                 given
      dune exec bench/main.exe -- --jobs 4 ... -- worker domains for sweeps
      dune exec bench/main.exe -- parallel     -- jobs=1 vs jobs=N comparison
-                                                 (JSON to BENCH_parallel.json,
-                                                  or --parallel-out PATH)
+                                                 (JSON to BENCH_parallel.json)
      dune exec bench/main.exe -- hotpath      -- Vec.dist, the median,
                                                  engine rounds and the
                                                  frame codec, gated on
                                                  the golden trajectory and
                                                  jobs1 = jobs2 (JSON to
-                                                 BENCH_hotpath.json, or
-                                                 --hotpath-out PATH; golden
-                                                 file override with
-                                                 --golden PATH)
-     dune exec bench/main.exe -- solver       -- packed Line_dp solve and the
-                                                 OPT cache, gated on
-                                                 boxed = packed,
+                                                 BENCH_hotpath.json)
+     dune exec bench/main.exe -- solver       -- Line_dp solve and the OPT
+                                                 cache, gated on
                                                  cached = uncached,
                                                  jobs1 = jobs2 and the disk
                                                  round trip (JSON to
-                                                 BENCH_solver.json, or
-                                                 --solver-out PATH)
+                                                 BENCH_solver.json)
      dune exec bench/main.exe -- network      -- all-pairs Dijkstra, distance
                                                  queries, the PM offline DP
                                                  and its cache, gated on
                                                  cached = uncached and
                                                  jobs1 = jobs2 (JSON to
-                                                 BENCH_network.json, or
-                                                 --network-out PATH)
+                                                 BENCH_network.json)
      dune exec bench/main.exe -- serve        -- sharded session daemon under
                                                  an open-world schedule at
                                                  10k/100k live sessions plus a
@@ -44,13 +35,11 @@
                                                  jobs1 = jobsN and
                                                  journal on = off
                                                  byte-identity (JSON to
-                                                 BENCH_serve.json, or
-                                                 --serve-out PATH)
+                                                 BENCH_serve.json)
      dune exec bench/main.exe -- multicore    -- the same serve schedule and
                                                  experiment sweep at
                                                  jobs=1/2/4/8, identity-gated
-                                                 (JSON to BENCH_multicore.json,
-                                                 or --multicore-out PATH)
+                                                 (JSON to BENCH_multicore.json)
      dune exec bench/main.exe -- fleet        -- the min-cost-flow relaxation
                                                  OPT at k = 10/100/1000, vs
                                                  brute force and the OPT
@@ -59,8 +48,7 @@
                                                  flow = brute,
                                                  cached = cold and
                                                  jobs1 = jobsN byte-identity
-                                                 (JSON to BENCH_fleet.json,
-                                                 or --fleet-out PATH)
+                                                 (JSON to BENCH_fleet.json)
 
    Each experiment regenerates one reproduction target (a theorem of the
    paper; see DESIGN.md §4 and EXPERIMENTS.md) and prints its tables. *)
@@ -172,9 +160,9 @@ let timing ?(one_pass = "") () =
    byte-identity checks that prove the science did not move.  The seed
    kernels' bits are held by test_perf_equiv (the golden trajectory and
    the closure-form Weiszfeld reference).  JSON lands in
-   BENCH_hotpath.json (or --hotpath-out PATH). *)
+   BENCH_hotpath.json. *)
 
-let run_hotpath ~quick ~out ~golden () =
+let run_hotpath ~quick ~out () =
   print_endline "\n=== HOTPATH: kernels, median, identity ===\n";
   let rng = Prng.Stream.named ~name:"bench-hotpath" ~seed:1 in
   let point () =
@@ -274,6 +262,7 @@ let run_hotpath ~quick ~out ~golden () =
     ]
   in
   (* --- byte-identity: the science did not move --------------------- *)
+  let golden = Experiments.Golden.golden_path in
   let identity_golden =
     match In_channel.with_open_bin golden In_channel.input_all with
     | exception Sys_error msg ->
@@ -332,15 +321,15 @@ let run_hotpath ~quick ~out ~golden () =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Offline-solver benchmark: the packed Line_dp core and the OPT memo
-   cache, plus the identity checks — boxed vs packed, cached vs
-   uncached, jobs=1 vs jobs=2, the disk round trip — that prove the
-   cache changed no science.  Line_dp's own bits are held by
-   test_offline (the line_dp_v1.txt golden and the naive window-scan
-   property).  JSON lands in BENCH_solver.json (or --solver-out PATH). *)
+(* Offline-solver benchmark: the Line_dp solve and the OPT memo cache,
+   plus the identity checks — cached vs uncached, jobs=1 vs jobs=2,
+   the disk round trip — that prove the cache changed no science.
+   Line_dp's own bits are held by test_offline (the line_dp_v1.txt
+   golden and the naive window-scan property).  JSON lands in
+   BENCH_solver.json. *)
 
 let run_solver ~quick ~out () =
-  print_endline "\n=== SOLVER: packed Line_dp, OPT cache, identity ===\n";
+  print_endline "\n=== SOLVER: Line_dp, OPT cache, identity ===\n";
   let config = MS.Config.make ~d_factor:4.0 ~delta:0.5 () in
   let line_gen ~t rng =
     Workloads.Clusters.generate ~r_min:2 ~r_max:2 ~arena:10.0 ~dim:1 ~t rng
@@ -355,20 +344,6 @@ let run_solver ~quick ~out () =
     time_per ~repeat:solve_reps (fun () ->
         Offline.Line_dp.optimum config inst)
     *. 1e3
-  in
-  (* Identity: the boxed entry and the packed core agree bit for bit
-     across several instances. *)
-  let identity_packed_vs_boxed =
-    List.for_all
-      (fun seed ->
-        let inst =
-          line_gen ~t:(if quick then 64 else 128)
-            (Prng.Stream.named ~name:"bench-solver-id" ~seed)
-        in
-        bit_eq
-          (Offline.Line_dp.optimum config inst)
-          (Offline.Line_dp.optimum_packed config (MS.Instance.pack inst)))
-      [ 1; 2; 3; 4; 5; 6; 7; 8 ]
   in
   (* --- cached sweep: cold vs warm, jobs=1 vs jobs=2 ----------------- *)
   let sweep_seeds = if quick then 6 else 16 in
@@ -449,15 +424,13 @@ let run_solver ~quick ~out () =
   Printf.printf "cache stats                    : %d hits, %d misses, %d disk\n"
     stats.Offline.Opt_cache.hits stats.Offline.Opt_cache.misses
     stats.Offline.Opt_cache.disk_hits;
-  Printf.printf "boxed = packed                 : %b\n"
-    identity_packed_vs_boxed;
   Printf.printf "cached = uncached              : %b\n"
     identity_cached_vs_uncached;
   Printf.printf "jobs1 = jobs2 (cold and warm)  : %b\n" identity_jobs1_vs_jobs2;
   Printf.printf "disk round trip                : %b\n%!"
     identity_disk_roundtrip;
   write_record ~report:"solver" out
-    [ ("schema", Str "msp-bench-solver-v2"); ("quick", Bool quick);
+    [ ("schema", Str "msp-bench-solver-v3"); ("quick", Bool quick);
       machine (); timing ~one_pass:"sweep_cold_s" ();
       ("line_dp_rounds", Int solve_t);
       ("line_dp_packed_ms", Num packed_ms);
@@ -468,12 +441,11 @@ let run_solver ~quick ~out () =
       ("cache_hits", Int stats.Offline.Opt_cache.hits);
       ("cache_misses", Int stats.Offline.Opt_cache.misses);
       ("cache_disk_hits", Int stats.Offline.Opt_cache.disk_hits);
-      ("identity_packed_vs_boxed", Bool identity_packed_vs_boxed);
       ("identity_cached_vs_uncached", Bool identity_cached_vs_uncached);
       ("identity_jobs1_vs_jobs2", Bool identity_jobs1_vs_jobs2);
       ("identity_disk_roundtrip", Bool identity_disk_roundtrip) ];
-  if not (identity_packed_vs_boxed && identity_cached_vs_uncached
-          && identity_jobs1_vs_jobs2 && identity_disk_roundtrip)
+  if not (identity_cached_vs_uncached && identity_jobs1_vs_jobs2
+          && identity_disk_roundtrip)
   then begin
     prerr_endline
       "FATAL: solver rewrite or cache is not byte-identical to the baseline";
@@ -484,8 +456,7 @@ let run_solver ~quick ~out () =
 (* Network benchmark: the CSR graph stack — unboxed Dijkstra into one
    flat metric table and the flat-row Page Migration DP — plus the
    identity checks for the OPT cache and the jobs count.  The table's and the DP's own bits are held by test_network
-   (the network_v1.txt golden).  JSON lands in BENCH_network.json (or
-   --network-out). *)
+   (the network_v1.txt golden).  JSON lands in BENCH_network.json. *)
 
 let run_network ~quick ~out () =
   print_endline "\n=== NETWORK: CSR graphs, unboxed Dijkstra, PM optima ===\n";
@@ -981,7 +952,7 @@ let run_parallel ~quick ~jobs ~out () =
 (* Fleet benchmark: the min-cost-flow relaxation optimum vs brute-force
    enumeration and the OPT cache, the WFA step, and the jobs=1 vs jobs=N
    sweep — the flow and sweep rows gated on bitwise identity.  JSON
-   lands in BENCH_fleet.json (or --fleet-out). *)
+   lands in BENCH_fleet.json. *)
 
 let run_fleet ~quick ~out () =
   print_endline "\n=== FLEET: flow OPT, identity ===\n";
@@ -1209,17 +1180,7 @@ let () =
   (* Optional: --markdown <path> writes the whole report as Markdown. *)
   let markdown_path = ref None in
   (* A --quick record never replaces a committed full-mode one. *)
-  let out mode =
-    ref ("BENCH_" ^ mode ^ if quick then ".quick.json" else ".json")
-  in
-  let parallel_out = out "parallel" in
-  let hotpath_out = out "hotpath" in
-  let solver_out = out "solver" in
-  let network_out = out "network" in
-  let serve_out = out "serve" in
-  let multicore_out = out "multicore" in
-  let fleet_out = out "fleet" in
-  let golden_path = ref Experiments.Golden.golden_path in
+  let out mode = "BENCH_" ^ mode ^ if quick then ".quick.json" else ".json" in
   let rec strip = function
     | [] -> []
     | "--quick" :: rest -> strip rest
@@ -1233,30 +1194,6 @@ let () =
          prerr_endline "bench: --jobs expects a positive integer";
          exit 2);
       strip rest
-    | "--parallel-out" :: path :: rest ->
-      parallel_out := path;
-      strip rest
-    | "--hotpath-out" :: path :: rest ->
-      hotpath_out := path;
-      strip rest
-    | "--solver-out" :: path :: rest ->
-      solver_out := path;
-      strip rest
-    | "--network-out" :: path :: rest ->
-      network_out := path;
-      strip rest
-    | "--serve-out" :: path :: rest ->
-      serve_out := path;
-      strip rest
-    | "--multicore-out" :: path :: rest ->
-      multicore_out := path;
-      strip rest
-    | "--fleet-out" :: path :: rest ->
-      fleet_out := path;
-      strip rest
-    | "--golden" :: path :: rest ->
-      golden_path := path;
-      strip rest
     | arg :: rest -> arg :: strip rest
   in
   let args = strip args in
@@ -1268,14 +1205,13 @@ let () =
       let started = Unix.gettimeofday () in
       (match id with
        | "parallel" ->
-         run_parallel ~quick ~jobs:(Exec.jobs ()) ~out:!parallel_out ()
-       | "hotpath" ->
-         run_hotpath ~quick ~out:!hotpath_out ~golden:!golden_path ()
-       | "solver" -> run_solver ~quick ~out:!solver_out ()
-       | "network" -> run_network ~quick ~out:!network_out ()
-       | "serve" -> run_serve ~quick ~out:!serve_out ()
-       | "multicore" -> run_multicore ~quick ~out:!multicore_out ()
-       | "fleet" -> run_fleet ~quick ~out:!fleet_out ()
+         run_parallel ~quick ~jobs:(Exec.jobs ()) ~out:(out "parallel") ()
+       | "hotpath" -> run_hotpath ~quick ~out:(out "hotpath") ()
+       | "solver" -> run_solver ~quick ~out:(out "solver") ()
+       | "network" -> run_network ~quick ~out:(out "network") ()
+       | "serve" -> run_serve ~quick ~out:(out "serve") ()
+       | "multicore" -> run_multicore ~quick ~out:(out "multicore") ()
+       | "fleet" -> run_fleet ~quick ~out:(out "fleet") ()
        | id ->
          let result = Experiments.Catalog.run ~quick id in
          Experiments.Catalog.print_result result;
