@@ -59,6 +59,181 @@ let nondeterministic () =
           p);
   }
 
+(* Jumps to the mean of the round's requests, ignoring the budget.  An
+   empty round's mean is 0/0 = NaN, so it also answers a non-finite
+   proposal followed by finite ones. *)
+let teleport =
+  {
+    Algorithm.name = "teleport";
+    make =
+      (fun ?rng:_ _config ~start ->
+        let d = Vec.dim start in
+        fun requests ->
+          let n = float_of_int (Array.length requests) in
+          Array.init d (fun i ->
+              Array.fold_left (fun acc r -> acc +. r.(i)) 0.0 requests /. n));
+  }
+
+(* --- Reference auditor ------------------------------------------- *)
+
+(* A verbatim copy of the wrap-based auditor that [Audit.run] replaced:
+   it wraps the algorithm, keeps its own copy of the server position
+   and tests each proposal against its own slack.  The reference
+   property below checks [Audit.run] against it; never edit it to make
+   the two agree. *)
+module Reference = struct
+  module Vec = Geometry.Vec
+  module Algorithm = Mobile_server.Algorithm
+  module Config = Mobile_server.Config
+  module Cost = Mobile_server.Cost
+  module Engine = Mobile_server.Engine
+  module Instance = Mobile_server.Instance
+
+  exception Violation of Report.violation
+
+  type recorder = {
+    mutable rev_violations : Report.violation list;
+    mutable fail_fast : bool;
+  }
+
+  let recorder () = { rev_violations = []; fail_fast = false }
+
+  let record recorder round kind =
+    let v = { Report.round; kind } in
+    if recorder.fail_fast then raise (Violation v);
+    recorder.rev_violations <- v :: recorder.rev_violations
+
+  let violations recorder = List.rev recorder.rev_violations
+
+  let is_finite_vec v = Array.for_all Float.is_finite v
+
+  let wrap ?(eps = 1e-9) ?(fail_fast = false) recorder (alg : Algorithm.t) =
+    recorder.fail_fast <- fail_fast;
+    let make ?rng config ~start =
+      let stepper = alg.Algorithm.make ?rng config ~start in
+      let limit = Config.online_limit config in
+      let slack = limit +. (eps *. Float.max 1.0 limit) in
+      let dim = Vec.dim start in
+      let pos = ref (Vec.copy start) in
+      let round = ref 0 in
+      fun requests ->
+        (match
+           Array.find_opt (fun r -> Vec.dim r <> dim) requests
+         with
+        | Some r ->
+          record recorder !round
+            (Report.Dimension_mismatch { expected = dim; got = Vec.dim r })
+        | None -> ());
+        let proposed = stepper requests in
+        let usable =
+          if Vec.dim proposed <> dim then begin
+            record recorder !round
+              (Report.Dimension_mismatch { expected = dim; got = Vec.dim proposed });
+            false
+          end
+          else if not (is_finite_vec proposed) then begin
+            record recorder !round Report.Non_finite_proposal;
+            false
+          end
+          else begin
+            let d = Vec.dist !pos proposed in
+            if d > slack then
+              record recorder !round
+                (Report.Clamped_proposal { distance = d; limit });
+            true
+          end
+        in
+        (* Mirror the engine's position bookkeeping so feasibility is
+           measured from where the server actually stands, not from where
+           a buggy proposal pretended to put it. *)
+        if usable then pos := Vec.clamp_step ~from:!pos limit proposed;
+        incr round;
+        proposed
+    in
+    { Algorithm.name = alg.Algorithm.name; make }
+
+  let trajectory_divergence a b =
+    (* First (round, coordinate) where two same-seed replays disagree.
+       Float.equal treats NaN as equal to itself, so a deterministic
+       NaN-producing algorithm does not count as nondeterministic. *)
+    let diverged = ref None in
+    (try
+       Array.iteri
+         (fun t p ->
+           let q = b.(t) in
+           if Vec.dim p <> Vec.dim q then begin
+             diverged := Some (t, -1);
+             raise Exit
+           end;
+           Array.iteri
+             (fun i x ->
+               if not (Float.equal x q.(i)) then begin
+                 diverged := Some (t, i);
+                 raise Exit
+               end)
+             p)
+         a
+     with Exit -> ());
+    !diverged
+
+  let run ?(seed = 0) ?eps ?(check_determinism = true) config alg inst =
+    let recorder = recorder () in
+    let wrapped = wrap ?eps recorder alg in
+    let fresh_rng () = Prng.Stream.named ~name:"audit" ~seed in
+    let t_len = Instance.length inst in
+    let positions = Array.make t_len inst.Instance.start in
+    let total = ref Cost.zero in
+    let clamped = ref 0 in
+    let rev_post = ref [] in
+    let post round kind = rev_post := { Report.round; kind } :: !rev_post in
+    Engine.iter ~rng:(fresh_rng ()) config wrapped inst
+      (fun { Engine.round; position; clamped = c; cost; _ } ->
+        positions.(round) <- position;
+        total := Cost.add !total cost;
+        if c then incr clamped;
+        if not (is_finite_vec position) then post round Report.Non_finite_position;
+        if
+          not
+            (Float.is_finite cost.Cost.move && Float.is_finite cost.Cost.service)
+        then post round Report.Non_finite_cost
+        else if cost.Cost.move < 0.0 || cost.Cost.service < 0.0 then
+          post round Report.Negative_cost);
+    let engine_run =
+      {
+        Engine.algorithm = alg.Algorithm.name;
+        config;
+        positions;
+        cost = !total;
+        clamped = !clamped;
+      }
+    in
+    let determinism =
+      if not check_determinism then []
+      else begin
+        let replay = Engine.run ~rng:(fresh_rng ()) config alg inst in
+        match trajectory_divergence positions replay.Engine.positions with
+        | None -> []
+        | Some (round, coord) ->
+          [ { Report.round; kind = Report.Nondeterministic { coord } } ]
+      end
+    in
+    let all =
+      List.stable_sort
+        (fun a b -> Int.compare a.Report.round b.Report.round)
+        (violations recorder @ List.rev !rev_post @ determinism)
+    in
+    let report =
+      {
+        Report.algorithm = alg.Algorithm.name;
+        rounds = t_len;
+        clamped = !clamped;
+        determinism_checked = check_determinism;
+        violations = all;
+      }
+    in
+    (report, engine_run)
+end
+
 (* --- Unit tests ------------------------------------------------------ *)
 
 let audit_clean_mtc () =
@@ -265,6 +440,88 @@ let qcheck_nan_proposer_flagged =
       Report.count report ~kind:(fun k -> k = Report.Non_finite_proposal)
       = Instance.length inst)
 
+(* --- Audit.run = reference ------------------------------------------ *)
+
+let bits = Int64.bits_of_float
+
+let vec_bits v =
+  String.concat " "
+    (List.map (fun x -> Printf.sprintf "%Lx" (bits x)) (Array.to_list v))
+
+(* Everything an audit returns, floats as IEEE bits, one line each. *)
+let audit_lines ((report : Report.t), (run : Engine.run)) =
+  let violation { Report.round; kind } =
+    match kind with
+    | Report.Clamped_proposal { distance; limit } ->
+      Printf.sprintf "round %d: clamped %Lx > %Lx" round (bits distance)
+        (bits limit)
+    | kind -> Format.asprintf "round %d: %a" round Report.pp_kind kind
+  in
+  let cost = run.Engine.cost in
+  Printf.sprintf "%s rounds %d clamped %d/%d determinism %b"
+    report.Report.algorithm report.Report.rounds report.Report.clamped
+    run.Engine.clamped report.Report.determinism_checked
+  :: Printf.sprintf "cost %Lx %Lx"
+       (bits cost.Mobile_server.Cost.move)
+       (bits cost.Mobile_server.Cost.service)
+  :: List.map vec_bits (Array.to_list run.Engine.positions)
+  @ List.map violation report.Report.violations
+
+(* The one report that changes on purpose: once a proposal is
+   non-finite the engine's position is NaN and it clamps nothing more,
+   but the reference keeps measuring later proposals from its last
+   finite point and may still report Clamped_proposal.  Both sides drop
+   those entries here; the "nan once" unit test pins that [Audit.run]
+   reports none. *)
+let without_clamps_after_nan ((report : Report.t), run) =
+  let vs = report.Report.violations in
+  match
+    List.find_opt (fun v -> v.Report.kind = Report.Non_finite_proposal) vs
+  with
+  | None -> (report, run)
+  | Some first ->
+    let keep v =
+      not
+        (Report.is_clamped v.Report.kind
+        && v.Report.round > first.Report.round)
+    in
+    ({ report with Report.violations = List.filter keep vs }, run)
+
+(* d 1-3, empty rounds, random D, m, δ and variant. *)
+let audit_case_gen =
+  QCheck.Gen.(
+    small_instance_gen >>= fun inst ->
+    float_range 1.0 4.0 >>= fun d_factor ->
+    float_range 0.05 3.0 >>= fun move_limit ->
+    float_range 0.0 1.0 >>= fun delta ->
+    oneofl Mobile_server.Variant.[ Move_first; Serve_first ] >>= fun variant ->
+    small_nat >|= fun seed ->
+    (inst, Config.make ~d_factor ~move_limit ~delta ~variant (), seed))
+
+let qcheck_audit_matches_reference =
+  QCheck.Test.make ~count:1000
+    ~name:"Audit.run = wrap-based reference (bitwise)"
+    (QCheck.make
+       ~print:(fun (inst, config, seed) ->
+         Format.asprintf "seed %d, %a@.%a" seed Config.pp config Instance.pp
+           inst)
+       audit_case_gen)
+    (fun (inst, config, seed) ->
+      let lines audit = audit_lines (without_clamps_after_nan audit) in
+      let matches fresh =
+        let got = lines (Audit.run ~seed config (fresh ()) inst)
+        and want = lines (Reference.run ~seed config (fresh ()) inst) in
+        List.equal String.equal got want
+        || QCheck.Test.fail_reportf "audits differ:@.got  %s@.want %s"
+             (String.concat "\n     " got)
+             (String.concat "\n     " want)
+      in
+      List.for_all
+        (fun alg -> matches (fun () -> alg))
+        (Baselines.Registry.all ~dim:(Instance.dim inst)
+        @ [ overstepper; teleport; nan_proposer ])
+      && matches nondeterministic)
+
 let () =
   Alcotest.run "analysis"
     [
@@ -295,5 +552,6 @@ let () =
             qcheck_audit_preserves_trajectory;
             qcheck_overstepper_every_round_flagged;
             qcheck_nan_proposer_flagged;
+            qcheck_audit_matches_reference;
           ] );
     ]
