@@ -5,68 +5,7 @@ module Cost = Mobile_server.Cost
 module Engine = Mobile_server.Engine
 module Instance = Mobile_server.Instance
 
-exception Violation of Report.violation
-
-type recorder = {
-  mutable rev_violations : Report.violation list;
-  mutable fail_fast : bool;
-}
-
-let recorder () = { rev_violations = []; fail_fast = false }
-
-let record recorder round kind =
-  let v = { Report.round; kind } in
-  if recorder.fail_fast then raise (Violation v);
-  recorder.rev_violations <- v :: recorder.rev_violations
-
-let violations recorder = List.rev recorder.rev_violations
-
 let is_finite_vec v = Array.for_all Float.is_finite v
-
-let wrap ?(eps = 1e-9) ?(fail_fast = false) recorder (alg : Algorithm.t) =
-  recorder.fail_fast <- fail_fast;
-  let make ?rng config ~start =
-    let stepper = alg.Algorithm.make ?rng config ~start in
-    let limit = Config.online_limit config in
-    let slack = limit +. (eps *. Float.max 1.0 limit) in
-    let dim = Vec.dim start in
-    let pos = ref (Vec.copy start) in
-    let round = ref 0 in
-    fun requests ->
-      (match
-         Array.find_opt (fun r -> Vec.dim r <> dim) requests
-       with
-      | Some r ->
-        record recorder !round
-          (Report.Dimension_mismatch { expected = dim; got = Vec.dim r })
-      | None -> ());
-      let proposed = stepper requests in
-      let usable =
-        if Vec.dim proposed <> dim then begin
-          record recorder !round
-            (Report.Dimension_mismatch { expected = dim; got = Vec.dim proposed });
-          false
-        end
-        else if not (is_finite_vec proposed) then begin
-          record recorder !round Report.Non_finite_proposal;
-          false
-        end
-        else begin
-          let d = Vec.dist !pos proposed in
-          if d > slack then
-            record recorder !round
-              (Report.Clamped_proposal { distance = d; limit });
-          true
-        end
-      in
-      (* Mirror the engine's position bookkeeping so feasibility is
-         measured from where the server actually stands, not from where
-         a buggy proposal pretended to put it. *)
-      if usable then pos := Vec.clamp_step ~from:!pos limit proposed;
-      incr round;
-      proposed
-  in
-  { Algorithm.name = alg.Algorithm.name; make }
 
 let trajectory_divergence a b =
   (* First (round, coordinate) where two same-seed replays disagree.
@@ -92,18 +31,27 @@ let trajectory_divergence a b =
    with Exit -> ());
   !diverged
 
-let run ?(seed = 0) ?eps ?(check_determinism = true) config alg inst =
-  let recorder = recorder () in
-  let wrapped = wrap ?eps recorder alg in
+let run ?(seed = 0) ?(check_determinism = true) config alg inst =
   let fresh_rng () = Prng.Stream.named ~name:"audit" ~seed in
+  let limit = Config.online_limit config in
   let t_len = Instance.length inst in
   let positions = Array.make t_len inst.Instance.start in
+  let from = ref inst.Instance.start in
   let total = ref Cost.zero in
   let clamped = ref 0 in
-  let rev_post = ref [] in
-  let post round kind = rev_post := { Report.round; kind } :: !rev_post in
-  Engine.iter ~rng:(fresh_rng ()) config wrapped inst
-    (fun { Engine.round; position; clamped = c; cost; _ } ->
+  let rev_found = ref [] in
+  let post round kind = rev_found := { Report.round; kind } :: !rev_found in
+  Engine.iter ~rng:(fresh_rng ()) config alg inst
+    (fun { Engine.round; position; proposed; clamped = c; cost } ->
+      (* The engine already tested [proposed] against the budget from
+         the previous round's position; [c] is its verdict.  After a
+         non-finite proposal that position is NaN, so the engine clamps
+         nothing more and nothing more is reported as clamped. *)
+      if not (is_finite_vec proposed) then post round Report.Non_finite_proposal
+      else if c then
+        post round
+          (Report.Clamped_proposal { distance = Vec.dist !from proposed; limit });
+      from := position;
       positions.(round) <- position;
       total := Cost.add !total cost;
       if c then incr clamped;
@@ -136,7 +84,7 @@ let run ?(seed = 0) ?eps ?(check_determinism = true) config alg inst =
   let all =
     List.stable_sort
       (fun a b -> Int.compare a.Report.round b.Report.round)
-      (violations recorder @ List.rev !rev_post @ determinism)
+      (List.rev_append !rev_found determinism)
   in
   let report =
     {

@@ -1,54 +1,38 @@
 (** Runtime invariant auditor.
 
-    Wraps an {!Mobile_server.Algorithm.t} so that every proposal is
-    checked {e before} the engine's clamping safety net hides it, and
-    replays whole runs to certify the model invariants the paper's
-    theorems assume:
+    Plays a run once through {!Mobile_server.Engine.iter} and reads each
+    round's {!Mobile_server.Engine.step_record}.  The engine has already
+    tested the algorithm's raw answer against the online budget and
+    kept both ([proposed], [clamped]), so the auditor leaves the
+    algorithm as it is and tracks no server position or tolerance of
+    its own.
+    It certifies the model invariants the paper's theorems assume:
 
-    - {b feasibility} — each proposed move is at most [(1+δ)·m];
+    - {b feasibility} — each proposed move is at most [(1+δ)·m]: a
+      round the engine clamped is reported with the distance from the
+      previous round's position to the raw proposal;
     - {b finiteness} — no NaN/infinite coordinate ever enters a
       proposal, a position, or a cost term;
     - {b cost sanity} — per-round move and service costs are
       non-negative;
-    - {b dimension consistency} — requests and proposals live in the
-      instance's space;
     - {b determinism} — rerunning with the same seed reproduces the
       trajectory bit-for-bit.
 
-    Violations are collected into an {!Report.t}; nothing about the
-    simulated run itself is altered (the wrapped algorithm returns the
-    raw proposal, so the engine behaves exactly as without auditing —
-    the test suite checks trajectory equality). *)
-
-exception Violation of Report.violation
-(** Raised instead of recording when [fail_fast] is set. *)
-
-type recorder
-(** Accumulates violations observed by wrapped algorithms. *)
-
-val recorder : unit -> recorder
-
-val violations : recorder -> Report.violation list
-(** Violations recorded so far, in round order. *)
-
-val wrap :
-  ?eps:float -> ?fail_fast:bool -> recorder -> Mobile_server.Algorithm.t ->
-  Mobile_server.Algorithm.t
-(** [wrap recorder alg] is [alg] with per-step checks: request/proposal
-    dimension, proposal finiteness and proposed-move feasibility against
-    the online budget (relative tolerance [eps], default 1e-9, mirroring
-    {!Mobile_server.Cost.feasible}).  The wrapper forwards the raw
-    proposal unchanged.  With [fail_fast] (default false) the first
-    violation raises {!Violation} instead of being recorded. *)
+    After a non-finite proposal the engine's position is NaN for the
+    rest of the run: every later round reports a non-finite position,
+    and none reports a clamp, since no budget test can pass or fail
+    from there.  A request or a proposal of the wrong dimension never
+    reaches a report: {!Mobile_server.Instance.make} rejects the
+    request, and the engine raises [Invalid_argument] on the
+    proposal. *)
 
 val run :
-  ?seed:int -> ?eps:float -> ?check_determinism:bool ->
-  Mobile_server.Config.t -> Mobile_server.Algorithm.t ->
-  Mobile_server.Instance.t -> Report.t * Mobile_server.Engine.run
-(** [run config alg inst] plays [alg] under the auditor (PRNG derived
-    from [seed], default 0) and returns the report together with the
-    ordinary engine run.  Per-round position/cost checks use the
-    engine's extended {!Mobile_server.Engine.step_record} hook; when
-    [check_determinism] (default true) the instance is replayed with an
-    identically-seeded PRNG and the two trajectories compared
-    coordinate-wise. *)
+  ?seed:int -> ?check_determinism:bool -> Mobile_server.Config.t ->
+  Mobile_server.Algorithm.t -> Mobile_server.Instance.t ->
+  Report.t * Mobile_server.Engine.run
+(** [run config alg inst] plays [alg] over [inst] (PRNG derived from
+    [seed], default 0) and returns the report together with the
+    ordinary engine run, which auditing leaves unchanged.  The report
+    lists its findings in round order.  When [check_determinism]
+    (default true) the instance is replayed with an identically-seeded
+    PRNG and the two trajectories compared coordinate-wise. *)

@@ -4,7 +4,6 @@ type kind =
   | Non_finite_position
   | Non_finite_cost
   | Negative_cost
-  | Dimension_mismatch of { expected : int; got : int }
   | Nondeterministic of { coord : int }
 
 type violation = { round : int; kind : kind }
@@ -35,8 +34,6 @@ let pp_kind ppf = function
     Format.pp_print_string ppf "non-finite server position"
   | Non_finite_cost -> Format.pp_print_string ppf "non-finite cost"
   | Negative_cost -> Format.pp_print_string ppf "negative cost"
-  | Dimension_mismatch { expected; got } ->
-    Format.fprintf ppf "dimension mismatch (expected %d, got %d)" expected got
   | Nondeterministic { coord } ->
     Format.fprintf ppf
       "seed replay diverged (coordinate %d differs)" coord

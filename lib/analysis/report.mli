@@ -3,8 +3,8 @@
     The paper's guarantees (Theorems 4, 7 and 10) are statements about
     runs that respect the model invariants: the server moves at most
     [(1+δ)·m] per round, costs are the exact [D·move + Σ dist]
-    accounting with no NaN/negative terms, requests match the space's
-    dimension, and a fixed seed replays to an identical trajectory.
+    accounting with no NaN/negative terms, and a fixed seed replays to
+    an identical trajectory.
     {!Audit} checks those invariants and reports breaches here; a report
     with an empty violation list certifies that none of the checked
     invariants was observed to fail on the audited run. *)
@@ -22,9 +22,6 @@ type kind =
           coordinate (e.g. poisoned by an earlier bad proposal). *)
   | Non_finite_cost  (** A round's move or service cost is NaN/infinite. *)
   | Negative_cost  (** A round's move or service cost is negative. *)
-  | Dimension_mismatch of { expected : int; got : int }
-      (** A request or a proposal does not live in the instance's
-          space. *)
   | Nondeterministic of { coord : int }
       (** Replaying the run with an identical seed diverged at this
           round (first differing coordinate [coord]) — the algorithm

@@ -51,8 +51,10 @@ let trajectory config ~start positions (p : Instance.Packed.t) =
   done;
   !acc
 
-let feasible ?(tol = 1e-9) ~limit ~start positions =
-  let slack = limit +. (tol *. Float.max 1.0 limit) in
+let budget_slack = 1e-9
+
+let feasible ~limit ~start positions =
+  let slack = limit +. (budget_slack *. Float.max 1.0 limit) in
   let n = Array.length positions in
   let ok = ref true in
   let prev = ref start in

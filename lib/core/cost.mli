@@ -43,12 +43,20 @@ val trajectory :
     the flat request buffer.  No movement-limit check is performed
     here — use {!feasible} for that. *)
 
+val budget_slack : float
+(** [1e-9], the one relative slack of every movement-budget test: a
+    move of length [d] fits the budget [limit] when
+    [d <= limit +. budget_slack *. Float.max 1.0 limit], so an
+    algorithm that clamps itself, landing a few ulps past the budget,
+    passes.  {!feasible}, [Multi.Fleet.feasible] and the engine's clamp
+    verdict ({!Engine.step_record.clamped}) all read it.  A constant,
+    not a function: without flambda a float returned across a module
+    boundary is boxed, and the engine tests every round. *)
+
 val feasible :
-  ?tol:float -> limit:float -> start:Geometry.Vec.t ->
-  Geometry.Vec.t array -> bool
+  limit:float -> start:Geometry.Vec.t -> Geometry.Vec.t array -> bool
 (** [feasible ~limit ~start positions] checks that every consecutive
     move (including [start] to [positions.(0)]) is at most [limit],
-    within relative tolerance [tol] (default 1e-9).  A non-finite step
-    distance (NaN or infinite coordinates anywhere in the trajectory)
-    is infeasible: garbage positions can never pass as a legal
-    trajectory. *)
+    within {!budget_slack}.  A non-finite step distance (NaN or
+    infinite coordinates anywhere in the trajectory) is infeasible:
+    garbage positions can never pass as a legal trajectory. *)

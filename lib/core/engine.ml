@@ -18,15 +18,6 @@ type run = {
   clamped : int;
 }
 
-(* A proposal counts as clamped when it overshoots the online budget
-   beyond the same relative tolerance [Cost.feasible] uses — algorithms
-   that clamp themselves (e.g. via [Algorithm.of_policy]) land within a
-   few ulps of the budget and must not be counted.  A NaN distance
-   compares false, so a non-finite proposal is not counted as clamped —
-   it is a different violation, which the {!Analysis} auditor reports
-   separately. *)
-let clamp_tol = 1e-9
-
 (* A loop, not [Array.for_all Float.is_finite]: that boxes every
    coordinate it passes to the predicate. *)
 let is_finite_vec v =
@@ -93,9 +84,14 @@ module Session = struct
     let from = session.position and limit = session.limit in
     let proposed = session.stepper requests in
     (* One distance decides both whether the proposal counts as
-       clamped and where the clamp puts it. *)
+       clamped and where the clamp puts it.  The test allows
+       [Cost.budget_slack], as [Cost.feasible] does: algorithms that
+       clamp themselves (e.g. via [Algorithm.of_policy]) land within a
+       few ulps of the budget and must not be counted.  A NaN distance
+       compares false, so a non-finite proposal is not counted as
+       clamped: the {!Analysis} auditor reports it as non-finite. *)
     let gap = Vec.dist from proposed in
-    let clamped = gap > limit +. (clamp_tol *. Float.max 1.0 limit) in
+    let clamped = gap > limit +. (Cost.budget_slack *. Float.max 1.0 limit) in
     let next = next_position ~from ~limit ~gap proposed in
     let cost = Cost.step session.config ~from ~to_:next requests in
     session.position <- next;

@@ -49,14 +49,14 @@ let step (config : Config.t) ~from ~to_ requests =
 let clamp ~limit ~from target =
   Array.mapi (fun i p -> Vec.clamp_step ~from:from.(i) limit p) target
 
-let feasible ?(tol = 1e-9) ~limit ~start fleets =
+let feasible ~limit ~start fleets =
   let k = Array.length start in
   Array.iter
     (fun fleet ->
       if Array.length fleet <> k then
         invalid_arg "Fleet.feasible: fleet size mismatch")
     fleets;
-  let slack = limit +. (tol *. Float.max 1.0 limit) in
+  let slack = limit +. (Cost.budget_slack *. Float.max 1.0 limit) in
   (* A NaN distance compares false against any slack, so an explicit
      finiteness test is required to reject garbage trajectories, as in
      [Cost.feasible]. *)

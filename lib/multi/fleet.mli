@@ -39,12 +39,12 @@ val clamp :
     must not have more servers than [from]. *)
 
 val feasible :
-  ?tol:float -> limit:float -> start:Geometry.Vec.t array ->
-  Geometry.Vec.t array array -> bool
+  limit:float -> start:Geometry.Vec.t array -> Geometry.Vec.t array array ->
+  bool
 (** [feasible ~limit ~start fleets] checks every server's per-round move
-    against [limit]; [fleets.(t)] is the fleet after round [t].  A move
-    whose length is not finite (a NaN or infinite coordinate) is
-    infeasible.  Raises [Invalid_argument] if some round's fleet has a
+    against [limit], within {!Mobile_server.Cost.budget_slack};
+    [fleets.(t)] is the fleet after round [t].  A move whose length is
+    not finite (a NaN or infinite coordinate) is infeasible.  Raises [Invalid_argument] if some round's fleet has a
     different number of servers than [start]. *)
 
 val spread_start : k:int -> Geometry.Vec.t -> Geometry.Vec.t array

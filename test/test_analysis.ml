@@ -1,7 +1,8 @@
 (* Tests for the runtime invariant auditor (lib/analysis): clean
    algorithms audit clean and unchanged; injected faults — oversized
-   moves, NaN positions, dimension mismatches, hidden global state —
-   are reported as the right violation kinds. *)
+   moves, NaN positions, hidden global state — are reported as the
+   right violation kinds, and every report matches the wrap-based
+   auditor it replaced. *)
 
 module Vec = Geometry.Vec
 module Config = Mobile_server.Config
@@ -43,6 +44,20 @@ let nan_proposer =
       (fun ?rng:_ _config ~start ->
         let d = Vec.dim start in
         fun _requests -> Array.make d Float.nan);
+  }
+
+(* Answers NaN in round 2 and points far beyond the budget in every
+   other round. *)
+let nan_once =
+  {
+    Algorithm.name = "nan-once";
+    make =
+      (fun ?rng:_ _config ~start:_ ->
+        let round = ref 0 in
+        fun _requests ->
+          incr round;
+          if !round = 3 then Vec.make1 Float.nan
+          else Vec.make1 (100.0 *. float_of_int !round));
   }
 
 (* Carries hidden state across runs: two same-seed replays diverge. *)
@@ -120,17 +135,11 @@ module Reference = struct
         (match
            Array.find_opt (fun r -> Vec.dim r <> dim) requests
          with
-        | Some r ->
-          record recorder !round
-            (Report.Dimension_mismatch { expected = dim; got = Vec.dim r })
+        | Some _ -> assert false
         | None -> ());
         let proposed = stepper requests in
         let usable =
-          if Vec.dim proposed <> dim then begin
-            record recorder !round
-              (Report.Dimension_mismatch { expected = dim; got = Vec.dim proposed });
-            false
-          end
+          if Vec.dim proposed <> dim then assert false
           else if not (is_finite_vec proposed) then begin
             record recorder !round Report.Non_finite_proposal;
             false
@@ -287,6 +296,32 @@ let audit_flags_nan () =
   Alcotest.(check int) "no nondeterminism" 0
     (Report.count report ~kind:Report.is_nondeterministic)
 
+(* Once a proposal is non-finite the engine's position is NaN: later
+   far proposals poison nothing further and are clamped by no budget
+   test, so the report holds no clamp after that round. *)
+let audit_nan_once () =
+  let config = Config.make () in
+  let inst = instance_of_lists (List.init 6 (fun _ -> [ 0.0 ])) in
+  let report, run = Audit.run config nan_once inst in
+  let at round kind =
+    List.exists
+      (fun v -> v.Report.round = round && kind v.Report.kind)
+      report.Report.violations
+  in
+  Alcotest.(check bool) "non-finite proposal at round 2" true
+    (at 2 (fun k -> k = Report.Non_finite_proposal));
+  for t = 3 to 5 do
+    Alcotest.(check bool)
+      (Printf.sprintf "non-finite position at round %d" t)
+      true
+      (at t (fun k -> k = Report.Non_finite_position));
+    Alcotest.(check bool) (Printf.sprintf "no clamp at round %d" t) false
+      (at t Report.is_clamped)
+  done;
+  Alcotest.(check int) "engine clamped rounds 0 and 1" 2 run.Engine.clamped;
+  Alcotest.(check int) "both clamps reported" 2
+    (Report.count report ~kind:Report.is_clamped)
+
 let audit_flags_nondeterminism () =
   let config = Config.make () in
   let inst = instance_of_lists [ [ 0.0 ]; [ 0.0 ] ] in
@@ -314,46 +349,6 @@ let audit_skips_determinism_on_request () =
     report.Report.determinism_checked;
   Alcotest.(check int) "no nondeterminism reported" 0
     (Report.count report ~kind:Report.is_nondeterministic)
-
-let wrap_flags_request_dimension () =
-  let recorder = Audit.recorder () in
-  let wrapped = Audit.wrap recorder Algorithm.stay_put in
-  let config = Config.make () in
-  let stepper = wrapped.Algorithm.make config ~start:(Vec.zero 2) in
-  ignore (stepper [| Vec.make1 1.0 |]);
-  match Audit.violations recorder with
-  | [ { Report.round = 0;
-        kind = Report.Dimension_mismatch { expected = 2; got = 1 } } ] ->
-    ()
-  | _ -> Alcotest.fail "expected one Dimension_mismatch violation"
-
-let wrap_flags_proposal_dimension () =
-  let bad =
-    {
-      Algorithm.name = "wrong-dim";
-      make = (fun ?rng:_ _config ~start:_ -> fun _requests -> Vec.make2 0.0 0.0);
-    }
-  in
-  let recorder = Audit.recorder () in
-  let wrapped = Audit.wrap recorder bad in
-  let config = Config.make () in
-  let stepper = wrapped.Algorithm.make config ~start:(Vec.zero 1) in
-  ignore (stepper [||]);
-  match Audit.violations recorder with
-  | [ { Report.round = 0;
-        kind = Report.Dimension_mismatch { expected = 1; got = 2 } } ] ->
-    ()
-  | _ -> Alcotest.fail "expected one Dimension_mismatch violation"
-
-let wrap_fail_fast_raises () =
-  let recorder = Audit.recorder () in
-  let wrapped = Audit.wrap ~fail_fast:true recorder overstepper in
-  let config = Config.make () in
-  let stepper = wrapped.Algorithm.make config ~start:(Vec.zero 1) in
-  match stepper [||] with
-  | _ -> Alcotest.fail "expected Audit.Violation"
-  | exception Audit.Violation { Report.round = 0; kind } ->
-    Alcotest.(check bool) "clamp violation" true (Report.is_clamped kind)
 
 let report_rendering () =
   let config = Config.make ~delta:0.5 () in
@@ -531,18 +526,11 @@ let () =
           Alcotest.test_case "oversized moves" `Quick
             audit_flags_oversized_moves;
           Alcotest.test_case "nan" `Quick audit_flags_nan;
+          Alcotest.test_case "nan once" `Quick audit_nan_once;
           Alcotest.test_case "nondeterminism" `Quick
             audit_flags_nondeterminism;
           Alcotest.test_case "determinism opt-out" `Quick
             audit_skips_determinism_on_request;
-        ] );
-      ( "wrap",
-        [
-          Alcotest.test_case "request dimension" `Quick
-            wrap_flags_request_dimension;
-          Alcotest.test_case "proposal dimension" `Quick
-            wrap_flags_proposal_dimension;
-          Alcotest.test_case "fail fast" `Quick wrap_fail_fast_raises;
         ] );
       ( "report", [ Alcotest.test_case "rendering" `Quick report_rendering ] );
       ( "properties",
