@@ -60,7 +60,7 @@ let sift_down h i0 =
   Array.unsafe_set dists !i d;
   Array.unsafe_set nodes !i v
 
-let push h dist node =
+let push h keys node =
   if h.size = Array.length h.dists then begin
     let grown_d = Array.make (2 * h.size) 0.0 in
     let grown_n = Array.make (2 * h.size) 0 in
@@ -69,7 +69,7 @@ let push h dist node =
     h.dists <- grown_d;
     h.nodes <- grown_n
   end;
-  Array.unsafe_set h.dists h.size dist;
+  Array.unsafe_set h.dists h.size keys.(node);
   Array.unsafe_set h.nodes h.size node;
   h.size <- h.size + 1;
   sift_up h (h.size - 1)

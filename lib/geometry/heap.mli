@@ -30,8 +30,11 @@ val create : int -> t
 val clear : t -> unit
 (** Empties the heap, keeping its arrays. *)
 
-val push : t -> float -> int -> unit
-(** [push h key node] inserts [node] under [key]. *)
+val push : t -> float array -> int -> unit
+(** [push h keys node] inserts [node] under [keys.(node)], the value
+    at the time of the push.  The key comes in an array (both solvers
+    pass their distance array) because without flambda a float
+    argument to another module's function is boxed on every call. *)
 
 val remove_top : t -> unit
 (** Drops the root.  The heap must be non-empty. *)

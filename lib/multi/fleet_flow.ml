@@ -181,7 +181,7 @@ let solve ~d_factor ~start ~(requests : Vec.t array) ~k =
       Array.fill popped 0 nodes false;
       Heap.clear heap;
       dist.(source) <- 0.0;
-      Heap.push heap 0.0 source;
+      Heap.push heap dist source;
       let searching = ref true in
       while !searching && heap.Heap.size > 0 do
         let d = heap.Heap.dists.(0) and u = heap.Heap.nodes.(0) in
@@ -200,7 +200,7 @@ let solve ~d_factor ~start ~(requests : Vec.t array) ~k =
                   if nd < dist.(v) then begin
                     dist.(v) <- nd;
                     parent.(v) <- a;
-                    Heap.push heap nd v
+                    Heap.push heap dist v
                   end
                 end
               end

@@ -8,7 +8,7 @@ let run_into g heap dist s =
   Array.fill dist 0 (Array.length dist) infinity;
   dist.(s) <- 0.0;
   Heap.clear heap;
-  Heap.push heap 0.0 s;
+  Heap.push heap dist s;
   (* Unsafe accesses: [u] and [v] are node ids below [n] (the CSR
      invariant), [k] ranges inside [offsets.(u) .. offsets.(u+1) - 1]
      which indexes [targets]/[lengths] by construction, and the heap
@@ -24,7 +24,7 @@ let run_into g heap dist s =
         let nd = d +. Array.unsafe_get lengths k in
         if nd < Array.unsafe_get dist v then begin
           Array.unsafe_set dist v nd;
-          Heap.push heap nd v
+          Heap.push heap dist v
         end
       done
     end

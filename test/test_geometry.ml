@@ -399,6 +399,7 @@ let qcheck_heap_matches_tuple_heap =
     ~name:"Heap pops = tuple-popping reference (bitwise)" heap_ops
     (fun ops ->
       let h = Heap.create 1 and r = Tuple_heap.heap_create 1 in
+      let keys = Array.make 31 0.0 (* nodes are 0 .. 30 *) in
       let got = ref [] and want = ref [] in
       let pop () =
         if h.Heap.size > 0 then begin
@@ -414,7 +415,8 @@ let qcheck_heap_matches_tuple_heap =
       List.iter
         (function
           | Push (key, node) ->
-            Heap.push h key node;
+            keys.(node) <- key;
+            Heap.push h keys node;
             Tuple_heap.heap_push r key node
           | Pop -> pop ()
           | Clear ->
