@@ -47,13 +47,3 @@ let blit_to_array (src : t) spos (dst : float array) dpos len =
   for i = 0 to len - 1 do
     Array.unsafe_set dst (dpos + i) (unsafe_get src (spos + i))
   done
-
-let of_array (a : float array) =
-  let n = Array.length a in
-  let b = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout n in
-  for i = 0 to n - 1 do
-    Bigarray.Array1.unsafe_set b i (Array.unsafe_get a i)
-  done;
-  b
-
-let to_array (t : t) = Array.init (length t) (fun i -> unsafe_get t i)

@@ -54,9 +54,3 @@ val blit_from_array : float array -> int -> t -> int -> int -> unit
 
 val blit_to_array : t -> int -> float array -> int -> int -> unit
 (** [blit_to_array src spos dst dpos len] copies into a boxed array. *)
-
-val of_array : float array -> t
-(** Fresh buffer with the same elements. *)
-
-val to_array : t -> float array
-(** Fresh boxed copy of the whole buffer. *)

@@ -233,7 +233,9 @@ let evict_over_capacity () =
 
 (* Lookup core shared by every entry point: memory, then disk, then
    compute.  [digest] must be a pure function of everything the
-   computation can observe. *)
+   computation can observe.  [compute] runs outside the lock, so
+   concurrent domains may duplicate a solve for one key; the values
+   are pure functions of the key, so that is harmless. *)
 let lookup digest compute =
   begin
     let mem =
@@ -269,6 +271,8 @@ let lookup digest compute =
          v)
   end
 
+(* The memo behind [line_dp] and [convex]: [solver] names the
+   computation, every resolution knob included. *)
 let find_or_compute ~solver config packed compute =
   if not (with_lock (fun () -> !enabled)) then compute ()
   else lookup (key ~solver config packed) compute

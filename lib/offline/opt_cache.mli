@@ -50,15 +50,6 @@ val convex :
   Mobile_server.Instance.Packed.t -> float
 (** Cached {!Convex_opt.optimum_packed}; defaults mirror the solver's. *)
 
-val find_or_compute :
-  solver:string -> Mobile_server.Config.t ->
-  Mobile_server.Instance.Packed.t -> (unit -> float) -> float
-(** [find_or_compute ~solver config packed compute] is the generic memo:
-    [solver] must determine the computation (including every resolution
-    knob) given the config and instance.  [compute] runs outside the
-    cache lock, so concurrent domains may duplicate a solve for the same
-    key; values are pure functions of the key, so this is harmless. *)
-
 val find_or_compute_keyed :
   solver:string -> key:string -> (unit -> float) -> float
 (** [find_or_compute_keyed ~solver ~key compute] memoizes an optimum

@@ -27,8 +27,6 @@ let quantile xs q =
 
 let median xs = quantile xs 0.5
 
-let iqr xs = quantile xs 0.75 -. quantile xs 0.25
-
 let histogram ~bins xs =
   if bins < 1 then invalid_arg "Quantile.histogram: bins < 1";
   let n = Array.length xs in

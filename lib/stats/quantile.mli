@@ -14,9 +14,6 @@ val quantile : float array -> float -> float
 val median : float array -> float
 (** [median xs] is [quantile xs 0.5]. *)
 
-val iqr : float array -> float
-(** Interquartile range: [quantile 0.75 - quantile 0.25]. *)
-
 val histogram : bins:int -> float array -> (float * float * int) array
 (** [histogram ~bins xs] buckets a non-empty sample into [bins] equal
     width bins over [[min, max]]; each cell is

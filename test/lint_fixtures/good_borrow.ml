@@ -32,7 +32,8 @@ let flat_head t = Fbuf.get (raw t) 0
 
 let flat_scaled t =
   let v = raw t in
-  let out = Fbuf.of_array (Fbuf.to_array v) in
+  let out = Fbuf.create (Fbuf.length v) in
+  Fbuf.blit v 0 out 0 (Fbuf.length v);
   Fbuf.set out 0 (Fbuf.get v 0 *. 2.0);
   Fbuf.fill out 0.0;
   out

@@ -110,10 +110,6 @@ let histogram_rejects_non_finite () =
     (Invalid_argument "Quantile.histogram: non-finite observation") (fun () ->
       ignore (Stats.Quantile.histogram ~bins:2 [| Float.neg_infinity; 1.0 |]))
 
-let iqr_known () =
-  let xs = Array.init 101 (fun i -> float_of_int i) in
-  check_float "iqr" 50.0 (Stats.Quantile.iqr xs)
-
 let histogram_counts () =
   let xs = [| 0.0; 0.1; 0.9; 1.0; 2.0 |] in
   let h = Stats.Quantile.histogram ~bins:2 xs in
@@ -248,7 +244,6 @@ let () =
             quantile_rejects_non_finite;
           Alcotest.test_case "histogram rejects non-finite" `Quick
             histogram_rejects_non_finite;
-          Alcotest.test_case "iqr" `Quick iqr_known;
           Alcotest.test_case "histogram" `Quick histogram_counts;
           Alcotest.test_case "histogram degenerate" `Quick histogram_degenerate;
         ] );
