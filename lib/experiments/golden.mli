@@ -12,7 +12,7 @@
 
     Regenerate (only when the golden run's {e definition} changes, never
     to paper over a mismatch) with
-    [dune exec tools/gen_golden/gen_golden.exe]. *)
+    [dune exec tools/gen_golden/gen_golden.exe -- trajectory]. *)
 
 val instance : unit -> Mobile_server.Instance.t
 (** The fixed workload: drifting 2-D clusters, [T = 120], stream
@@ -37,7 +37,8 @@ val golden_path : string
     bit.  It was captured before the two-pass kernel rewrite and
     [test_offline] compares {!line_dp_string} with it byte for byte.
     Regenerate (only when the case list changes, never to paper over a
-    mismatch) with [dune exec tools/gen_golden/gen_line_dp_golden.exe]. *)
+    mismatch) with
+    [dune exec tools/gen_golden/gen_golden.exe -- line_dp]. *)
 
 val line_dp_string : unit -> string
 (** One line per fixed case: its name, then [cost] and [grid_pitch] as
@@ -57,7 +58,8 @@ val line_dp_path : string
     bit.  It was captured before the packed fleet kernels were deleted
     and [test_fleet] compares {!fleet_string} with it byte for byte.
     Regenerate (only when the case list changes, never to paper over a
-    mismatch) with [dune exec tools/gen_golden/gen_fleet_golden.exe]. *)
+    mismatch) with
+    [dune exec tools/gen_golden/gen_golden.exe -- fleet]. *)
 
 val fleet_string : unit -> string
 (** One line per (instance, k, variant, algorithm): [move] and
@@ -80,7 +82,8 @@ val fleet_path : string
     solver's scans or tie-breaks shows even where the cost bits agree.
     [test_fleet] compares {!fleet_flow_string} with it byte for byte.
     Regenerate (only when the case list changes, never to paper over a
-    mismatch) with [dune exec tools/gen_golden/gen_fleet_flow_golden.exe]. *)
+    mismatch) with
+    [dune exec tools/gen_golden/gen_golden.exe -- fleet_flow]. *)
 
 val fleet_flow_string : unit -> string
 (** One line per (case, [k]): the cost as [%h] and the MD5 of the
@@ -103,7 +106,8 @@ val fleet_flow_path : string
     solver's descent phases still read the boxed instance, and
     [test_offline] compares {!convex_string} with it byte for byte.
     Regenerate (only when the case list changes, never to paper over a
-    mismatch) with [dune exec tools/gen_golden/gen_convex_golden.exe]. *)
+    mismatch) with
+    [dune exec tools/gen_golden/gen_golden.exe -- convex]. *)
 
 val convex_string : unit -> string
 (** One line per case: [cost] as [%h], the MD5 of the trajectory's
@@ -129,7 +133,7 @@ val convex_path : string
     pre-CSR code, and [test_network] compares {!network_string} with it
     byte for byte.  Regenerate (only when the case list changes, never
     to paper over a mismatch) with
-    [dune exec tools/gen_golden/gen_network_golden.exe]. *)
+    [dune exec tools/gen_golden/gen_golden.exe -- network]. *)
 
 val network_string : unit -> string
 (** One line per (graph, requests, [D]): the MD5 of the dense table's
