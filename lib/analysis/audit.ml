@@ -43,19 +43,22 @@ let run ?(seed = 0) ?(check_determinism = true) config alg inst =
   let post round kind = rev_found := { Report.round; kind } :: !rev_found in
   Engine.iter ~rng:(fresh_rng ()) config alg inst
     (fun { Engine.round; position; proposed; clamped = c; cost } ->
-      (* The engine already tested [proposed] against the budget from
-         the previous round's position; [c] is its verdict.  After a
-         non-finite proposal that position is NaN, so the engine clamps
-         nothing more and nothing more is reported as clamped. *)
-      if not (is_finite_vec proposed) then post round Report.Non_finite_proposal
-      else if c then
-        post round
-          (Report.Clamped_proposal { distance = Vec.dist !from proposed; limit });
+      (* The engine measured [proposed] from the previous round's
+         position and decided [c].  A non-finite proposal is reported
+         as such even when [c] is set (an infinite one overshoots any
+         budget); after it the position is NaN and [c] stays false. *)
+      if not (is_finite_vec proposed) then
+        post round Report.Non_finite_proposal
+      else if c then begin
+        let distance = Vec.dist !from proposed in
+        post round (Report.Clamped_proposal { distance; limit })
+      end;
       from := position;
       positions.(round) <- position;
       total := Cost.add !total cost;
       if c then incr clamped;
-      if not (is_finite_vec position) then post round Report.Non_finite_position;
+      if not (is_finite_vec position) then
+        post round Report.Non_finite_position;
       if
         not
           (Float.is_finite cost.Cost.move && Float.is_finite cost.Cost.service)

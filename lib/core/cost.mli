@@ -50,8 +50,9 @@ val budget_slack : float
     algorithm that clamps itself, landing a few ulps past the budget,
     passes.  {!feasible}, [Multi.Fleet.feasible] and the engine's clamp
     verdict ({!Engine.step_record.clamped}) all read it.  A constant,
-    not a function: without flambda a float returned across a module
-    boundary is boxed, and the engine tests every round. *)
+    not a function: without flambda a float passed to or returned from
+    another module's function is boxed, and the engine tests every
+    round. *)
 
 val feasible :
   limit:float -> start:Geometry.Vec.t -> Geometry.Vec.t array -> bool

@@ -12,11 +12,12 @@ type step_record = {
   proposed : Geometry.Vec.t;
       (** The algorithm's raw answer for the round, {e before} the clamp
           to the online budget.  Equal to [position] unless [clamped].
-          The {!Analysis} auditor hooks on this to check proposed-move
-          feasibility ahead of the safety net. *)
+          The {!Analysis} auditor reads it, with [clamped], instead of
+          watching the algorithm itself. *)
   clamped : bool;
-      (** Whether the proposal exceeded the online budget and was cut
-          back.  A well-behaved algorithm is never clamped. *)
+      (** Whether the proposal exceeded the online budget by more than
+          {!Cost.budget_slack} and was cut back.  A well-behaved
+          algorithm is never clamped. *)
   cost : Cost.breakdown;  (** This round's cost. *)
 }
 
@@ -92,8 +93,8 @@ val iter :
   ?rng:Prng.Xoshiro.t -> Config.t -> Algorithm.t -> Instance.t ->
   (step_record -> unit) -> unit
 (** [iter config alg inst f] streams per-round records to [f] without
-    building the trajectory array — used by the potential-function
-    checker and by long-horizon experiments.  The records are the ones
+    building the trajectory array; the {!Analysis} auditor makes its
+    one pass over a run with it.  The records are the ones
     {!Session.step} returns on the same rounds, bit for bit: both come
     from the one session round, so this holds by construction, and
     test_core's entry-point property still checks it. *)

@@ -44,8 +44,9 @@ val feasible :
 (** [feasible ~limit ~start fleets] checks every server's per-round move
     against [limit], within {!Mobile_server.Cost.budget_slack};
     [fleets.(t)] is the fleet after round [t].  A move whose length is
-    not finite (a NaN or infinite coordinate) is infeasible.  Raises [Invalid_argument] if some round's fleet has a
-    different number of servers than [start]. *)
+    not finite (a NaN or infinite coordinate) is infeasible.  Raises
+    [Invalid_argument] if some round's fleet has a different number of
+    servers than [start]. *)
 
 val spread_start : k:int -> Geometry.Vec.t -> Geometry.Vec.t array
 (** [spread_start ~k p] is the canonical initial fleet: all [k] servers

@@ -46,8 +46,8 @@ let nan_proposer =
         fun _requests -> Array.make d Float.nan);
   }
 
-(* Answers NaN in round 2 and points far beyond the budget in every
-   other round. *)
+(* 1-D: answers NaN in round 2 (rounds count from 0) and points far
+   beyond the budget in every other round. *)
 let nan_once =
   {
     Algorithm.name = "nan-once";

@@ -46,8 +46,7 @@ let array_of b =
 
 let qcheck_fbuf_roundtrip =
   QCheck.Test.make ~count:200
-    ~name:"Fbuf blit_from_array/blit_to_array round-trips bits" finite_array
-    (fun a ->
+    ~name:"Fbuf blit_from/to_array round-trip bits" finite_array (fun a ->
       let b = fbuf_of a in
       let a' = array_of b in
       Array.length a' = Array.length a
