@@ -32,6 +32,14 @@ let gen_is_pure () =
   Alcotest.(check bool) "different seeds differ" true
     (ops_to_strings a <> ops_to_strings c)
 
+(* The op mix is a constant: the weights, their order and every draw
+   they make.  The digest of seed 101's first 2000 printed ops pins it. *)
+let op_mix_pinned () =
+  let ops = Simtest.Harness.gen_ops ~seed:101 ~count:2000 () in
+  Alcotest.(check string) "md5 of the printed ops"
+    "99d832e5c13330e8e7b2083248f056e4"
+    (Digest.to_hex (Digest.string (String.concat "\n" (ops_to_strings ops))))
+
 let op_roundtrip () =
   let ops = Simtest.Harness.gen_ops ~seed:3 ~count:400 () in
   List.iter
@@ -327,6 +335,7 @@ let () =
         [
           Alcotest.test_case "same seed, same run" `Quick same_seed_same_run;
           Alcotest.test_case "gen is pure" `Quick gen_is_pure;
+          Alcotest.test_case "op mix pinned" `Quick op_mix_pinned;
         ] );
       ( "serialization",
         [
