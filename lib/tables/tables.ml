@@ -22,14 +22,13 @@ let create ?aligns ~header rows =
   in
   { header; rows; aligns }
 
-let cell ?(precision = 4) x =
+let cell x =
   if Float.is_nan x then "nan"
   else if Float.is_integer x && Float.abs x < 1e9 then
     Printf.sprintf "%.0f" x
-  else Printf.sprintf "%.*g" precision x
+  else Printf.sprintf "%.4g" x
 
-let of_floats ?precision ~header rows =
-  create ~header (List.map (List.map (cell ?precision)) rows)
+let of_floats ~header rows = create ~header (List.map (List.map cell) rows)
 
 let pad align width s =
   let gap = width - String.length s in

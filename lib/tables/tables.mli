@@ -15,13 +15,13 @@ val create : ?aligns:align list -> header:string list -> string list list -> t
     length as [header].  [aligns] defaults to right-alignment for every
     column. *)
 
-val of_floats :
-  ?precision:int -> header:string list -> float list list -> t
-(** [of_floats ~header rows] formats numeric rows with [precision]
-    significant digits (default 4). *)
+val of_floats : header:string list -> float list list -> t
+(** [of_floats ~header rows] formats every number of [rows] with
+    {!cell}. *)
 
-val cell : ?precision:int -> float -> string
-(** [cell x] formats one float the same way {!of_floats} does. *)
+val cell : float -> string
+(** [cell x] formats one float: ["nan"], an integer below 10⁹ without
+    a fraction, anything else with 4 significant digits. *)
 
 val render_ascii : t -> string
 (** Fixed-width ASCII rendering with a separator rule under the
