@@ -349,7 +349,7 @@ let run_solver ~quick ~out () =
   let sweep_seeds = if quick then 6 else 16 in
   let sweep_t = if quick then 128 else 256 in
   let sweep () =
-    Experiments.Ratio.vs_line_dp ~seeds:sweep_seeds ~base_seed:11
+    Experiments.Ratio.vs_opt ~seeds:sweep_seeds ~base_seed:11
       ~name:"bench-opt-cache" config MS.Mtc.algorithm (line_gen ~t:sweep_t)
   in
   let cold_s, warm_s, sweep_cold, sweep_warm, sweep_uncached =

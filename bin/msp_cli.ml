@@ -169,9 +169,7 @@ let workload =
    instance (and the warm half of a [--opt-cache-dir] workflow) free;
    defaults match the solvers', so cached and direct calls share keys. *)
 let compute_opt config inst =
-  let packed = MS.Instance.pack inst in
-  if MS.Instance.dim inst = 1 then Offline.Opt_cache.line_dp config packed
-  else Offline.Opt_cache.convex config packed
+  Offline.Opt_cache.optimum config (MS.Instance.pack inst)
 
 (* --- list ----------------------------------------------------------- *)
 

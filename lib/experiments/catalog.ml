@@ -191,7 +191,7 @@ let e4 ~seed ~quick =
     Sweep.run ~knob:"delta" ~xs:deltas ~predicted:(fun delta -> 1.0 /. delta)
       (fun delta ->
         let config = Config.make ~d_factor:d ~move_limit:1.0 ~delta () in
-        Ratio.vs_line_dp ~seeds ~base_seed:seed ~name:(fmt "e4-adv%g" delta)
+        Ratio.vs_opt ~seeds ~base_seed:seed ~name:(fmt "e4-adv%g" delta)
           config mtc
           (fun rng ->
             let c =
@@ -206,7 +206,7 @@ let e4 ~seed ~quick =
     Sweep.run ~knob:"delta" ~xs:deltas ~predicted:(fun delta -> 1.0 /. delta)
       (fun delta ->
         let config = Config.make ~d_factor:d ~move_limit:1.0 ~delta () in
-        Ratio.vs_line_dp ~seeds ~base_seed:seed ~name:(fmt "e4-rand%g" delta)
+        Ratio.vs_opt ~seeds ~base_seed:seed ~name:(fmt "e4-rand%g" delta)
           config mtc
           (fun rng ->
             Workloads.Clusters.generate ~r_min:2 ~r_max:2 ~sigma:1.0
@@ -218,7 +218,7 @@ let e4 ~seed ~quick =
   let horizon =
     Sweep.run ~knob:"T" ~xs:ts ~predicted:(fun _ -> 1.0 /. 0.5)
       (fun t ->
-        Ratio.vs_line_dp ~seeds ~base_seed:seed ~name:(fmt "e4-T%g" t) config
+        Ratio.vs_opt ~seeds ~base_seed:seed ~name:(fmt "e4-T%g" t) config
           mtc
           (fun rng ->
             Workloads.Clusters.generate ~r_min:2 ~r_max:2 ~sigma:1.0
@@ -276,7 +276,7 @@ let e5 ~seed ~quick =
       ~predicted:(fun delta -> Float.pow delta (-1.5))
       (fun delta ->
         let config = Config.make ~d_factor:d ~move_limit:1.0 ~delta () in
-        Ratio.vs_convex ~max_iter ~seeds ~base_seed:seed
+        Ratio.vs_opt ~max_iter ~seeds ~base_seed:seed
           ~name:(fmt "e5-rand%g" delta) config mtc
           (fun rng ->
             Workloads.Clusters.generate ~r_min:2 ~r_max:2 ~sigma:1.0
@@ -315,7 +315,7 @@ let e6 ~seed ~quick =
     let config =
       Config.make ~d_factor:d ~move_limit:1.0 ~delta ~variant ()
     in
-    Ratio.vs_line_dp ~seeds ~base_seed:seed
+    Ratio.vs_opt ~seeds ~base_seed:seed
       ~name:(fmt "e6-r%d-%s" r (Variant.to_string variant))
       config mtc
       (fun rng ->
@@ -444,7 +444,7 @@ let e8 ~seed ~quick =
               let sweep =
                 Sweep.run ~knob:"T" ~xs:ts ~predicted:(fun _ -> 1.0)
                   (fun t ->
-                    Ratio.vs_convex ~max_iter ~seeds ~base_seed:seed
+                    Ratio.vs_opt ~max_iter ~seeds ~base_seed:seed
                       ~name:(fmt "e8-%s-D%g-T%g" label d t) config mtc
                       (fun rng -> gen rng (int_of_float t)))
               in
@@ -624,40 +624,20 @@ let t1 ~seed ~quick =
     List.map
       (fun (label, gen) ->
         let base = Prng.Stream.named ~name:(fmt "t1-%s" label) ~seed in
-        (* One cell per seed, with all streams derived up front; each
-           cell returns a per-algorithm singleton accumulator and the
-           cells are merged in seed order, so the row is independent of
-           the jobs count. *)
-        let streams = Array.init seeds (Prng.Stream.replicate base) in
-        let alg_streams =
-          Array.init seeds (fun i -> Prng.Stream.replicate base (1000 + i))
-        in
-        let cells =
-          Exec.mapi
-            (fun i rng ->
+        (* Each algorithm of seed i gets a fresh replicate 1000 + i, so
+           all of them see the same stream. *)
+        let ratios =
+          Ratio.cells ~seeds base (fun i rng ->
               let packed = Instance.pack (gen rng) in
               let opt = Offline.Opt_cache.convex ~max_iter config packed in
               List.map
                 (fun alg ->
-                  let alg_rng = Prng.Xoshiro.copy alg_streams.(i) in
-                  let acc = Stats.Running.create () in
-                  Stats.Running.add acc
-                    (Ratio.cost_pair ~rng:alg_rng config alg packed
-                       ~opt);
-                  acc)
+                  Ratio.cost_pair
+                    ~rng:(Prng.Stream.replicate base (1000 + i))
+                    config alg packed ~opt)
                 algorithms)
-            streams
         in
-        let accumulators =
-          Array.fold_left
-            (fun accs cell -> List.map2 Stats.Running.merge accs cell)
-            (List.map (fun _ -> Stats.Running.create ()) algorithms)
-            cells
-        in
-        label
-        :: List.map
-             (fun acc -> Tables.cell (Stats.Running.mean acc))
-             accumulators)
+        label :: List.map Tables.cell (Ratio.column_means ratios))
       workloads
   in
   let header =
@@ -698,12 +678,8 @@ let e10 ~seed ~quick =
           Workloads.Clusters.generate ~r_min:2 ~r_max:2 ~sigma:1.0 ~drift:0.3
             ~arena:15.0 ~dim ~t:t_len rng
         in
-        if dim = 1 then
-          Ratio.vs_line_dp ~seeds ~base_seed:seed ~name:"e10-d1" config mtc
-            gen
-        else
-          Ratio.vs_convex ~max_iter ~seeds ~base_seed:seed
-            ~name:(fmt "e10-d%d" dim) config mtc gen)
+        Ratio.vs_opt ~max_iter ~seeds ~base_seed:seed
+          ~name:(fmt "e10-d%d" dim) config mtc gen)
   in
   let adversarial =
     Sweep.run ~knob:"dim" ~xs:dims ~predicted:(fun _ -> 1.0 /. delta)
@@ -770,7 +746,7 @@ let a1 ~seed ~quick =
     [
       ("drifting clusters (1-D, exact OPT)",
        fun alg ->
-         (Ratio.vs_line_dp ~seeds ~base_seed:seed
+         (Ratio.vs_opt ~seeds ~base_seed:seed
             ~name:(fmt "a1-line-%s" alg.Algorithm.name) config alg
             (fun rng ->
               Workloads.Clusters.generate ~r_min:2 ~r_max:2 ~sigma:1.0
@@ -786,7 +762,7 @@ let a1 ~seed ~quick =
            .Ratio.mean);
       ("bursts (1-D, exact OPT)",
        fun alg ->
-         (Ratio.vs_line_dp ~seeds ~base_seed:seed
+         (Ratio.vs_opt ~seeds ~base_seed:seed
             ~name:(fmt "a1-burst-%s" alg.Algorithm.name) config alg
             (fun rng ->
               Workloads.Bursts.generate ~arena:20.0 ~dim:1 ~t:t_len rng))
@@ -863,36 +839,24 @@ let a2 ~seed ~quick =
     List.map
       (fun (label, gen) ->
         let base = Prng.Stream.named ~name:(fmt "a2-%s" label) ~seed in
-        let streams = Array.init seeds (Prng.Stream.replicate base) in
-        let cells =
-          Exec.map
-            (fun rng ->
+        let measure inst =
+          let packed = Instance.pack inst in
+          let opt = Offline.Opt_cache.line_dp config packed in
+          Engine.total_cost_packed config mtc packed /. opt
+        in
+        let ratios =
+          Ratio.cells ~seeds base (fun _ rng ->
               let inst = gen rng in
               let collapsed = collapse_onto_centers config inst in
-              let measure inst =
-                let packed = Instance.pack inst in
-                let opt = Offline.Opt_cache.line_dp config packed in
-                Engine.total_cost_packed config mtc packed /. opt
-              in
-              let orig = Stats.Running.create () in
-              let coll = Stats.Running.create () in
-              Stats.Running.add orig (measure inst);
-              Stats.Running.add coll (measure collapsed);
-              (orig, coll))
-            streams
+              let orig = measure inst in
+              [ orig; measure collapsed ])
         in
-        let orig_acc, coll_acc =
-          Array.fold_left
-            (fun (oa, ca) (o, c) ->
-              (Stats.Running.merge oa o, Stats.Running.merge ca c))
-            (Stats.Running.create (), Stats.Running.create ())
-            cells
-        in
-        let orig = Stats.Running.mean orig_acc in
-        let coll = Stats.Running.mean coll_acc in
-        ( [ label; Tables.cell orig; Tables.cell coll;
-            Tables.cell ((4.0 *. coll) +. 1.0) ],
-          orig <= (4.0 *. coll) +. 1.0 +. 1e-9 ))
+        match Ratio.column_means ratios with
+        | [ orig; coll ] ->
+          ( [ label; Tables.cell orig; Tables.cell coll;
+              Tables.cell ((4.0 *. coll) +. 1.0) ],
+            orig <= (4.0 *. coll) +. 1.0 +. 1e-9 )
+        | _ -> assert false)
       families
   in
   let table =
@@ -940,13 +904,8 @@ let b1 ~seed ~quick =
   let ratio_rows =
     List.map
       (fun (label, build) ->
-        let streams = Array.init seeds (Prng.Stream.replicate base) in
-        let alg_streams =
-          Array.init seeds (fun i -> Prng.Stream.replicate base (100 + i))
-        in
-        let cells =
-          Exec.mapi
-            (fun i rng ->
+        let ratios =
+          Ratio.cells ~seeds base (fun i rng ->
               let graph = build rng in
               let metric = Network.Dijkstra.all_pairs graph in
               let inst =
@@ -958,26 +917,15 @@ let b1 ~seed ~quick =
               in
               List.map
                 (fun alg ->
-                  let alg_rng = Prng.Xoshiro.copy alg_streams.(i) in
                   let run =
-                    Network.Pm_model.run ~rng:alg_rng metric ~d_factor:d alg
-                      inst
+                    Network.Pm_model.run
+                      ~rng:(Prng.Stream.replicate base (100 + i))
+                      metric ~d_factor:d alg inst
                   in
-                  let acc = Stats.Running.create () in
-                  Stats.Running.add acc (Network.Pm_model.total run /. opt);
-                  acc)
+                  Network.Pm_model.total run /. opt)
                 Network.Pm_algorithms.all)
-            streams
         in
-        let accs =
-          Array.fold_left
-            (fun accs cell -> List.map2 Stats.Running.merge accs cell)
-            (List.map (fun _ -> Stats.Running.create ())
-               Network.Pm_algorithms.all)
-            cells
-        in
-        label
-        :: List.map (fun acc -> Tables.cell (Stats.Running.mean acc)) accs)
+        label :: List.map Tables.cell (Ratio.column_means ratios))
       graphs
   in
   let ratio_table =
@@ -1017,10 +965,8 @@ let b1 ~seed ~quick =
             config packed_mobile
         in
         let mtc_cost = Engine.total_cost_packed config mtc packed_mobile in
-        [
-          Tables.cell m; Tables.cell uncapped; Tables.cell capped;
-          Tables.cell (capped /. uncapped); Tables.cell (mtc_cost /. capped);
-        ])
+        List.map Tables.cell
+          [ m; uncapped; capped; capped /. uncapped; mtc_cost /. capped ])
       [ 0.25; 0.5; 1.0; 2.0; 8.0 ]
   in
   let bridge_table =
@@ -1067,13 +1013,8 @@ let x1 ~seed ~quick =
     List.map
       (fun k ->
         let base = Prng.Stream.named ~name:(fmt "x1-k%d" k) ~seed in
-        let streams = Array.init seeds (Prng.Stream.replicate base) in
-        let alg_streams =
-          Array.init seeds (fun i -> Prng.Stream.replicate base (100 + i))
-        in
         let cells =
-          Exec.mapi
-            (fun i rng ->
+          Ratio.cells ~seeds base (fun i rng ->
               let inst =
                 Workloads.Hotspots.generate ~hotspots:3 ~dim:2 ~t:t_len rng
               in
@@ -1083,26 +1024,18 @@ let x1 ~seed ~quick =
               let costs =
                 List.map
                   (fun alg ->
-                    let alg_rng = Prng.Xoshiro.copy alg_streams.(i) in
-                    Multi.Fleet_engine.total_cost ~rng:alg_rng ~k config alg
-                      inst)
+                    Multi.Fleet_engine.total_cost
+                      ~rng:(Prng.Stream.replicate base (100 + i))
+                      ~k config alg inst)
                   algorithms
               in
-              (costs, bound, label))
-            streams
+              (costs @ [ bound ], label))
         in
-        let accs = List.map (fun _ -> Stats.Running.create ()) algorithms in
-        let bound_acc = Stats.Running.create () in
-        let bound_label = ref "" in
-        Array.iter
-          (fun (costs, bound, label) ->
-            List.iter2 Stats.Running.add accs costs;
-            Stats.Running.add bound_acc bound;
-            bound_label := label)
-          cells;
+        (* The bound column is the mean over seeds; its label is the
+           last seed's. *)
         string_of_int k
-        :: (List.map (fun acc -> Tables.cell (Stats.Running.mean acc)) accs
-            @ [ Tables.cell (Stats.Running.mean bound_acc); !bound_label ]))
+        :: (List.map Tables.cell (Ratio.column_means (Array.map fst cells))
+            @ [ snd cells.(seeds - 1) ]))
       ks
   in
   let header =
@@ -1161,13 +1094,8 @@ let f1 ~seed ~quick =
     List.map
       (fun k ->
         let base = Prng.Stream.named ~name:(fmt "f1-k%d" k) ~seed in
-        let streams = Array.init seeds (Prng.Stream.replicate base) in
-        let alg_streams =
-          Array.init seeds (fun i -> Prng.Stream.replicate base (100 + i))
-        in
-        let cells =
-          Exec.mapi
-            (fun i rng ->
+        let rows =
+          Ratio.cells ~seeds base (fun i rng ->
               let inst =
                 Workloads.Hotspots.generate ~hotspots:3 ~dim:2 ~t:t_len rng
               in
@@ -1176,30 +1104,17 @@ let f1 ~seed ~quick =
               let ratios =
                 List.map
                   (fun (_, make_alg) ->
-                    let alg_rng = Prng.Xoshiro.copy alg_streams.(i) in
                     let cost =
-                      Multi.Fleet_engine.total_cost ~rng:alg_rng ~k config
-                        (make_alg ~k inst) inst
+                      Multi.Fleet_engine.total_cost
+                        ~rng:(Prng.Stream.replicate base (100 + i))
+                        ~k config (make_alg ~k inst) inst
                     in
                     cost /. opt)
                   algorithms
               in
-              (ratios, opt, upper /. opt))
-            streams
+              ratios @ [ opt; upper /. opt ])
         in
-        let accs = List.map (fun _ -> Stats.Running.create ()) algorithms in
-        let opt_acc = Stats.Running.create () in
-        let upper_acc = Stats.Running.create () in
-        Array.iter
-          (fun (ratios, opt, upper_ratio) ->
-            List.iter2 Stats.Running.add accs ratios;
-            Stats.Running.add opt_acc opt;
-            Stats.Running.add upper_acc upper_ratio)
-          cells;
-        string_of_int k
-        :: (List.map (fun acc -> Tables.cell (Stats.Running.mean acc)) accs
-            @ [ Tables.cell (Stats.Running.mean opt_acc);
-                Tables.cell (Stats.Running.mean upper_acc) ]))
+        string_of_int k :: List.map Tables.cell (Ratio.column_means rows))
       ks
   in
   let header =

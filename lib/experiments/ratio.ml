@@ -17,16 +17,25 @@ let cost_pair ?rng config alg packed ~opt =
   if opt <= 0.0 then invalid_arg "Ratio.cost_pair: non-positive optimum";
   Engine.total_cost_packed ?rng config alg packed /. opt
 
-let replicated ~seeds ~base_seed ~name f =
+(* Every replicate stream is derived sequentially before the fan-out,
+   so no task ever touches shared generator state; the per-cell results
+   land in seed order and are independent of the execution order, so
+   the fan-out is bit-identical at any jobs count (see
+   docs/parallel.md). *)
+let cells ~seeds base f =
   if seeds < 1 then invalid_arg "Ratio: seeds < 1";
+  Exec.mapi f (Array.init seeds (Prng.Stream.replicate base))
+
+let column_means rows =
+  if Array.length rows = 0 then invalid_arg "Ratio.column_means: no rows";
+  let accs = List.map (fun _ -> Stats.Running.create ()) rows.(0) in
+  Array.iter (List.iter2 Stats.Running.add accs) rows;
+  List.map Stats.Running.mean accs
+
+let replicated ~seeds ~base_seed ~name f =
   let base = Prng.Stream.named ~name ~seed:base_seed in
-  (* Derive every replicate stream sequentially before fanning out, so
-     no task ever touches shared generator state; the per-cell results
-     are then independent of the execution order and the fan-out is
-     bit-identical at any jobs count (see docs/parallel.md). *)
-  let streams = Array.init seeds (Prng.Stream.replicate base) in
-  let ratios = Exec.map f streams in
-  summarize (Prng.Stream.replicate base seeds) ratios
+  summarize (Prng.Stream.replicate base seeds)
+    (cells ~seeds base (fun _ rng -> f rng))
 
 let vs_construction ~seeds ~base_seed ~name config alg gen =
   replicated ~seeds ~base_seed ~name (fun rng ->
@@ -40,16 +49,10 @@ let vs_construction ~seeds ~base_seed ~name config alg gen =
    same model, across knob values and reruns — into lookups.  Cached
    and uncached sweeps are byte-identical at any jobs count. *)
 
-let vs_line_dp ?grid_per_m ~seeds ~base_seed ~name config alg gen =
+let vs_opt ?max_iter ~seeds ~base_seed ~name config alg gen =
   replicated ~seeds ~base_seed ~name (fun rng ->
       let packed = Instance.pack (gen rng) in
-      let opt = Offline.Opt_cache.line_dp ?grid_per_m config packed in
-      cost_pair ~rng config alg packed ~opt)
-
-let vs_convex ?max_iter ~seeds ~base_seed ~name config alg gen =
-  replicated ~seeds ~base_seed ~name (fun rng ->
-      let packed = Instance.pack (gen rng) in
-      let opt = Offline.Opt_cache.convex ?max_iter config packed in
+      let opt = Offline.Opt_cache.optimum ?max_iter config packed in
       cost_pair ~rng config alg packed ~opt)
 
 let vs_construction_tight ?max_iter ~seeds ~base_seed ~name config alg gen =

@@ -1,18 +1,25 @@
-(** Competitive-ratio measurement.
+(** Competitive-ratio measurement and the experiments' one replicate
+    fan-out.
 
-    Three ways to obtain the denominator (the optimal cost), in
-    decreasing order of tightness:
+    Every number a catalog table averages over seeds comes through
+    {!cells}: it derives one replicate stream per seed before the
+    fan-out, runs the cells through {!Exec.mapi} and returns their
+    results in seed order.  {!column_means} folds such per-seed rows in
+    that order, so a table is bit-identical at any jobs count (see
+    [docs/parallel.md]).
 
-    - {!vs_line_dp}: the exact 1-D optimum — the gold standard on the
-      line;
-    - {!vs_convex}: the convex-solver optimum in any dimension (a true
-      upper bound on OPT, so the measured ratio is a {e lower} bound);
+    Two ways to obtain the denominator (the optimal cost):
+
+    - {!vs_opt}: the instance optimum of {!Offline.Opt_cache.optimum} —
+      the exact line DP in 1-D, the convex solver in any other
+      dimension (a true upper bound on OPT, so the measured ratio is a
+      {e lower} bound);
     - {!vs_construction}: the adversary's own trajectory from a
       lower-bound construction (also an upper bound on OPT — the exact
       comparator the paper's proofs use).
 
-    All samplers average over independently seeded replicates; the
-    replicate stream also seeds randomized algorithms. *)
+    The samplers average over the replicates of {!cells}; the replicate
+    stream also seeds randomized algorithms. *)
 
 type sample = {
   ratios : float array;  (** One competitive-ratio sample per seed. *)
@@ -20,6 +27,22 @@ type sample = {
   ci_lo : float;  (** 95% bootstrap CI on the mean. *)
   ci_hi : float;
 }
+
+val cells :
+  seeds:int -> Prng.Xoshiro.t -> (int -> Prng.Xoshiro.t -> 'a) -> 'a array
+(** [cells ~seeds base f] is
+    [[| f 0 r0; ...; f (seeds - 1) r(seeds - 1) |]] with
+    [ri = Prng.Stream.replicate base i], computed through {!Exec.mapi}.
+    All streams are derived before the fan-out; a cell that needs more
+    streams derives them from [base] with indices of its own
+    ([replicate] never advances [base]).  Raises [Invalid_argument] if
+    [seeds < 1]. *)
+
+val column_means : float list array -> float list
+(** [column_means rows] is the mean of every column of [rows] (one row
+    per seed, as {!cells} returns them): one {!Stats.Running.add} fold
+    per column, in row order.  Raises [Invalid_argument] on no rows, on
+    rows of different lengths or on a non-finite value. *)
 
 val summarize : Prng.Xoshiro.t -> float array -> sample
 (** [summarize rng ratios] wraps raw samples with mean and CI. *)
@@ -33,17 +56,13 @@ val vs_construction :
     [(name, base_seed)] and samples
     [cost(alg) / cost(adversary trajectory)]. *)
 
-val vs_line_dp :
-  ?grid_per_m:int -> seeds:int -> base_seed:int -> name:string ->
-  Mobile_server.Config.t -> Mobile_server.Algorithm.t ->
-  (Prng.Xoshiro.t -> Mobile_server.Instance.t) -> sample
-(** Ratio against the exact 1-D optimum of {!Offline.Line_dp}. *)
-
-val vs_convex :
+val vs_opt :
   ?max_iter:int -> seeds:int -> base_seed:int -> name:string ->
   Mobile_server.Config.t -> Mobile_server.Algorithm.t ->
   (Prng.Xoshiro.t -> Mobile_server.Instance.t) -> sample
-(** Ratio against the {!Offline.Convex_opt} optimum (any dimension). *)
+(** Ratio against {!Offline.Opt_cache.optimum}: the exact 1-D optimum of
+    {!Offline.Line_dp} on the line, the {!Offline.Convex_opt} optimum
+    (with [max_iter]) in any other dimension. *)
 
 val vs_construction_tight :
   ?max_iter:int -> seeds:int -> base_seed:int -> name:string ->

@@ -35,10 +35,8 @@ let static_kmeans ~k (config : Config.t) (inst : Instance.t) rng =
 
 (* Memoized: the bound does not depend on [k], so callers pricing one
    instance at several [k] solve it once. *)
-let single_server (config : Config.t) inst =
-  let packed = Instance.pack inst in
-  if Instance.dim inst = 1 then Offline.Opt_cache.line_dp config packed
-  else Offline.Opt_cache.convex config packed
+let single_server config inst =
+  Offline.Opt_cache.optimum config (Instance.pack inst)
 
 (* The tie rule of [best_upper], exposed so the regression suite can
    pin it: k-means wins ties, so the label stays stable when the

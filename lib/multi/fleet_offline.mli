@@ -33,11 +33,10 @@ val static_kmeans :
 
 val single_server :
   Mobile_server.Config.t -> Mobile_server.Instance.t -> float
-(** The single-server optimum: exact line DP in 1-D, the convex solver
-    otherwise, memoized through {!Offline.Opt_cache.line_dp} and
-    {!Offline.Opt_cache.convex} with the solvers' defaults.  It does
-    not depend on [k], so pricing one instance at several [k] solves it
-    once (per cache lifetime). *)
+(** The single-server optimum {!Offline.Opt_cache.optimum}: exact line
+    DP in 1-D, the convex solver with its defaults otherwise, memoized.
+    It does not depend on [k], so pricing one instance at several [k]
+    solves it once (per cache lifetime). *)
 
 val pick : km:float -> solo:float -> float * string
 (** The comparator {!best_upper} applies to its two bounds: the

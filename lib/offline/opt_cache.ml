@@ -294,20 +294,22 @@ let find_or_compute_keyed ~solver ~key:bytes compute =
 
 (* --- solver entry points --------------------------------------------- *)
 
-(* Defaults mirror the wrapped solvers, so a cached call with all
-   options omitted keys the same entry as an explicit default call. *)
+(* The solver ids spell out the solvers' fixed grid (64 points per move
+   budget) and descent sweeps (30): on-disk entries are keyed by them. *)
 
-let line_dp ?(grid_per_m = 64) config packed =
-  find_or_compute
-    ~solver:(Printf.sprintf "line-dp:g%d" grid_per_m)
-    config packed
-    (fun () -> Line_dp.optimum_packed ~grid_per_m config packed)
+let line_dp config packed =
+  find_or_compute ~solver:"line-dp:g64" config packed (fun () ->
+      Line_dp.optimum_packed config packed)
 
-let convex ?(max_iter = 400) ?(sweeps = 30) config packed =
+let convex ?(max_iter = 400) config packed =
   find_or_compute
-    ~solver:(Printf.sprintf "convex:i%d:s%d" max_iter sweeps)
+    ~solver:(Printf.sprintf "convex:i%d:s30" max_iter)
     config packed
-    (fun () -> Convex_opt.optimum_packed ~max_iter ~sweeps config packed)
+    (fun () -> Convex_opt.optimum_packed ~max_iter config packed)
+
+let optimum ?max_iter config packed =
+  if Instance.Packed.dim packed = 1 then line_dp config packed
+  else convex ?max_iter config packed
 
 (* --- administration --------------------------------------------------- *)
 

@@ -3,8 +3,11 @@
     The experiment sweeps (ratio curves, parameter grids, the CLI's
     [--opt] paths) re-solve the same instance under the same model many
     times: replicate streams are deterministic, so the instances repeat
-    across knob values, warm reruns and jobs counts.  This cache keys an
-    optimum cost by the MD5 digest of
+    across knob values, warm reruns and jobs counts.  {!optimum} is the
+    one place that picks an instance's solver (the exact line DP in
+    1-D, the convex solver otherwise); the ratio samplers, the fleet
+    single-server bound and [msp]'s [--opt] all call it.  This cache
+    keys an optimum cost by the MD5 digest of
 
     - the solver id including its resolution knobs (grid density,
       iteration budgets),
@@ -41,14 +44,23 @@ type stats = {
 }
 
 val line_dp :
-  ?grid_per_m:int -> Mobile_server.Config.t ->
-  Mobile_server.Instance.Packed.t -> float
-(** Cached {!Line_dp.optimum_packed}; defaults mirror the solver's. *)
+  Mobile_server.Config.t -> Mobile_server.Instance.Packed.t -> float
+(** Cached {!Line_dp.optimum_packed} at the solver's default grid
+    (solver id ["line-dp:g64"]). *)
 
 val convex :
-  ?max_iter:int -> ?sweeps:int -> Mobile_server.Config.t ->
+  ?max_iter:int -> Mobile_server.Config.t ->
   Mobile_server.Instance.Packed.t -> float
-(** Cached {!Convex_opt.optimum_packed}; defaults mirror the solver's. *)
+(** Cached {!Convex_opt.optimum_packed} with [max_iter] (default 400,
+    the solver's) and the solver's 30 descent sweeps (solver id
+    ["convex:i<max_iter>:s30"]). *)
+
+val optimum :
+  ?max_iter:int -> Mobile_server.Config.t ->
+  Mobile_server.Instance.Packed.t -> float
+(** The single-server optimum of an instance, and the one place its
+    solver is chosen: {!line_dp} (exact) in 1-D, {!convex} with
+    [max_iter] (an upper bound on OPT) in any other dimension. *)
 
 val find_or_compute_keyed :
   solver:string -> key:string -> (unit -> float) -> float

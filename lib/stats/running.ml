@@ -48,24 +48,3 @@ let of_array xs =
   let acc = create () in
   Array.iter (add acc) xs;
   acc
-
-let merge a b =
-  if a.n = 0 then { b with n = b.n }
-  else if b.n = 0 then { a with n = a.n }
-  else begin
-    let n = a.n + b.n in
-    let fa = float_of_int a.n and fb = float_of_int b.n in
-    let delta = b.mean -. a.mean in
-    let mean = a.mean +. (delta *. fb /. float_of_int n) in
-    let m2 = a.m2 +. b.m2 +. (delta *. delta *. fa *. fb /. float_of_int n) in
-    {
-      n;
-      mean;
-      m2;
-      lo = Float.min a.lo b.lo;
-      hi = Float.max a.hi b.hi;
-      total = a.total +. b.total;
-    }
-  end
-
-let merge_many accs = Array.fold_left merge (create ()) accs

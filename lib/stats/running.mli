@@ -42,13 +42,3 @@ val of_array : float array -> t
 (** [of_array xs] folds every element of [xs] into a fresh accumulator
     (left to right).  Raises [Invalid_argument] on non-finite values,
     like {!add}. *)
-
-val merge : t -> t -> t
-(** [merge a b] is an accumulator equivalent to having seen both
-    streams (Chan's parallel combination). *)
-
-val merge_many : t array -> t
-(** [merge_many accs] folds {!merge} over [accs] {e in index order}.
-    Parallel sweeps merge per-cell accumulators with this: the merge
-    tree is fixed by the cell index, so the floating-point result does
-    not depend on which cell finished first (see [docs/parallel.md]). *)

@@ -38,10 +38,133 @@ let cost_pair_validates () =
         (Experiments.Ratio.cost_pair config Mobile_server.Mtc.algorithm
            packed ~opt:0.0))
 
+(* --- Ratio.cells + column_means = the old t1 fold ----------------- *)
+
+(* A verbatim copy of the fold t1 ran before [Ratio.cells]: one
+   singleton accumulator per (seed, column), merged column-wise with
+   [List.map2] in seed order.  [Stats.Running]'s accumulator and its
+   deleted [merge] are copied in with it.  The property below checks
+   [Ratio.cells] and [Ratio.column_means] against it bit for bit; never
+   edit it to make the two agree. *)
+module Old_t1_fold = struct
+  type t = {
+    mutable n : int;
+    mutable mean : float;
+    mutable m2 : float;
+    mutable lo : float;
+    mutable hi : float;
+    mutable total : float;
+  }
+
+  let create () =
+    { n = 0; mean = 0.0; m2 = 0.0; lo = nan; hi = nan; total = 0.0 }
+
+  let add acc x =
+    if not (Float.is_finite x) then
+      invalid_arg "Running.add: non-finite observation";
+    acc.n <- acc.n + 1;
+    let delta = x -. acc.mean in
+    acc.mean <- acc.mean +. (delta /. float_of_int acc.n);
+    acc.m2 <- acc.m2 +. (delta *. (x -. acc.mean));
+    acc.total <- acc.total +. x;
+    if acc.n = 1 then begin
+      acc.lo <- x;
+      acc.hi <- x
+    end else begin
+      if x < acc.lo then acc.lo <- x;
+      if x > acc.hi then acc.hi <- x
+    end
+
+  let mean acc = if acc.n = 0 then nan else acc.mean
+
+  let merge a b =
+    if a.n = 0 then { b with n = b.n }
+    else if b.n = 0 then { a with n = a.n }
+    else begin
+      let n = a.n + b.n in
+      let fa = float_of_int a.n and fb = float_of_int b.n in
+      let delta = b.mean -. a.mean in
+      let mean = a.mean +. (delta *. fb /. float_of_int n) in
+      let m2 = a.m2 +. b.m2 +. (delta *. delta *. fa *. fb /. float_of_int n) in
+      {
+        n;
+        mean;
+        m2;
+        lo = Float.min a.lo b.lo;
+        hi = Float.max a.hi b.hi;
+        total = a.total +. b.total;
+      }
+    end
+
+  (* t1's row, with [value rng alg_rng column] in place of the
+     algorithm's ratio. *)
+  let row ~seeds base columns value =
+    let streams = Array.init seeds (Prng.Stream.replicate base) in
+    let alg_streams =
+      Array.init seeds (fun i -> Prng.Stream.replicate base (1000 + i))
+    in
+    let cells =
+      Exec.mapi
+        (fun i rng ->
+          let draw = value rng in
+          List.map
+            (fun column ->
+              let alg_rng = Prng.Xoshiro.copy alg_streams.(i) in
+              let acc = create () in
+              add acc (draw alg_rng column);
+              acc)
+            columns)
+        streams
+    in
+    let accumulators =
+      Array.fold_left
+        (fun accs cell -> List.map2 merge accs cell)
+        (List.map (fun _ -> create ()) columns)
+        cells
+    in
+    List.map mean accumulators
+end
+
+(* A cell's values span six decades, so the rounding of a mean depends
+   on the order its terms are folded in. *)
+let fold_value rng =
+  let scale = Float.pow 10.0 (Prng.Dist.uniform rng ~lo:(-3.0) ~hi:3.0) in
+  fun alg_rng column ->
+    scale
+    *. Prng.Dist.uniform alg_rng ~lo:1.0 ~hi:2.0
+    *. float_of_int (column + 1)
+
+let qcheck_cells_match_old_fold =
+  QCheck.Test.make ~count:200
+    ~name:"cells + column_means = old t1 fold"
+    QCheck.(triple (int_range 1 8) (int_range 1 10) small_nat)
+    (fun (seeds, width, seed) ->
+      let base = Prng.Stream.named ~name:"cells-fold" ~seed in
+      let columns = List.init width Fun.id in
+      let bits = List.map Int64.bits_of_float in
+      let at jobs =
+        let saved = Exec.jobs () in
+        Fun.protect
+          ~finally:(fun () -> Exec.set_jobs saved)
+          (fun () ->
+            Exec.set_jobs jobs;
+            let got =
+              Experiments.Ratio.column_means
+                (Experiments.Ratio.cells ~seeds base (fun i rng ->
+                     let draw = fold_value rng in
+                     List.map
+                       (fun column ->
+                         draw (Prng.Stream.replicate base (1000 + i)) column)
+                       columns))
+            and want = Old_t1_fold.row ~seeds base columns fold_value in
+            List.equal Int64.equal (bits got) (bits want))
+      in
+      at 1 && at 2)
+
 let vs_line_dp_at_least_one () =
   let config = Config.make ~d_factor:2.0 ~delta:0.5 () in
   let s =
-    Experiments.Ratio.vs_line_dp ~seeds:3 ~base_seed:1 ~name:"test-vsdp"
+    Experiments.Ratio.vs_opt ~seeds:3 ~base_seed:1 ~name:"test-vsdp"
       config Mobile_server.Mtc.algorithm
       (fun rng -> Workloads.Clusters.generate ~dim:1 ~t:40 rng)
   in
@@ -54,7 +177,7 @@ let vs_line_dp_at_least_one () =
 let vs_measurement_reproducible () =
   let config = Config.make ~d_factor:2.0 ~delta:0.5 () in
   let measure () =
-    (Experiments.Ratio.vs_line_dp ~seeds:2 ~base_seed:7 ~name:"test-rep"
+    (Experiments.Ratio.vs_opt ~seeds:2 ~base_seed:7 ~name:"test-rep"
        config Mobile_server.Mtc.algorithm (fun rng ->
          Workloads.Clusters.generate ~dim:1 ~t:30 rng))
       .Experiments.Ratio.mean
@@ -180,22 +303,24 @@ let markdown_report_renders () =
 
 let catalog_identical_across_jobs () =
   (* The Exec determinism contract, end to end: a catalog experiment
-     rendered at jobs=2 must be byte-identical to jobs=1. *)
+     rendered at jobs=2 must be byte-identical to jobs=1.  a2 and b1
+     are the quick runs that fan more than one seed through
+     [Ratio.cells] rows. *)
   let before = Exec.jobs () in
   Fun.protect
     ~finally:(fun () -> Exec.set_jobs before)
     (fun () ->
-      Exec.set_jobs 1;
-      let seq =
+      let report jobs id =
+        Exec.set_jobs jobs;
         Experiments.Catalog.result_to_markdown
-          (Experiments.Catalog.run ~quick:true "e2")
+          (Experiments.Catalog.run ~quick:true id)
       in
-      Exec.set_jobs 2;
-      let par =
-        Experiments.Catalog.result_to_markdown
-          (Experiments.Catalog.run ~quick:true "e2")
-      in
-      Alcotest.(check string) "byte-identical report" seq par)
+      List.iter
+        (fun id ->
+          Alcotest.(check string)
+            (id ^ " byte-identical report")
+            (report 1 id) (report 2 id))
+        [ "e2"; "a2"; "b1" ])
 
 let catalog_seed_changes_nothing_structural () =
   let a = Experiments.Catalog.run ~seed:1 ~quick:true "e2" in
@@ -215,6 +340,7 @@ let () =
           Alcotest.test_case "cost_pair validates" `Quick cost_pair_validates;
           Alcotest.test_case "vs line DP >= 1" `Quick vs_line_dp_at_least_one;
           Alcotest.test_case "reproducible" `Quick vs_measurement_reproducible;
+          QCheck_alcotest.to_alcotest qcheck_cells_match_old_fold;
         ] );
       ( "sweep",
         [

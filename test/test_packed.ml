@@ -210,16 +210,18 @@ let cache_hit_equals_miss () =
   let hit = Offline.Opt_cache.line_dp config p1 in
   check_float_bits "line-dp miss = direct" direct miss;
   check_float_bits "line-dp hit = direct" direct hit;
+  check_float_bits "optimum is the line DP in 1-D" direct
+    (Offline.Opt_cache.optimum ~max_iter:30 config p1);
   let p2 =
     Instance.pack (Workloads.Clusters.generate ~dim:2 ~t:10 rng)
   in
-  let direct =
-    Offline.Convex_opt.optimum_packed ~max_iter:30 ~sweeps:3 config p2
-  in
-  let miss = Offline.Opt_cache.convex ~max_iter:30 ~sweeps:3 config p2 in
-  let hit = Offline.Opt_cache.convex ~max_iter:30 ~sweeps:3 config p2 in
+  let direct = Offline.Convex_opt.optimum_packed ~max_iter:30 config p2 in
+  let miss = Offline.Opt_cache.convex ~max_iter:30 config p2 in
+  let hit = Offline.Opt_cache.convex ~max_iter:30 config p2 in
   check_float_bits "convex miss = direct" direct miss;
-  check_float_bits "convex hit = direct" direct hit
+  check_float_bits "convex hit = direct" direct hit;
+  check_float_bits "optimum is the convex solver in 2-D" direct
+    (Offline.Opt_cache.optimum ~max_iter:30 config p2)
 
 (* The key deliberately excludes [delta]: it shapes online runs only,
    so sweeping it must keep hitting the entry the base config
@@ -245,7 +247,7 @@ let cache_sweep_jobs_identity () =
   Offline.Opt_cache.set_disk_dir None;
   let config = Config.make ~d_factor:4.0 ~delta:0.5 () in
   let sweep () =
-    Experiments.Ratio.vs_line_dp ~seeds:4 ~base_seed:3
+    Experiments.Ratio.vs_opt ~seeds:4 ~base_seed:3
       ~name:"packed-cache-sweep" config MS.Mtc.algorithm
       (fun rng -> line_inst rng ~t:24)
   in

@@ -29,39 +29,17 @@ let running_rejects_nan () =
     (Invalid_argument "Running.add: non-finite observation") (fun () ->
       Stats.Running.add acc Float.nan)
 
-let running_merge () =
-  let xs = Array.init 100 (fun i -> float_of_int i *. 0.37) in
-  let all = Stats.Running.create () in
-  Array.iter (Stats.Running.add all) xs;
-  let a = Stats.Running.create () and b = Stats.Running.create () in
-  Array.iteri
-    (fun i x -> Stats.Running.add (if i < 41 then a else b) x)
-    xs;
-  let merged = Stats.Running.merge a b in
-  check_loose "mean" (Stats.Running.mean all) (Stats.Running.mean merged);
-  check_loose "variance" (Stats.Running.variance all)
-    (Stats.Running.variance merged);
-  Alcotest.(check int) "count" 100 (Stats.Running.count merged)
-
-let running_merge_empty () =
-  let a = Stats.Running.create () in
-  Stats.Running.add a 3.0;
-  let merged = Stats.Running.merge a (Stats.Running.create ()) in
-  check_float "mean survives" 3.0 (Stats.Running.mean merged)
-
-let running_of_array_merge_many () =
+let running_of_array () =
   let xs = Array.init 60 (fun i -> sin (float_of_int i)) in
   let all = Stats.Running.of_array xs in
-  let parts =
-    Array.init 6 (fun p -> Stats.Running.of_array (Array.sub xs (p * 10) 10))
-  in
-  let merged = Stats.Running.merge_many parts in
-  Alcotest.(check int) "count" 60 (Stats.Running.count merged);
-  check_loose "mean" (Stats.Running.mean all) (Stats.Running.mean merged);
-  check_loose "variance" (Stats.Running.variance all)
-    (Stats.Running.variance merged);
-  check_float "min" (Stats.Running.min all) (Stats.Running.min merged);
-  check_float "max" (Stats.Running.max all) (Stats.Running.max merged)
+  let folded = Stats.Running.create () in
+  Array.iter (Stats.Running.add folded) xs;
+  Alcotest.(check int) "count" 60 (Stats.Running.count all);
+  check_float "mean" (Stats.Running.mean folded) (Stats.Running.mean all);
+  check_float "variance" (Stats.Running.variance folded)
+    (Stats.Running.variance all);
+  check_float "min" (Stats.Running.min folded) (Stats.Running.min all);
+  check_float "max" (Stats.Running.max folded) (Stats.Running.max all)
 
 let running_std_error () =
   let acc = Stats.Running.create () in
@@ -228,10 +206,7 @@ let () =
           Alcotest.test_case "empty" `Quick running_empty;
           Alcotest.test_case "matches direct" `Quick running_matches_direct;
           Alcotest.test_case "rejects nan" `Quick running_rejects_nan;
-          Alcotest.test_case "merge" `Quick running_merge;
-          Alcotest.test_case "merge empty" `Quick running_merge_empty;
-          Alcotest.test_case "of_array + merge_many" `Quick
-            running_of_array_merge_many;
+          Alcotest.test_case "of_array" `Quick running_of_array;
           Alcotest.test_case "std error" `Quick running_std_error;
         ] );
       ( "quantile",
