@@ -44,9 +44,9 @@ let run ?(seed = 0) ?(check_determinism = true) config alg inst =
   Engine.iter ~rng:(fresh_rng ()) config alg inst
     (fun { Engine.round; position; proposed; clamped = c; cost } ->
       (* The engine measured [proposed] from the previous round's
-         position and decided [c].  A non-finite proposal is reported
-         as such even when [c] is set (an infinite one overshoots any
-         budget); after it the position is NaN and [c] stays false. *)
+         position and set [c] only if it clamped a finite proposal
+         from a finite position.  A non-finite proposal is reported as
+         such; after it the position is NaN and [c] stays false. *)
       if not (is_finite_vec proposed) then
         post round Report.Non_finite_proposal
       else if c then begin

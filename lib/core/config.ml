@@ -17,6 +17,8 @@ let make ?(d_factor = 1.0) ?(move_limit = 1.0) ?(delta = 0.0)
 
 let online_limit c = (1.0 +. c.delta) *. c.move_limit
 
+let budget_slack = 1e-9
+
 let offline_limit c = c.move_limit
 
 let pp ppf c =

@@ -29,4 +29,17 @@ val online_limit : t -> float
 val offline_limit : t -> float
 (** [offline_limit c] is [move_limit] — the adversary/optimum budget. *)
 
+val budget_slack : float
+(** [1e-9], the one relative slack of every movement-budget test: a
+    move of length [d] fits the budget [limit] when
+    [d <= limit +. budget_slack *. Float.max 1.0 limit], so an
+    algorithm that clamps itself, landing a few ulps past the budget,
+    passes.  {!Cost.feasible}, [Multi.Fleet.feasible], the engine's
+    clamp verdict ({!Engine.step_record.clamped}),
+    {!Instance.is_moving_client}, {!Instance_stats.regime} and the
+    brute-force solver's transitions all read it.  A constant, not a
+    function: without flambda a float passed to or returned from
+    another module's function is boxed, and the engine tests every
+    round. *)
+
 val pp : Format.formatter -> t -> unit

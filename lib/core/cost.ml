@@ -51,10 +51,8 @@ let trajectory config ~start positions (p : Instance.Packed.t) =
   done;
   !acc
 
-let budget_slack = 1e-9
-
 let feasible ~limit ~start positions =
-  let slack = limit +. (budget_slack *. Float.max 1.0 limit) in
+  let slack = limit +. (Config.budget_slack *. Float.max 1.0 limit) in
   let n = Array.length positions in
   let ok = ref true in
   let prev = ref start in

@@ -27,18 +27,6 @@ let is_finite_vec v =
   done;
   !ok
 
-(* [Vec.move_towards] rejects a non-finite gap, so the engine decides
-   explicitly what a non-finite proposal does: it poisons the position
-   with NaNs (the pre-fix observable behavior), letting the {!Analysis}
-   auditor report Non_finite_position / Non_finite_cost instead of the
-   run dying mid-trajectory.  A finite proposal from a finite position
-   goes through the ordinary clamp, [Vec.clamp_step]'s move with the
-   gap the caller measured. *)
-let next_position ~from ~limit ~gap proposed =
-  if is_finite_vec proposed && is_finite_vec from then
-    Vec.move_towards_gap from proposed ~gap limit
-  else Array.make (Vec.dim from) Float.nan
-
 module Session = struct
   type t = {
     stepper : Algorithm.stepper;
@@ -83,16 +71,26 @@ module Session = struct
   let advance session requests =
     let from = session.position and limit = session.limit in
     let proposed = session.stepper requests in
-    (* One distance decides both whether the proposal counts as
+    (* A finite proposal from a finite position goes through the
+       ordinary clamp, [Vec.clamp_step]'s move with the gap measured
+       here; one distance decides both whether the round counts as
        clamped and where the clamp puts it.  The test allows
-       [Cost.budget_slack], as [Cost.feasible] does: algorithms that
+       [Config.budget_slack], as [Cost.feasible] does: algorithms that
        clamp themselves (e.g. via [Algorithm.of_policy]) land within a
-       few ulps of the budget and must not be counted.  A NaN distance
-       compares false, so a non-finite proposal is not counted as
-       clamped: the {!Analysis} auditor reports it as non-finite. *)
+       few ulps of the budget and must not be counted.
+       [Vec.move_towards] rejects a non-finite gap, so anything else
+       poisons the position with NaNs and counts as no clamp: the
+       {!Analysis} auditor reports Non_finite_proposal /
+       Non_finite_position instead of the run dying mid-trajectory. *)
     let gap = Vec.dist from proposed in
-    let clamped = gap > limit +. (Cost.budget_slack *. Float.max 1.0 limit) in
-    let next = next_position ~from ~limit ~gap proposed in
+    let finite = is_finite_vec proposed && is_finite_vec from in
+    let clamped =
+      finite && gap > limit +. (Config.budget_slack *. Float.max 1.0 limit)
+    in
+    let next =
+      if finite then Vec.move_towards_gap from proposed ~gap limit
+      else Array.make session.dim Float.nan
+    in
     let cost = Cost.step session.config ~from ~to_:next requests in
     session.position <- next;
     session.cost <- Cost.add session.cost cost;

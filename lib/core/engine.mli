@@ -16,8 +16,10 @@ type step_record = {
           watching the algorithm itself. *)
   clamped : bool;
       (** Whether the proposal exceeded the online budget by more than
-          {!Cost.budget_slack} and was cut back.  A well-behaved
-          algorithm is never clamped. *)
+          {!Config.budget_slack} and was cut back.  Only a finite
+          proposal from a finite position is clamped; any other one
+          leaves a NaN position and counts as no clamp.  A
+          well-behaved algorithm is never clamped. *)
   cost : Cost.breakdown;  (** This round's cost. *)
 }
 

@@ -124,12 +124,12 @@ let is_moving_client ~speed inst =
   match single_trajectory inst with
   | None -> false
   | Some agent ->
-    let tol = 1e-9 *. Float.max 1.0 speed in
+    let reach = speed +. (Config.budget_slack *. Float.max 1.0 speed) in
     let ok = ref true in
     let prev = ref inst.start in
     Array.iter
       (fun a ->
-        if Vec.dist !prev a > speed +. tol then ok := false;
+        if Vec.dist !prev a > reach then ok := false;
         prev := a)
       agent;
     !ok

@@ -92,7 +92,7 @@ val single_trajectory : t -> Geometry.Vec.t array option
 val is_moving_client : speed:float -> t -> bool
 (** [is_moving_client ~speed inst] checks the Moving Client model's
     input constraint: one request per round, each within [speed] of the
-    previous one ([A_0 = start]), up to a 1e-9 relative tolerance. *)
+    previous one ([A_0 = start]), within {!Config.budget_slack}. *)
 
 val pp : Format.formatter -> t -> unit
 (** Prints a compact summary (dimension, rounds, request counts). *)

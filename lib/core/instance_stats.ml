@@ -68,7 +68,10 @@ let regime ~move_limit stats =
   if move_limit <= 0.0 then invalid_arg "Instance_stats.regime: move_limit <= 0";
   if stats.total_requests = 0 then "empty instance"
   else if stats.r_min = 1 && stats.r_max = 1 then
-    if stats.max_drift <= move_limit +. 1e-9 then
+    if
+      stats.max_drift
+      <= move_limit +. (Config.budget_slack *. Float.max 1.0 move_limit)
+    then
       "moving-client, agent no faster than the server (Theorem 10 regime: \
        O(1) without augmentation)"
     else

@@ -56,7 +56,7 @@ let feasible ~limit ~start fleets =
       if Array.length fleet <> k then
         invalid_arg "Fleet.feasible: fleet size mismatch")
     fleets;
-  let slack = limit +. (Cost.budget_slack *. Float.max 1.0 limit) in
+  let slack = limit +. (Config.budget_slack *. Float.max 1.0 limit) in
   (* A NaN distance compares false against any slack, so an explicit
      finiteness test is required to reject garbage trajectories, as in
      [Cost.feasible]. *)

@@ -42,7 +42,7 @@ val feasible :
   limit:float -> start:Geometry.Vec.t array -> Geometry.Vec.t array array ->
   bool
 (** [feasible ~limit ~start fleets] checks every server's per-round move
-    against [limit], within {!Mobile_server.Cost.budget_slack};
+    against [limit], within {!Mobile_server.Config.budget_slack};
     [fleets.(t)] is the fleet after round [t].  A move whose length is
     not finite (a NaN or infinite coordinate) is infeasible.  Raises
     [Invalid_argument] if some round's fleet has a different number of

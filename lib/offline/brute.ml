@@ -14,6 +14,7 @@ let value_iteration (config : Config.t) (p : Instance.Packed.t) points
     start_idx =
   let t_len = Instance.Packed.length p in
   let m = Config.offline_limit config in
+  let reach = m +. (Config.budget_slack *. Float.max 1.0 m) in
   let n = Array.length points in
   let reqs = Instance.Packed.points p in
   let serve_first = Variant.equal config.Config.variant Variant.Serve_first in
@@ -32,7 +33,7 @@ let value_iteration (config : Config.t) (p : Instance.Packed.t) points
       for j = 0 to n - 1 do
         if Float.is_finite value.(j) then begin
           let d = Vec.dist points.(j) points.(k) in
-          if d <= m +. 1e-9 then begin
+          if d <= reach then begin
             let c =
               value.(j)
               +. (config.Config.d_factor *. d)

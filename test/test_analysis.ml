@@ -46,6 +46,16 @@ let nan_proposer =
         fun _requests -> Array.make d Float.nan);
   }
 
+(* Answers +infinity in every coordinate from the first round on. *)
+let inf_proposer =
+  {
+    Algorithm.name = "inf-proposer";
+    make =
+      (fun ?rng:_ _config ~start ->
+        let d = Vec.dim start in
+        fun _requests -> Array.make d Float.infinity);
+  }
+
 (* 1-D: answers NaN in round 2 (rounds count from 0) and points far
    beyond the budget in every other round. *)
 let nan_once =
@@ -296,6 +306,20 @@ let audit_flags_nan () =
   Alcotest.(check int) "no nondeterminism" 0
     (Report.count report ~kind:Report.is_nondeterministic)
 
+(* An infinite proposal from a finite position is non-finite, not
+   clamped: the engine poisons the position instead of clamping it, so
+   the clamp count equals the number of Clamped_proposal entries. *)
+let audit_inf_not_clamped () =
+  let config = Config.make () in
+  let inst = instance_of_lists [ [ 1.0 ]; [ 1.0 ] ] in
+  let report, run = Audit.run config inf_proposer inst in
+  Alcotest.(check int) "infinite proposal every round" 2
+    (Report.count report ~kind:(fun k -> k = Report.Non_finite_proposal));
+  Alcotest.(check int) "report clamped" 0 report.Report.clamped;
+  Alcotest.(check int) "engine clamped" 0 run.Engine.clamped;
+  Alcotest.(check int) "no Clamped_proposal" 0
+    (Report.count report ~kind:Report.is_clamped)
+
 (* Once a proposal is non-finite the engine's position is NaN: later
    far proposals poison nothing further and are clamped by no budget
    test, so the report holds no clamp after that round. *)
@@ -527,6 +551,8 @@ let () =
             audit_flags_oversized_moves;
           Alcotest.test_case "nan" `Quick audit_flags_nan;
           Alcotest.test_case "nan once" `Quick audit_nan_once;
+          Alcotest.test_case "infinity is not a clamp" `Quick
+            audit_inf_not_clamped;
           Alcotest.test_case "nondeterminism" `Quick
             audit_flags_nondeterminism;
           Alcotest.test_case "determinism opt-out" `Quick
