@@ -694,17 +694,17 @@ let run_ops ?(inject_bug = false) ?(inject_audit_bug = false) ~seed ops =
         quarantined = Opt_cache.Faults.quarantined () - quarantined0;
       })
 
-let gen_ops ?(weights = Op.default_weights) ~seed ~count () =
+let gen_ops ~seed ~count () =
   let g = Prng.Stream.named ~name:"simtest-ops" ~seed in
   let rec build acc n =
     if n = 0 then List.rev acc
-    else build (Op.gen weights g :: acc) (n - 1)
+    else build (Op.gen g :: acc) (n - 1)
   in
   build [] (max 0 count)
 
-let run ?inject_bug ?inject_audit_bug ?weights ~seed ~count () =
+let run ?inject_bug ?inject_audit_bug ~seed ~count () =
   run_ops ?inject_bug ?inject_audit_bug ~seed
-    (gen_ops ?weights ~seed ~count ())
+    (gen_ops ~seed ~count ())
 
 let fails ?inject_bug ?inject_audit_bug ~seed ops =
   match (run_ops ?inject_bug ?inject_audit_bug ~seed ops).outcome with

@@ -51,9 +51,9 @@ type result = {
   quarantined : int;  (** Corrupt disk entries removed during the run. *)
 }
 
-val gen_ops : ?weights:Op.weights -> seed:int -> count:int -> unit -> Op.op list
-(** The op list for a seed — pure: same [(weights, seed, count)] gives
-    the same list.  [run ~seed ~count] executes exactly this list. *)
+val gen_ops : seed:int -> count:int -> unit -> Op.op list
+(** The op list for a seed — pure: same [(seed, count)] gives the same
+    list.  [run ~seed ~count] executes exactly this list. *)
 
 val run_ops :
   ?inject_bug:bool -> ?inject_audit_bug:bool -> seed:int -> Op.op list ->
@@ -69,8 +69,8 @@ val run_ops :
     just like any other. *)
 
 val run :
-  ?inject_bug:bool -> ?inject_audit_bug:bool -> ?weights:Op.weights ->
-  seed:int -> count:int -> unit -> result
+  ?inject_bug:bool -> ?inject_audit_bug:bool -> seed:int -> count:int ->
+  unit -> result
 (** [run_ops] over [gen_ops]. *)
 
 val fails :

@@ -27,49 +27,6 @@ type op =
   | Serve_bad_frame of bad_frame
   | Fleet_opt_check of int
 
-type weights = {
-  step : float;
-  bad_step : float;
-  reset : float;
-  checkpoint : float;
-  opt_query : float;
-  cache_evict : float;
-  cache_clear : float;
-  disk_write_fail : float;
-  disk_read_corrupt : float;
-  fleet_check : float;
-  concurrent_step : float;
-  serve_open : float;
-  serve_step : float;
-  serve_checkpoint : float;
-  serve_close : float;
-  serve_kill : float;
-  serve_bad_frame : float;
-  fleet_opt_check : float;
-}
-
-let default_weights =
-  {
-    step = 0.50;
-    bad_step = 0.04;
-    reset = 0.04;
-    checkpoint = 0.05;
-    opt_query = 0.05;
-    cache_evict = 0.03;
-    cache_clear = 0.04;
-    disk_write_fail = 0.03;
-    disk_read_corrupt = 0.04;
-    fleet_check = 0.04;
-    concurrent_step = 0.02;
-    serve_open = 0.05;
-    serve_step = 0.10;
-    serve_checkpoint = 0.03;
-    serve_close = 0.03;
-    serve_kill = 0.02;
-    serve_bad_frame = 0.02;
-    fleet_opt_check = 0.03;
-  }
-
 (* --- generation ------------------------------------------------------ *)
 
 (* The request arena: 1-D coordinates within ±[arena], wide enough that
@@ -81,78 +38,67 @@ let gen_round g =
   let n = Prng.Xoshiro.next_below g 4 in
   Array.init n (fun _ -> [| Prng.Dist.uniform g ~lo:(-.arena) ~hi:arena |])
 
-let categories w =
+(* The op mix: each kind's relative weight (they need not sum to 1)
+   beside its draw.  Step-heavy, with a few percent of every fault and
+   cross-check. *)
+let mix =
   [|
-    w.step;
-    w.bad_step;
-    w.reset;
-    w.checkpoint;
-    w.opt_query;
-    w.cache_evict;
-    w.cache_clear;
-    w.disk_write_fail;
-    w.disk_read_corrupt;
-    w.fleet_check;
-    w.concurrent_step;
-    w.serve_open;
-    w.serve_step;
-    w.serve_checkpoint;
-    w.serve_close;
-    w.serve_kill;
-    w.serve_bad_frame;
-    w.fleet_opt_check;
+    (0.50, fun g -> Step (gen_round g));
+    ( 0.04,
+      fun g ->
+        Bad_step (if Prng.Dist.fair_coin g then Dim_mismatch else Non_finite) );
+    (0.04, fun _ -> Reset);
+    (0.05, fun _ -> Checkpoint);
+    (0.05, fun _ -> Opt_query);
+    (0.03, fun _ -> Cache_evict);
+    (0.04, fun _ -> Cache_clear);
+    (0.03, fun _ -> Disk_write_fail);
+    ( 0.04,
+      fun g ->
+        Disk_read_corrupt
+          (match Prng.Xoshiro.next_below g 3 with
+           | 0 -> Sys_err
+           | 1 -> Truncate
+           | _ -> Garbage) );
+    (0.04, fun g -> Fleet_check (2 + Prng.Xoshiro.next_below g 3));
+    (0.02, fun g -> Concurrent_step (2 + Prng.Xoshiro.next_below g 5));
+    (0.05, fun _ -> Serve_open);
+    ( 0.10,
+      fun g ->
+        let t = Prng.Xoshiro.next_below g 8 in
+        Serve_step (t, gen_round g) );
+    (0.03, fun g -> Serve_checkpoint (Prng.Xoshiro.next_below g 8));
+    (0.03, fun g -> Serve_close (Prng.Xoshiro.next_below g 8));
+    ( 0.02,
+      fun g ->
+        let shard = Prng.Xoshiro.next_below g 8 in
+        Serve_kill (shard, Prng.Dist.fair_coin g) );
+    ( 0.02,
+      fun g ->
+        Serve_bad_frame
+          (match Prng.Xoshiro.next_below g 3 with
+           | 0 -> Truncated
+           | 1 -> Bad_version
+           | _ -> Non_finite_coord) );
+    (0.03, fun g -> Fleet_opt_check (2 + Prng.Xoshiro.next_below g 2));
   |]
 
-let gen w g =
-  let cats = categories w in
-  let total = Array.fold_left ( +. ) 0.0 cats in
-  if not (total > 0.0) then invalid_arg "Simtest.Op.gen: weights sum to 0";
+let total = Array.fold_left (fun acc (w, _) -> acc +. w) 0.0 mix
+
+(* The first kind whose cumulative weight exceeds [x]; kind 0 when
+   rounding leaves [x] past the last sum. *)
+let pick x =
+  let rec scan i acc =
+    if i = Array.length mix then 0
+    else
+      let acc = acc +. fst mix.(i) in
+      if x < acc then i else scan (i + 1) acc
+  in
+  scan 0 0.0
+
+let gen g =
   let x = Prng.Dist.uniform g ~lo:0.0 ~hi:total in
-  let pick = ref 0 in
-  let acc = ref 0.0 in
-  (try
-     Array.iteri
-       (fun i wi ->
-         acc := !acc +. wi;
-         if x < !acc then begin
-           pick := i;
-           raise Exit
-         end)
-       cats
-   with Exit -> ());
-  match !pick with
-  | 0 -> Step (gen_round g)
-  | 1 -> Bad_step (if Prng.Dist.fair_coin g then Dim_mismatch else Non_finite)
-  | 2 -> Reset
-  | 3 -> Checkpoint
-  | 4 -> Opt_query
-  | 5 -> Cache_evict
-  | 6 -> Cache_clear
-  | 7 -> Disk_write_fail
-  | 8 ->
-    Disk_read_corrupt
-      (match Prng.Xoshiro.next_below g 3 with
-       | 0 -> Sys_err
-       | 1 -> Truncate
-       | _ -> Garbage)
-  | 9 -> Fleet_check (2 + Prng.Xoshiro.next_below g 3)
-  | 10 -> Concurrent_step (2 + Prng.Xoshiro.next_below g 5)
-  | 11 -> Serve_open
-  | 12 ->
-    let t = Prng.Xoshiro.next_below g 8 in
-    Serve_step (t, gen_round g)
-  | 13 -> Serve_checkpoint (Prng.Xoshiro.next_below g 8)
-  | 14 -> Serve_close (Prng.Xoshiro.next_below g 8)
-  | 15 ->
-    let shard = Prng.Xoshiro.next_below g 8 in
-    Serve_kill (shard, Prng.Dist.fair_coin g)
-  | 16 ->
-    Serve_bad_frame
-      (match Prng.Xoshiro.next_below g 3 with
-       | 0 -> Truncated
-       | 1 -> Bad_version
-       | _ -> Non_finite_coord)
-  | _ -> Fleet_opt_check (2 + Prng.Xoshiro.next_below g 2)
+  snd mix.(pick x) g
 
 (* --- serialization --------------------------------------------------- *)
 

@@ -4,9 +4,9 @@
     {!Mobile_server.Engine.Session}, the {!Multi.Fleet_engine}, the
     {!Offline.Opt_cache} (memory + disk store) and the serve daemon
     ({!Serve.Daemon}).  A simtest run is a pure function
-    of [(seed, weights, count)]: ops are drawn from {!Prng.Stream}
-    substreams with the weighted distribution below, so the same seed
-    always yields the same op list — and a failing list serializes to a
+    of [(seed, count)]: ops are drawn from {!Prng.Stream} substreams
+    with one fixed weighted mix (see {!gen}), so the same seed always
+    yields the same op list — and a failing list serializes to a
     replayable artifact (see {!Replay} and [docs/simtest.md]). *)
 
 type bad_request =
@@ -87,35 +87,11 @@ type op =
           solver must replay deterministically with an estimate no
           smaller than the flow optimum. *)
 
-(** Relative draw weights for {!gen}; they need not sum to 1. *)
-type weights = {
-  step : float;
-  bad_step : float;
-  reset : float;
-  checkpoint : float;
-  opt_query : float;
-  cache_evict : float;
-  cache_clear : float;
-  disk_write_fail : float;
-  disk_read_corrupt : float;
-  fleet_check : float;
-  concurrent_step : float;
-  serve_open : float;
-  serve_step : float;
-  serve_checkpoint : float;
-  serve_close : float;
-  serve_kill : float;
-  serve_bad_frame : float;
-  fleet_opt_check : float;
-}
-
-val default_weights : weights
-(** Step-heavy mix with a few percent of every fault and cross-check. *)
-
-val gen : weights -> Prng.Xoshiro.t -> op
-(** [gen weights g] draws one op.  Consumes a bounded,
-    category-dependent number of PRNG values, so an op sequence is a
-    pure function of the generator state. *)
+val gen : Prng.Xoshiro.t -> op
+(** [gen g] draws one op from a fixed, step-heavy mix with a few
+    percent of every fault and cross-check.  Consumes a bounded,
+    kind-dependent number of PRNG values, so an op sequence is a pure
+    function of the generator state. *)
 
 val to_string : op -> string
 (** One-line textual form; floats travel as IEEE-754 bits in hex, so
