@@ -154,6 +154,276 @@ let price_chains_validates () =
     (Invalid_argument "Fleet_flow.price_chains: chain not time-increasing")
     (fun () -> ignore (price [| [| 1; 0 |]; [| 2 |] |]))
 
+(* --- Fleet_flow against the one-bound-per-run solver ------------------ *)
+
+(* A verbatim copy of Fleet_flow's [price_chains] and [solve] as they
+   stood when every run answered a single bound [k] and chains were read
+   back by a final scan of the A side's saturated arcs.  Never edit it
+   to make the property below agree: it is the reference that pins every
+   cost bit and chain of the shipping solver. *)
+module Ref_flow = struct
+  module Heap = Geometry.Heap
+
+  let price_chains ~d_factor ~start ~(requests : Vec.t array) chains =
+    let n = Array.length requests in
+    let seen = Array.make (if n = 0 then 1 else n) false in
+    Array.iter
+      (fun chain ->
+        if Array.length chain = 0 then
+          invalid_arg "Fleet_flow.price_chains: empty chain";
+        Array.iteri
+          (fun pos j ->
+            if j < 0 || j >= n then
+              invalid_arg "Fleet_flow.price_chains: index out of bounds";
+            if seen.(j) then
+              invalid_arg "Fleet_flow.price_chains: request served twice";
+            seen.(j) <- true;
+            if pos > 0 && chain.(pos - 1) >= j then
+              invalid_arg "Fleet_flow.price_chains: chain not time-increasing")
+          chain)
+      chains;
+    for j = 0 to n - 1 do
+      if not seen.(j) then
+        invalid_arg "Fleet_flow.price_chains: request left unserved"
+    done;
+    let sorted = Array.copy chains in
+    Array.sort (fun a b -> compare a.(0) b.(0)) sorted;
+    let acc = ref 0.0 in
+    for c = 0 to Array.length sorted - 1 do
+      let chain = sorted.(c) in
+      acc := !acc +. (d_factor *. Vec.dist start requests.(chain.(0)));
+      for pos = 1 to Array.length chain - 1 do
+        acc :=
+          !acc
+          +. (d_factor *. Vec.dist requests.(chain.(pos - 1)) requests.(chain.(pos)))
+      done
+    done;
+    !acc
+
+  let solve ~d_factor ~start ~(requests : Vec.t array) ~k =
+    if k < 1 then invalid_arg "Fleet_flow.solve: k < 1";
+    if d_factor <= 0.0 then invalid_arg "Fleet_flow.solve: d_factor <= 0";
+    let n = Array.length requests in
+    if n = 0 then (0.0, [||])
+    else begin
+      (* Nodes: 0 = source, 1..n = A_j (request j's out side), n+1..2n =
+         B_l (request l's in side), 2n+1 = sink. *)
+      let nodes = (2 * n) + 2 in
+      let source = 0 and sink = (2 * n) + 1 in
+      let a_node j = 1 + j and b_node l = 1 + n + l in
+      let start_d = Array.init n (fun l -> Vec.dist start requests.(l)) in
+      (* CSR arc storage: forward and residual arcs interleaved by node;
+         [arev] pairs them. *)
+      let deg = Array.make nodes 0 in
+      deg.(source) <- n;
+      for j = 0 to n - 1 do
+        deg.(a_node j) <- n - j (* rev to source + forwards to B_l, l > j *)
+      done;
+      for l = 0 to n - 1 do
+        deg.(b_node l) <- l + 1 (* revs from A_j, j < l + forward to sink *)
+      done;
+      deg.(sink) <- n;
+      let head = Array.make (nodes + 1) 0 in
+      for u = 0 to nodes - 1 do
+        head.(u + 1) <- head.(u) + deg.(u)
+      done;
+      let m = head.(nodes) in
+      let ato = Array.make m 0 in
+      let acost = Array.make m 0.0 in
+      let acap = Array.make m 0 in
+      let arev = Array.make m 0 in
+      let cursor = Array.copy head in
+      let add_arc u v cost =
+        let i = cursor.(u) and j = cursor.(v) in
+        cursor.(u) <- i + 1;
+        cursor.(v) <- j + 1;
+        ato.(i) <- v;
+        acost.(i) <- cost;
+        acap.(i) <- 1;
+        arev.(i) <- j;
+        ato.(j) <- u;
+        acost.(j) <- -.cost;
+        acap.(j) <- 0;
+        arev.(j) <- i
+      in
+      for j = 0 to n - 1 do
+        add_arc source (a_node j) 0.0
+      done;
+      for j = 0 to n - 1 do
+        for l = j + 1 to n - 1 do
+          add_arc (a_node j)
+            (b_node l)
+            (d_factor *. (Vec.dist requests.(j) requests.(l) -. start_d.(l)))
+        done
+      done;
+      (* [b_live.(l)] is B_l's one residual out-arc.  B_l's in-arcs come
+         from the A side and its only out-arc is to the sink (capacity
+         1), so by conservation it is matched to at most one A_j: while
+         unmatched its live arc is the sink arc, once matched to A_j it
+         is the reverse of A_j → B_l.  Dijkstra relaxes just that arc,
+         the one its full scan would find with capacity. *)
+      let b_live = Array.make n 0 in
+      for l = 0 to n - 1 do
+        b_live.(l) <- cursor.(b_node l);
+        add_arc (b_node l) sink 0.0
+      done;
+      (* Johnson potentials, initialized by one topological relaxation
+         pass — the forward graph is a DAG layered source → A → B →
+         sink, so visiting nodes in that order settles exact shortest
+         distances.  [B_0] has no in-arcs and stays at +inf: it is never
+         reachable (its only residual in-arc would need flow through it
+         first), so its potential is never read. *)
+      let pi = Array.make nodes infinity in
+      pi.(source) <- 0.0;
+      let relax_from u =
+        if pi.(u) < infinity then
+          for a = head.(u) to head.(u + 1) - 1 do
+            if acap.(a) > 0 then begin
+              let v = ato.(a) in
+              let d = pi.(u) +. acost.(a) in
+              if d < pi.(v) then pi.(v) <- d
+            end
+          done
+      in
+      relax_from source;
+      for j = 0 to n - 1 do
+        relax_from (a_node j)
+      done;
+      for l = 0 to n - 1 do
+        relax_from (b_node l)
+      done;
+      let dist = Array.make nodes infinity in
+      let parent = Array.make nodes (-1) in
+      let popped = Array.make nodes false in
+      let heap = Heap.create (4 * nodes) in
+      let required = if n - k > 0 then n - k else 0 in
+      let flow = ref 0 in
+      let running = ref true in
+      while !running do
+        (* Dijkstra on reduced costs, early exit once the sink pops:
+           popped nodes carry final distances, the rest are treated as
+           [dist sink] in the potential update.  A pop reads the heap's
+           root in place, then drops it. *)
+        Array.fill dist 0 nodes infinity;
+        Array.fill parent 0 nodes (-1);
+        Array.fill popped 0 nodes false;
+        Heap.clear heap;
+        dist.(source) <- 0.0;
+        Heap.push heap dist source;
+        let searching = ref true in
+        while !searching && heap.Heap.size > 0 do
+          let d = heap.Heap.dists.(0) and u = heap.Heap.nodes.(0) in
+          Heap.remove_top heap;
+          if not popped.(u) && d <= dist.(u) then begin
+            popped.(u) <- true;
+            if u = sink then searching := false
+            else begin
+              let lo = if u > n then b_live.(u - n - 1) else head.(u) in
+              let hi = if u > n then lo else head.(u + 1) - 1 in
+              for a = lo to hi do
+                if acap.(a) > 0 then begin
+                  let v = ato.(a) in
+                  if not popped.(v) then begin
+                    let nd = d +. acost.(a) +. pi.(u) -. pi.(v) in
+                    if nd < dist.(v) then begin
+                      dist.(v) <- nd;
+                      parent.(v) <- a;
+                      Heap.push heap dist v
+                    end
+                  end
+                end
+              done
+            end
+          end
+        done;
+        if Float.equal dist.(sink) infinity then running := false
+        else begin
+          let true_cost = dist.(sink) +. pi.(sink) in
+          if !flow >= required && true_cost >= 0.0 then running := false
+          else begin
+            let v = ref sink in
+            while !v <> source do
+              let a = parent.(!v) in
+              acap.(a) <- acap.(a) - 1;
+              acap.(arev.(a)) <- acap.(arev.(a)) + 1;
+              (* A path enters B_l only by a forward arc from some A_j
+                 (the sink is never expanded), which it now matches. *)
+              if !v > n && !v < sink then b_live.(!v - n - 1) <- arev.(a);
+              v := ato.(arev.(a))
+            done;
+            incr flow;
+            let dsink = dist.(sink) in
+            for u = 0 to nodes - 1 do
+              pi.(u) <- pi.(u) +. (if popped.(u) then dist.(u) else dsink)
+            done
+          end
+        end
+      done;
+      (* Chain extraction from the net flow: A_j's saturated forward arc
+         names request j's successor. *)
+      let succ = Array.make n (-1) in
+      let has_pred = Array.make n false in
+      for j = 0 to n - 1 do
+        for a = head.(a_node j) to head.(a_node j + 1) - 1 do
+          let v = ato.(a) in
+          if v > n && v <= 2 * n && acap.(a) = 0 then begin
+            let l = v - n - 1 in
+            succ.(j) <- l;
+            has_pred.(l) <- true
+          end
+        done
+      done;
+      let chains = ref [] in
+      for j = n - 1 downto 0 do
+        if not has_pred.(j) then begin
+          let chain = ref [] and cur = ref j in
+          while !cur >= 0 do
+            chain := !cur :: !chain;
+            cur := succ.(!cur)
+          done;
+          chains := Array.of_list (List.rev !chain) :: !chains
+        end
+      done;
+      let chains = Array.of_list !chains in
+      (price_chains ~d_factor ~start ~requests chains, chains)
+    end
+end
+
+(* Inputs for the reference property: a start and [n] requests in
+   [dim] dimensions.  On the lattice every coordinate is a multiple of
+   1/4 in [-1, 1], so requests repeat, link costs tie and augmenting
+   paths of true cost exactly 0 occur (1-D lattice distances are
+   exact). *)
+let flow_case ~seed ~dim ~lattice ~n =
+  let rng = rng_of (7000 + seed) in
+  let coord () =
+    if lattice then float_of_int (Prng.Xoshiro.next_below rng 9 - 4) /. 4.0
+    else Prng.Dist.uniform rng ~lo:(-10.0) ~hi:10.0
+  in
+  let point () = Array.init dim (fun _ -> coord ()) in
+  let start = point () in
+  (start, Array.init n (fun _ -> point ()))
+
+let qcheck_flow_matches_reference =
+  QCheck.Test.make ~count:400
+    ~name:"Fleet_flow ≡ one-bound reference"
+    QCheck.(
+      pair
+        (triple (int_bound 1_000_000) (int_range 0 40) (int_bound 1_000))
+        (triple (int_range 1 3) bool (int_bound 2)))
+    (fun ((seed, n, k_draw), (dim, lattice, d_index)) ->
+      let start, requests = flow_case ~seed ~dim ~lattice ~n in
+      let d_factor = [| 1.0; 2.0; 3.5 |].(d_index) in
+      let k = 1 + (k_draw mod (n + 2)) in
+      List.for_all
+        (fun bound ->
+          let cost, chains =
+            Multi.Fleet_flow.solve ~d_factor ~start ~requests ~k:bound
+          in
+          let want, want_chains = Ref_flow.solve ~d_factor ~start ~requests ~k:bound in
+          bit_eq cost want && chains = want_chains)
+        [ k; k + 1; k + 2; k + 3 ])
+
 (* --- the Work-Function Algorithm ------------------------------------- *)
 
 let wfa_untruncated_matches_brute () =
@@ -674,5 +944,6 @@ let () =
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [ qcheck_service_and_step; qcheck_wfa_matches_reference ] );
+          [ qcheck_service_and_step; qcheck_wfa_matches_reference;
+            qcheck_flow_matches_reference ] );
     ]
