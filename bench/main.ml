@@ -950,9 +950,10 @@ let run_parallel ~quick ~jobs ~out () =
 
 (* ------------------------------------------------------------------ *)
 (* Fleet benchmark: the min-cost-flow relaxation optimum vs brute-force
-   enumeration and the OPT cache, the WFA step, and the jobs=1 vs jobs=N
-   sweep — the flow and sweep rows gated on bitwise identity.  JSON
-   lands in BENCH_fleet.json. *)
+   enumeration and the OPT cache, one flow run for every k against one
+   per k, the WFA step, and the jobs=1 vs jobs=N sweep — the flow,
+   frontier and sweep rows gated on bitwise identity.  JSON lands in
+   BENCH_fleet.json. *)
 
 let run_fleet ~quick ~out () =
   print_endline "\n=== FLEET: flow OPT, identity ===\n";
@@ -1055,6 +1056,47 @@ let run_fleet ~quick ~out () =
         (k, ns, (Gc.minor_words () -. w0) /. float_of_int wfa_requests))
       [ 2; 3; 4 ]
   in
+  (* --- one flow run for every k, on the same f1-shaped instances ----- *)
+  (* ms per instance of three Fleet_flow.solve calls at the k that
+     fleet-f1 prices against one Fleet_flow.frontier ~k:2, whose entries
+     must be the three solves' costs bit for bit (the last entry also
+     answers every larger k). *)
+  let frontier_ks = [| 2; 3; 4 |] in
+  let flow_inputs =
+    Array.map
+      (fun inst ->
+        ( inst.MS.Instance.start,
+          Array.concat (Array.to_list inst.MS.Instance.steps) ))
+      wfa_insts
+  in
+  let per_k () =
+    Array.map
+      (fun (start, requests) ->
+        Array.map
+          (fun k -> fst (Multi.Fleet_flow.solve ~d_factor ~start ~requests ~k))
+          frontier_ks)
+      flow_inputs
+  in
+  let one_run () =
+    Array.map
+      (fun (start, requests) ->
+        Multi.Fleet_flow.frontier ~d_factor ~start ~requests ~k:frontier_ks.(0))
+      flow_inputs
+  in
+  let identity_frontier_vs_solve =
+    Array.for_all2
+      (fun solved costs ->
+        let last = Array.length costs - 1 in
+        all_bit_eq solved
+          (Array.init (Array.length solved) (fun i -> costs.(Stdlib.min i last))))
+      (per_k ()) (one_run ())
+  in
+  let per_instance_ms f =
+    time_per ~repeat:(if quick then 2 else 5) f *. 1e3
+    /. float_of_int (Array.length wfa_insts)
+  in
+  let solves_ms = per_instance_ms per_k in
+  let frontier_ms = per_instance_ms one_run in
   (* --- jobs=1 vs jobs=2: engine cost / flow OPT per seed ------------ *)
   let sweep_seeds = if quick then 4 else 8 in
   let sweep_t = if quick then 12 else 30 in
@@ -1112,18 +1154,31 @@ let run_fleet ~quick ~out () =
           (fun (k, ns, words) ->
             [ string_of_int k; Tables.cell ns; Tables.cell words ])
           wfa_rows));
+  Tables.print
+    ~title:
+      (Printf.sprintf "flow: one run for every k vs one per k, %d instances"
+         (Array.length wfa_insts))
+    (Tables.create
+       ~aligns:[ Tables.Right; Tables.Right; Tables.Right; Tables.Left ]
+       ~header:
+         [ "solve k=2,3,4 (ms)"; "frontier k=2 (ms)"; "speedup"; "identical" ]
+       [ [ Tables.cell solves_ms; Tables.cell frontier_ms;
+           Tables.cell (solves_ms /. frontier_ms);
+           string_of_bool identity_frontier_vs_solve ] ]);
   Printf.printf "cache stats                    : %d hits, %d misses\n"
     cache_stats.Offline.Opt_cache.hits cache_stats.Offline.Opt_cache.misses;
   Printf.printf "flow cold %.1fms, warm %.1fms (speedup %.1fx)\n"
     (cold_s *. 1e3) (warm_s *. 1e3) (cold_s /. warm_s);
   Printf.printf "sweep jobs=1 %.2fs, jobs=2 %.2fs\n" j1_s j2_s;
   Printf.printf "flow OPT = brute OPT           : %b\n" identity_flow_vs_brute;
+  Printf.printf "frontier = per-k solves        : %b\n"
+    identity_frontier_vs_solve;
   Printf.printf "cached = cold = bypassed       : %b\n"
     identity_cached_vs_uncached;
   Printf.printf "jobs1 = jobs2                  : %b\n%!"
     identity_jobs1_vs_jobs2;
   write_record ~report:"fleet" out
-    [ ("schema", Str "msp-bench-fleet-v3"); machine ();
+    [ ("schema", Str "msp-bench-fleet-v4"); machine ();
       timing
         ~one_pass:
           "flow solve_ms, brute_ms, flow_ms, flow_cold_ms, flow_warm_ms, \
@@ -1147,6 +1202,12 @@ let run_fleet ~quick ~out () =
                    ("flow_ms", Num fms); ("speedup", Num s);
                    ("identical", Bool ok) ])
              brute_rows) );
+      ( "frontier",
+        Obj
+          [ ("ks", Str "2,3,4"); ("instances", Int (Array.length wfa_insts));
+            ("solves_ms", Num solves_ms); ("frontier_ms", Num frontier_ms);
+            ("speedup", Num (solves_ms /. frontier_ms));
+            ("identical", Bool identity_frontier_vs_solve) ] );
       ( "wfa",
         Rows
           (List.map
@@ -1163,14 +1224,15 @@ let run_fleet ~quick ~out () =
       ("sweep_jobs1_s", Num j1_s);
       ("sweep_jobs2_s", Num j2_s);
       ("identity_flow_vs_brute", Bool identity_flow_vs_brute);
+      ("identity_frontier_vs_solve", Bool identity_frontier_vs_solve);
       ("identity_cached_vs_uncached", Bool identity_cached_vs_uncached);
       ("identity_jobs1_vs_jobs2", Bool identity_jobs1_vs_jobs2) ];
-  if not (identity_flow_vs_brute && identity_cached_vs_uncached
-          && identity_jobs1_vs_jobs2)
+  if not (identity_flow_vs_brute && identity_frontier_vs_solve
+          && identity_cached_vs_uncached && identity_jobs1_vs_jobs2)
   then begin
     prerr_endline
-      "FATAL: flow solver is not byte-identical to brute force, the \
-       cache, or itself across jobs counts";
+      "FATAL: flow solver is not byte-identical to brute force, its \
+       per-k solves, the cache, or itself across jobs counts";
     exit 1
   end
 

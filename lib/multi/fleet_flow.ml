@@ -25,7 +25,8 @@ module Vec = Geometry.Vec
    further only while another link has negative marginal cost.  That
    matching is what the flow below computes: successive shortest
    paths with Johnson potentials on flat CSR arrays (the exemplar's
-   [execute_opt_network], minus the big-M start arcs). *)
+   [execute_opt_network], minus the big-M start arcs).  One run
+   answers every bound from [k] up ([run], [frontier]). *)
 
 (* --- canonical pricing ----------------------------------------------- *)
 
@@ -72,11 +73,63 @@ let price_chains ~d_factor ~start ~(requests : Vec.t array) chains =
 
 (* --- the solver ------------------------------------------------------- *)
 
-let solve ~d_factor ~start ~(requests : Vec.t array) ~k =
-  if k < 1 then invalid_arg "Fleet_flow.solve: k < 1";
-  if d_factor <= 0.0 then invalid_arg "Fleet_flow.solve: d_factor <= 0";
+(* The partition a matching encodes: [succ.(j)] is request j's
+   successor ([-1]: none).  Chains start at the requests nobody
+   precedes and come out sorted by first index. *)
+let chains_of_succ succ =
+  let n = Array.length succ in
+  let has_pred = Array.make n false in
+  Array.iter (fun l -> if l >= 0 then has_pred.(l) <- true) succ;
+  let chains = ref [] in
+  for j = n - 1 downto 0 do
+    if not has_pred.(j) then begin
+      let chain = ref [] and cur = ref j in
+      while !cur >= 0 do
+        chain := !cur :: !chain;
+        cur := succ.(!cur)
+      done;
+      chains := Array.of_list (List.rev !chain) :: !chains
+    end
+  done;
+  Array.of_list !chains
+
+(* NaN compares false everywhere, so a non-finite input would leave
+   the sink unreachable before [n - k] links and break the "at most
+   [k] chains" contract; reject it up front. *)
+let validate ~caller ~d_factor ~(start : Vec.t) ~(requests : Vec.t array) ~k =
+  if k < 1 then invalid_arg (caller ^ ": k < 1");
+  if d_factor <= 0.0 then invalid_arg (caller ^ ": d_factor <= 0");
+  if not (Float.is_finite d_factor) then
+    invalid_arg (caller ^ ": d_factor is not finite");
+  for c = 0 to Array.length start - 1 do
+    if not (Float.is_finite start.(c)) then
+      invalid_arg (caller ^ ": start position is not finite")
+  done;
+  for j = 0 to Array.length requests - 1 do
+    let r = requests.(j) in
+    for c = 0 to Array.length r - 1 do
+      if not (Float.is_finite r.(c)) then
+        invalid_arg
+          (caller ^ ": request coordinate is not finite (NaN or infinite)")
+    done
+  done
+
+(* One successive-shortest-path run answers every bound from [k] up.
+   The augmentations do not depend on the bound; it only decides where
+   a run stops.  After [f] links the run for bound [b] stops when the
+   sink is unreachable, or when [f >= n - b] and the next path's true
+   cost is [>= 0].  So the run for [k] passes through the final state
+   of every larger bound, and the state after [f] links is the answer
+   for every still-open bound whose stop test holds there.  [answer ~lo
+   ~hi succ] is called once per answering state, for the bounds [lo ..
+   hi - 1] ([hi = max_int] the first time: the unconstrained optimum
+   also holds for every larger bound), with [succ] the matching's
+   successor array, valid only during the call.  The last call has
+   [lo = k]. *)
+let run ~caller ~d_factor ~start ~(requests : Vec.t array) ~k answer =
+  validate ~caller ~d_factor ~start ~requests ~k;
   let n = Array.length requests in
-  if n = 0 then (0.0, [||])
+  if n = 0 then answer ~lo:k ~hi:max_int [||]
   else begin
     (* Nodes: 0 = source, 1..n = A_j (request j's out side), n+1..2n =
        B_l (request l's in side), 2n+1 = sink. *)
@@ -168,10 +221,13 @@ let solve ~d_factor ~start ~(requests : Vec.t array) ~k =
     let parent = Array.make nodes (-1) in
     let popped = Array.make nodes false in
     let heap = Heap.create (4 * nodes) in
-    let required = if n - k > 0 then n - k else 0 in
+    (* [succ.(j) = l] exactly while A_j → B_l carries flow: request j's
+       successor in the current matching. *)
+    let succ = Array.make n (-1) in
     let flow = ref 0 in
-    let running = ref true in
-    while !running do
+    (* Every bound [>= !answered] has had its answer. *)
+    let answered = ref max_int in
+    while !answered > k do
       (* Dijkstra on reduced costs, early exit once the sink pops:
          popped nodes carry final distances, the rest are treated as
          [dist sink] in the potential update.  A pop reads the heap's
@@ -208,54 +264,56 @@ let solve ~d_factor ~start ~(requests : Vec.t array) ~k =
           end
         end
       done;
-      if Float.equal dist.(sink) infinity then running := false
-      else begin
-        let true_cost = dist.(sink) +. pi.(sink) in
-        if !flow >= required && true_cost >= 0.0 then running := false
-        else begin
-          let v = ref sink in
-          while !v <> source do
-            let a = parent.(!v) in
-            acap.(a) <- acap.(a) - 1;
-            acap.(arev.(a)) <- acap.(arev.(a)) + 1;
-            (* A path enters B_l only by a forward arc from some A_j
-               (the sink is never expanded), which it now matches. *)
-            if !v > n && !v < sink then b_live.(!v - n - 1) <- arev.(a);
-            v := ato.(arev.(a))
-          done;
-          incr flow;
-          let dsink = dist.(sink) in
-          for u = 0 to nodes - 1 do
-            pi.(u) <- pi.(u) +. (if popped.(u) then dist.(u) else dsink)
-          done
-        end
-      end
-    done;
-    (* Chain extraction from the net flow: A_j's saturated forward arc
-       names request j's successor. *)
-    let succ = Array.make n (-1) in
-    let has_pred = Array.make n false in
-    for j = 0 to n - 1 do
-      for a = head.(a_node j) to head.(a_node j + 1) - 1 do
-        let v = ato.(a) in
-        if v > n && v <= 2 * n && acap.(a) = 0 then begin
-          let l = v - n - 1 in
-          succ.(j) <- l;
-          has_pred.(l) <- true
-        end
-      done
-    done;
-    let chains = ref [] in
-    for j = n - 1 downto 0 do
-      if not has_pred.(j) then begin
-        let chain = ref [] and cur = ref j in
-        while !cur >= 0 do
-          chain := !cur :: !chain;
-          cur := succ.(!cur)
+      (* The lowest bound this state answers: every open one if the
+         sink is unreachable, those with [n - b <= flow] if the next
+         path's true cost is [>= 0], none otherwise. *)
+      let lo =
+        if Float.equal dist.(sink) infinity then k
+        else if dist.(sink) +. pi.(sink) >= 0.0 then
+          if n - !flow > k then n - !flow else k
+        else max_int
+      in
+      if lo < !answered then begin
+        answer ~lo ~hi:!answered succ;
+        answered := lo
+      end;
+      if !answered > k then begin
+        let v = ref sink in
+        while !v <> source do
+          let a = parent.(!v) in
+          acap.(a) <- acap.(a) - 1;
+          acap.(arev.(a)) <- acap.(arev.(a)) + 1;
+          (* A path enters B_l only by a forward arc from some A_j
+             (the sink is never expanded), which it now matches: l
+             becomes request j's successor. *)
+          if !v > n && !v < sink then begin
+            let l = !v - n - 1 in
+            b_live.(l) <- arev.(a);
+            succ.(ato.(arev.(a)) - 1) <- l
+          end;
+          v := ato.(arev.(a))
         done;
-        chains := Array.of_list (List.rev !chain) :: !chains
+        incr flow;
+        let dsink = dist.(sink) in
+        for u = 0 to nodes - 1 do
+          pi.(u) <- pi.(u) +. (if popped.(u) then dist.(u) else dsink)
+        done
       end
-    done;
-    let chains = Array.of_list !chains in
-    (price_chains ~d_factor ~start ~requests chains, chains)
+    done
   end
+
+let solve ~d_factor ~start ~requests ~k =
+  let chains = ref [||] in
+  run ~caller:"Fleet_flow.solve" ~d_factor ~start ~requests ~k
+    (fun ~lo ~hi:_ succ -> if lo = k then chains := chains_of_succ succ);
+  (price_chains ~d_factor ~start ~requests !chains, !chains)
+
+let frontier ~d_factor ~start ~requests ~k =
+  let costs = ref [||] in
+  run ~caller:"Fleet_flow.frontier" ~d_factor ~start ~requests ~k
+    (fun ~lo ~hi succ ->
+      let cost = price_chains ~d_factor ~start ~requests (chains_of_succ succ) in
+      (* The first answer is the unconstrained optimum: the last entry. *)
+      if hi = max_int then costs := Array.make (lo - k + 1) cost
+      else Array.fill !costs (lo - k) (hi - lo) cost);
+  !costs

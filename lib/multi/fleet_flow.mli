@@ -19,7 +19,23 @@ val solve :
     any solver producing the same partition produces the same bits.
     Successive shortest paths with Johnson potentials on flat CSR
     arrays; O(n²) arcs, at most [n] Dijkstra passes.  Raises
-    [Invalid_argument] if [k < 1] or [d_factor <= 0]. *)
+    [Invalid_argument] if [k < 1], if [d_factor <= 0], or if
+    [d_factor], a coordinate of [start] or a request coordinate is not
+    finite. *)
+
+val frontier :
+  d_factor:float -> start:Geometry.Vec.t ->
+  requests:Geometry.Vec.t array -> k:int -> float array
+(** [frontier ~d_factor ~start ~requests ~k] is the optimum at every
+    bound from [k] up, from one run: entry [i] is
+    [fst (solve ~k:(k + i))] bit for bit.  The last entry is the
+    unconstrained optimum, with [K] chains ([k + i = K], or [i = 0] if
+    [K < k]), and it also holds for every larger bound.  The
+    successive shortest paths {!solve} runs are the same whatever the
+    bound, which only decides where a run stops, so the run for [k]
+    passes through the final state of every larger bound; it costs
+    one [solve ~k] plus one {!price_chains} per answering state.
+    Raises like {!solve}. *)
 
 val price_chains :
   d_factor:float -> start:Geometry.Vec.t ->

@@ -69,14 +69,25 @@ let flow_key ~k ~d_factor packed =
   Buffer.add_string buf (Instance.Packed.content_digest packed);
   Buffer.contents buf
 
+(* A miss at [k] runs the flow once for every bound from [k] up and
+   keeps the larger bounds' optima in memory, so pricing one instance
+   at k, k + 1, ... solves it once. *)
 let optimum_flow ~k (config : Config.t) inst =
   let packed = Instance.pack inst in
-  Offline.Opt_cache.find_or_compute_keyed ~solver:"fleet-flow:v1"
-    ~key:(flow_key ~k ~d_factor:config.Config.d_factor packed)
+  let solver = "fleet-flow:v1" and d_factor = config.Config.d_factor in
+  Offline.Opt_cache.find_or_compute_keyed ~solver
+    ~key:(flow_key ~k ~d_factor packed)
     (fun () ->
-      fst
-        (Fleet_flow.solve ~d_factor:config.Config.d_factor
-           ~start:inst.Instance.start ~requests:(flatten inst) ~k))
+      let costs =
+        Fleet_flow.frontier ~d_factor ~start:inst.Instance.start
+          ~requests:(flatten inst) ~k
+      in
+      for i = 1 to Array.length costs - 1 do
+        Offline.Opt_cache.add_keyed ~solver
+          ~key:(flow_key ~k:(k + i) ~d_factor packed)
+          costs.(i)
+      done;
+      costs.(0))
 
 let optimum_brute ~k (config : Config.t) inst =
   if k < 1 then invalid_arg "Fleet_offline.optimum_brute: k < 1";

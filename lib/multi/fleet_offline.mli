@@ -61,12 +61,16 @@ val optimum :
 
 val optimum_flow :
   k:int -> Mobile_server.Config.t -> Mobile_server.Instance.t -> float
-(** Exact optimum of the serve-assignment relaxation via
-    {!Fleet_flow.solve}, memoized through
+(** Exact optimum of the serve-assignment relaxation, memoized through
     [Offline.Opt_cache.find_or_compute_keyed] (solver id
     ["fleet-flow:v1"]; the key covers [k], [d_factor]'s IEEE bits and
     the instance digest — budget and variant knobs are excluded
-    because the relaxation cannot observe them). *)
+    because the relaxation cannot observe them).  A miss runs
+    {!Fleet_flow.frontier} once and also stores the optima of every
+    larger bound up to the unconstrained optimum's chain count, in
+    memory only ([Offline.Opt_cache.add_keyed]), so pricing one
+    instance at [k], [k + 1], ... solves it once.  Every value is
+    [fst (Fleet_flow.solve ~k)] bit for bit. *)
 
 val optimum_brute :
   k:int -> Mobile_server.Config.t -> Mobile_server.Instance.t -> float

@@ -281,16 +281,29 @@ let find_or_compute ~solver config packed compute =
    (graph Page Migration keys itself by graph bytes + instance).  The
    format tag keeps keyed digests disjoint from the config-keyed
    ones. *)
+let keyed_digest ~solver bytes =
+  let buf = Buffer.create (64 + String.length solver + String.length bytes) in
+  Buffer.add_string buf "msp-opt-cache-keyed-v1\n";
+  Buffer.add_string buf solver;
+  Buffer.add_char buf '\n';
+  Buffer.add_string buf bytes;
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
 let find_or_compute_keyed ~solver ~key:bytes compute =
   if not (with_lock (fun () -> !enabled)) then compute ()
-  else begin
-    let buf = Buffer.create (64 + String.length solver + String.length bytes) in
-    Buffer.add_string buf "msp-opt-cache-keyed-v1\n";
-    Buffer.add_string buf solver;
-    Buffer.add_char buf '\n';
-    Buffer.add_string buf bytes;
-    lookup (Digest.to_hex (Digest.string (Buffer.contents buf))) compute
-  end
+  else lookup (keyed_digest ~solver bytes) compute
+
+(* A value a solve produced for free alongside the one it was asked
+   for.  Memory only: a disk write per extra value would add files and
+   spend the next write's armed fault. *)
+let add_keyed ~solver ~key:bytes value =
+  let digest = keyed_digest ~solver bytes in
+  with_lock (fun () ->
+      if !enabled then begin
+        incr clock;
+        Hashtbl.replace table digest (value, !clock);
+        evict_over_capacity ()
+      end)
 
 (* --- solver entry points --------------------------------------------- *)
 

@@ -73,6 +73,17 @@ val find_or_compute_keyed :
     statistics with the config-keyed entries; digests never collide
     across the two keying schemes. *)
 
+val add_keyed : solver:string -> key:string -> float -> unit
+(** [add_keyed ~solver ~key value] stores [value] in memory under the
+    digest {!find_or_compute_keyed} gives [~solver ~key], for a solver
+    that computes the values of other keys along with the one it was
+    asked for ({!Multi.Fleet_offline.optimum_flow} stores every larger
+    bound's optimum from one flow run).  [value] must be exactly what
+    a solve of that key returns.  The entry counts as neither a hit
+    nor a miss, takes an LRU slot like any other, and is never written
+    to disk: that keeps one file per solve and leaves armed write
+    faults for real misses.  Does nothing while the cache is off. *)
+
 val set_enabled : bool -> unit
 (** Turn the cache off (every call computes) or back on.  On by
     default. *)

@@ -415,14 +415,122 @@ let qcheck_flow_matches_reference =
       let start, requests = flow_case ~seed ~dim ~lattice ~n in
       let d_factor = [| 1.0; 2.0; 3.5 |].(d_index) in
       let k = 1 + (k_draw mod (n + 2)) in
+      let frontier = Multi.Fleet_flow.frontier ~d_factor ~start ~requests ~k in
+      let last = Array.length frontier - 1 in
+      (* Every entry, then three bounds past the last, which the last
+         entry also answers. *)
       List.for_all
-        (fun bound ->
+        (fun i ->
+          let bound = k + i in
           let cost, chains =
             Multi.Fleet_flow.solve ~d_factor ~start ~requests ~k:bound
           in
           let want, want_chains = Ref_flow.solve ~d_factor ~start ~requests ~k:bound in
-          bit_eq cost want && chains = want_chains)
-        [ k; k + 1; k + 2; k + 3 ])
+          bit_eq cost want && chains = want_chains
+          && bit_eq frontier.(min i last) want)
+        (List.init (last + 4) Fun.id))
+
+(* NaN compares false, so before these checks a non-finite input made
+   the sink unreachable early and the solver returned more than [k]
+   chains (4 at k = 2 here), priced nan or infinity. *)
+let flow_rejects_non_finite () =
+  let requests = random_requests (rng_of 53) ~n:4 ~dim:2 in
+  let solve ?(d_factor = 2.0) ?(start = Vec.zero 2) requests () =
+    ignore (Multi.Fleet_flow.solve ~d_factor ~start ~requests ~k:2)
+  in
+  let poisoned x =
+    Array.mapi (fun j r -> if j = 2 then [| r.(0); x |] else r) requests
+  in
+  let d_msg = Invalid_argument "Fleet_flow.solve: d_factor is not finite" in
+  let start_msg =
+    Invalid_argument "Fleet_flow.solve: start position is not finite"
+  in
+  let coord_msg =
+    Invalid_argument
+      "Fleet_flow.solve: request coordinate is not finite (NaN or infinite)"
+  in
+  Alcotest.check_raises "D nan" d_msg (solve ~d_factor:nan requests);
+  Alcotest.check_raises "D inf" d_msg (solve ~d_factor:infinity requests);
+  Alcotest.check_raises "start nan" start_msg
+    (solve ~start:[| 0.0; nan |] requests);
+  Alcotest.check_raises "start inf" start_msg
+    (solve ~start:[| neg_infinity; 0.0 |] requests);
+  Alcotest.check_raises "request nan" coord_msg (solve (poisoned nan));
+  Alcotest.check_raises "request inf" coord_msg (solve (poisoned infinity));
+  Alcotest.check_raises "frontier"
+    (Invalid_argument
+       "Fleet_flow.frontier: request coordinate is not finite (NaN or \
+        infinite)")
+    (fun () ->
+      ignore
+        (Multi.Fleet_flow.frontier ~d_factor:2.0 ~start:(Vec.zero 2)
+           ~requests:(poisoned nan) ~k:2))
+
+(* --- the flow cache's extra entries ---------------------------------- *)
+
+let with_temp_dir f =
+  let dir = Filename.temp_file "msp-test-fleet" "" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o700;
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter (fun e -> Sys.remove (Filename.concat dir e)) (Sys.readdir dir);
+      Sys.rmdir dir)
+    (fun () -> f dir)
+
+(* A miss at k = 2 runs one flow for every bound and keeps the larger
+   bounds' optima in memory: on an f1-shaped instance k = 3 and 4 then
+   hit, and only the solved bound reaches the disk store. *)
+let flow_cache_extra_entries () =
+  let module C = Offline.Opt_cache in
+  let inst = Workloads.Hotspots.generate ~hotspots:3 ~dim:2 ~t:40 (rng_of 54) in
+  let cfg = config () in
+  let requests = Array.concat (Array.to_list inst.Instance.steps) in
+  let want k =
+    fst (Ref_flow.solve ~d_factor:2.0 ~start:inst.Instance.start ~requests ~k)
+  in
+  let check_run label ks =
+    List.iter
+      (fun k ->
+        check_bits
+          (Printf.sprintf "%s k=%d" label k)
+          (want k)
+          (Multi.Fleet_offline.optimum_flow ~k cfg inst))
+      ks
+  in
+  let check_stats label ~hits ~misses =
+    let s = C.stats () in
+    Alcotest.(check (pair int int))
+      (label ^ ": hits, misses") (hits, misses) (s.C.hits, s.C.misses)
+  in
+  let fresh dir =
+    C.clear ();
+    C.reset_stats ();
+    C.set_disk_dir (Some dir)
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      C.set_enabled true;
+      C.set_disk_dir None;
+      C.clear ())
+    (fun () ->
+      C.set_enabled true;
+      with_temp_dir (fun dir ->
+          fresh dir;
+          check_run "k = 2, 3, 4" [ 2; 3; 4 ];
+          check_stats "k = 2, 3, 4" ~hits:2 ~misses:1;
+          Alcotest.(check int) "disk entries" 1
+            (List.length
+               (List.filter
+                  (fun e -> Filename.check_suffix e ".opt")
+                  (Array.to_list (Sys.readdir dir)))));
+      with_temp_dir (fun dir ->
+          fresh dir;
+          check_run "k = 4, 2" [ 4; 2 ];
+          check_stats "k = 4, 2" ~hits:0 ~misses:2);
+      C.set_disk_dir None;
+      C.set_enabled false;
+      check_run "cache off" [ 2; 3; 4 ])
 
 (* --- the Work-Function Algorithm ------------------------------------- *)
 
@@ -910,6 +1018,10 @@ let () =
           Alcotest.test_case "monotone in k" `Quick flow_monotone_in_k;
           Alcotest.test_case "cached ≡ cold" `Quick flow_cached_identical;
           Alcotest.test_case "price_chains validates" `Quick price_chains_validates;
+          Alcotest.test_case "rejects non-finite input" `Quick
+            flow_rejects_non_finite;
+          Alcotest.test_case "one miss prices k = 2, 3, 4" `Quick
+            flow_cache_extra_entries;
         ] );
       ( "wfa",
         [
