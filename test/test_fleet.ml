@@ -453,7 +453,7 @@ let flow_rejects_non_finite () =
   Alcotest.check_raises "D inf" d_msg (solve ~d_factor:infinity requests);
   Alcotest.check_raises "start nan" start_msg
     (solve ~start:[| 0.0; nan |] requests);
-  Alcotest.check_raises "start inf" start_msg
+  Alcotest.check_raises "start -inf" start_msg
     (solve ~start:[| neg_infinity; 0.0 |] requests);
   Alcotest.check_raises "request nan" coord_msg (solve (poisoned nan));
   Alcotest.check_raises "request inf" coord_msg (solve (poisoned infinity));
