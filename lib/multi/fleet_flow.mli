@@ -29,13 +29,13 @@ val frontier :
 (** [frontier ~d_factor ~start ~requests ~k] is the optimum at every
     bound from [k] up, from one run: entry [i] is
     [fst (solve ~k:(k + i))] bit for bit.  The last entry is the
-    unconstrained optimum, with [K] chains ([k + i = K], or [i = 0] if
-    [K < k]), and it also holds for every larger bound.  The
-    successive shortest paths {!solve} runs are the same whatever the
-    bound, which only decides where a run stops, so the run for [k]
-    passes through the final state of every larger bound; it costs
-    one [solve ~k] plus one {!price_chains} per answering state.
-    Raises like {!solve}. *)
+    unconstrained optimum, which uses some [K] chains; it also holds
+    for every larger bound, so the array has [max 1 (K - k + 1)]
+    entries.  The successive shortest paths {!solve} runs are the same
+    whatever the bound, which only decides where a run stops, so the
+    run for [k] passes through the final state of every larger bound;
+    it costs one [solve ~k] plus one {!price_chains} per answering
+    state.  Raises like {!solve}. *)
 
 val price_chains :
   d_factor:float -> start:Geometry.Vec.t ->
