@@ -7,8 +7,6 @@
                                                  mode's JSON then goes to
                                                  BENCH_<mode>.quick.json
      dune exec bench/main.exe -- --jobs 4 ... -- worker domains for sweeps
-     dune exec bench/main.exe -- parallel     -- jobs=1 vs jobs=N comparison
-                                                 (JSON to BENCH_parallel.json)
      dune exec bench/main.exe -- hotpath      -- Vec.dist, the median,
                                                  engine rounds and the
                                                  frame codec, gated on
@@ -36,8 +34,8 @@
                                                  journal on = off
                                                  byte-identity (JSON to
                                                  BENCH_serve.json)
-     dune exec bench/main.exe -- multicore    -- the same serve schedule and
-                                                 experiment sweep at
+     dune exec bench/main.exe -- multicore    -- one serve schedule and the
+                                                 e4, e9 and t1 experiments at
                                                  jobs=1/2/4/8, identity-gated
                                                  (JSON to BENCH_multicore.json)
      dune exec bench/main.exe -- fleet        -- the min-cost-flow relaxation
@@ -51,7 +49,9 @@
                                                  (JSON to BENCH_fleet.json)
 
    Each experiment regenerates one reproduction target (a theorem of the
-   paper; see DESIGN.md §4 and EXPERIMENTS.md) and prints its tables. *)
+   paper; see DESIGN.md §4 and EXPERIMENTS.md) and prints its tables.
+   Each mode prints the record it writes, and exits 1 when one of the
+   record's gates is false, naming the gate on stderr. *)
 
 module MS = Mobile_server
 
@@ -60,11 +60,13 @@ module MS = Mobile_server
 
 (* A bench record's values.  Numbers print as %d or %.6g and strings
    as %S; an [Obj] prints inline on one line, and a [Rows] array puts
-   one element a line. *)
+   one element a line.  A [Gate] prints as a [Bool] does; the mode's
+   exit code depends on it (see [write_record]). *)
 type value =
   | Int of int
   | Num of float
   | Bool of bool
+  | Gate of bool
   | Str of string
   | Obj of (string * value) list
   | Rows of value list
@@ -72,7 +74,7 @@ type value =
 let rec inline = function
   | Int i -> string_of_int i
   | Num x -> Printf.sprintf "%.6g" x
-  | Bool b -> string_of_bool b
+  | Bool b | Gate b -> string_of_bool b
   | Str s -> Printf.sprintf "%S" s
   | Obj fields ->
     "{"
@@ -81,9 +83,25 @@ let rec inline = function
     ^ "}"
   | Rows rows -> "[" ^ String.concat ", " (List.map inline rows) ^ "]"
 
-(* Writes a record to [path], one top-level field a line, and says so
-   on stdout. *)
-let write_record ~report path fields =
+(* The paths of the false gates under [v], in record order: a field
+   of an [Obj] adds [.name], an element of [Rows] adds [[i]]. *)
+let rec failed_gates path = function
+  | Gate false -> [ path ]
+  | Obj fields ->
+    List.concat_map
+      (fun (k, v) -> failed_gates (if path = "" then k else path ^ "." ^ k) v)
+      fields
+  | Rows rows ->
+    List.concat
+      (List.mapi
+         (fun i v -> failed_gates (Printf.sprintf "%s[%d]" path i) v)
+         rows)
+  | Int _ | Num _ | Bool _ | Gate true | Str _ -> []
+
+(* Writes a record to [path], one top-level field a line, and prints
+   the same text on stdout: the record is the mode's report.  Then
+   exits 1, naming each false gate on stderr, if the record has one. *)
+let write_record path fields =
   let render = function
     | Rows rows ->
       "[\n"
@@ -91,13 +109,17 @@ let write_record ~report path fields =
       ^ "\n  ]"
     | v -> inline v
   in
-  let body =
-    String.concat ",\n"
-      (List.map (fun (k, v) -> Printf.sprintf "  %S: %s" k (render v)) fields)
+  let field (k, v) = Printf.sprintf "  %S: %s" k (render v) in
+  let text =
+    Printf.sprintf "{\n%s\n}\n" (String.concat ",\n" (List.map field fields))
   in
-  Out_channel.with_open_text path (fun oc ->
-      Printf.fprintf oc "{\n%s\n}\n" body);
-  Printf.printf "%s report written to %s\n" report path
+  Out_channel.with_open_text path (fun oc -> output_string oc text);
+  Printf.printf "%s(written to %s)\n%!" text path;
+  match failed_gates "" (Obj fields) with
+  | [] -> ()
+  | failed ->
+    List.iter (Printf.eprintf "bench: gate %s is false\n") failed;
+    exit 1
 
 (* The machine a bench record was measured on. *)
 let machine () =
@@ -278,30 +300,7 @@ let run_hotpath ~quick ~out () =
           (Experiments.Catalog.run ~quick:true "e1"))
   in
   let identity_report = String.equal (report_at 1) (report_at 2) in
-  (* --- render ------------------------------------------------------ *)
-  Tables.print
-    ~title:"hot-path timings (lower is better)"
-    (Tables.create
-       ~aligns:[ Tables.Left; Tables.Right ]
-       ~header:[ "operation"; "time" ]
-       [
-         [ "Vec.dist (ns)"; Tables.cell dist_ns ];
-         [ Printf.sprintf "median, %d pts (us)" n_pts;
-           Tables.cell median_cold_us ];
-         [ "engine round (us)"; Tables.cell engine_opt_us ];
-       ]);
-  Tables.print
-    ~title:"frame codec, 2-D step frame, r = 3 (lower is better)"
-    (Tables.create
-       ~aligns:[ Tables.Left; Tables.Right; Tables.Right ]
-       ~header:[ "call"; "ns/frame"; "minor words/frame" ]
-       (List.map
-          (fun (name, (ns, words)) ->
-            [ "Frame." ^ name; Tables.cell ns; Tables.cell words ])
-          codec_rows));
-  Printf.printf "golden trajectory identical   : %b\n" identity_golden;
-  Printf.printf "e1 report jobs1 = jobs2       : %b\n%!" identity_report;
-  write_record ~report:"hotpath" out
+  write_record out
     ([ ("schema", Str "msp-bench-hotpath-v3"); machine (); timing ();
        ("quick", Bool quick);
        ("kernel_dist_fused_ns", Num dist_ns);
@@ -312,13 +311,8 @@ let run_hotpath ~quick ~out () =
            [ (Printf.sprintf "codec_%s_ns" name, Num ns);
              (Printf.sprintf "codec_%s_minor_words" name, Num words) ])
          codec_rows
-     @ [ ("identity_golden_trajectory", Bool identity_golden);
-         ("identity_report_jobs1_vs_jobs2", Bool identity_report) ]);
-  if not (identity_golden && identity_report) then begin
-    prerr_endline
-      "FATAL: hot-path rewrite is not byte-identical to the baseline";
-    exit 1
-  end
+     @ [ ("identity_golden_trajectory", Gate identity_golden);
+         ("identity_report_jobs1_vs_jobs2", Gate identity_report) ])
 
 (* ------------------------------------------------------------------ *)
 (* Offline-solver benchmark: the Line_dp solve and the OPT memo cache,
@@ -407,29 +401,7 @@ let run_solver ~quick ~out () =
        > before_disk.Offline.Opt_cache.disk_hits
   in
   let stats = Offline.Opt_cache.stats () in
-  (* --- render ------------------------------------------------------ *)
-  Tables.print
-    ~title:"offline-solver timings (lower is better)"
-    (Tables.create
-       ~aligns:[ Tables.Left; Tables.Right ]
-       ~header:[ "operation"; "time" ]
-       [
-         [ Printf.sprintf "line-dp solve, T=%d (ms)" solve_t;
-           Tables.cell packed_ms ];
-         [ Printf.sprintf "ratio sweep, %d seeds, cold (s)" sweep_seeds;
-           Tables.cell cold_s ];
-         [ Printf.sprintf "ratio sweep, %d seeds, warm (s)" sweep_seeds;
-           Tables.cell warm_s ];
-       ]);
-  Printf.printf "cache stats                    : %d hits, %d misses, %d disk\n"
-    stats.Offline.Opt_cache.hits stats.Offline.Opt_cache.misses
-    stats.Offline.Opt_cache.disk_hits;
-  Printf.printf "cached = uncached              : %b\n"
-    identity_cached_vs_uncached;
-  Printf.printf "jobs1 = jobs2 (cold and warm)  : %b\n" identity_jobs1_vs_jobs2;
-  Printf.printf "disk round trip                : %b\n%!"
-    identity_disk_roundtrip;
-  write_record ~report:"solver" out
+  write_record out
     [ ("schema", Str "msp-bench-solver-v3"); ("quick", Bool quick);
       machine (); timing ~one_pass:"sweep_cold_s" ();
       ("line_dp_rounds", Int solve_t);
@@ -441,16 +413,9 @@ let run_solver ~quick ~out () =
       ("cache_hits", Int stats.Offline.Opt_cache.hits);
       ("cache_misses", Int stats.Offline.Opt_cache.misses);
       ("cache_disk_hits", Int stats.Offline.Opt_cache.disk_hits);
-      ("identity_cached_vs_uncached", Bool identity_cached_vs_uncached);
-      ("identity_jobs1_vs_jobs2", Bool identity_jobs1_vs_jobs2);
-      ("identity_disk_roundtrip", Bool identity_disk_roundtrip) ];
-  if not (identity_cached_vs_uncached && identity_jobs1_vs_jobs2
-          && identity_disk_roundtrip)
-  then begin
-    prerr_endline
-      "FATAL: solver rewrite or cache is not byte-identical to the baseline";
-    exit 1
-  end
+      ("identity_cached_vs_uncached", Gate identity_cached_vs_uncached);
+      ("identity_jobs1_vs_jobs2", Gate identity_jobs1_vs_jobs2);
+      ("identity_disk_roundtrip", Gate identity_disk_roundtrip) ]
 
 (* ------------------------------------------------------------------ *)
 (* Network benchmark: the CSR graph stack — unboxed Dijkstra into one
@@ -540,23 +505,7 @@ let run_network ~quick ~out () =
     && bit_eq sol.Network.Pm_offline.cost sol_j2.Network.Pm_offline.cost
     && sol.Network.Pm_offline.positions = sol_j2.Network.Pm_offline.positions
   in
-  (* --- render ------------------------------------------------------ *)
-  Tables.print
-    ~title:"network timings (lower is better)"
-    (Tables.create
-       ~aligns:[ Tables.Left; Tables.Right ]
-       ~header:[ "operation"; "time" ]
-       [
-         [ Printf.sprintf "all-pairs, n=%d (ms)" n; Tables.cell ap_csr_ms ];
-         [ "distance query (ns)"; Tables.cell query_csr_ns ];
-         [ Printf.sprintf "PM offline DP, T=%d (ms)" t_len;
-           Tables.cell dp_csr_ms ];
-         [ "cached PM optimum, cold (ms)"; Tables.cell (cache_cold_s *. 1e3) ];
-         [ "cached PM optimum, warm (ms)"; Tables.cell (cache_warm_s *. 1e3) ];
-       ]);
-  Printf.printf "cached = uncached             : %b\n" identity_cached;
-  Printf.printf "jobs1 = jobs2                 : %b\n%!" identity_jobs;
-  write_record ~report:"network" out
+  write_record out
     [ ("schema", Str "msp-bench-network-v3"); machine ();
       timing ~one_pass:"pm_cache_cold_ms" ();
       ("quick", Bool quick);
@@ -568,13 +517,8 @@ let run_network ~quick ~out () =
       ("pm_dp_csr_ms", Num dp_csr_ms);
       ("pm_cache_cold_ms", Num (cache_cold_s *. 1e3));
       ("pm_cache_warm_ms", Num (cache_warm_s *. 1e3));
-      ("identity_cached_vs_uncached", Bool identity_cached);
-      ("identity_jobs1_vs_jobs2", Bool identity_jobs) ];
-  if not (identity_cached && identity_jobs) then begin
-    prerr_endline
-      "FATAL: network rewrite is not byte-identical to the baseline";
-    exit 1
-  end
+      ("identity_cached_vs_uncached", Gate identity_cached);
+      ("identity_jobs1_vs_jobs2", Gate identity_jobs) ]
 
 (* ------------------------------------------------------------------ *)
 (* Serve: the sharded session daemon under an open-world schedule, at
@@ -585,24 +529,6 @@ let run_network ~quick ~out () =
    in-process Engine.run_stream replay, the jobs=1 reply stream
    byte-identical to jobs=N, and (at the smallest scale) journal on
    byte-identical to journal off. *)
-
-type serve_row = {
-  sr_mode : string;  (* "journaled" | "unjournaled" *)
-  sr_scale : int;
-  sr_ticks : int;
-  sr_fingerprint : string;  (* empty for unjournaled points *)
-  sr_peak : int;
-  sr_sessions : int;
-  sr_steps : int;
-  sr_elapsed : float;
-  sr_sps : float;
-  sr_p99_service_ms : float;
-  sr_p99_sojourn_ms : float;
-  sr_id_engine : bool;
-  sr_id_jobs : bool;
-  sr_id_journal : bool option;
-      (* unjournaled twin of a journaled scale: reply digests equal *)
-}
 
 let p99_ms a =
   if Array.length a = 0 then 0.0 else 1e3 *. Stats.Quantile.quantile a 0.99
@@ -639,49 +565,31 @@ let run_serve ~quick ~out () =
         let report = Serve.Driver.run ?now daemon spec in
         (report, Unix.gettimeofday () -. t0))
   in
-  let print_row (r : serve_row) =
-    Printf.printf
-      "%-12s %8d live target: peak %8d, %9d steps, %10.0f steps/s, p99 \
-       service %8.4f ms, p99 sojourn %9.3f ms, serve=engine %b, jobs1=jobs%d \
-       %b%s\n%!"
-      r.sr_mode r.sr_scale r.sr_peak r.sr_steps r.sr_sps r.sr_p99_service_ms
-      r.sr_p99_sojourn_ms r.sr_id_engine jobs r.sr_id_jobs
-      (match r.sr_id_journal with
-       | None -> ""
-       | Some b -> Printf.sprintf ", journal on=off %b" b)
-  in
-  let row_of ~mode ~scale ~ticks ~fingerprint ~id_journal (report_n, elapsed)
+  (* One scale row, measured on the jobs=N run [report_n]; [journal]
+     holds the journal on = off gate where the row has one (an
+     unjournaled twin of a journaled scale: reply digests equal). *)
+  let row_of ~mode ~scale ~ticks ~fingerprint ~journal (report_n, elapsed)
       report_1 =
-    let identity_engine =
-      Serve.Driver.ok report_n && Serve.Driver.ok report_1
-    in
-    let identity_jobs =
-      String.equal report_n.Serve.Driver.reply_digest
-        report_1.Serve.Driver.reply_digest
-    in
+    let open Serve.Driver in
     List.iter
       (fun m -> Printf.printf "  mismatch: %s\n" m)
-      (report_n.Serve.Driver.mismatches @ report_1.Serve.Driver.mismatches);
-    let row =
-      {
-        sr_mode = mode;
-        sr_scale = scale;
-        sr_ticks = ticks;
-        sr_fingerprint = fingerprint;
-        sr_peak = report_n.Serve.Driver.peak_live;
-        sr_sessions = report_n.Serve.Driver.sessions;
-        sr_steps = report_n.Serve.Driver.steps;
-        sr_elapsed = elapsed;
-        sr_sps = float_of_int report_n.Serve.Driver.steps /. elapsed;
-        sr_p99_service_ms = p99_ms report_n.Serve.Driver.service_latencies;
-        sr_p99_sojourn_ms = p99_ms report_n.Serve.Driver.latencies;
-        sr_id_engine = identity_engine;
-        sr_id_jobs = identity_jobs;
-        sr_id_journal = id_journal;
-      }
-    in
-    print_row row;
-    row
+      (report_n.mismatches @ report_1.mismatches);
+    Obj
+      ([ ("mode", Str mode);
+         ("live_target", Int scale);
+         ("ticks", Int ticks);
+         ("peak_live", Int report_n.peak_live);
+         ("sessions", Int report_n.sessions);
+         ("steps", Int report_n.steps);
+         ("elapsed_s", Num elapsed);
+         ("steps_per_sec", Num (float_of_int report_n.steps /. elapsed));
+         ("p99_service_latency_ms", Num (p99_ms report_n.service_latencies));
+         ("p99_sojourn_latency_ms", Num (p99_ms report_n.latencies));
+         ("schedule_fingerprint", Str fingerprint);
+         ("identity_serve_vs_engine", Gate (ok report_n && ok report_1));
+         ( "identity_jobs1_vs_jobsN",
+           Gate (String.equal report_n.reply_digest report_1.reply_digest) ) ]
+      @ journal)
   in
   let measure scale =
     (* initial = scale with arrivals balancing departures keeps the
@@ -691,20 +599,21 @@ let run_serve ~quick ~out () =
     let report_1, _ = serve spec ~journal:true ~jobs:1 ~timed:false in
     (* Journal on ≡ off at the smallest scale: replies depend only on
        the frames, so the chained reply digests must match. *)
-    let id_journal =
+    let journal =
       if scale = List.hd scales then begin
         let off, _ = serve spec ~journal:false ~jobs ~timed:false in
-        Some
-          (String.equal off.Serve.Driver.reply_digest
-             (fst timed_n).Serve.Driver.reply_digest
-          && Serve.Driver.ok off)
+        [ ( "identity_journal_on_vs_off",
+            Gate
+              (String.equal off.Serve.Driver.reply_digest
+                 (fst timed_n).Serve.Driver.reply_digest
+              && Serve.Driver.ok off) ) ]
       end
-      else None
+      else []
     in
     row_of ~mode:"journaled" ~scale ~ticks
       ~fingerprint:
         (Workloads.Open_world.fingerprint (Workloads.Open_world.of_spec spec))
-      ~id_journal timed_n report_1
+      ~journal timed_n report_1
   in
   let measure_stream () =
     (* Long lifetimes pin every initial session for the whole horizon;
@@ -714,79 +623,27 @@ let run_serve ~quick ~out () =
     let timed_n = serve spec ~journal:false ~jobs ~timed:true in
     let report_1, _ = serve spec ~journal:false ~jobs:1 ~timed:false in
     row_of ~mode:"unjournaled" ~scale:stream_scale ~ticks:stream_ticks
-      ~fingerprint:"" ~id_journal:None timed_n report_1
+      ~fingerprint:"" ~journal:[] timed_n report_1
   in
   let rows = List.map measure scales @ [ measure_stream () ] in
-  Tables.print
-    ~title:"serve daemon (sustained, identity-gated)"
-    (Tables.create
-       ~aligns:
-         [ Tables.Left; Tables.Right; Tables.Right; Tables.Right;
-           Tables.Right; Tables.Right ]
-       ~header:
-         [ "mode"; "live sessions"; "steps"; "steps/sec"; "p99 svc (ms)";
-           "p99 sojourn (ms)" ]
-       (List.map
-          (fun r ->
-            [ r.sr_mode;
-              Printf.sprintf "%d" r.sr_scale;
-              Printf.sprintf "%d" r.sr_steps;
-              Tables.cell r.sr_sps;
-              Tables.cell r.sr_p99_service_ms;
-              Tables.cell r.sr_p99_sojourn_ms ])
-          rows));
-  write_record ~report:"serve" out
+  write_record out
     [ ("schema", Str "msp-bench-serve-v3"); machine ();
       ("quick", Bool quick);
       ("jobs", Int jobs);
       ("shards", Int shards);
       ("dim", Int dim);
-      ( "scales",
-        Rows
-          (List.map
-             (fun r ->
-               Obj
-                 ([ ("mode", Str r.sr_mode);
-                    ("live_target", Int r.sr_scale);
-                    ("ticks", Int r.sr_ticks);
-                    ("peak_live", Int r.sr_peak);
-                    ("sessions", Int r.sr_sessions);
-                    ("steps", Int r.sr_steps);
-                    ("elapsed_s", Num r.sr_elapsed);
-                    ("steps_per_sec", Num r.sr_sps);
-                    ("p99_service_latency_ms", Num r.sr_p99_service_ms);
-                    ("p99_sojourn_latency_ms", Num r.sr_p99_sojourn_ms);
-                    ("schedule_fingerprint", Str r.sr_fingerprint);
-                    ("identity_serve_vs_engine", Bool r.sr_id_engine);
-                    ("identity_jobs1_vs_jobsN", Bool r.sr_id_jobs) ]
-                 @ match r.sr_id_journal with
-                   | None -> []
-                   | Some b -> [ ("identity_journal_on_vs_off", Bool b) ]))
-             rows) ) ];
-  if
-    not
-      (List.for_all
-         (fun r ->
-           r.sr_id_engine && r.sr_id_jobs
-           && (match r.sr_id_journal with None -> true | Some b -> b))
-         rows)
-  then begin
-    prerr_endline
-      "FATAL: serve daemon output is not byte-identical to the in-process \
-       engine (or jobs=1 differs from jobs=N, or journal on differs from \
-       journal off)";
-    exit 1
-  end
+      ("scales", Rows rows) ]
 
 (* ------------------------------------------------------------------ *)
 (* Multicore matrix: the same fixed work at jobs = 1/2/4/8 — a serve
-   schedule (shard-drain parallelism) and one Exec-pooled experiment
-   sweep — recording wall clock per cell and gating on byte-identical
-   output across the whole matrix (the Exec determinism contract).
-   Speedups are honest for whatever box runs this: on a single
-   hardware thread they hover around 1x. *)
+   schedule (shard-drain parallelism) and the e4, e9 and t1 experiments
+   (Exec-pooled sweeps) — recording wall clock and GC work per cell and
+   gating on byte-identical output across the whole matrix (the Exec
+   determinism contract).  Speedups are honest for whatever box runs
+   this: on a single hardware thread they hover around 1x. *)
 
 let multicore_jobs = [ 1; 2; 4; 8 ]
+let multicore_experiments = [ "e4"; "e9"; "t1" ]
 
 (* GC work done by [f]: minor words, minor and major collections, as
    [Gc.quick_stat] deltas.  With several domains these are program
@@ -808,7 +665,7 @@ let gc_fields prefix g =
     (prefix ^ "_major_collections", Int g.major_gcs) ]
 
 let run_multicore ~quick ~out () =
-  Printf.printf "\n=== MULTICORE: jobs=1/2/4/8 matrix ===\n\n";
+  print_endline "\n=== MULTICORE: jobs=1/2/4/8 matrix ===\n";
   let config = MS.Config.make ~d_factor:2.0 ~move_limit:1.0 ~delta:0.5 () in
   let scale = if quick then 1_000 else 20_000 in
   let spec =
@@ -816,137 +673,62 @@ let run_multicore ~quick ~out () =
       ~mean_lifetime:16.0 ~initial:scale ~dim:2 ~seed:(43_000 + scale)
       ~ticks:12 ()
   in
-  let experiment = "e4" in
-  let cells =
-    List.map
-      (fun jobs ->
-        let daemon = Serve.Daemon.create ~shards:8 ~jobs ~config () in
-        let (serve_s, digest), serve_gc =
-          with_gc_delta (fun () ->
-              Fun.protect
-                ~finally:(fun () -> Serve.Daemon.shutdown daemon)
-                (fun () ->
-                  let t0 = Unix.gettimeofday () in
-                  let report = Serve.Driver.run daemon spec in
-                  ( Unix.gettimeofday () -. t0,
-                    report.Serve.Driver.reply_digest )))
-        in
-        (* Every cell pays cold solves — otherwise the first cell warms
-           the OPT cache and later cells report a phantom speedup. *)
-        Offline.Opt_cache.clear ();
-        let (exp_s, result), exp_gc =
-          with_jobs jobs (fun () ->
-              with_gc_delta (fun () ->
-                  timed (fun () -> Experiments.Catalog.run ~quick experiment)))
-        in
-        let exp_report = Experiments.Catalog.result_to_markdown result in
-        Printf.printf
-          "jobs=%d   serve %6.2fs (%d minor GCs)   %s %6.2fs (%d minor GCs)\n%!"
-          jobs serve_s serve_gc.minor_gcs experiment exp_s exp_gc.minor_gcs;
-        (jobs, serve_s, digest, exp_s, exp_report, serve_gc, exp_gc))
-      multicore_jobs
+  (* One cell: the serve run, then each experiment, as (name, seconds,
+     GC work, output); the outputs are the reply digest and the
+     rendered reports. *)
+  let cell jobs =
+    let daemon = Serve.Daemon.create ~shards:8 ~jobs ~config () in
+    let (serve_s, digest), serve_gc =
+      with_gc_delta (fun () ->
+          Fun.protect
+            ~finally:(fun () -> Serve.Daemon.shutdown daemon)
+            (fun () ->
+              timed (fun () ->
+                  (Serve.Driver.run daemon spec).Serve.Driver.reply_digest)))
+    in
+    let experiment id =
+      (* Every run pays cold solves — otherwise an earlier run warms the
+         OPT cache and a later cell reports a phantom speedup. *)
+      Offline.Opt_cache.clear ();
+      let (secs, result), gc =
+        with_jobs jobs (fun () ->
+            with_gc_delta (fun () ->
+                timed (fun () -> Experiments.Catalog.run ~quick id)))
+      in
+      (id, secs, gc, Experiments.Catalog.result_to_markdown result)
+    in
+    (jobs, ("serve", serve_s, serve_gc, digest)
+           :: List.map experiment multicore_experiments)
   in
-  let _, base_serve, base_digest, base_exp, base_report, _, _ =
-    List.hd cells
-  in
-  let speedup base secs = if secs > 0.0 then base /. secs else 1.0 in
+  let cells = List.map cell multicore_jobs in
+  let base = snd (List.hd cells) in
+  let output (_, _, _, o) = o in
   let identical =
     List.for_all
-      (fun (_, _, digest, _, report, _, _) ->
-        String.equal digest base_digest && String.equal report base_report)
+      (fun (_, parts) ->
+        List.equal String.equal (List.map output parts) (List.map output base))
       cells
   in
-  Tables.print ~title:"multicore scaling (identity-gated)"
-    (Tables.create
-       ~aligns:[ Tables.Right; Tables.Right; Tables.Right; Tables.Right;
-                 Tables.Right ]
-       ~header:[ "jobs"; "serve (s)"; "speedup"; experiment ^ " (s)";
-                 "speedup" ]
-       (List.map
-          (fun (jobs, serve_s, _, exp_s, _, _, _) ->
-            [ Printf.sprintf "%d" jobs;
-              Tables.cell serve_s;
-              Tables.cell (speedup base_serve serve_s);
-              Tables.cell exp_s;
-              Tables.cell (speedup base_exp exp_s) ])
-          cells));
-  write_record ~report:"multicore" out
-    [ ("schema", Str "msp-bench-multicore-v1"); machine ();
+  let speedup base secs = if secs > 0.0 then base /. secs else 1.0 in
+  let row (jobs, parts) =
+    Obj
+      ((("jobs", Int jobs)
+        :: List.concat
+             (List.map2
+                (fun (name, secs, gc, _) (_, base_s, _, _) ->
+                  (name ^ "_seconds", Num secs)
+                  :: (name ^ "_speedup", Num (speedup base_s secs))
+                  :: gc_fields name gc)
+                parts base))
+      @ [ ("serve_reply_digest", Str (output (List.hd parts))) ])
+  in
+  write_record out
+    [ ("schema", Str "msp-bench-multicore-v2"); machine ();
       ("quick", Bool quick);
       ("serve_live_target", Int scale);
-      ("experiment", Str experiment);
-      ("identical_output", Bool identical);
-      ( "cells",
-        Rows
-          (List.map
-             (fun (jobs, serve_s, digest, exp_s, _, serve_gc, exp_gc) ->
-               Obj
-                 ([ ("jobs", Int jobs);
-                    ("serve_seconds", Num serve_s);
-                    ("serve_speedup", Num (speedup base_serve serve_s));
-                    ("experiment_seconds", Num exp_s);
-                    ("experiment_speedup", Num (speedup base_exp exp_s)) ]
-                 @ gc_fields "serve" serve_gc
-                 @ gc_fields "experiment" exp_gc
-                 @ [ ("serve_reply_digest", Str digest) ]))
-             cells) ) ];
-  if not identical then begin
-    prerr_endline "FATAL: multicore output differs across jobs counts";
-    exit 1
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Parallel scaling: run a few multi-seed experiments at jobs=1 and at
-   the requested jobs count, check the reports are byte-identical (the
-   Exec determinism contract), and record wall-clock per experiment. *)
-
-let parallel_sample = [ "e4"; "e9"; "t1" ]
-
-let run_parallel ~quick ~jobs ~out () =
-  Printf.printf "\n=== PARALLEL: jobs=1 vs jobs=%d scaling check ===\n\n" jobs;
-  let time_at ~jobs id =
-    with_jobs jobs (fun () ->
-        (* Both runs pay cold solves — otherwise the jobs=1 run warms
-           the OPT cache and the jobs=N run reports a phantom speedup. *)
-        Offline.Opt_cache.clear ();
-        let secs, result =
-          timed (fun () -> Experiments.Catalog.run ~quick id)
-        in
-        (secs, Experiments.Catalog.result_to_markdown result))
-  in
-  let rows =
-    List.map
-      (fun id ->
-        let s1, report1 = time_at ~jobs:1 id in
-        let sn, reportn = time_at ~jobs id in
-        let identical = String.equal report1 reportn in
-        let speedup = if sn > 0.0 then s1 /. sn else 1.0 in
-        Printf.printf
-          "%-4s jobs=1 %6.2fs   jobs=%d %6.2fs   speedup %.2fx   identical %b\n%!"
-          id s1 jobs sn speedup identical;
-        (id, s1, sn, speedup, identical))
-      parallel_sample
-  in
-  write_record ~report:"parallel scaling" out
-    [ ("schema", Str "msp-bench-parallel-v1"); machine ();
-      ("jobs", Int jobs);
-      ("quick", Bool quick);
-      ("default_jobs", Int (Exec.default_jobs ()));
-      ( "experiments",
-        Rows
-          (List.map
-             (fun (id, s1, sn, speedup, identical) ->
-               Obj
-                 [ ("id", Str id);
-                   ("seconds_jobs1", Num s1);
-                   ("seconds_jobsN", Num sn);
-                   ("speedup", Num speedup);
-                   ("identical_output", Bool identical) ])
-             rows) ) ];
-  if not (List.for_all (fun (_, _, _, _, identical) -> identical) rows) then begin
-    prerr_endline "FATAL: parallel output differs from sequential output";
-    exit 1
-  end
+      ("experiments", Str (String.concat "," multicore_experiments));
+      ("identical_output", Gate identical);
+      ("cells", Rows (List.map row cells)) ]
 
 (* ------------------------------------------------------------------ *)
 (* Fleet benchmark: the min-cost-flow relaxation optimum vs brute-force
@@ -1010,7 +792,6 @@ let run_fleet ~quick ~out () =
   let cache_inst = gen ~r_min:1 ~r_max:1 ~t:(if quick then 40 else 120) 77 in
   Offline.Opt_cache.set_enabled true;
   Offline.Opt_cache.clear ();
-  Offline.Opt_cache.reset_stats ();
   let cache_k = 25 in
   let cold_s, opt_cold =
     timed (fun () -> Multi.Fleet_offline.optimum_flow ~k:cache_k config cache_inst)
@@ -1026,7 +807,6 @@ let run_fleet ~quick ~out () =
   let identity_cached_vs_uncached =
     bit_eq opt_cold opt_warm && bit_eq opt_cold opt_uncached
   in
-  let cache_stats = Offline.Opt_cache.stats () in
   (* --- the WFA step on perfbench fleet-f1's shape ------------------- *)
   (* ns and minor words per request of Fleet_wfa.run (create included)
      at the default beam, over 3-hotspot 2-D instances with T = 40. *)
@@ -1120,64 +900,7 @@ let run_fleet ~quick ~out () =
   let j1_s, sweep_j1 = timed_sweep 1 in
   let j2_s, sweep_j2 = timed_sweep 2 in
   let identity_jobs1_vs_jobs2 = all_bit_eq sweep_j1 sweep_j2 in
-  (* --- render ------------------------------------------------------- *)
-  Tables.print ~title:"flow OPT of the serve-assignment relaxation"
-    (Tables.create
-       ~aligns:[ Tables.Right; Tables.Right; Tables.Right; Tables.Right ]
-       ~header:[ "k"; "requests"; "solve (ms)"; "OPT" ]
-       (List.map
-          (fun (k, n, ms, opt) ->
-            [ string_of_int k; string_of_int n; Tables.cell ms;
-              Tables.cell opt ])
-          flow_rows));
-  Tables.print ~title:"flow vs brute-force enumeration"
-    (Tables.create
-       ~aligns:
-         [ Tables.Right; Tables.Right; Tables.Right; Tables.Right;
-           Tables.Right; Tables.Left ]
-       ~header:
-         [ "k"; "requests"; "brute (ms)"; "flow (ms)"; "speedup";
-           "identical" ]
-       (List.map
-          (fun (k, n, bms, fms, s, ok) ->
-            [ string_of_int k; string_of_int n; Tables.cell bms;
-              Tables.cell fms; Tables.cell s; string_of_bool ok ])
-          brute_rows));
-  Tables.print
-    ~title:
-      (Printf.sprintf "WFA step, beam %d, %d requests" Multi.Fleet_wfa.default_beam
-         wfa_requests)
-    (Tables.create
-       ~aligns:[ Tables.Right; Tables.Right; Tables.Right ]
-       ~header:[ "k"; "ns/request"; "minor words/request" ]
-       (List.map
-          (fun (k, ns, words) ->
-            [ string_of_int k; Tables.cell ns; Tables.cell words ])
-          wfa_rows));
-  Tables.print
-    ~title:
-      (Printf.sprintf "flow: one run for every k vs one per k, %d instances"
-         (Array.length wfa_insts))
-    (Tables.create
-       ~aligns:[ Tables.Right; Tables.Right; Tables.Right; Tables.Left ]
-       ~header:
-         [ "solve k=2,3,4 (ms)"; "frontier k=2 (ms)"; "speedup"; "identical" ]
-       [ [ Tables.cell solves_ms; Tables.cell frontier_ms;
-           Tables.cell (solves_ms /. frontier_ms);
-           string_of_bool identity_frontier_vs_solve ] ]);
-  Printf.printf "cache stats                    : %d hits, %d misses\n"
-    cache_stats.Offline.Opt_cache.hits cache_stats.Offline.Opt_cache.misses;
-  Printf.printf "flow cold %.1fms, warm %.1fms (speedup %.1fx)\n"
-    (cold_s *. 1e3) (warm_s *. 1e3) (cold_s /. warm_s);
-  Printf.printf "sweep jobs=1 %.2fs, jobs=2 %.2fs\n" j1_s j2_s;
-  Printf.printf "flow OPT = brute OPT           : %b\n" identity_flow_vs_brute;
-  Printf.printf "frontier = per-k solves        : %b\n"
-    identity_frontier_vs_solve;
-  Printf.printf "cached = cold = bypassed       : %b\n"
-    identity_cached_vs_uncached;
-  Printf.printf "jobs1 = jobs2                  : %b\n%!"
-    identity_jobs1_vs_jobs2;
-  write_record ~report:"fleet" out
+  write_record out
     [ ("schema", Str "msp-bench-fleet-v4"); machine ();
       timing
         ~one_pass:
@@ -1200,14 +923,14 @@ let run_fleet ~quick ~out () =
                Obj
                  [ ("k", Int k); ("requests", Int n); ("brute_ms", Num bms);
                    ("flow_ms", Num fms); ("speedup", Num s);
-                   ("identical", Bool ok) ])
+                   ("identical", Gate ok) ])
              brute_rows) );
       ( "frontier",
         Obj
           [ ("ks", Str "2,3,4"); ("instances", Int (Array.length wfa_insts));
             ("solves_ms", Num solves_ms); ("frontier_ms", Num frontier_ms);
             ("speedup", Num (solves_ms /. frontier_ms));
-            ("identical", Bool identity_frontier_vs_solve) ] );
+            ("identical", Gate identity_frontier_vs_solve) ] );
       ( "wfa",
         Rows
           (List.map
@@ -1223,18 +946,10 @@ let run_fleet ~quick ~out () =
       ("sweep_seeds", Int sweep_seeds);
       ("sweep_jobs1_s", Num j1_s);
       ("sweep_jobs2_s", Num j2_s);
-      ("identity_flow_vs_brute", Bool identity_flow_vs_brute);
-      ("identity_frontier_vs_solve", Bool identity_frontier_vs_solve);
-      ("identity_cached_vs_uncached", Bool identity_cached_vs_uncached);
-      ("identity_jobs1_vs_jobs2", Bool identity_jobs1_vs_jobs2) ];
-  if not (identity_flow_vs_brute && identity_frontier_vs_solve
-          && identity_cached_vs_uncached && identity_jobs1_vs_jobs2)
-  then begin
-    prerr_endline
-      "FATAL: flow solver is not byte-identical to brute force, its \
-       per-k solves, the cache, or itself across jobs counts";
-    exit 1
-  end
+      ("identity_flow_vs_brute", Gate identity_flow_vs_brute);
+      ("identity_frontier_vs_solve", Gate identity_frontier_vs_solve);
+      ("identity_cached_vs_uncached", Gate identity_cached_vs_uncached);
+      ("identity_jobs1_vs_jobs2", Gate identity_jobs1_vs_jobs2) ]
 
 let () =
   let args = Array.to_list Sys.argv |> List.tl in
@@ -1266,8 +981,6 @@ let () =
     (fun id ->
       let started = Unix.gettimeofday () in
       (match id with
-       | "parallel" ->
-         run_parallel ~quick ~jobs:(Exec.jobs ()) ~out:(out "parallel") ()
        | "hotpath" -> run_hotpath ~quick ~out:(out "hotpath") ()
        | "solver" -> run_solver ~quick ~out:(out "solver") ()
        | "network" -> run_network ~quick ~out:(out "network") ()

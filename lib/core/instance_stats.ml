@@ -84,14 +84,3 @@ let regime ~move_limit stats =
       "varying request counts (Rmax/Rmin = %d/%d enters the Theorem 4 \
        bound)" stats.r_max stats.r_min
   else "fixed request count, bounded drift (Theorem 4 regime)"
-
-let pp ppf s =
-  Format.fprintf ppf
-    "@[<v>rounds          %d (empty: %d)@,\
-     dimension       %d@,\
-     requests        %d (per round: %d..%d)@,\
-     drift           mean %.4g, max %.4g@,\
-     spread          %.4g@,\
-     hull radius     %.4g@]"
-    s.rounds s.empty_rounds s.dim s.total_requests s.r_min s.r_max
-    s.mean_drift s.max_drift s.spread s.hull_radius

@@ -37,6 +37,3 @@ val regime : move_limit:float -> t -> string
     which theorem's regime the instance most resembles — e.g.
     ["moving-client, agent slower than the server (Theorem 10 regime)"]
     or ["drift exceeds the movement limit (Theorem 8 regime)"]. *)
-
-val pp : Format.formatter -> t -> unit
-(** Multi-line summary. *)

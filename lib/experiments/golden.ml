@@ -431,3 +431,99 @@ let network_string () =
   Buffer.contents buf
 
 let network_path = "test/golden/network_v1.txt"
+
+(* --- wire-protocol frame fixtures ------------------------------------ *)
+
+let frame_fixtures =
+  let open Serve.Frame in
+  [
+    ( "req-open",
+      `Req (Open { session = 1L; seed = 42; start = [| 0.0; 0.0 |] }) );
+    ( "req-open-neg-id",
+      `Req (Open { session = -1L; seed = 987654321; start = [| 1.5 |] }) );
+    ( "req-step",
+      `Req
+        (Step
+           { session = 7L; requests = [| [| 1.0; 2.0 |]; [| -0.5; 3.25 |] |] })
+    );
+    ("req-step-empty", `Req (Step { session = 7L; requests = [||] }));
+    ("req-checkpoint", `Req (Checkpoint { session = 99L }));
+    ("req-close", `Req (Close { session = 99L }));
+    ("rep-opened", `Rep (Opened { session = 1L }));
+    ( "rep-stepped",
+      `Rep
+        (Stepped
+           {
+             session = 7L;
+             position = [| 0.25; 0.75 |];
+             move = 0.125;
+             service = 2.5;
+             clamped = true;
+           }) );
+    ( "rep-stepped-unclamped",
+      `Rep
+        (Stepped
+           {
+             session = 8L;
+             position = [| -0.0 |];
+             move = 0.0;
+             service = 0.1;
+             clamped = false;
+           }) );
+    ( "rep-snapshot",
+      `Rep
+        (Snapshot
+           {
+             session = 7L;
+             rounds = 12;
+             clamped_rounds = 3;
+             position = [| 1.0 |];
+             move = 4.5;
+             service = 9.0;
+           }) );
+    ( "rep-closed",
+      `Rep
+        (Closed
+           {
+             session = 0x0123456789abcdefL;
+             rounds = 1_000_000;
+             clamped_rounds = 0;
+             position = [| 3.141592653589793 |];
+             move = 1e-12;
+             service = 1e12;
+           }) );
+    ( "rep-error-bad-frame",
+      `Rep
+        (Error
+           {
+             session = 0L;
+             code = Bad_frame;
+             message = "bad version tag 0x7f (expected 0x01)";
+           }) );
+    ( "rep-error-unknown",
+      `Rep
+        (Error
+           {
+             session = 5L;
+             code = Unknown_session;
+             message = "session 5 is not live";
+           }) );
+  ]
+
+let frames_string () =
+  let buf = Buffer.create 2048 in
+  Buffer.add_string buf
+    "# Wire-protocol v1 frame fixtures; regenerate with \
+     tools/gen_golden/gen_golden.exe frames.\n";
+  List.iter
+    (fun (name, value) ->
+      let bytes =
+        match value with
+        | `Req r -> Serve.Frame.encode_request r
+        | `Rep r -> Serve.Frame.encode_reply r
+      in
+      Printf.bprintf buf "%s " name;
+      String.iter (fun ch -> Printf.bprintf buf "%02x" (Char.code ch)) bytes;
+      Buffer.add_char buf '\n')
+    frame_fixtures;
+  Buffer.contents buf

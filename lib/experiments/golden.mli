@@ -148,3 +148,22 @@ val network_string : unit -> string
 
 val network_path : string
 (** Repo-root-relative path of the committed network capture. *)
+
+(** {1 Wire-protocol frame fixtures}
+
+    [test/golden/frames_v1.hex] pins {!Serve.Frame}'s encoding of
+    {!frame_fixtures}: [test_serve] encodes each value to the committed
+    bytes and decodes the bytes back to the value, floats compared
+    bitwise.  Regenerate ONLY on a deliberate protocol version bump,
+    never to make a failing byte-identity check pass, with
+    [dune exec tools/gen_golden/gen_golden.exe -- frames]. *)
+
+val frame_fixtures :
+  (string * [ `Req of Serve.Frame.request | `Rep of Serve.Frame.reply ]) list
+(** The fixture values, by name: every request and reply constructor,
+    a negative session id, an empty step, a negative zero, an
+    extreme session id and both error codes. *)
+
+val frames_string : unit -> string
+(** A [#] header line, then one ["<name> <hex of the encoded frame>"]
+    line per fixture, in {!frame_fixtures}'s order. *)

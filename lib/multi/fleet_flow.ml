@@ -137,6 +137,17 @@ let run ~caller ~d_factor ~start ~(requests : Vec.t array) ~k answer =
     let source = 0 and sink = (2 * n) + 1 in
     let a_node j = 1 + j and b_node l = 1 + n + l in
     let start_d = Array.init n (fun l -> Vec.dist start requests.(l)) in
+    (* Finite coordinates can still be too far apart ([1e308] and
+       [-1e308]): an infinite cost, like a NaN, would leave the sink
+       unreachable before [n - k] links.  [abs c < infinity] is false
+       for an infinite or NaN [c] and, unlike [Float.is_finite], boxes
+       nothing. *)
+    let overflow () =
+      invalid_arg (caller ^ ": d_factor times a distance is not finite")
+    in
+    for l = 0 to n - 1 do
+      if not (Float.abs (d_factor *. start_d.(l)) < infinity) then overflow ()
+    done;
     (* CSR arc storage: forward and residual arcs interleaved by node;
        [arev] pairs them. *)
     let deg = Array.make nodes 0 in
@@ -176,9 +187,11 @@ let run ~caller ~d_factor ~start ~(requests : Vec.t array) ~k answer =
     done;
     for j = 0 to n - 1 do
       for l = j + 1 to n - 1 do
-        add_arc (a_node j)
-          (b_node l)
-          (d_factor *. (Vec.dist requests.(j) requests.(l) -. start_d.(l)))
+        let c =
+          d_factor *. (Vec.dist requests.(j) requests.(l) -. start_d.(l))
+        in
+        if not (Float.abs c < infinity) then overflow ();
+        add_arc (a_node j) (b_node l) c
       done
     done;
     (* [b_live.(l)] is B_l's one residual out-arc.  B_l's in-arcs come

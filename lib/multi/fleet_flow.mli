@@ -19,9 +19,13 @@ val solve :
     any solver producing the same partition produces the same bits.
     Successive shortest paths with Johnson potentials on flat CSR
     arrays; O(n²) arcs, at most [n] Dijkstra passes.  Raises
-    [Invalid_argument] if [k < 1], if [d_factor <= 0], or if
-    [d_factor], a coordinate of [start] or a request coordinate is not
-    finite. *)
+    [Invalid_argument] if [k < 1], if [d_factor <= 0], if [d_factor],
+    a coordinate of [start] or a request coordinate is not finite, or
+    if [d_factor] times a start distance or a link cost
+    [d(r_j, r_l) − d(start, r_l)] is not finite: finite coordinates
+    can be too far apart, like [1e308] and [-1e308].
+    {!Fleet_offline.optimum_brute} prices such an instance as
+    [infinity] instead. *)
 
 val frontier :
   d_factor:float -> start:Geometry.Vec.t ->

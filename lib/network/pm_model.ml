@@ -35,40 +35,9 @@ let total r = r.move_cost +. r.service_cost
 let check_d d_factor =
   if d_factor < 1.0 then invalid_arg "Pm_model: D must be >= 1"
 
-let run ?rng metric ~d_factor (alg : algorithm) inst =
-  check_d d_factor;
-  let stepper = alg.make ?rng metric ~d_factor ~start:inst.start in
-  let n = Dijkstra.size metric in
-  let positions = Array.make (Array.length inst.rounds) 0 in
-  let move = ref 0.0 and service = ref 0.0 in
-  let page = ref inst.start in
-  Array.iteri
-    (fun t requests ->
-      let target = stepper requests in
-      if target < 0 || target >= n then
-        invalid_arg (alg.name ^ ": migrated out of the graph");
-      let from_row, from_base = Dijkstra.row metric !page in
-      move :=
-        !move
-        +. (d_factor *. Geometry.Fbuf.get from_row (from_base + target));
-      page := target;
-      let row, base = Dijkstra.row metric target in
-      Array.iter
-        (fun v -> service := !service +. Geometry.Fbuf.get row (base + v))
-        requests;
-      positions.(t) <- target)
-    inst.rounds;
-  {
-    algorithm = alg.name;
-    positions;
-    move_cost = !move;
-    service_cost = !service;
-  }
-
-let replay metric ~d_factor ~start positions inst =
-  check_d d_factor;
-  if Array.length positions <> Array.length inst.rounds then
-    invalid_arg "Pm_model.replay: trajectory length mismatch";
+(* Move and service cost of the page trajectory [positions] from
+   [start], round by round. *)
+let price metric ~d_factor ~start positions inst =
   let move = ref 0.0 and service = ref 0.0 in
   let page = ref start in
   Array.iteri
@@ -83,7 +52,32 @@ let replay metric ~d_factor ~start positions inst =
         (fun v -> service := !service +. Geometry.Fbuf.get row (base + v))
         inst.rounds.(t))
     positions;
-  !move +. !service
+  (!move, !service)
+
+let run ?rng metric ~d_factor (alg : algorithm) inst =
+  check_d d_factor;
+  let stepper = alg.make ?rng metric ~d_factor ~start:inst.start in
+  let n = Dijkstra.size metric in
+  let positions =
+    Array.map
+      (fun requests ->
+        let target = stepper requests in
+        if target < 0 || target >= n then
+          invalid_arg (alg.name ^ ": migrated out of the graph");
+        target)
+      inst.rounds
+  in
+  let move_cost, service_cost =
+    price metric ~d_factor ~start:inst.start positions inst
+  in
+  { algorithm = alg.name; positions; move_cost; service_cost }
+
+let replay metric ~d_factor ~start positions inst =
+  check_d d_factor;
+  if Array.length positions <> Array.length inst.rounds then
+    invalid_arg "Pm_model.replay: trajectory length mismatch";
+  let move, service = price metric ~d_factor ~start positions inst in
+  move +. service
 
 let uniform_requests g ~t rng =
   let n = Graph.nodes g in

@@ -402,30 +402,3 @@ let decode_reply s =
   with
   | reply -> Ok reply
   | exception Malformed msg -> Error msg
-
-let split stream =
-  match
-    let len = String.length stream in
-    let rec cut pos acc =
-      if pos = len then List.rev acc
-      else begin
-        if pos + 4 > len then
-          malformed "truncated length prefix: %d byte(s), need 4" (len - pos);
-        let n =
-          (Char.code stream.[pos] lsl 24)
-          lor (Char.code stream.[pos + 1] lsl 16)
-          lor (Char.code stream.[pos + 2] lsl 8)
-          lor Char.code stream.[pos + 3]
-        in
-        if n > max_payload then
-          malformed "length prefix %d exceeds max payload %d" n max_payload;
-        if pos + 4 + n > len then
-          malformed "truncated frame: length prefix says %d, %d byte(s) follow"
-            n (len - pos - 4);
-        cut (pos + 4 + n) (String.sub stream pos (4 + n) :: acc)
-      end
-    in
-    cut 0 []
-  with
-  | frames -> Ok frames
-  | exception Malformed msg -> Error msg

@@ -102,13 +102,7 @@ val encode_reply : reply -> string
 
 val decode_request : string -> (request, string) result
 (** Decode exactly one framed request.  [Error] pinpoints the defect;
-    trailing bytes after the frame are a defect too (use {!split} for
-    streams). *)
+    trailing bytes after the frame are a defect too. *)
 
 val decode_reply : string -> (reply, string) result
 (** Decode exactly one framed reply. *)
-
-val split : string -> (string list, string) result
-(** Cut a byte stream into whole frames (each returned with its length
-    prefix, ready for [decode_*]).  [Error] on a truncated trailing
-    frame or an oversized length prefix. *)

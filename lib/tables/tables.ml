@@ -80,26 +80,6 @@ let render_markdown t =
   in
   String.concat "\n" (line t.header :: rule :: List.map line t.rows) ^ "\n"
 
-let csv_escape s =
-  let needs_quote =
-    String.exists (fun c -> c = ',' || c = '"' || c = '\n') s
-  in
-  if not needs_quote then s
-  else
-    let buf = Buffer.create (String.length s + 2) in
-    Buffer.add_char buf '"';
-    String.iter
-      (fun c ->
-        if c = '"' then Buffer.add_string buf "\"\""
-        else Buffer.add_char buf c)
-      s;
-    Buffer.add_char buf '"';
-    Buffer.contents buf
-
-let render_csv t =
-  let line cells = String.concat "," (List.map csv_escape cells) in
-  String.concat "\n" (line t.header :: List.map line t.rows) ^ "\n"
-
 (* Terminal rendering is this module's purpose; the io-stdout lint rule
    is suppressed for exactly these calls. *)
 let print ?title t =

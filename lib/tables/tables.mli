@@ -1,8 +1,8 @@
 (** Tabular output for the experiment harness.
 
     A table is a header row plus data rows of strings; rendering
-    supports aligned ASCII (for the terminal), GitHub Markdown (for
-    EXPERIMENTS.md) and CSV (for downstream plotting). *)
+    supports aligned ASCII (for the terminal) and GitHub Markdown (for
+    EXPERIMENTS.md). *)
 
 type align = Left | Right
 (** Column alignment; numbers read best right-aligned. *)
@@ -29,9 +29,6 @@ val render_ascii : t -> string
 
 val render_markdown : t -> string
 (** GitHub-flavoured Markdown rendering. *)
-
-val render_csv : t -> string
-(** RFC-4180-ish CSV (quotes cells containing commas or quotes). *)
 
 val print : ?title:string -> t -> unit
 (** [print t] writes the ASCII rendering to stdout, preceded by an

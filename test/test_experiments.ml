@@ -209,9 +209,9 @@ let sweep_table_shape () =
       (fun x -> Experiments.Ratio.summarize rng [| x |])
   in
   let table = Experiments.Sweep.to_table sweep in
-  let csv = Tables.render_csv table in
-  let lines = String.split_on_char '\n' (String.trim csv) in
-  Alcotest.(check int) "header + 2 rows" 3 (List.length lines)
+  let md = Tables.render_markdown table in
+  let lines = String.split_on_char '\n' (String.trim md) in
+  Alcotest.(check int) "header + rule + 2 rows" 4 (List.length lines)
 
 let sweep_slope_line_no_fit () =
   let rng = Prng.Xoshiro.create 5L in
@@ -244,8 +244,8 @@ let result_nonempty r =
   List.iter
     (fun (caption, table) ->
       if caption = "" then Alcotest.fail "empty caption";
-      let csv = Tables.render_csv table in
-      if String.length csv < 10 then Alcotest.fail "suspiciously tiny table")
+      let md = Tables.render_markdown table in
+      if String.length md < 10 then Alcotest.fail "suspiciously tiny table")
     r.Experiments.Catalog.tables
 
 (* Quick-mode runs of the fast experiments; the slow ones (e4, e5, e8,

@@ -464,7 +464,34 @@ let flow_rejects_non_finite () =
     (fun () ->
       ignore
         (Multi.Fleet_flow.frontier ~d_factor:2.0 ~start:(Vec.zero 2)
-           ~requests:(poisoned nan) ~k:2))
+           ~requests:(poisoned nan) ~k:2));
+  (* Finite coordinates whose distances overflow: 1e308 and -1e308 are
+     2e308 apart.  Unchecked, k = 1 returned 2 chains priced infinity,
+     and 3 chains at k = 1 and 2 with a third request at 0.  At D = 2
+     the start distances overflow first; at D = 1 only the link does. *)
+  let far = [| [| 1e308 |]; [| -1e308 |] |] in
+  let far3 = Array.append far [| [| 0.0 |] |] in
+  let overflow caller =
+    Invalid_argument (caller ^ ": d_factor times a distance is not finite")
+  in
+  let solve_1d ?(d_factor = 2.0) requests k () =
+    ignore (Multi.Fleet_flow.solve ~d_factor ~start:(Vec.zero 1) ~requests ~k)
+  in
+  Alcotest.check_raises "far apart" (overflow "Fleet_flow.solve")
+    (solve_1d far 1);
+  Alcotest.check_raises "far apart, 3 requests, k = 2"
+    (overflow "Fleet_flow.solve") (solve_1d far3 2);
+  Alcotest.check_raises "far apart, D = 1: the link cost"
+    (overflow "Fleet_flow.solve")
+    (solve_1d ~d_factor:1.0 far 1);
+  Alcotest.check_raises "D times the start distance"
+    (overflow "Fleet_flow.solve")
+    (solve_1d [| [| 1e308 |] |] 1);
+  Alcotest.check_raises "frontier, far apart" (overflow "Fleet_flow.frontier")
+    (fun () ->
+      ignore
+        (Multi.Fleet_flow.frontier ~d_factor:2.0 ~start:(Vec.zero 1)
+           ~requests:far3 ~k:1))
 
 (* --- the flow cache's extra entries ---------------------------------- *)
 

@@ -30,81 +30,9 @@ let of_hex h =
 
 (* --- golden fixtures -------------------------------------------------- *)
 
-(* The same values tools/gen_frames prints; the committed file pins
-   their exact bytes in both directions. *)
-let fixtures =
-  [
-    ("req-open", `Req (Frame.Open { session = 1L; seed = 42; start = [| 0.0; 0.0 |] }));
-    ( "req-open-neg-id",
-      `Req (Frame.Open { session = -1L; seed = 987654321; start = [| 1.5 |] }) );
-    ( "req-step",
-      `Req
-        (Frame.Step
-           { session = 7L; requests = [| [| 1.0; 2.0 |]; [| -0.5; 3.25 |] |] })
-    );
-    ("req-step-empty", `Req (Frame.Step { session = 7L; requests = [||] }));
-    ("req-checkpoint", `Req (Frame.Checkpoint { session = 99L }));
-    ("req-close", `Req (Frame.Close { session = 99L }));
-    ("rep-opened", `Rep (Frame.Opened { session = 1L }));
-    ( "rep-stepped",
-      `Rep
-        (Frame.Stepped
-           {
-             session = 7L;
-             position = [| 0.25; 0.75 |];
-             move = 0.125;
-             service = 2.5;
-             clamped = true;
-           }) );
-    ( "rep-stepped-unclamped",
-      `Rep
-        (Frame.Stepped
-           {
-             session = 8L;
-             position = [| -0.0 |];
-             move = 0.0;
-             service = 0.1;
-             clamped = false;
-           }) );
-    ( "rep-snapshot",
-      `Rep
-        (Frame.Snapshot
-           {
-             session = 7L;
-             rounds = 12;
-             clamped_rounds = 3;
-             position = [| 1.0 |];
-             move = 4.5;
-             service = 9.0;
-           }) );
-    ( "rep-closed",
-      `Rep
-        (Frame.Closed
-           {
-             session = 0x0123456789abcdefL;
-             rounds = 1_000_000;
-             clamped_rounds = 0;
-             position = [| 3.141592653589793 |];
-             move = 1e-12;
-             service = 1e12;
-           }) );
-    ( "rep-error-bad-frame",
-      `Rep
-        (Frame.Error
-           {
-             session = 0L;
-             code = Frame.Bad_frame;
-             message = "bad version tag 0x7f (expected 0x01)";
-           }) );
-    ( "rep-error-unknown",
-      `Rep
-        (Frame.Error
-           {
-             session = 5L;
-             code = Frame.Unknown_session;
-             message = "session 5 is not live";
-           }) );
-  ]
+(* The values gen_golden.exe frames prints (Experiments.Golden); the
+   committed file pins their exact bytes in both directions. *)
+let fixtures = Experiments.Golden.frame_fixtures
 
 let eq_vec a b =
   Array.length a = Array.length b && Array.for_all2 (fun x y -> bits x = bits y) a b
@@ -201,7 +129,8 @@ let read_golden () =
 let golden_pins () =
   let table = read_golden () in
   Alcotest.(check (list string))
-    "fixture names (regenerate with tools/gen_frames on a version bump)"
+    "fixture names (regenerate with gen_golden.exe frames on a version \
+     bump)"
     (List.map fst fixtures) (List.map fst table);
   List.iter2
     (fun (name, value) (_, hx) ->
@@ -303,18 +232,6 @@ let qcheck_reply_roundtrip =
       | Ok r' -> Frame.encode_reply r' = bytes
       | Error _ -> false)
 
-let qcheck_split_rejoins =
-  QCheck.Test.make ~count:200 ~name:"split cuts a stream back into frames"
-    (QCheck.make
-       ~print:(fun rs ->
-         String.concat "," (List.map (fun r -> hex_of (Frame.encode_request r)) rs))
-       QCheck.Gen.(list_size (int_range 0 6) request_gen))
-    (fun rs ->
-      let frames = List.map Frame.encode_request rs in
-      match Frame.split (String.concat "" frames) with
-      | Ok cut -> cut = frames
-      | Error _ -> false)
-
 (* --- malformed frames ------------------------------------------------- *)
 
 let patch s i ch =
@@ -393,17 +310,7 @@ let malformed_rejection () =
     "unknown flag bits 0x02";
   expect_reply_error "unknown error code"
     (mk_frame ("\x01\xff" ^ String.make 8 '\x00' ^ "\x09\x00\x00"))
-    "unknown error code 0x09";
-  (match Frame.split (checkpoint ^ opened ^ checkpoint) with
-   | Ok frames ->
-     Alcotest.(check (list string)) "split keeps frame bytes"
-       [ checkpoint; opened; checkpoint ] frames
-   | Error e -> Alcotest.failf "split of whole frames failed: %s" e);
-  (match Frame.split (checkpoint ^ "\x00\x00") with
-   | Ok _ -> Alcotest.fail "split accepted a truncated trailing frame"
-   | Error msg ->
-     Alcotest.(check string) "split names the defect"
-       "truncated length prefix: 2 byte(s), need 4" msg)
+    "unknown error code 0x09"
 
 (* --- Frame vs a verbatim copy of the Buffer-based codec ---------------- *)
 
@@ -1436,7 +1343,7 @@ let () =
         @ List.map QCheck_alcotest.to_alcotest
             [
               qcheck_request_roundtrip; qcheck_reply_roundtrip;
-              qcheck_split_rejoins; qcheck_codec_matches_reference;
+              qcheck_codec_matches_reference;
             ]
         @ [
             Alcotest.test_case "request count above 0xFFFF raises" `Quick

@@ -37,22 +37,10 @@ let markdown_rendering () =
   let lines = String.split_on_char '\n' (String.trim out) in
   Alcotest.(check int) "line count" 4 (List.length lines)
 
-let csv_rendering () =
-  let out = Tables.render_csv (simple ()) in
-  Alcotest.(check string) "csv" "name,value\nalpha,1\nbeta,22\n" out
-
-let csv_escaping () =
-  let t =
-    Tables.create ~header:[ "a" ] [ [ "x,y" ]; [ "quote\"inside" ]; [ "plain" ] ]
-  in
-  let out = Tables.render_csv t in
-  Alcotest.(check string) "escaped"
-    "a\n\"x,y\"\n\"quote\"\"inside\"\nplain\n" out
-
 let of_floats_formatting () =
   let t = Tables.of_floats ~header:[ "x"; "y" ] [ [ 1.0; 0.333333333 ] ] in
-  let out = Tables.render_csv t in
-  Alcotest.(check string) "floats" "x,y\n1,0.3333\n" out
+  let out = Tables.render_ascii t in
+  Alcotest.(check string) "floats" "x       y\n-  ------\n1  0.3333\n" out
 
 let cell_formats () =
   Alcotest.(check string) "integer-valued" "3" (Tables.cell 3.0);
@@ -134,8 +122,6 @@ let () =
           Alcotest.test_case "ascii" `Quick ascii_rendering;
           Alcotest.test_case "ascii left align" `Quick ascii_left_align;
           Alcotest.test_case "markdown" `Quick markdown_rendering;
-          Alcotest.test_case "csv" `Quick csv_rendering;
-          Alcotest.test_case "csv escaping" `Quick csv_escaping;
           Alcotest.test_case "of_floats" `Quick of_floats_formatting;
           Alcotest.test_case "cell formats" `Quick cell_formats;
         ] );

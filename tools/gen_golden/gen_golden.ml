@@ -17,6 +17,7 @@ let captures =
       ("fleet_flow", fleet_flow_string);
       ("convex", convex_string);
       ("network", network_string);
+      ("frames", frames_string);
     ]
 
 let () =
