@@ -381,7 +381,9 @@ let run_solver ~quick ~out () =
     && all_bit_eq (ratios sweep_cold) (ratios sweep_j2_warm)
   in
   (* --- on-disk store round trip ------------------------------------ *)
-  let disk_dir = Filename.concat "_build" ".msp-opt-cache" in
+  (* A fresh directory, removed afterwards, so the counts below never
+     depend on entries an earlier run left behind. *)
+  let disk_dir = Filename.temp_dir "msp-bench-solver-" "" in
   let saved_dir = Offline.Opt_cache.disk_dir () in
   Offline.Opt_cache.set_disk_dir (Some disk_dir);
   let small =
@@ -395,6 +397,10 @@ let run_solver ~quick ~out () =
   let from_disk = Offline.Opt_cache.line_dp config packed_small in
   let after_disk = Offline.Opt_cache.stats () in
   Offline.Opt_cache.set_disk_dir saved_dir;
+  Array.iter
+    (fun f -> Sys.remove (Filename.concat disk_dir f))
+    (Sys.readdir disk_dir);
+  Sys.rmdir disk_dir;
   let identity_disk_roundtrip =
     bit_eq from_solve from_disk
     && after_disk.Offline.Opt_cache.disk_hits

@@ -23,7 +23,9 @@ let step (config : Config.t) ~from ~to_ vs =
   in
   { move; service }
 
-(* One [step]-shaped breakdown per round, added in round order, with
+(* Each round's [step]-shaped move and service, added in round order to
+   two float accumulators starting at 0 — the additions of folding
+   [add] over the rounds from [zero], without a record per round — with
    the service sums taken over the flat request buffer
    ([Points.sum_dist] is bit-identical to [service_cost] on the boxed
    round, so this prices exactly as the engine's per-round [step]). *)
@@ -34,22 +36,23 @@ let trajectory config ~start positions (p : Instance.Packed.t) =
       (Printf.sprintf "Cost.trajectory: %d positions for %d rounds"
          (Array.length positions) t_len);
   let points = Instance.Packed.points p in
-  let acc = ref zero in
+  let move = ref 0.0 and service = ref 0.0 in
   let prev = ref start in
   for t = 0 to t_len - 1 do
     let lo = Instance.Packed.round_start p t in
     let hi = Instance.Packed.round_start p (t + 1) in
-    let move = config.Config.d_factor *. Vec.dist !prev positions.(t) in
-    let service =
-      match config.Config.variant with
-      | Variant.Move_first ->
-        Geometry.Points.sum_dist points ~lo ~hi positions.(t)
-      | Variant.Serve_first -> Geometry.Points.sum_dist points ~lo ~hi !prev
-    in
-    acc := add !acc { move; service };
+    move :=
+      !move +. (config.Config.d_factor *. Vec.dist !prev positions.(t));
+    (service :=
+       !service
+       +.
+       match config.Config.variant with
+       | Variant.Move_first ->
+         Geometry.Points.sum_dist points ~lo ~hi positions.(t)
+       | Variant.Serve_first -> Geometry.Points.sum_dist points ~lo ~hi !prev);
     prev := positions.(t)
   done;
-  !acc
+  { move = !move; service = !service }
 
 let feasible ~limit ~start positions =
   let slack = limit +. (Config.budget_slack *. Float.max 1.0 limit) in

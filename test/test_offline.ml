@@ -384,6 +384,44 @@ let convex_empty_rejected () =
         (Offline.Convex_opt.solve config
            (Instance.make ~start:(Vec.zero 2) [||])))
 
+(* Non-finite input used to surface as the warm start's
+   "Vec.move_towards: non-finite gap". *)
+let convex_non_finite_rejected () =
+  let config = Config.make () in
+  let solve start round =
+    ignore (Offline.Convex_opt.solve config (Instance.make ~start [| round |]))
+  in
+  let request_msg =
+    "Convex_opt.solve: request coordinate is not finite (NaN or infinite)"
+  in
+  Alcotest.check_raises "NaN request" (Invalid_argument request_msg)
+    (fun () -> solve (Vec.zero 2) [| Vec.make2 1.0 Float.nan |]);
+  Alcotest.check_raises "infinite request" (Invalid_argument request_msg)
+    (fun () -> solve (Vec.zero 2) [| Vec.make2 1.0 Float.infinity |]);
+  Alcotest.check_raises "NaN start"
+    (Invalid_argument "Convex_opt.solve: start position is not finite")
+    (fun () -> solve (Vec.make2 Float.nan 0.0) [| Vec.make2 1.0 0.0 |])
+
+(* The subgradient and descent loops allocate nothing: a default-knob
+   solve of the golden f1 instance allocates its scratch, a few
+   trajectory copies and the floats that pricing through
+   [Cost.trajectory] boxes, about 0.11M minor words.  When every
+   iteration allocated vectors, tuples and closures it took 2.24M. *)
+let convex_allocation_bounded () =
+  let inst =
+    Workloads.Hotspots.generate ~hotspots:3 ~dim:2 ~t:40
+      (Prng.Stream.named ~name:"golden-convex-f1" ~seed:1)
+  in
+  Alcotest.(check int) "requests" 174 (Instance.total_requests inst);
+  let packed = Instance.pack inst in
+  let config = Config.make ~d_factor:2.0 ~move_limit:1.0 ~delta:0.5 () in
+  let before = Gc.minor_words () in
+  ignore (Sys.opaque_identity (Offline.Convex_opt.solve_packed config packed));
+  let words = Gc.minor_words () -. before in
+  if words >= 500_000.0 then
+    Alcotest.failf "solve_packed allocated %.0f minor words (bound 500,000)"
+      words
+
 (* --- Brute validation ---------------------------------------------- *)
 
 let brute_1d_stationary () =
@@ -562,6 +600,10 @@ let () =
           Alcotest.test_case "never beaten by online" `Quick
             convex_never_beaten_by_online;
           Alcotest.test_case "empty rejected" `Quick convex_empty_rejected;
+          Alcotest.test_case "non-finite rejected" `Quick
+            convex_non_finite_rejected;
+          Alcotest.test_case "allocation bounded" `Quick
+            convex_allocation_bounded;
           Alcotest.test_case "golden capture" `Quick convex_golden_capture;
         ] );
       ( "brute",
