@@ -19,15 +19,18 @@ let log_src = Logs.Src.create "offline.convex" ~doc:"Convex trajectory solver"
 
 module Log = (val Logs.src_log log_src : Logs.LOG)
 
-(* No loop below allocates.  A float returned across a module boundary
-   is boxed (dune's dev profile compiles with -opaque, so [Vec.dist]
-   never inlines here), and so is one returned by a local function that
-   does not inline, or captured by a closure.  The distances are
-   therefore local [@inline] copies of [Vec.norm], [Vec.dist] and
-   [Points.dist], operation for operation, as in [Median] and
-   [Fleet_wfa]; every iterate lives in a dim-sized scratch vector, and
-   an accepted point is written in place into a trajectory the phase
-   owns. *)
+(* No iteration of a phase allocates, apart from what pricing through
+   [Cost.trajectory] boxes.  Each phase copies the incumbent once, and
+   the warm start and the final feasibility pass allocate the
+   trajectories they return.  A float returned across a module
+   boundary is boxed (dune's dev profile compiles with -opaque, so
+   [Vec.dist] never inlines here), and so is one returned by a local
+   function that does not inline, or captured by a closure.  The
+   distances are therefore local [@inline] copies of [Vec.norm],
+   [Vec.dist] and [Points.dist], operation for operation, as in
+   [Median] and [Fleet_wfa]; every iterate lives in a dim-sized scratch
+   vector, and an accepted point is written in place into a trajectory
+   the phase owns. *)
 
 (* [Vec.norm v]: a max-|·| scaling pass, then the scaled sum of
    squares. *)

@@ -384,8 +384,8 @@ let convex_empty_rejected () =
         (Offline.Convex_opt.solve config
            (Instance.make ~start:(Vec.zero 2) [||])))
 
-(* Non-finite input used to surface as the warm start's
-   "Vec.move_towards: non-finite gap". *)
+(* Non-finite input is rejected up front under the solver's own name,
+   before the warm start's clamp could report a non-finite gap. *)
 let convex_non_finite_rejected () =
   let config = Config.make () in
   let solve start round =
@@ -405,8 +405,8 @@ let convex_non_finite_rejected () =
 (* The subgradient and descent loops allocate nothing: a default-knob
    solve of the golden f1 instance allocates its scratch, a few
    trajectory copies and the floats that pricing through
-   [Cost.trajectory] boxes, about 0.11M minor words.  When every
-   iteration allocated vectors, tuples and closures it took 2.24M. *)
+   [Cost.trajectory] boxes, about 0.11M minor words.  A vector, tuple
+   or closure per iteration pushes it past 2M. *)
 let convex_allocation_bounded () =
   let inst =
     Workloads.Hotspots.generate ~hotspots:3 ~dim:2 ~t:40
